@@ -58,18 +58,26 @@ Design notes:
   unless the float64 mode is chosen), so v2 decodes are bit-identical
   to the histograms that were encoded, and query-from-wire estimates
   are bit-identical to decode-then-estimate.
-* **Mergeability is a format property.** :func:`merge_wire` combines
-  payloads into a new payload using the same concatenate/unique/
-  bincount accumulation as :meth:`.partition.Histogram.merge`, so
-  merged counters are bit-for-bit the values an object-level merge
-  would produce — shard fan-in (ROADMAP item 1) never needs to
-  materialize :class:`~.partition.Histogram` objects.
+* **Mergeability is a format property.** :func:`merge_views` merges
+  parsed views with the same concatenate/unique/bincount accumulation
+  as :meth:`.partition.Histogram.merge`, so merged counters are
+  bit-for-bit the values an object-level merge would produce; the
+  Control Center decodes every window through it.  :func:`merge_wire`
+  re-encodes that merge as a new payload, for merging away from the
+  Control Center.
+* **Cost per byte.**  Sections shorter than :data:`_VECTOR_MIN_LEN`
+  are encoded, parsed and checked with plain Python loops, longer ones
+  with vectorized numpy kernels.  Both produce the same bytes and raise
+  the same errors, so the choice is invisible on the wire.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import struct
 import zlib
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,6 +124,15 @@ _STRIDES = (1, 2, 4, 8)
 _UINT_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 #: Longest admissible LEB128 encoding (64-bit payloads).
 _LEB_MAX_BYTES = 10
+#: Section length (varints or counters) from which the vectorized
+#: kernels run; shorter sections use plain Python loops.  A numpy
+#: call's fixed cost is ~1 us, so at the tens of buckets a window
+#: histogram usually carries, the vectorized LEB128 kernels cost 5-10x
+#: a Python loop over the same bytes; they overtake it at ~100-300
+#: elements and are ~6x faster at 5k.
+_VECTOR_MIN_LEN = 128
+_TWO_53 = float(1 << 53)
+_TWO_64 = float(1 << 64)
 
 #: Counter-mode names accepted by :func:`encode_histogram_v2`.
 _COUNTER_MODES = ("auto", "u8", "u16", "u32", "u64", "float64")
@@ -158,10 +175,23 @@ def _leb_decode(data, pos: int, end: int) -> Tuple[int, int]:
     raise ValueError("malformed v2 payload: varint longer than 10 bytes")
 
 
-def _leb_encode_array(values: np.ndarray) -> bytes:
+def _leb_encode_py(values) -> bytes:
+    """LEB128 of nonnegative Python ints with a plain loop — the kernel
+    for short sections, where it beats the vectorized one."""
+    out = bytearray()
+    append = out.append
+    for v in values:
+        while v > 0x7F:
+            append((v & 0x7F) | 0x80)
+            v >>= 7
+        append(v)
+    return bytes(out)
+
+
+def _leb_encode_np(values: np.ndarray) -> bytes:
     """Vectorized LEB128 of a nonnegative uint64 array — byte-identical
     to appending :func:`_leb_encode` of each element in order, without
-    the per-element Python loop (the profiled hotspot of v2 encode)."""
+    the per-element Python loop (the kernel for long sections)."""
     if values.size == 0:
         return b""
     values = values.astype(np.uint64, copy=False)
@@ -186,13 +216,52 @@ def _leb_encode_array(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _leb_decode_array(
+def _leb_decode_py(buf, pos: int, end: int, n: int) -> Tuple[List[int], int]:
+    """Decode exactly ``n`` consecutive LEB128 integers from
+    ``buf[pos:end]`` with a plain loop — the short-section kernel.  It
+    stops at the first bad varint with the same :class:`ValueError`
+    :func:`_leb_decode` raises for it."""
+    if end - pos == n and (not n or max(buf[pos:end]) < 0x80):
+        # All-single-byte section (the dense-histogram common case).
+        return list(buf[pos:end]), end
+    out: List[int] = []
+    append = out.append
+    for _ in range(n):
+        if pos >= end:
+            raise ValueError("malformed v2 payload: truncated varint")
+        byte = buf[pos]
+        pos += 1
+        if byte < 0x80:
+            append(byte)
+            continue
+        value = byte & 0x7F
+        shift = 7
+        while True:
+            if pos >= end:
+                raise ValueError("malformed v2 payload: truncated varint")
+            byte = buf[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift == 7 * _LEB_MAX_BYTES:
+                raise ValueError(
+                    "malformed v2 payload: varint longer than 10 bytes"
+                )
+        if value >> 64:
+            raise ValueError("malformed v2 payload: varint exceeds 64 bits")
+        append(value)
+    return out, pos
+
+
+def _leb_decode_np(
     buf, pos: int, end: int, n: int
 ) -> Tuple[np.ndarray, int]:
     """Decode exactly ``n`` consecutive LEB128 integers from
     ``buf[pos:end]`` — the vectorized counterpart of ``n`` calls to
-    :func:`_leb_decode`, raising the same :class:`ValueError` classes
-    for truncated, over-long, and 64-bit-overflowing varints."""
+    :func:`_leb_decode`, raising the same :class:`ValueError` for the
+    first bad varint (truncated, over-long, or past 64 bits)."""
     if n == 0:
         return np.empty(0, dtype=np.uint64), pos
     section = np.frombuffer(buf, dtype=np.uint8, offset=pos, count=end - pos)
@@ -200,32 +269,128 @@ def _leb_decode_array(
         # All-single-byte section (the dense-histogram common case).
         return section.astype(np.uint64), end
     terminators = np.flatnonzero((section & 0x80) == 0)
-    if terminators.size < n:
+    k = min(n, int(terminators.size))
+    ends = terminators[:k]
+    starts = np.zeros(k, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    # A terminated varint is bad when it runs past 10 bytes, or when its
+    # 10th byte sets bits beyond 63; the scalar decoder reports the
+    # first bad one.
+    bad = (lengths > _LEB_MAX_BYTES) | (
+        (lengths == _LEB_MAX_BYTES) & (section[ends] > 1)
+    )
+    if bool(bad.any()):
+        if int(lengths[int(np.argmax(bad))]) > _LEB_MAX_BYTES:
+            raise ValueError(
+                "malformed v2 payload: varint longer than 10 bytes"
+            )
+        raise ValueError("malformed v2 payload: varint exceeds 64 bits")
+    if k < n:
         # The scalar decoder would run into the unterminated tail run:
         # over-long if 10+ continuation bytes precede it, else truncated.
-        tail = (int(terminators[-1]) + 1) if terminators.size else 0
+        tail = (int(ends[-1]) + 1) if k else 0
         if (end - pos) - tail >= _LEB_MAX_BYTES:
             raise ValueError(
                 "malformed v2 payload: varint longer than 10 bytes"
             )
         raise ValueError("malformed v2 payload: truncated varint")
-    ends = terminators[:n]
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if bool(np.any(lengths > _LEB_MAX_BYTES)):
-        raise ValueError("malformed v2 payload: varint longer than 10 bytes")
     values = np.zeros(n, dtype=np.uint64)
     for j in range(int(lengths.max())):
         mask = lengths > j
         chunk = section[starts[mask] + j].astype(np.uint64) & np.uint64(0x7F)
-        if j == _LEB_MAX_BYTES - 1 and bool(np.any(chunk > 1)):
-            # The 10th byte contributes bits 63+; anything past bit 63
-            # is the scalar decoder's 64-bit overflow error.
-            raise ValueError("malformed v2 payload: varint exceeds 64 bits")
         values[mask] |= chunk << np.uint64(7 * j)
     return values, pos + int(ends[-1]) + 1
+
+
+def _decode_nodes(
+    buf, pos: int, end: int, n: int, height: int
+) -> Tuple[np.ndarray, int]:
+    """Decode the node-id section ``buf[pos:end]`` (``n`` LEB128
+    deltas) into int64 node ids, checking that they are strictly
+    increasing and valid for ``height``.  Returns ``(nodes, next_pos)``;
+    the varint kernel is chosen by ``n``."""
+    if n == 0:
+        return np.empty(0, dtype=np.int64), pos
+    # Node ids must be below 2**(height + 1) and fit an int64.
+    limit = min(1 << (height + 1), 1 << 63)
+    if n < _VECTOR_MIN_LEN:
+        deltas, pos = _leb_decode_py(buf, pos, end, n)
+        if deltas[0] < 1:
+            raise ValueError("malformed v2 payload: node id 0")
+        if 0 in deltas:
+            raise ValueError(
+                "malformed v2 payload: node ids not strictly increasing"
+            )
+        node_list = list(accumulate(deltas))
+        last = node_list[-1]
+        if last >= limit:
+            raise ValueError(
+                f"malformed v2 payload: node {last} invalid for "
+                f"height {height}"
+            )
+        return np.array(node_list, dtype=np.int64), pos
+    deltas, pos = _leb_decode_np(buf, pos, end, n)
+    if int(deltas[0]) < 1:
+        raise ValueError("malformed v2 payload: node id 0")
+    if bool(np.any(deltas[1:] == np.uint64(0))):
+        raise ValueError(
+            "malformed v2 payload: node ids not strictly increasing"
+        )
+    nodes_u = np.cumsum(deltas)
+    # Deltas are all >= 1, so a uint64 cumsum that fails to strictly
+    # increase means the running node id wrapped past 2**64 — the
+    # scalar decoder's out-of-range error.
+    wrapped = bool(np.any(nodes_u[1:] <= nodes_u[:-1]))
+    last = int(nodes_u[-1])
+    if wrapped or last >= limit:
+        raise ValueError(
+            f"malformed v2 payload: node {last} invalid for height {height}"
+        )
+    return nodes_u.astype(np.int64), pos
+
+
+def _integral_max(values: np.ndarray) -> Optional[int]:
+    """The largest counter when every counter is a nonnegative integer
+    below ``2**64`` (so it fits an unsigned wire counter), else
+    ``None``.  ``values`` is a nonempty float64 array."""
+    if values.size < _VECTOR_MIN_LEN:
+        vs = values.tolist()
+        top = max(vs)
+        if (
+            top < _TWO_64
+            and min(vs) >= 0.0
+            and all(map(float.is_integer, vs))
+        ):
+            return int(top)
+        return None
+    if bool(
+        np.all(
+            (values >= 0.0)
+            & (values == np.floor(values))
+            & (values < _TWO_64)
+        )
+    ):
+        return int(values.max())
+    return None
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    if values.size < _VECTOR_MIN_LEN:
+        return all(map(math.isfinite, values.tolist()))
+    return bool(np.all(np.isfinite(values)))
+
+
+def _counter_sum(values: np.ndarray, integral: bool) -> float:
+    """``float(np.sum(values))`` over float64, the number the omitted
+    totals are recomputed with.  Short nonnegative integral sections
+    are summed in Python: when that sum stays below ``2**53`` every
+    partial sum is exact in any order, so it is the same number."""
+    if integral and values.size < _VECTOR_MIN_LEN:
+        s = sum(values.tolist())
+        if s < _TWO_53:
+            return float(s)
+    return float(np.sum(np.asarray(values, dtype=np.float64)))
 
 
 def _pick_stride(max_value: int) -> int:
@@ -268,7 +433,7 @@ def encode_histogram_v2(
     if not 0 <= domain.height <= 63:
         raise ValueError(f"domain height {domain.height} exceeds wire format")
     nodes = histogram.nodes
-    values = histogram.values
+    values = np.asarray(histogram.values, dtype=np.float64)
     n = int(nodes.size)
     if n and int(nodes[-1]) >= (1 << (domain.height + 1)):
         raise ValueError(
@@ -278,21 +443,16 @@ def encode_histogram_v2(
         raise ValueError(f"invalid node id {int(nodes[0])}")
 
     float_mode = counters == "float64"
-    integral_checked = False
+    max_value: Optional[int] = 0
     if counters == "auto" and n:
-        integral = bool(
-            np.all(values >= 0.0)
-            and np.all(values == np.floor(values))
-            and np.all(values < float(1 << 64))
-        )
-        float_mode = not integral
-        integral_checked = integral
+        max_value = _integral_max(values)
+        float_mode = max_value is None
     if float_mode:
-        if n and not np.all(np.isfinite(values)):
+        if n and not _all_finite(values):
             raise ValueError("float64 counters must be finite")
         stride = 8
     else:
-        if n and not integral_checked:
+        if counters != "auto" and n:
             bad = (values < 0) | (values != np.floor(values))
             if bool(np.any(bad)):
                 v = values.tolist()[int(np.argmax(bad))]
@@ -300,7 +460,7 @@ def encode_histogram_v2(
                     f"count {v} is not a nonnegative integer; use the "
                     f"float64 counter mode for weighted histograms"
                 )
-        max_value = int(values.max()) if n else 0
+            max_value = int(values.max())
         if counters == "auto":
             stride = _pick_stride(max_value)
         else:
@@ -312,11 +472,11 @@ def encode_histogram_v2(
                 )
 
     # Totals are omitted when decode can recompute them exactly: the
-    # decoder sums the (float64) counter view with the same np.sum the
-    # check below uses, so equality here guarantees equality there.
-    derivable_total = float(np.sum(values)) if n else 0.0
-    has_totals = not (
-        histogram.unmatched == 0.0 and histogram.total == derivable_total
+    # decoder sums the (float64) counter view with the same
+    # _counter_sum the check below uses, so equality here guarantees
+    # equality there.
+    has_totals = histogram.unmatched != 0.0 or histogram.total != (
+        _counter_sum(values, integral=not float_mode) if n else 0.0
     )
 
     flags = _SEMANTICS_CODES[semantics]
@@ -330,18 +490,23 @@ def encode_histogram_v2(
     if has_totals:
         body += _TOTALS.pack(histogram.unmatched, histogram.total)
     if n:
-        deltas = np.empty(n, dtype=np.uint64)
-        deltas[0] = np.uint64(int(nodes[0]))
-        if n > 1:
+        if n < _VECTOR_MIN_LEN:
+            node_list = nodes.tolist()
+            body += _leb_encode_py(
+                map(operator.sub, node_list, [0] + node_list)
+            )
+        else:
+            deltas = np.empty(n, dtype=np.uint64)
+            deltas[0] = np.uint64(int(nodes[0]))
             deltas[1:] = np.diff(nodes).astype(np.uint64)
-        body += _leb_encode_array(deltas)
+            body += _leb_encode_np(deltas)
     if float_mode:
         body += np.ascontiguousarray(values, dtype="<f8").tobytes()
     else:
         body += values.astype(_UINT_DTYPES[stride]).tobytes()
 
     head = MAGIC + bytes([VERSION, flags, domain.height, stride])
-    crc = zlib.crc32(bytes(body), zlib.crc32(head))
+    crc = zlib.crc32(body, zlib.crc32(head))
     return head + struct.pack("<I", crc) + bytes(body)
 
 
@@ -409,7 +574,7 @@ def encode_histograms_v2(
         if total > 1:
             deltas[1:] = np.diff(all_nodes).astype(np.uint64)
         deltas[starts] = all_nodes[starts].astype(np.uint64)
-        leb_blob = _leb_encode_array(deltas)
+        leb_blob = _leb_encode_np(deltas)
         # Element encodings are position independent, so per-histogram
         # slices of the global LEB blob equal per-histogram encodes.
         lens = np.ones(total, dtype=np.int64)
@@ -473,9 +638,11 @@ def encode_histograms_v2(
             # encoder would compute and discard.
             has_totals = True
         else:
-            # Same pairwise np.sum as the scalar encoder (reduceat's
-            # sequential accumulation could differ in the last bits).
-            derivable_total = float(np.sum(h.values)) if n else 0.0
+            # Same sum as the scalar encoder (reduceat's sequential
+            # accumulation could differ in the last bits).
+            derivable_total = (
+                _counter_sum(h.values, integral=not fmode) if n else 0.0
+            )
             has_totals = h.total != derivable_total
         flags = sem_code
         if fmode:
@@ -583,7 +750,7 @@ class WireHistogram:
             if pos + _TOTALS.size > end:
                 raise ValueError("malformed v2 payload: truncated totals")
             unmatched, total = _TOTALS.unpack_from(buf, pos)
-            if not (np.isfinite(unmatched) and np.isfinite(total)):
+            if not (math.isfinite(unmatched) and math.isfinite(total)):
                 raise ValueError(
                     "malformed v2 payload: non-finite totals"
                 )
@@ -594,29 +761,7 @@ class WireHistogram:
                 f"malformed v2 payload: {n} counters of stride {stride} "
                 f"do not fit in {end - pos} remaining bytes"
             )
-        node_limit = 1 << (height + 1)
-        deltas, pos = _leb_decode_array(buf, pos, counters_off, n)
-        if n:
-            if int(deltas[0]) < 1:
-                raise ValueError("malformed v2 payload: node id 0")
-            if n > 1 and bool(np.any(deltas[1:] == np.uint64(0))):
-                raise ValueError(
-                    "malformed v2 payload: node ids not strictly increasing"
-                )
-            nodes_u = np.cumsum(deltas)
-            # Deltas are all >= 1, so a uint64 cumsum that fails to
-            # strictly increase means the running node id wrapped past
-            # 2**64 — the scalar decoder's out-of-range error.
-            wrapped = n > 1 and bool(np.any(nodes_u[1:] <= nodes_u[:-1]))
-            last = int(nodes_u[-1])
-            if wrapped or last >= node_limit or last >= (1 << 63):
-                raise ValueError(
-                    f"malformed v2 payload: node {last} invalid for "
-                    f"height {height}"
-                )
-            nodes = nodes_u.astype(np.int64)
-        else:
-            nodes = np.empty(0, dtype=np.int64)
+        nodes, pos = _decode_nodes(buf, pos, counters_off, n, height)
         if pos != counters_off:
             raise ValueError(
                 f"malformed v2 payload: {counters_off - pos} stray bytes "
@@ -630,14 +775,16 @@ class WireHistogram:
         self.nodes = nodes
         self._counters_off = counters_off
         self._values: Optional[np.ndarray] = None
-        if float_counters and n and not np.all(np.isfinite(self.values)):
+        if float_counters and n and not _all_finite(self.values):
             raise ValueError("malformed v2 payload: non-finite counter")
         self.unmatched = float(unmatched)
         if total is None:
             # Recompute with the same operation the encoder checked, so
             # the omitted-totals path is exactly lossless.
-            total = float(np.sum(np.asarray(self.values, dtype=np.float64)))
-            total = total if n else 0.0
+            total = (
+                _counter_sum(self.values, integral=not float_counters)
+                if n else 0.0
+            )
         self.total = float(total)
 
     # -- the zero-copy counter window -----------------------------------
@@ -741,10 +888,9 @@ def merge_views(views: Sequence) -> Tuple[np.ndarray, np.ndarray, float, float]:
     ``np.bincount`` sequence as :meth:`.partition.Histogram.merge`, and
     totals accumulate in argument order, so the result is bit-for-bit
     what an object-level merge of the decoded histograms would produce.
-    This is the shard fan-in primitive: the serving layer merges the
-    per-shard views once per window through this function and decodes
-    exactly once at the tenant boundary — no intermediate merged
-    payload is materialized.
+    This is the Control Center's per-window merge, serial and sharded
+    alike: one call over the window's views, then one merged histogram
+    — no intermediate merged payload is materialized.
     """
     if not views:
         raise ValueError("merge_views needs at least one view")

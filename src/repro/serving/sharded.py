@@ -22,12 +22,13 @@ included.  Three mechanisms, none of which touches the fault RNG:
    consumes prefetched messages in phase 2.
 2. **Wire-level fan-in.**  Each shard ships v2-encoded payloads; the
    :class:`FanInControlCenter` combines one window's shard histograms
-   with the shared k-way merge arithmetic
+   with the Control Center's k-way merge
    (:func:`repro.core.wire.merge_views`) and decodes **exactly once at
-   the tenant boundary** — no per-payload re-parse, no re-encode of the
-   merged buffer.  The estimates are bit-identical to the serial
-   query-from-wire path (same concatenate/unique/bincount accumulation
-   order, and v2 encode/decode is a lossless inverse).
+   the tenant boundary**.  It skips the per-payload parse the serial
+   decode uses to validate link bytes, because the prefetch already
+   holds each payload's histogram.  The estimates are bit-identical to
+   the serial path (same merge and estimate code, and v2
+   encode/decode is a lossless inverse).
 3. **Batched ground truth.**  The exact per-window grouped aggregation
    is computed for the whole run in one flattened bincount
    (:func:`~repro.streams.query.exact_group_counts_batched`) and
@@ -48,9 +49,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.compiled import CompiledEstimator
 from ..core.partition import Histogram
-from ..core.wire import merge_views
+# Re-exported for tools that wrap it by this name.
+from ..core.wire import merge_views  # noqa: F401
 from ..obs import (
     NULL_JOURNAL,
     NULL_TRACER,
@@ -80,42 +81,23 @@ __all__ = ["FanInControlCenter", "ShardedMonitoringSystem"]
 
 
 class FanInControlCenter(ControlCenter):
-    """Control center that merges shard payloads without re-encoding.
+    """Control center that fans shard histograms in without a parse.
 
-    The serial fast path demonstrates query-from-wire end to end: it
-    merges payloads with :func:`~repro.core.wire.merge_wire` (parse
-    each, re-encode the merged buffer) and estimates off a
-    :class:`~repro.core.wire.WireHistogram` re-parse.  At serving
-    fan-in that wire round-trip is pure overhead — the shard messages'
-    histograms *are* the decoded payloads (the v2 codec is a lossless
-    inverse, fuzz-tested in ``tests/test_wire.py``) — so this decoder
-    runs the same k-way merge arithmetic directly on the bucket arrays
-    and estimates through the compiled gather.  Estimates and merged
-    histograms are bit-identical to the serial path; only the
-    parse×k + encode + parse glue is gone.
+    Shard messages arrive with their payload's histogram already
+    unpacked by the prefetch (the v2 codec is a lossless inverse), so
+    those are the merge views; merge and estimate are the base class's.
+    Each fan-in is timed (``serving.fanin.*``, ``shard.fanin`` events).
     """
 
+    def _views(self, usable):
+        return [m.histogram for m in usable]
+
     def _merge_and_estimate(self, usable):
-        if (
-            not usable
-            or stream_kernel_mode() != "fast"
-            or any(m.payload is None for m in usable)
-        ):
-            # Empty, naive-mode, or v1 messages: the base behaviour is
-            # already the lean one (or is the documented reference).
-            return super()._merge_and_estimate(usable)
         registry = get_registry()
         journal = get_journal()
-        timed = registry.enabled or journal.enabled
+        timed = bool(usable) and (registry.enabled or journal.enabled)
         start = time.perf_counter() if timed else 0.0
-        nodes, sums, unmatched, total = merge_views(
-            [m.histogram for m in usable]
-        )
-        merged = Histogram.from_arrays(
-            nodes, sums, unmatched=unmatched, total=total
-        )
-        estimator = CompiledEstimator.for_pair(self.table, self.function)
-        estimates = estimator.estimate(merged)
+        merged, estimates = super()._merge_and_estimate(usable)
         if timed:
             # The fan-in merge is the serving layer's per-window hot
             # spot; surface it as a timer plus a journal slice (the

@@ -39,7 +39,9 @@ from ..core.estimate import reconstruct_estimates
 from ..core.groups import GroupTable
 from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Histogram, PartitioningFunction
-from ..core.wire import WireHistogram, decode_histogram_v2, merge_wire
+from ..core.wire import WireHistogram, decode_histogram_v2, merge_views
+# Not on the decode path; re-exported for tools that wrap it by this name.
+from ..core.wire import merge_wire  # noqa: F401
 from ..obs import (
     QualityTracker,
     WindowQuality,
@@ -351,48 +353,45 @@ class ControlCenter:
         aggregates are distributive: bucket-wise sums)."""
         return Histogram.merge(msg.histogram for msg in messages)
 
+    def _views(self, usable: Sequence[HistogramMessage]) -> list:
+        """v1 histograms as they are, and each v2 payload parsed once:
+        the :class:`~repro.core.wire.WireHistogram` parse is the Control
+        Center's validation of the bytes that crossed the link."""
+        views = [
+            m.histogram if m.payload is None else WireHistogram(m.payload)
+            for m in usable
+        ]
+        expected = (self.function.domain.height, self.function.semantics)
+        for v in views:
+            if isinstance(v, WireHistogram) and (
+                (v.height, v.semantics) != expected
+            ):
+                raise ValueError("payload does not match the current function")
+        return views
+
     def _merge_and_estimate(self, usable: Sequence[HistogramMessage]):
         """Merge one window's usable histograms and reconstruct the
-        per-group estimates.  Under the ``fast`` stream kernel mode the
-        reconstruction runs through the compiled gather/divide arrays
-        (:class:`~repro.core.compiled.CompiledEstimator`, cached per
-        install); estimates are bit-identical either way.
-
-        Messages carrying a v2 wire payload are handled from the bytes
-        that actually crossed the link: the ``fast`` path merges the
-        payloads at the wire level (:func:`repro.core.wire.merge_wire`)
-        and estimates straight off the merged buffer through a
-        :class:`~repro.core.wire.WireHistogram` view — no
-        :class:`~repro.core.partition.Histogram` is materialized for
-        estimation; the ``naive`` path decodes each payload and merges
-        the objects.  Both produce bit-identical estimates (wire merge
-        accumulates in the same concatenate/unique/bincount order as
-        the object merge, and integral wire counters cast exactly)."""
+        per-group estimates.  ``fast``: one ``merge_views`` over
+        :meth:`_views`, one merged histogram, one compiled estimate.  ``naive``, the reference: decode, merge the
+        objects, reconstruct group by group.  Both are bit-identical
+        (same accumulation order; integral wire counters cast exactly)."""
         if not usable:
             return self.merge_histograms(usable), np.zeros(
                 len(self.table), dtype=np.float64
             )
-        payloads = [m.payload for m in usable]
-        if all(p is not None for p in payloads):
-            if stream_kernel_mode() == "fast":
-                # Query-from-wire: one wire-level merge, then compiled
-                # gathers over the merged buffer's zero-copy view.
-                view = WireHistogram(merge_wire(payloads))
-                estimator = CompiledEstimator.for_pair(
-                    self.table, self.function
-                )
-                return view.to_histogram(), estimator.estimate(view)
+        if stream_kernel_mode() != "fast":
             merged = Histogram.merge(
-                decode_histogram_v2(p) for p in payloads
+                m.histogram if m.payload is None
+                else decode_histogram_v2(m.payload)
+                for m in usable
             )
             return merged, reconstruct_estimates(
                 self.table, self.function, merged
             )
-        merged = self.merge_histograms(usable)
-        if stream_kernel_mode() == "fast":
-            estimator = CompiledEstimator.for_pair(self.table, self.function)
-            return merged, estimator.estimate(merged)
-        return merged, reconstruct_estimates(self.table, self.function, merged)
+        nodes, sums, unmatched, total = merge_views(self._views(usable))
+        merged = Histogram.from_arrays(nodes, sums, unmatched, total)
+        estimator = CompiledEstimator.for_pair(self.table, self.function)
+        return merged, estimator.estimate(merged)
 
     def decode_window(
         self,

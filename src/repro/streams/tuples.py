@@ -90,11 +90,11 @@ class Trace:
         owner = rng.integers(0, shares, size=len(self))
         return tuple(
             Trace(
-                self.timestamps[owner == s],
-                self.uids[owner == s],
-                None if self.values is None else self.values[owner == s],
+                self.timestamps[mask],
+                self.uids[mask],
+                None if self.values is None else self.values[mask],
             )
-            for s in range(shares)
+            for mask in (owner == s for s in range(shares))
         )
 
     def __iter__(self) -> Iterator[Tuple[float, int]]:

@@ -9,7 +9,7 @@ per period) and overlapping sliding windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -33,6 +33,23 @@ class Window:
         return int(self.uids.size)
 
 
+def _cut(
+    trace: Trace, starts: List[float], ends: List[float]
+) -> Iterator[Window]:
+    """Windows ``[starts[k], ends[k])`` as views into the trace's
+    columns: the cuts ``trace.slice_time`` makes window by window,
+    found with one ``searchsorted``."""
+    cuts = np.searchsorted(trace.timestamps, starts + ends).tolist()
+    uids, values = trace.uids, trace.values
+    for index, (start, end, lo, hi) in enumerate(
+        zip(starts, ends, cuts, cuts[len(starts):])
+    ):
+        yield Window(
+            index, start, end, uids[lo:hi],
+            None if values is None else values[lo:hi],
+        )
+
+
 class TumblingWindows:
     """Non-overlapping fixed-width windows."""
 
@@ -44,16 +61,12 @@ class TumblingWindows:
     def segment(self, trace: Trace) -> Iterator[Window]:
         if not len(trace):
             return
-        t0 = float(trace.timestamps[0])
+        # Edges accumulate: each window ends where the next one starts.
         t_end = float(trace.timestamps[-1])
-        index = 0
-        start = t0
-        while start <= t_end:
-            end = start + self.width
-            piece = trace.slice_time(start, end)
-            yield Window(index, start, end, piece.uids, piece.values)
-            index += 1
-            start = end
+        edges = [float(trace.timestamps[0])]
+        while edges[-1] <= t_end:
+            edges.append(edges[-1] + self.width)
+        yield from _cut(trace, edges[:-1], edges[1:])
 
 
 class SlidingWindows:
@@ -74,12 +87,9 @@ class SlidingWindows:
             return
         t0 = float(trace.timestamps[0])
         t_end = float(trace.timestamps[-1])
-        index = 0
+        starts = []
         start = t0
         while start <= t_end:
-            piece = trace.slice_time(start, start + self.width)
-            yield Window(
-                index, start, start + self.width, piece.uids, piece.values
-            )
-            index += 1
-            start = t0 + index * self.slide
+            starts.append(start)
+            start = t0 + len(starts) * self.slide
+        yield from _cut(trace, starts, [s + self.width for s in starts])

@@ -181,9 +181,9 @@ class TestReportIdentity:
 
 class TestFanIn:
     def test_merge_matches_serial_wire_path(self, workload):
-        """The lean fan-in (merge_views on message histograms, no
-        re-encode) must produce the same merged histogram and the same
-        estimates as the serial parse/merge_wire/re-parse path."""
+        """The fan-in (merge over the message histograms, no parse)
+        must produce the same merged histogram and the same estimates as
+        the serial path, which parses every payload first."""
         table, history, live = workload
         serial, sharded = _systems(table, history, 2)
         cc_serial = serial.control_center

@@ -11,17 +11,20 @@ from repro import (
     UIDDomain,
     get_metric,
 )
+from repro.core.wire import WireHistogram, encode_histogram_v2, merge_wire
 from repro.streams import (
     Channel,
     ControlCenter,
     FaultModel,
     GroupedAggregationQuery,
+    HistogramMessage,
     InstallScheduler,
     Monitor,
     SlidingWindows,
     Trace,
     TumblingWindows,
     exact_group_counts,
+    use_stream_kernel_mode,
 )
 
 
@@ -86,6 +89,145 @@ class TestWindows:
             SlidingWindows(2.0, 3.0)
         with pytest.raises(ValueError):
             SlidingWindows(2.0, 0.0)
+
+
+def _slice_time_tumbling(trace, width):
+    """The window-by-window ``slice_time`` loop one-pass segmentation
+    must reproduce exactly."""
+    if not len(trace):
+        return []
+    t_end = float(trace.timestamps[-1])
+    out = []
+    start = float(trace.timestamps[0])
+    while start <= t_end:
+        end = start + width
+        piece = trace.slice_time(start, end)
+        out.append((len(out), start, end, piece.uids, piece.values))
+        start = end
+    return out
+
+
+def _slice_time_sliding(trace, width, slide):
+    if not len(trace):
+        return []
+    t0 = float(trace.timestamps[0])
+    t_end = float(trace.timestamps[-1])
+    out = []
+    start = t0
+    while start <= t_end:
+        piece = trace.slice_time(start, start + width)
+        out.append(
+            (len(out), start, start + width, piece.uids, piece.values)
+        )
+        start = t0 + len(out) * slide
+    return out
+
+
+def _assert_same_windows(windows, reference):
+    assert len(windows) == len(reference)
+    for w, (index, start, end, uids, values) in zip(windows, reference):
+        assert w.index == index
+        # Edges are compared exactly: the one-pass cut must find the
+        # same float edges, not merely close ones.
+        assert w.start == start and w.end == end
+        assert w.uids.dtype == uids.dtype
+        assert np.array_equal(w.uids, uids)
+        if values is None:
+            assert w.values is None
+        else:
+            assert w.values.dtype == values.dtype
+            assert np.array_equal(w.values, values)
+
+
+def _segmentation_traces():
+    rng = np.random.default_rng(11)
+    # Gaps leave interior empty windows; a lone late tuple leaves
+    # empty windows right before the last one.
+    gappy_ts = np.concatenate(
+        [rng.uniform(0.0, 3.0, 50), rng.uniform(9.0, 10.0, 30), [17.5]]
+    )
+    unsorted_ts = rng.uniform(0.0, 20.0, 300)
+    return {
+        "empty": Trace([], []),
+        "single": Trace([4.25], [7]),
+        "gappy": Trace(gappy_ts, rng.integers(0, 16, gappy_ts.size)),
+        "weighted": Trace(
+            gappy_ts, rng.integers(0, 16, gappy_ts.size),
+            values=rng.uniform(0.0, 5.0, gappy_ts.size),
+        ),
+        "unsorted": Trace(
+            unsorted_ts, rng.integers(0, 16, unsorted_ts.size),
+            values=rng.uniform(0.0, 5.0, unsorted_ts.size),
+        ),
+        "tuple_on_edge": Trace([0.0, 1.0, 2.0, 2.0, 3.0], [1, 2, 3, 4, 5]),
+    }
+
+
+class TestOnePassSegmentation:
+    """Tumbling and sliding windows cut the trace in one pass; every
+    window must equal the ``slice_time`` loop's window."""
+
+    @pytest.mark.parametrize("name", sorted(_segmentation_traces()))
+    @pytest.mark.parametrize("width", [0.7, 1.0, 2.5])
+    def test_tumbling_matches_slice_time(self, name, width):
+        trace = _segmentation_traces()[name]
+        _assert_same_windows(
+            list(TumblingWindows(width).segment(trace)),
+            _slice_time_tumbling(trace, width),
+        )
+
+    @pytest.mark.parametrize("name", sorted(_segmentation_traces()))
+    @pytest.mark.parametrize("width,slide", [(2.0, 0.5), (1.0, 0.3), (2.5, 2.5)])
+    def test_sliding_matches_slice_time(self, name, width, slide):
+        trace = _segmentation_traces()[name]
+        _assert_same_windows(
+            list(SlidingWindows(width, slide).segment(trace)),
+            _slice_time_sliding(trace, width, slide),
+        )
+
+    def test_interior_and_trailing_windows_can_be_empty(self):
+        windows = list(
+            TumblingWindows(1.0).segment(_segmentation_traces()["gappy"])
+        )
+        sizes = [len(w) for w in windows]
+        assert 0 in sizes[3:9] and sizes[-2] == 0 and sizes[-1] == 1
+
+    def test_many_windows_with_accumulated_edges(self):
+        """>=10k windows of width 0.1: accumulated edges drift away from
+        ``t0 + k * width``, and the cuts must follow the accumulated
+        ones."""
+        rng = np.random.default_rng(3)
+        ts = np.sort(rng.uniform(0.0, 1200.0, 30_000))
+        trace = Trace(ts, rng.integers(0, 1 << 10, ts.size))
+        windows = list(TumblingWindows(0.1).segment(trace))
+        assert len(windows) >= 10_000
+        t0 = float(ts[0])
+        assert any(w.start != t0 + w.index * 0.1 for w in windows)
+        _assert_same_windows(windows, _slice_time_tumbling(trace, 0.1))
+        assert sum(len(w) for w in windows) == len(trace)
+
+    def test_sliding_many_windows(self):
+        rng = np.random.default_rng(4)
+        ts = rng.uniform(0.0, 1000.0, 20_000)
+        trace = Trace(ts, rng.integers(0, 1 << 10, ts.size),
+                      values=rng.uniform(0.0, 1.0, ts.size))
+        windows = list(SlidingWindows(0.3, 0.1).segment(trace))
+        assert len(windows) >= 10_000
+        _assert_same_windows(
+            windows, _slice_time_sliding(trace, 0.3, 0.1)
+        )
+
+    def test_split_matches_per_share_masks(self):
+        rng = np.random.default_rng(5)
+        trace = Trace(rng.uniform(0.0, 10.0, 500),
+                      rng.integers(0, 64, 500),
+                      values=rng.uniform(0.0, 1.0, 500))
+        parts = trace.split(3, seed=9)
+        owner = np.random.default_rng(9).integers(0, 3, size=len(trace))
+        for s, part in enumerate(parts):
+            assert np.array_equal(part.timestamps, trace.timestamps[owner == s])
+            assert np.array_equal(part.uids, trace.uids[owner == s])
+            assert np.array_equal(part.values, trace.values[owner == s])
 
 
 @pytest.fixture
@@ -362,6 +504,50 @@ class TestDecodeWindow:
         assert np.array_equal(
             rescaled.estimates, quarantined.estimates * 2.0
         )
+
+    @pytest.mark.parametrize("wire_format", ["v1", "v2", "mixed"])
+    def test_fast_decode_matches_reference(self, table, wire_format):
+        """One merge_views over the parsed payloads (v2) or the message
+        histograms (v1) must equal the naive reference and, for v2, the
+        wire-level merge the Control Center used to round-trip through."""
+        cc = ControlCenter(table, get_metric("rms"),
+                           algorithm="nonoverlapping", budget=4)
+        fn = cc.rebuild_function(np.array([10.0, 6.0, 4.0, 2.0]))
+        formats = {"v1": ["v1"] * 3, "v2": ["v2"] * 3,
+                   "mixed": ["v1", "v2", "v2"]}[wire_format]
+        rng = np.random.default_rng(0)
+        msgs = []
+        for i, fmt in enumerate(formats):
+            monitor = Monitor(f"m{i}", wire_format=fmt)
+            monitor.install_function(fn, cc.function_version)
+            msgs.append(monitor.process_window(0, rng.integers(0, 16, 40)))
+        with use_stream_kernel_mode("fast"):
+            fast = cc.decode_window(msgs)
+        with use_stream_kernel_mode("naive"):
+            naive = cc.decode_window(msgs)
+        for other in (naive.merged,) + (
+            (WireHistogram(merge_wire([m.payload for m in msgs]))
+             .to_histogram(),)
+            if wire_format == "v2" else ()
+        ):
+            assert np.array_equal(fast.merged.nodes, other.nodes)
+            assert np.array_equal(fast.merged.values, other.values)
+            assert fast.merged.unmatched == other.unmatched
+            assert fast.merged.total == other.total
+        assert np.array_equal(fast.estimates, naive.estimates)
+
+    def test_payload_for_another_function_rejected(self, table):
+        cc, fn, monitors = self._setup(table)
+        msg = monitors[0].process_window(0, [0, 1, 4])
+        foreign = HistogramMessage(
+            monitor="m9", window_index=0, histogram=msg.histogram,
+            function_version=cc.function_version,
+            payload=encode_histogram_v2(msg.histogram, UIDDomain(5),
+                                        semantics=fn.semantics),
+        )
+        with use_stream_kernel_mode("fast"):
+            with pytest.raises(ValueError, match="current function"):
+                cc.decode_window([msg, foreign])
 
     def test_bad_policy_rejected(self, table):
         cc, _fn, monitors = self._setup(table)
