@@ -65,10 +65,11 @@ Design notes:
   Control Center decodes every window through it.  :func:`merge_wire`
   re-encodes that merge as a new payload, for merging away from the
   Control Center.
-* **Cost per byte.**  Sections shorter than :data:`_VECTOR_MIN_LEN`
-  are encoded, parsed and checked with plain Python loops, longer ones
-  with vectorized numpy kernels.  Both produce the same bytes and raise
-  the same errors, so the choice is invisible on the wire.
+* **Cost per byte.**  A window histogram carries tens of buckets, so
+  one payload is encoded, parsed and checked with plain Python loops
+  over its varints and counters: a numpy call's fixed ~1 us would cost
+  more than the bytes themselves.  Only the batched encoder, which
+  works on the buckets of many histograms at once, is vectorized.
 """
 
 from __future__ import annotations
@@ -124,13 +125,6 @@ _STRIDES = (1, 2, 4, 8)
 _UINT_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 #: Longest admissible LEB128 encoding (64-bit payloads).
 _LEB_MAX_BYTES = 10
-#: Section length (varints or counters) from which the vectorized
-#: kernels run; shorter sections use plain Python loops.  A numpy
-#: call's fixed cost is ~1 us, so at the tens of buckets a window
-#: histogram usually carries, the vectorized LEB128 kernels cost 5-10x
-#: a Python loop over the same bytes; they overtake it at ~100-300
-#: elements and are ~6x faster at 5k.
-_VECTOR_MIN_LEN = 128
 _TWO_53 = float(1 << 53)
 _TWO_64 = float(1 << 64)
 
@@ -139,59 +133,65 @@ _COUNTER_MODES = ("auto", "u8", "u16", "u32", "u64", "float64")
 _MODE_STRIDE = {"u8": 1, "u16": 2, "u32": 4, "u64": 8, "float64": 8}
 
 
-def _leb_encode(value: int, out: bytearray) -> None:
-    """Append the minimal LEB128 encoding of a nonnegative integer."""
-    if value < 0:
-        raise ValueError(f"LEB128 values must be nonnegative: {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _leb_decode(data, pos: int, end: int) -> Tuple[int, int]:
-    """Decode one LEB128 integer from ``data[pos:end]``.
-
-    Returns ``(value, next_pos)``; raises :class:`ValueError` on
-    truncation or on encodings longer than 64 bits (so a corrupted
-    continuation bit can never make the decoder loop or build a huge
-    integer)."""
-    value = 0
-    shift = 0
-    for i in range(_LEB_MAX_BYTES):
-        if pos + i >= end:
-            raise ValueError("malformed v2 payload: truncated varint")
-        byte = data[pos + i]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if value >> 64:
-                raise ValueError("malformed v2 payload: varint exceeds 64 bits")
-            return value, pos + i + 1
-        shift += 7
-    raise ValueError("malformed v2 payload: varint longer than 10 bytes")
-
-
-def _leb_encode_py(values) -> bytes:
-    """LEB128 of nonnegative Python ints with a plain loop — the kernel
-    for short sections, where it beats the vectorized one."""
-    out = bytearray()
+def _leb_encode(values, out: bytearray) -> None:
+    """Append the minimal LEB128 encoding of each nonnegative integer
+    in ``values``, in order."""
     append = out.append
     for v in values:
+        if v < 0:
+            raise ValueError(f"LEB128 values must be nonnegative: {v}")
         while v > 0x7F:
             append((v & 0x7F) | 0x80)
             v >>= 7
         append(v)
-    return bytes(out)
 
 
-def _leb_encode_np(values: np.ndarray) -> bytes:
+def _leb_decode(data, pos: int, end: int, n: int) -> Tuple[List[int], int]:
+    """Decode exactly ``n`` consecutive LEB128 integers from
+    ``data[pos:end]``.
+
+    Returns ``(values, next_pos)``; raises :class:`ValueError` at the
+    first truncated varint or encoding longer than 64 bits (so a
+    corrupted continuation bit can never make the decoder loop or build
+    a huge integer)."""
+    if end - pos == n and (not n or max(data[pos:end]) < 0x80):
+        # All-single-byte section (the dense-histogram common case).
+        return list(data[pos:end]), end
+    out: List[int] = []
+    append = out.append
+    for _ in range(n):
+        if pos >= end:
+            raise ValueError("malformed v2 payload: truncated varint")
+        byte = data[pos]
+        pos += 1
+        if byte < 0x80:
+            append(byte)
+            continue
+        value = byte & 0x7F
+        shift = 7
+        while True:
+            if pos >= end:
+                raise ValueError("malformed v2 payload: truncated varint")
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift == 7 * _LEB_MAX_BYTES:
+                raise ValueError(
+                    "malformed v2 payload: varint longer than 10 bytes"
+                )
+        if value >> 64:
+            raise ValueError("malformed v2 payload: varint exceeds 64 bits")
+        append(value)
+    return out, pos
+
+
+def _leb_encode_array(values: np.ndarray) -> bytes:
     """Vectorized LEB128 of a nonnegative uint64 array — byte-identical
-    to appending :func:`_leb_encode` of each element in order, without
-    the per-element Python loop (the kernel for long sections)."""
+    to :func:`_leb_encode` over the same elements.  Only the batched
+    encoder uses it, on the deltas of a whole batch of histograms."""
     if values.size == 0:
         return b""
     values = values.astype(np.uint64, copy=False)
@@ -216,177 +216,52 @@ def _leb_encode_np(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _leb_decode_py(buf, pos: int, end: int, n: int) -> Tuple[List[int], int]:
-    """Decode exactly ``n`` consecutive LEB128 integers from
-    ``buf[pos:end]`` with a plain loop — the short-section kernel.  It
-    stops at the first bad varint with the same :class:`ValueError`
-    :func:`_leb_decode` raises for it."""
-    if end - pos == n and (not n or max(buf[pos:end]) < 0x80):
-        # All-single-byte section (the dense-histogram common case).
-        return list(buf[pos:end]), end
-    out: List[int] = []
-    append = out.append
-    for _ in range(n):
-        if pos >= end:
-            raise ValueError("malformed v2 payload: truncated varint")
-        byte = buf[pos]
-        pos += 1
-        if byte < 0x80:
-            append(byte)
-            continue
-        value = byte & 0x7F
-        shift = 7
-        while True:
-            if pos >= end:
-                raise ValueError("malformed v2 payload: truncated varint")
-            byte = buf[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-            if shift == 7 * _LEB_MAX_BYTES:
-                raise ValueError(
-                    "malformed v2 payload: varint longer than 10 bytes"
-                )
-        if value >> 64:
-            raise ValueError("malformed v2 payload: varint exceeds 64 bits")
-        append(value)
-    return out, pos
-
-
-def _leb_decode_np(
-    buf, pos: int, end: int, n: int
-) -> Tuple[np.ndarray, int]:
-    """Decode exactly ``n`` consecutive LEB128 integers from
-    ``buf[pos:end]`` — the vectorized counterpart of ``n`` calls to
-    :func:`_leb_decode`, raising the same :class:`ValueError` for the
-    first bad varint (truncated, over-long, or past 64 bits)."""
-    if n == 0:
-        return np.empty(0, dtype=np.uint64), pos
-    section = np.frombuffer(buf, dtype=np.uint8, offset=pos, count=end - pos)
-    if section.size == n and not bool(np.any(section & 0x80)):
-        # All-single-byte section (the dense-histogram common case).
-        return section.astype(np.uint64), end
-    terminators = np.flatnonzero((section & 0x80) == 0)
-    k = min(n, int(terminators.size))
-    ends = terminators[:k]
-    starts = np.zeros(k, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    # A terminated varint is bad when it runs past 10 bytes, or when its
-    # 10th byte sets bits beyond 63; the scalar decoder reports the
-    # first bad one.
-    bad = (lengths > _LEB_MAX_BYTES) | (
-        (lengths == _LEB_MAX_BYTES) & (section[ends] > 1)
-    )
-    if bool(bad.any()):
-        if int(lengths[int(np.argmax(bad))]) > _LEB_MAX_BYTES:
-            raise ValueError(
-                "malformed v2 payload: varint longer than 10 bytes"
-            )
-        raise ValueError("malformed v2 payload: varint exceeds 64 bits")
-    if k < n:
-        # The scalar decoder would run into the unterminated tail run:
-        # over-long if 10+ continuation bytes precede it, else truncated.
-        tail = (int(ends[-1]) + 1) if k else 0
-        if (end - pos) - tail >= _LEB_MAX_BYTES:
-            raise ValueError(
-                "malformed v2 payload: varint longer than 10 bytes"
-            )
-        raise ValueError("malformed v2 payload: truncated varint")
-    values = np.zeros(n, dtype=np.uint64)
-    for j in range(int(lengths.max())):
-        mask = lengths > j
-        chunk = section[starts[mask] + j].astype(np.uint64) & np.uint64(0x7F)
-        values[mask] |= chunk << np.uint64(7 * j)
-    return values, pos + int(ends[-1]) + 1
-
-
 def _decode_nodes(
     buf, pos: int, end: int, n: int, height: int
 ) -> Tuple[np.ndarray, int]:
     """Decode the node-id section ``buf[pos:end]`` (``n`` LEB128
     deltas) into int64 node ids, checking that they are strictly
-    increasing and valid for ``height``.  Returns ``(nodes, next_pos)``;
-    the varint kernel is chosen by ``n``."""
+    increasing and valid for ``height``.  Returns ``(nodes, next_pos)``."""
     if n == 0:
         return np.empty(0, dtype=np.int64), pos
-    # Node ids must be below 2**(height + 1) and fit an int64.
-    limit = min(1 << (height + 1), 1 << 63)
-    if n < _VECTOR_MIN_LEN:
-        deltas, pos = _leb_decode_py(buf, pos, end, n)
-        if deltas[0] < 1:
-            raise ValueError("malformed v2 payload: node id 0")
-        if 0 in deltas:
-            raise ValueError(
-                "malformed v2 payload: node ids not strictly increasing"
-            )
-        node_list = list(accumulate(deltas))
-        last = node_list[-1]
-        if last >= limit:
-            raise ValueError(
-                f"malformed v2 payload: node {last} invalid for "
-                f"height {height}"
-            )
-        return np.array(node_list, dtype=np.int64), pos
-    deltas, pos = _leb_decode_np(buf, pos, end, n)
-    if int(deltas[0]) < 1:
+    deltas, pos = _leb_decode(buf, pos, end, n)
+    if deltas[0] < 1:
         raise ValueError("malformed v2 payload: node id 0")
-    if bool(np.any(deltas[1:] == np.uint64(0))):
+    if 0 in deltas:
         raise ValueError(
             "malformed v2 payload: node ids not strictly increasing"
         )
-    nodes_u = np.cumsum(deltas)
-    # Deltas are all >= 1, so a uint64 cumsum that fails to strictly
-    # increase means the running node id wrapped past 2**64 — the
-    # scalar decoder's out-of-range error.
-    wrapped = bool(np.any(nodes_u[1:] <= nodes_u[:-1]))
-    last = int(nodes_u[-1])
-    if wrapped or last >= limit:
+    nodes = list(accumulate(deltas))
+    # Node ids must be below 2**(height + 1) and fit an int64.
+    if nodes[-1] >= min(1 << (height + 1), 1 << 63):
         raise ValueError(
-            f"malformed v2 payload: node {last} invalid for height {height}"
+            f"malformed v2 payload: node {nodes[-1]} invalid for "
+            f"height {height}"
         )
-    return nodes_u.astype(np.int64), pos
+    return np.array(nodes, dtype=np.int64), pos
 
 
 def _integral_max(values: np.ndarray) -> Optional[int]:
     """The largest counter when every counter is a nonnegative integer
     below ``2**64`` (so it fits an unsigned wire counter), else
     ``None``.  ``values`` is a nonempty float64 array."""
-    if values.size < _VECTOR_MIN_LEN:
-        vs = values.tolist()
-        top = max(vs)
-        if (
-            top < _TWO_64
-            and min(vs) >= 0.0
-            and all(map(float.is_integer, vs))
-        ):
-            return int(top)
-        return None
-    if bool(
-        np.all(
-            (values >= 0.0)
-            & (values == np.floor(values))
-            & (values < _TWO_64)
-        )
-    ):
-        return int(values.max())
+    vs = values.tolist()
+    top = max(vs)
+    if top < _TWO_64 and min(vs) >= 0.0 and all(map(float.is_integer, vs)):
+        return int(top)
     return None
 
 
 def _all_finite(values: np.ndarray) -> bool:
-    if values.size < _VECTOR_MIN_LEN:
-        return all(map(math.isfinite, values.tolist()))
-    return bool(np.all(np.isfinite(values)))
+    return all(map(math.isfinite, values.tolist()))
 
 
 def _counter_sum(values: np.ndarray, integral: bool) -> float:
     """``float(np.sum(values))`` over float64, the number the omitted
-    totals are recomputed with.  Short nonnegative integral sections
-    are summed in Python: when that sum stays below ``2**53`` every
-    partial sum is exact in any order, so it is the same number."""
-    if integral and values.size < _VECTOR_MIN_LEN:
+    totals are recomputed with.  Nonnegative integral counters are
+    summed in Python: when that sum stays below ``2**53`` every partial
+    sum is exact in any order, so it is the same number."""
+    if integral:
         s = sum(values.tolist())
         if s < _TWO_53:
             return float(s)
@@ -486,20 +361,11 @@ def encode_histogram_v2(
         flags |= _FLAG_HAS_TOTALS
 
     body = bytearray()
-    _leb_encode(n, body)
+    _leb_encode((n,), body)
     if has_totals:
         body += _TOTALS.pack(histogram.unmatched, histogram.total)
-    if n:
-        if n < _VECTOR_MIN_LEN:
-            node_list = nodes.tolist()
-            body += _leb_encode_py(
-                map(operator.sub, node_list, [0] + node_list)
-            )
-        else:
-            deltas = np.empty(n, dtype=np.uint64)
-            deltas[0] = np.uint64(int(nodes[0]))
-            deltas[1:] = np.diff(nodes).astype(np.uint64)
-            body += _leb_encode_np(deltas)
+    node_list = nodes.tolist()
+    _leb_encode(map(operator.sub, node_list, [0] + node_list), body)
     if float_mode:
         body += np.ascontiguousarray(values, dtype="<f8").tobytes()
     else:
@@ -574,7 +440,7 @@ def encode_histograms_v2(
         if total > 1:
             deltas[1:] = np.diff(all_nodes).astype(np.uint64)
         deltas[starts] = all_nodes[starts].astype(np.uint64)
-        leb_blob = _leb_encode_np(deltas)
+        leb_blob = _leb_encode_array(deltas)
         # Element encodings are position independent, so per-histogram
         # slices of the global LEB blob equal per-histogram encodes.
         lens = np.ones(total, dtype=np.int64)
@@ -650,7 +516,7 @@ def encode_histograms_v2(
         if has_totals:
             flags |= _FLAG_HAS_TOTALS
         body = bytearray()
-        _leb_encode(n, body)
+        _leb_encode((n,), body)
         if has_totals:
             body += _TOTALS.pack(h.unmatched, h.total)
         if n:
@@ -743,7 +609,7 @@ class WireHistogram:
         buf = view.tobytes() if not isinstance(data, bytes) else data
         pos = _HEADER_LEN
         end = len(buf)
-        n, pos = _leb_decode(buf, pos, end)
+        (n,), pos = _leb_decode(buf, pos, end, 1)
         unmatched = 0.0
         total: Optional[float] = None
         if flags & _FLAG_HAS_TOTALS:

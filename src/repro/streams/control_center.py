@@ -39,7 +39,7 @@ from ..core.estimate import reconstruct_estimates
 from ..core.groups import GroupTable
 from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Histogram, PartitioningFunction
-from ..core.wire import WireHistogram, decode_histogram_v2, merge_views
+from ..core.wire import WireHistogram, merge_views
 # Not on the decode path; re-exported for tools that wrap it by this name.
 from ..core.wire import merge_wire  # noqa: F401
 from ..obs import (
@@ -353,27 +353,36 @@ class ControlCenter:
         aggregates are distributive: bucket-wise sums)."""
         return Histogram.merge(msg.histogram for msg in messages)
 
+    def _parse(self, payload) -> WireHistogram:
+        """Parse one v2 payload — the Control Center's validation of the
+        bytes that crossed the link — and check that it was built for
+        the current function's domain and semantics."""
+        view = WireHistogram(payload)
+        function = self.function
+        if (view.height, view.semantics) != (
+            function.domain.height, function.semantics
+        ):
+            raise ValueError(
+                f"v2 payload for height {view.height}, {view.semantics} "
+                f"semantics does not match the current function (height "
+                f"{function.domain.height}, {function.semantics})"
+            )
+        return view
+
     def _views(self, usable: Sequence[HistogramMessage]) -> list:
-        """v1 histograms as they are, and each v2 payload parsed once:
-        the :class:`~repro.core.wire.WireHistogram` parse is the Control
-        Center's validation of the bytes that crossed the link."""
-        views = [
-            m.histogram if m.payload is None else WireHistogram(m.payload)
+        """The merge views: v1 histograms as they are, each v2 payload
+        parsed once by :meth:`_parse`."""
+        return [
+            m.histogram if m.payload is None else self._parse(m.payload)
             for m in usable
         ]
-        expected = (self.function.domain.height, self.function.semantics)
-        for v in views:
-            if isinstance(v, WireHistogram) and (
-                (v.height, v.semantics) != expected
-            ):
-                raise ValueError("payload does not match the current function")
-        return views
 
     def _merge_and_estimate(self, usable: Sequence[HistogramMessage]):
         """Merge one window's usable histograms and reconstruct the
         per-group estimates.  ``fast``: one ``merge_views`` over
-        :meth:`_views`, one merged histogram, one compiled estimate.  ``naive``, the reference: decode, merge the
-        objects, reconstruct group by group.  Both are bit-identical
+        :meth:`_views`, one merged histogram, one compiled estimate.
+        ``naive``, the reference: parse and decode each payload, merge
+        the objects, reconstruct group by group.  Both are bit-identical
         (same accumulation order; integral wire counters cast exactly)."""
         if not usable:
             return self.merge_histograms(usable), np.zeros(
@@ -382,7 +391,7 @@ class ControlCenter:
         if stream_kernel_mode() != "fast":
             merged = Histogram.merge(
                 m.histogram if m.payload is None
-                else decode_histogram_v2(m.payload)
+                else self._parse(m.payload).to_histogram()
                 for m in usable
             )
             return merged, reconstruct_estimates(

@@ -536,16 +536,26 @@ class TestDecodeWindow:
             assert fast.merged.total == other.total
         assert np.array_equal(fast.estimates, naive.estimates)
 
-    def test_payload_for_another_function_rejected(self, table):
+    @pytest.mark.parametrize("mode", ["fast", "naive"])
+    @pytest.mark.parametrize("mismatch", ["height", "semantics"])
+    def test_payload_for_another_function_rejected(self, table, mode, mismatch):
         cc, fn, monitors = self._setup(table)
         msg = monitors[0].process_window(0, [0, 1, 4])
+        if mismatch == "height":
+            domain, semantics = UIDDomain(5), fn.semantics
+        else:
+            domain = table.domain
+            semantics = next(
+                s for s in ("overlapping", "nonoverlapping")
+                if s != fn.semantics
+            )
         foreign = HistogramMessage(
             monitor="m9", window_index=0, histogram=msg.histogram,
             function_version=cc.function_version,
-            payload=encode_histogram_v2(msg.histogram, UIDDomain(5),
-                                        semantics=fn.semantics),
+            payload=encode_histogram_v2(msg.histogram, domain,
+                                        semantics=semantics),
         )
-        with use_stream_kernel_mode("fast"):
+        with use_stream_kernel_mode(mode):
             with pytest.raises(ValueError, match="current function"):
                 cc.decode_window([msg, foreign])
 

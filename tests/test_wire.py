@@ -60,7 +60,7 @@ SEMANTICS = ["nonoverlapping", "overlapping", "longest_prefix_match"]
 
 # -- strategies -----------------------------------------------------------
 
-def histograms(max_height=10, float_values=False, max_buckets=24):
+def histograms(max_height=10, float_values=False):
     """Histograms over a random domain: sorted unique node ids with
     positive counts, plus optional unmatched/total accounting."""
 
@@ -72,7 +72,7 @@ def histograms(max_height=10, float_values=False, max_buckets=24):
         nodes = draw(
             st.lists(
                 st.integers(min_value=1, max_value=node_limit),
-                max_size=max_buckets, unique=True,
+                max_size=24, unique=True,
             )
         )
         nodes = sorted(nodes)
@@ -122,6 +122,20 @@ class TestRoundTrip:
         view = WireHistogram(data)
         assert view.semantics == semantics
         assert view.height == dom.height
+
+    def test_totals_omitted_when_np_sum_matches(self):
+        """Past 2**53 an integral counter sum depends on the summation
+        order: totals are omitted exactly when ``np.sum`` reproduces
+        them, whatever a sequential sum would give."""
+        values = np.random.default_rng(1).integers(1, 1 << 62, 50)
+        values = values.astype(np.float64)
+        assert float(np.sum(values)) != float(sum(values.tolist()))
+        hist = Histogram.from_arrays(
+            np.arange(1, 51), values, total=float(np.sum(values))
+        )
+        data = encode_histogram_v2(hist, UIDDomain(8))
+        assert not data[3] & 0b1000  # HAS_TOTALS clear
+        assert WireHistogram(data).total == hist.total
 
     @settings(max_examples=80, deadline=None)
     @given(histograms(float_values=True))
@@ -340,20 +354,17 @@ def _sample_payloads():
         encode_histogram_v2(
             Histogram({5: 1.25, 80: 2.5}, total=3.75), dom
         ),
-        # Above the kernel-dispatch threshold: the vectorized varint and
-        # counter kernels parse this one.
+        # Many buckets: multi-byte node deltas and 2-byte counters.
         pytest.param(
             encode_histogram_v2(_long_histogram(), UIDDomain(16)),
-            id="above_kernel_threshold",
+            id="many_buckets",
         ),
     ]
 
 
-def _long_histogram(extra=40, seed=8):
-    """A histogram with more buckets than the vectorized kernels'
-    threshold: 1- to 3-byte node deltas and 2-byte counters."""
+def _long_histogram(n=168, seed=8):
+    """A histogram with 1- to 3-byte node deltas and 2-byte counters."""
     rng = np.random.default_rng(seed)
-    n = wire_module._VECTOR_MIN_LEN + extra
     nodes = np.sort(
         rng.choice(np.arange(1, 1 << 17), size=n, replace=False)
     )
@@ -654,188 +665,93 @@ class TestBatchedEncode:
         assert encode_histograms_v2([], UIDDomain(4)) == []
 
 
-# -- kernel dispatch by section length ------------------------------------
+# -- the varint codec -----------------------------------------------------
 
-_THRESHOLD = wire_module._VECTOR_MIN_LEN
-_AROUND_THRESHOLD = [_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1]
-
-#: Both settings of the dispatch constant that force one kernel
-#: everywhere: 0 runs only the vectorized kernels, a huge value only the
-#: Python loops.
-_FORCE_VECTORIZED = 0
-_FORCE_LOOP = 1 << 40
-
-
-def _varints(n, kind, seed=0):
+def _wide_varints(n, seed=0):
+    """``n`` values of every encoded length from 1 to 10 bytes,
+    including the largest 64-bit value."""
     rng = np.random.default_rng(seed)
-    if kind == "one_byte":
-        return rng.integers(0, 128, n).astype(np.uint64)
-    if kind == "mixed":
-        return rng.integers(1, 1 << 20, n).astype(np.uint64)
-    # "wide": every encoded length from 1 to 10 bytes, including the
-    # largest 64-bit value.
     bits = rng.integers(0, 64, n).astype(np.uint64)
     values = (np.uint64(1) << bits) | rng.integers(0, 2, n).astype(np.uint64)
-    values[0] = np.uint64((1 << 64) - 1)
-    return values
-
-
-def _scalar_decode(buf, n):
-    """The reference: ``n`` calls of the one-varint decoder."""
-    out, pos = [], 0
-    for _ in range(n):
-        value, pos = wire_module._leb_decode(buf, pos, len(buf))
-        out.append(value)
-    return out, pos
-
-
-def _error(fn, *args):
-    with pytest.raises(ValueError) as info:
-        fn(*args)
-    return str(info.value)
+    values[:1] = np.uint64((1 << 64) - 1)
+    return values.tolist()
 
 
 def _encode_varints(values):
     out = bytearray()
-    for v in values:
-        wire_module._leb_encode(v, out)
+    wire_module._leb_encode(values, out)
     return bytes(out)
 
 
-#: Malformed varints, each spliced between valid ones below.
+def _decode_error(buf, n):
+    with pytest.raises(ValueError) as info:
+        wire_module._leb_decode(buf, 0, len(buf), n)
+    return str(info.value)
+
+
+#: Malformed varints, each spliced between valid ones below, and the
+#: error the decoder must report for the first bad one.
 _BAD_VARINTS = {
-    "over_long": b"\x80" * 10 + b"\x01",
-    "past_64_bits": b"\xff" * 9 + b"\x02",
-    "past_64_bits_then_over_long": b"\xff" * 9 + b"\x7f" + b"\x80" * 11 + b"\x01",
-    "over_long_then_past_64_bits": b"\x80" * 11 + b"\x01" + b"\xff" * 9 + b"\x02",
+    "over_long": (b"\x80" * 10 + b"\x01", "longer than 10 bytes"),
+    "past_64_bits": (b"\xff" * 9 + b"\x02", "exceeds 64 bits"),
+    "past_64_bits_then_over_long": (
+        b"\xff" * 9 + b"\x7f" + b"\x80" * 11 + b"\x01", "exceeds 64 bits",
+    ),
+    "over_long_then_past_64_bits": (
+        b"\x80" * 11 + b"\x01" + b"\xff" * 9 + b"\x02",
+        "longer than 10 bytes",
+    ),
 }
 
 
-class TestKernelDispatch:
-    """The Python-loop and vectorized codec kernels are interchangeable:
-    same bytes out, same values back, same error for the same bad
-    input, on both sides of the length threshold."""
-
-    @pytest.mark.parametrize("n", _AROUND_THRESHOLD)
-    @pytest.mark.parametrize("kind", ["one_byte", "mixed", "wide"])
-    def test_varint_kernels_byte_identical(self, n, kind):
-        values = _varints(n, kind)
-        reference = _encode_varints(values.tolist())
-        assert wire_module._leb_encode_py(values.tolist()) == reference
-        assert wire_module._leb_encode_np(values) == reference
-        looped, end_py = wire_module._leb_decode_py(
-            reference, 0, len(reference), n
+class TestVarints:
+    @pytest.mark.parametrize("n", [0, 1, 200])
+    def test_round_trip(self, n):
+        values = _wide_varints(n)
+        buf = _encode_varints(values)
+        assert wire_module._leb_decode(buf, 0, len(buf), n) == (
+            values, len(buf)
         )
-        vectorized, end_np = wire_module._leb_decode_np(
-            reference, 0, len(reference), n
-        )
-        assert looped == vectorized.tolist() == values.tolist()
-        assert end_py == end_np == len(reference)
 
-    @pytest.mark.parametrize("n", _AROUND_THRESHOLD)
+    def test_one_byte_section(self):
+        values = list(range(128))
+        buf = _encode_varints(values)
+        assert buf == bytes(values)
+        assert wire_module._leb_decode(buf, 0, len(buf), 128) == (values, 128)
+
+    def test_batched_array_encoder_matches(self):
+        values = _wide_varints(200, seed=3)
+        assert wire_module._leb_encode_array(
+            np.asarray(values, dtype=np.uint64)
+        ) == _encode_varints(values)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _encode_varints([3, -1])
+
     @pytest.mark.parametrize("bad", sorted(_BAD_VARINTS))
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_bad_varints_raise_same_error(self, n, bad, where):
-        good = _varints(n, "mixed", seed=1).tolist()
-        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
-        buf = (
-            _encode_varints(good[:k])
-            + _BAD_VARINTS[bad]
-            + _encode_varints(good[k:])
-        )
-        expected = _error(_scalar_decode, buf, n)
-        assert _error(wire_module._leb_decode_py, buf, 0, len(buf), n) == (
-            expected
-        )
-        assert _error(wire_module._leb_decode_np, buf, 0, len(buf), n) == (
-            expected
-        )
+    def test_first_bad_varint_reported(self, bad, where):
+        good = _wide_varints(40, seed=1)
+        k = {"first": 0, "middle": 20, "last": 39}[where]
+        splice, message = _BAD_VARINTS[bad]
+        buf = _encode_varints(good[:k]) + splice + _encode_varints(good[k:])
+        assert message in _decode_error(buf, 40)
 
-    @pytest.mark.parametrize("n", _AROUND_THRESHOLD)
-    @pytest.mark.parametrize("tail", [b"", b"\x81", b"\x80" * 9, b"\x80" * 10, b"\x80" * 14])
-    def test_truncated_and_unterminated_tails(self, n, tail):
-        good = _varints(n, "mixed", seed=2).tolist()
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"", "truncated"),
+            (b"\x81", "truncated"),
+            (b"\x80" * 9, "truncated"),
+            (b"\x80" * 10, "longer than 10 bytes"),
+            (b"\x80" * 14, "longer than 10 bytes"),
+        ],
+    )
+    def test_truncated_and_unterminated_tails(self, tail, message):
+        good = _wide_varints(40, seed=2)
         buf = _encode_varints(good[:-1]) + tail
-        expected = _error(_scalar_decode, buf, n)
-        assert "truncated" in expected or "longer than 10" in expected
-        assert _error(wire_module._leb_decode_py, buf, 0, len(buf), n) == (
-            expected
-        )
-        assert _error(wire_module._leb_decode_np, buf, 0, len(buf), n) == (
-            expected
-        )
-
-    @pytest.mark.parametrize("n", _AROUND_THRESHOLD)
-    @pytest.mark.parametrize("counters", ["integral", "weighted", "huge"])
-    def test_codec_bytes_independent_of_kernel(self, n, counters, monkeypatch):
-        rng = np.random.default_rng(n)
-        dom = UIDDomain(20)
-        nodes = np.sort(
-            rng.choice(np.arange(1, 1 << 21), size=n, replace=False)
-        )
-        if counters == "integral":
-            values = rng.integers(1, 70000, n).astype(np.float64)
-        elif counters == "weighted":
-            values = rng.uniform(0.0, 10.0, n)
-        else:
-            # Sums past 2**53: the totals check must fall back to the
-            # pairwise np.sum the decoder recomputes with.
-            values = rng.integers(1, 1 << 62, n).astype(np.float64)
-        hists = [
-            Histogram.from_arrays(nodes, values, total=float(np.sum(values))),
-            Histogram.from_arrays(
-                nodes, values, unmatched=3.0,
-                total=float(np.sum(values)) + 3.0,
-            ),
-        ]
-        outputs = []
-        for forced in (_FORCE_VECTORIZED, _FORCE_LOOP):
-            monkeypatch.setattr(wire_module, "_VECTOR_MIN_LEN", forced)
-            payloads = [
-                encode_histogram_v2(h, dom, semantics="overlapping")
-                for h in hists
-            ]
-            assert encode_histograms_v2(
-                hists, dom, semantics="overlapping"
-            ) == payloads
-            views = [WireHistogram(p) for p in payloads]
-            for h, view in zip(hists, views):
-                assert np.array_equal(view.nodes, h.nodes)
-                assert np.array_equal(
-                    np.asarray(view.values, dtype=np.float64), h.values
-                )
-                assert view.unmatched == h.unmatched
-                assert view.total == h.total
-            outputs.append(payloads)
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("n", _AROUND_THRESHOLD)
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_counters_rejected_by_both(self, n, bad, monkeypatch):
-        values = np.full(n, 1.5)
-        values[n // 2] = bad
-        hist = Histogram.from_arrays(np.arange(1, n + 1), values)
-        messages = set()
-        for forced in (_FORCE_VECTORIZED, _FORCE_LOOP):
-            monkeypatch.setattr(wire_module, "_VECTOR_MIN_LEN", forced)
-            messages.add(_error(encode_histogram_v2, hist, UIDDomain(12)))
-        assert messages == {"float64 counters must be finite"}
-
-    @settings(max_examples=40, deadline=None)
-    @given(histograms(max_buckets=2 * _THRESHOLD), st.sampled_from(SEMANTICS))
-    def test_property_kernels_agree(self, case, semantics):
-        dom, hist = case
-        payloads = []
-        for forced in (_FORCE_VECTORIZED, _FORCE_LOOP):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(wire_module, "_VECTOR_MIN_LEN", forced)
-                payload = encode_histogram_v2(hist, dom, semantics=semantics)
-                out = decode_histogram_v2(payload)
-            assert np.array_equal(out.nodes, hist.nodes)
-            assert np.array_equal(out.values, hist.values)
-            assert out.total == hist.total
-            payloads.append(payload)
-        assert payloads[0] == payloads[1]
+        assert message in _decode_error(buf, 40)
 
 
 def _with_crc(data) -> bytes:
@@ -846,25 +762,13 @@ def _with_crc(data) -> bytes:
     return data[:6] + struct.pack("<I", crc) + data[10:]
 
 
-def _parse_outcome(payload):
-    try:
-        view = WireHistogram(payload)
-    except ValueError as exc:
-        return ("error", str(exc))
-    return (
-        "ok", view.nodes.tolist(),
-        np.asarray(view.values, dtype=np.float64).tolist(),
-        view.unmatched, view.total, view.semantics, view.height,
-    )
-
-
 class TestStructuralFuzz:
     """Corruptions re-sealed with a valid CRC reach the varint, order,
-    bounds and stray-byte checks.  Both kernels must then agree: the
-    same error, or the same parsed view."""
+    bounds and stray-byte checks, which must either reject them with a
+    :class:`ValueError` or yield a well-formed view."""
 
     @pytest.mark.parametrize("payload", _sample_payloads())
-    def test_resealed_corruptions_agree_across_kernels(self, payload, monkeypatch):
+    def test_resealed_corruptions(self, payload):
         cases = []
         for i in range(10, len(payload)):
             for flip in (0x01, 0x80, 0xFF):
@@ -872,9 +776,16 @@ class TestStructuralFuzz:
                 corrupted[i] ^= flip
                 cases.append(_with_crc(corrupted))
         cases += [_with_crc(payload[:cut]) for cut in range(10, len(payload))]
-        outcomes = []
-        for forced in (_FORCE_VECTORIZED, _FORCE_LOOP):
-            monkeypatch.setattr(wire_module, "_VECTOR_MIN_LEN", forced)
-            outcomes.append([_parse_outcome(c) for c in cases])
-        assert outcomes[0] == outcomes[1]
-        assert any(o[0] == "error" for o in outcomes[0])
+        rejected = 0
+        for case in cases:
+            try:
+                view = WireHistogram(case)
+            except ValueError:
+                rejected += 1
+                continue
+            nodes = view.nodes.tolist()
+            assert nodes == sorted(set(nodes))
+            assert not nodes or 1 <= nodes[0] <= nodes[-1] < 2 << view.height
+            assert len(view.values) == len(nodes)
+            assert np.isfinite(view.total) and np.isfinite(view.unmatched)
+        assert rejected
