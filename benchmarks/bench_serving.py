@@ -25,9 +25,6 @@ load drift on a busy box hits both sides equally.
 
 Extra legs:
 
-* ``--mode threads`` (or ``all``) — the GIL-bound comparison:
-  ``parallel=N`` threads vs ``shards=N`` processes at the largest grid
-  point (recorded in ``docs/performance.md``).
 * tenant scaling — a :class:`~repro.serving.ServingEngine` fleet
   sharing one :class:`~repro.serving.SharedServingCache`, with cache
   hit/miss stats and admission outcomes.
@@ -41,7 +38,6 @@ Usage::
 
     python benchmarks/bench_serving.py                 # full grid
     python benchmarks/bench_serving.py --grid tiny     # CI smoke grid
-    python benchmarks/bench_serving.py --mode all      # + threads leg
 """
 
 from __future__ import annotations
@@ -116,9 +112,9 @@ def _phase_timers(system) -> Dict[str, float]:
 
     pj = system.__class__._partition_jobs.__get__(system)
 
-    def timed_pj(pool, jobs):
+    def timed_pj(jobs):
         t0 = time.perf_counter()
-        result = pj(pool, jobs)
+        result = pj(jobs)
         t["ingest"] += time.perf_counter() - t0
         return result
 
@@ -311,74 +307,6 @@ def _bench_point(
     return point
 
 
-def _bench_threads(
-    height: int, tuples: int, width: float, monitors: int, budget: int,
-    workers: int, reps: int,
-) -> Dict[str, object]:
-    """The GIL bound: ``parallel=N`` threads against ``shards=N``
-    processes on the same workload.  Thread workers run the same
-    compiled kernels but share one interpreter lock, so per-window
-    Python overhead (message assembly, encode bookkeeping, accounting)
-    serializes; the shard processes pay IPC instead and batch that
-    overhead away."""
-    table, history, live = _workload(height, tuples)
-    metric = AverageError()
-    seconds: Dict[str, float] = {}
-    reports = {}
-    serial = MonitoringSystem(
-        table, metric, num_monitors=monitors, budget=budget, parallel=1
-    )
-    threaded = MonitoringSystem(
-        table, metric, num_monitors=monitors, budget=budget,
-        parallel=workers,
-    )
-    sharded = ShardedMonitoringSystem(
-        table, metric, num_monitors=monitors, shards=workers,
-        budget=budget,
-    )
-    systems = {
-        "serial": serial,
-        "threads_%d" % workers: threaded,
-        "shards_%d" % workers: sharded,
-    }
-    for system in systems.values():
-        system.train(history)
-        system.run(live, window_width=width)  # warm-up
-    for name, system in systems.items():
-        best = float("inf")
-        for _rep in range(reps):
-            t0 = time.perf_counter()
-            reports[name] = system.run(live, window_width=width)
-            best = min(best, time.perf_counter() - t0)
-        seconds[name] = best
-    sharded.close()
-    live_tuples = sum(w.tuples for w in reports["serial"].windows)
-    doc = {
-        "workload": {
-            "height": height, "tuples": tuples, "window_width": width,
-            "monitors": monitors, "budget": budget, "workers": workers,
-        },
-        "seconds": {k: round(v, 6) for k, v in seconds.items()},
-        "tuples_per_sec": {
-            k: round(live_tuples / v, 1) for k, v in seconds.items()
-        },
-        "thread_speedup": round(
-            seconds["serial"] / seconds["threads_%d" % workers], 3
-        ),
-        "process_speedup": round(
-            seconds["serial"] / seconds["shards_%d" % workers], 3
-        ),
-        "reports_identical": all(
-            r == reports["serial"] for r in reports.values()
-        ),
-    }
-    doc["crossover"] = (
-        "processes" if doc["process_speedup"] > doc["thread_speedup"]
-        else "threads"
-    )
-    return doc
-
-
 def _bench_tenants(
     height: int, tuples: int, width: float, budget: int, n_tenants: int,
 ) -> Dict[str, object]:
@@ -472,22 +400,6 @@ def run_grid(grid: str, mode: str, reps: int) -> Dict[str, object]:
             p["telemetry"]["overhead_vs_plain"] for p in points
         ),
     }
-    if mode in ("threads", "all"):
-        height, tuples, width, monitors, budget = sizes[-1]
-        doc["threads"] = _bench_threads(
-            height, tuples, width, monitors, budget,
-            workers=max(SHARD_COUNTS), reps=max(1, reps - 1),
-        )
-        print(
-            "threads leg: threads %sx vs processes %sx -> %s win "
-            "(identical=%s)"
-            % (
-                doc["threads"]["thread_speedup"],
-                doc["threads"]["process_speedup"],
-                doc["threads"]["crossover"],
-                doc["threads"]["reports_identical"],
-            )
-        )
     height, tuples, width, _monitors, budget = sizes[0]
     doc["tenants"] = _bench_tenants(
         height, tuples, width, budget, n_tenants=3
@@ -517,8 +429,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="workload grid: 'tiny' is the CI smoke grid",
     )
     parser.add_argument(
-        "--mode", choices=("shards", "threads", "all"), default="shards",
-        help="'threads'/'all' adds the GIL-bound thread-vs-process leg",
+        "--mode", choices=("shards", "all"), default="shards",
+        help="both run every leg (kept so existing invocations work)",
     )
     parser.add_argument(
         "--reps", type=int, default=3,

@@ -3,8 +3,8 @@
 Times the steady-state window lifecycle in both stream kernel modes —
 Monitor-side ingest (histogram construction per window, plus the
 batched multi-window path), Control-Center decode (per-group estimate
-reconstruction), and the end-to-end :class:`MonitoringSystem` run with
-1 vs N partitioning workers — across all three semantics classes,
+reconstruction), and the end-to-end serial :class:`MonitoringSystem`
+run — across all three semantics classes,
 verifies the fast-path histograms and estimates are **bit-identical**
 to the naive reference, and writes the measurements to
 ``BENCH_streams.json`` at the repo root so perf PRs have a recorded
@@ -43,7 +43,7 @@ from repro.algorithms import (
 from repro.data import TrafficModel, generate_subnet_table, generate_trace
 from repro.streams import MonitoringSystem, Trace, use_stream_kernel_mode
 
-SCHEMA = "repro.bench_streams.v1"
+SCHEMA = "repro.bench_streams.v2"
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -160,46 +160,34 @@ def _bench_decode(table, fn, histograms) -> Dict[str, object]:
 
 
 def _bench_system(
-    table, uids: np.ndarray, windows: int, budget: int, workers: int
+    table, uids: np.ndarray, windows: int, budget: int
 ) -> Dict[str, object]:
-    """End-to-end run, 1 vs N partitioning workers (both fast mode)."""
+    """End-to-end serial run (fast mode): live tuples per second."""
     trace = Trace.untimed(uids)
     half = trace.duration / 2
     width = max(half / windows, 1e-9)
-    results: Dict[int, object] = {}
-    seconds: Dict[str, float] = {}
-    for parallel in (1, workers):
-        system = MonitoringSystem(
-            table, get_metric("rms"), num_monitors=4,
-            algorithm="lpm_greedy", budget=budget, parallel=parallel,
-        )
-        with use_stream_kernel_mode("fast"):
-            system.train(trace.slice_time(0, half))
-            t0 = time.perf_counter()
-            report = system.run(trace.slice_time(half, trace.duration + 1),
-                                window_width=width)
-            seconds[f"workers_{parallel}"] = time.perf_counter() - t0
-        results[parallel] = report
-    live_tuples = sum(w.tuples for w in results[1].windows)
+    system = MonitoringSystem(
+        table, get_metric("rms"), num_monitors=4,
+        algorithm="lpm_greedy", budget=budget,
+    )
+    with use_stream_kernel_mode("fast"):
+        system.train(trace.slice_time(0, half))
+        t0 = time.perf_counter()
+        report = system.run(trace.slice_time(half, trace.duration + 1),
+                            window_width=width)
+        seconds = time.perf_counter() - t0
+    live_tuples = sum(w.tuples for w in report.windows)
     return {
-        "workers": workers,
-        "windows": len(results[1].windows),
+        "windows": len(report.windows),
         "tuples": live_tuples,
-        "seconds": {k: round(v, 6) for k, v in seconds.items()},
-        "tuples_per_sec": {
-            k: round(live_tuples / v, 1) for k, v in seconds.items()
-        },
-        "speedup_parallel": round(
-            seconds["workers_1"] / seconds[f"workers_{workers}"], 3
-        ),
-        "reports_identical": results[1].windows == results[workers].windows,
+        "seconds": round(seconds, 6),
+        "tuples_per_sec": round(live_tuples / seconds, 1),
     }
 
 
 def run_grid(grid: str) -> Dict[str, object]:
     sizes = TINY_SIZES if grid == "tiny" else FULL_SIZES
     metric = get_metric("rms")
-    workers = min(4, os.cpu_count() or 1)
     points: List[Dict[str, object]] = []
     for height, tuples, n_windows, budget in sizes:
         table, counts, uids = _workload(height, tuples)
@@ -237,17 +225,14 @@ def run_grid(grid: str) -> Dict[str, object]:
                 f"{decode['speedup_fast']}x "
                 f"(identical={decode['bit_identical']})"
             )
-        system = _bench_system(table, uids, n_windows, budget, workers)
+        system = _bench_system(table, uids, n_windows, budget)
         points.append(
             {"workload": workload, "algorithm": "system", "system": system}
         )
         print(
-            f"h={height} n={tuples} system: 1 worker "
-            f"{system['tuples_per_sec']['workers_1']} tps, "
-            f"{workers} workers "
-            f"{system['tuples_per_sec'][f'workers_{workers}']} tps "
-            f"({system['speedup_parallel']}x, "
-            f"identical={system['reports_identical']})"
+            f"h={height} n={tuples} system: "
+            f"{system['tuples_per_sec']} tps over "
+            f"{system['windows']} windows"
         )
     largest = max(p["workload"]["tuples"] for p in points)
     summary = {

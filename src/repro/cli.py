@@ -59,7 +59,6 @@ from .core import (
     GroupTable,
     PrunedHierarchy,
     UIDDomain,
-    WIRE_FORMATS,
     available_metrics,
     decode_function,
     encode_function,
@@ -298,13 +297,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards > 1 and args.wire_format != "v2":
-        print(
-            "error: --shards > 1 fans shard histograms in at the wire "
-            "level and needs --wire-format v2",
-            file=sys.stderr,
-        )
-        return 2
     if args.capacity_bytes is not None and args.tenants is None:
         print("error: --capacity-bytes needs --tenants", file=sys.stderr)
         return 2
@@ -349,8 +341,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         stale_policy=args.stale_policy,
         incremental=args.incremental_rebuilds,
         faults=faults,
-        parallel=args.parallel,
-        wire_format=args.wire_format,
     )
     with ExitStack() as stack:
         if args.journal:
@@ -641,18 +631,10 @@ def _parser() -> argparse.ArgumentParser:
                    help="serving-path kernels: compiled 'fast' (default) "
                    "or the 'naive' reference loops; results are "
                    "bit-identical (also REPRO_STREAM_KERNELS)")
-    s.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="partitioning worker threads across monitors "
-                   "(default 1 = serial; results are identical)")
-    s.add_argument("--wire-format", choices=WIRE_FORMATS, default="v2",
-                   help="histogram wire format: 'v2' self-describing "
-                   "delta/varint payloads queryable without decode "
-                   "(default) or 'v1' modelled (node, 32-bit counter) "
-                   "pairs; estimates are bit-identical")
     s.add_argument("--shards", type=int, default=1, metavar="K",
                    help="hash-shard UIDs across K worker processes with "
                    "wire-level fan-in (default 1 = serial; reports are "
-                   "bit-identical; needs --wire-format v2)")
+                   "bit-identical)")
     s.add_argument("--tenants", metavar="SPEC", default=None,
                    help="serve a multi-tenant fleet instead of one "
                    "system, e.g. 'alpha:budget=100,bytes=65536;"

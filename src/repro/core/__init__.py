@@ -32,7 +32,6 @@ from .serialize import (
     function_to_json,
 )
 from .wire import (
-    WIRE_FORMATS,
     WireHistogram,
     decode_histogram_v2,
     encode_histogram_v2,
@@ -83,7 +82,6 @@ __all__ = [
     "decode_histogram",
     "function_to_json",
     "function_from_json",
-    "WIRE_FORMATS",
     "WireHistogram",
     "encode_histogram_v2",
     "encode_histograms_v2",

@@ -11,12 +11,14 @@ These codecs realize the size model the paper argues from:
   buckets only (zero buckets are inferred, Section 4.3).
 
 Both binary formats are self-delimiting given the domain height; a JSON
-codec is provided for configuration files and debugging.  The byte
-sizes produced here are what the simulated channel accounts for.
+codec is provided for configuration files and debugging.  The
+function sizes produced here are what the simulated channel charges
+for installs.
 
-This module is the **v1** histogram wire format.  The v2 format in
-:mod:`repro.core.wire` supersedes it for transmission when selected
-(``wire_format="v2"``): byte-aligned, self-describing counter widths,
+This module is the **v1** histogram wire format: the paper's Section
+4.3 size model (``Histogram.size_bytes``), kept for the bandwidth
+benchmark and offline tools.  Monitors transmit the v2 format in
+:mod:`repro.core.wire`: byte-aligned, self-describing counter widths,
 delta/varint node ids, CRC-protected, and queryable/mergeable without
 decoding.  See ``docs/wire-format.md`` for both layouts bit by bit.
 """
@@ -142,9 +144,9 @@ def encode_histogram(
     .. warning:: ``counter_bits`` is an **out-of-band contract**: the
        v1 payload does not record the counter width, so decoding with a
        different ``counter_bits`` than was encoded silently reads
-       garbage.  Callers must pass the same value to both ends (the
-       streams layer asserts this agreement); the v2 format in
-       :mod:`repro.core.wire` makes the width self-describing instead.
+       garbage.  Callers must pass the same value to both ends; the
+       v2 format in :mod:`repro.core.wire`, which Monitors transmit,
+       makes the width self-describing instead.
 
     Counters are integers on the wire.  Non-integral values (the
     weighted-``values`` pipeline) are rejected rather than silently

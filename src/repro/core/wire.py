@@ -87,7 +87,6 @@ from .domain import UIDDomain
 from .partition import Histogram
 
 __all__ = [
-    "WIRE_FORMATS",
     "MAGIC",
     "VERSION",
     "WireHistogram",
@@ -97,9 +96,6 @@ __all__ = [
     "merge_views",
     "merge_wire",
 ]
-
-#: Wire formats the streams layer can be asked to speak.
-WIRE_FORMATS = ("v1", "v2")
 
 MAGIC = b"RW"
 VERSION = 2

@@ -177,7 +177,7 @@ def _shard_worker(task):
         results = []
         for name, wins in monitor_jobs:
             batch_start = time.perf_counter()
-            monitor = Monitor(name, wire_format="v2")
+            monitor = Monitor(name)
             monitor.install_function(function, version)
             indices = [w for (w, _off, _n, _hv) in wins]
             arrays = [uid_buf[off:off + n] for (_w, off, n, _hv) in wins]
@@ -345,21 +345,12 @@ class ShardedMonitoringSystem(MonitoringSystem):
         num_monitors: int = 4,
         shards: int = 2,
         tenant: Optional[str] = None,
-        wire_format: str = "v2",
         worker_telemetry: bool = True,
         **kwargs,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if wire_format != "v2":
-            raise ValueError(
-                "sharded serving fans histograms in at the wire level; "
-                f"wire_format must be 'v2', got {wire_format!r}"
-            )
-        super().__init__(
-            table, metric, num_monitors=num_monitors,
-            wire_format=wire_format, **kwargs,
-        )
+        super().__init__(table, metric, num_monitors=num_monitors, **kwargs)
         self.shards = shards
         self.tenant = tenant
         #: Persistent worker pool: forked lazily on the first prefetch
@@ -668,10 +659,10 @@ class ShardedMonitoringSystem(MonitoringSystem):
             )
 
     # -- base-loop hooks ----------------------------------------------------
-    def _partition_jobs(self, pool, jobs):
+    def _partition_jobs(self, jobs):
         prefetched = self._prefetched
         if not prefetched:
-            return super()._partition_jobs(pool, jobs)
+            return super()._partition_jobs(jobs)
         messages = []
         hits = misses = 0
         for monitor, window, _plan in jobs:

@@ -30,29 +30,10 @@ class Channel:
     """Byte-accounting transport between Monitors and the Control
     Center, optionally lossy in both directions."""
 
-    #: Counter widths the v1 codec contract admits.  The v1 payload
-    #: does not record its counter width (see the warning on
-    #: :func:`repro.core.serialize.encode_histogram`), so the channel —
-    #: the one component both ends share — owns the width: every
-    #: ``size_bytes`` charge and any encode/decode made on behalf of
-    #: this link must use ``self.counter_bits``.  The v2 format carries
-    #: its width in-band instead and ignores this setting.
-    V1_COUNTER_WIDTHS = (8, 16, 32, 64)
-
     def __init__(
-        self,
-        domain: UIDDomain,
-        counter_bits: int = 32,
-        faults: Optional[FaultModel] = None,
+        self, domain: UIDDomain, *, faults: Optional[FaultModel] = None
     ) -> None:
-        if counter_bits not in self.V1_COUNTER_WIDTHS:
-            raise ValueError(
-                f"counter_bits must be one of {self.V1_COUNTER_WIDTHS}, "
-                f"got {counter_bits} (encoder and decoder must agree on "
-                f"the v1 counter width; it is not recorded on the wire)"
-            )
         self.domain = domain
-        self.counter_bits = counter_bits
         self.faults = faults
         #: Every wire transmission, delivered or not.
         self.messages: List[HistogramMessage] = []
@@ -71,8 +52,8 @@ class Channel:
         delay in windows.  Without a fault model this is always exactly
         one immediate delivery.  ``plan`` applies fault decisions drawn
         earlier with :meth:`~.faults.FaultModel.plan_decisions` instead
-        of drawing fresh ones (used by the parallel ingest pool to keep
-        the serial draw order).
+        of drawing fresh ones (the window loop draws every plan in
+        monitor order before partitioning, which fixes the draw order).
         """
         faults = self.faults
         if plan is not None:
@@ -86,7 +67,7 @@ class Channel:
             deliveries = [Delivery(message)]
         else:
             transmissions, deliveries = faults.plan_histogram(message)
-        size = message.size_bytes(self.domain, self.counter_bits)
+        size = message.size_bytes()
         registry = get_registry()
         for _ in range(transmissions):
             self.messages.append(message)

@@ -20,13 +20,14 @@ build would.
 from __future__ import annotations
 
 import hashlib
+import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..algorithms.construct import build
+from ..algorithms.construct import ALGORITHMS, build
 from ..algorithms.incremental import (
     memo_compatible,
     memo_config_key,
@@ -69,6 +70,26 @@ __all__ = ["ControlCenter", "DecodedWindow", "STALE_POLICIES"]
 #:   merged histogram saw roughly ``r/m`` of the window's traffic, so
 #:   estimates are divided by ``r/m``.
 STALE_POLICIES = ("strict", "quarantine", "rescale")
+
+
+def _check_builder_options(algorithm: str, options: Dict[str, object]) -> None:
+    """Raise ``TypeError`` at construction for an option the selected
+    builder does not take, rather than at the first rebuild.  Unknown
+    algorithm names are left to :func:`~repro.algorithms.construct.build`,
+    which lists the known ones."""
+    builder = ALGORITHMS.get(algorithm)
+    if builder is None:
+        return
+    params = list(inspect.signature(builder).parameters.values())
+    # (hierarchy, metric, budget) are positional; ``memo`` is the
+    # Control Center's own (incremental rebuild sessions).
+    accepted = {p.name for p in params[3:]} - {"memo"}
+    for name in options:
+        if name not in accepted:
+            raise TypeError(
+                f"unexpected option {name!r} for algorithm {algorithm!r} "
+                f"(accepted: {', '.join(sorted(accepted)) or 'none'})"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,6 +142,7 @@ class ControlCenter:
                 f"stale_policy must be one of {STALE_POLICIES}, "
                 f"got {stale_policy!r}"
             )
+        _check_builder_options(algorithm, builder_options)
         self.table = table
         self.metric = metric
         self.algorithm = algorithm
@@ -370,12 +392,8 @@ class ControlCenter:
         return view
 
     def _views(self, usable: Sequence[HistogramMessage]) -> list:
-        """The merge views: v1 histograms as they are, each v2 payload
-        parsed once by :meth:`_parse`."""
-        return [
-            m.histogram if m.payload is None else self._parse(m.payload)
-            for m in usable
-        ]
+        """The merge views: each payload parsed once by :meth:`_parse`."""
+        return [self._parse(m.payload) for m in usable]
 
     def _merge_and_estimate(self, usable: Sequence[HistogramMessage]):
         """Merge one window's usable histograms and reconstruct the
@@ -390,9 +408,7 @@ class ControlCenter:
             )
         if stream_kernel_mode() != "fast":
             merged = Histogram.merge(
-                m.histogram if m.payload is None
-                else self._parse(m.payload).to_histogram()
-                for m in usable
+                self._parse(m.payload).to_histogram() for m in usable
             )
             return merged, reconstruct_estimates(
                 self.table, self.function, merged

@@ -172,8 +172,9 @@ class FaultModel:
         message — so a caller may draw them *before* the histogram is
         computed and apply them afterwards
         (:meth:`~.channel.Channel.send_histogram` accepts the pre-drawn
-        plan).  This is what lets the parallel ingest pool keep the
-        exact per-monitor draw order of the serial loop.
+        plan).  The window loop draws every plan in monitor order before
+        partitioning, so prefetched messages (the sharded serving layer)
+        consume the RNG exactly as inline builds do.
         """
         rng = self._rng
         transmissions = 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.compiled import CompiledPartitioner
 from ..core.partition import Histogram, PartitioningFunction
-from ..core.wire import WIRE_FORMATS, encode_histogram_v2, encode_histograms_v2
+from ..core.wire import encode_histogram_v2, encode_histograms_v2
 from ..obs import get_registry
 from .kernels import stream_kernel_mode
 
@@ -34,40 +34,31 @@ __all__ = ["HistogramMessage", "Monitor"]
 class HistogramMessage:
     """One Monitor-to-Control-Center message: a window's histogram.
 
-    Under the v1 wire format the message carries the
-    :class:`~repro.core.partition.Histogram` object and its wire size
-    is *modelled* (``Histogram.size_bytes``).  Under v2 the Monitor
-    encodes the histogram at send time and ``payload`` holds the actual
-    bytes that cross the link — byte accounting charges ``len(payload)``
-    and the Control Center queries or decodes those bytes, not the
-    object.
+    The Monitor encodes the histogram at send time (the v2 format of
+    :mod:`repro.core.wire`) and ``payload`` holds the actual bytes that
+    cross the link — byte accounting charges ``len(payload)`` and the
+    Control Center validates and decodes those bytes.  ``histogram`` is
+    the same content as an object, kept for monitor-side accounting and
+    the sharded fan-in.
     """
 
     monitor: str
     window_index: int
     histogram: Histogram
     function_version: int
-    #: The v2 wire encoding, or ``None`` under the v1 format.
-    payload: Optional[bytes] = None
+    #: The v2 wire encoding of ``histogram``.
+    payload: bytes
 
-    def size_bytes(self, domain, counter_bits: int = 32) -> int:
+    def size_bytes(self) -> int:
         # window index + version header, then the histogram payload.
-        if self.payload is not None:
-            return 8 + len(self.payload)
-        return 8 + self.histogram.size_bytes(domain, counter_bits)
+        return 8 + len(self.payload)
 
 
 class Monitor:
     """A remote observation point partitioning its identifier stream."""
 
-    def __init__(self, name: str, wire_format: str = "v2") -> None:
-        if wire_format not in WIRE_FORMATS:
-            raise ValueError(
-                f"wire_format must be one of {WIRE_FORMATS}, "
-                f"got {wire_format!r}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.wire_format = wire_format
         self.function: Optional[PartitioningFunction] = None
         self.function_version = -1
         self.windows_processed = 0
@@ -106,23 +97,18 @@ class Monitor:
     def _message(
         self, window_index: int, histogram: Histogram
     ) -> HistogramMessage:
-        # Single construction point for outgoing messages (both the
-        # serial loop and the parallel ingest pool land here), so the
-        # v2 encode happens exactly once per transmission-worthy
-        # histogram.
-        payload = None
-        if self.wire_format == "v2":
-            payload = encode_histogram_v2(
-                histogram,
-                self.function.domain,
-                semantics=self.function.semantics,
-            )
+        # The v2 encode happens exactly once per transmission-worthy
+        # histogram (here, or batched in ``_messages``).
         return HistogramMessage(
             monitor=self.name,
             window_index=window_index,
             histogram=histogram,
             function_version=self.function_version,
-            payload=payload,
+            payload=encode_histogram_v2(
+                histogram,
+                self.function.domain,
+                semantics=self.function.semantics,
+            ),
         )
 
     def _account(
@@ -229,11 +215,6 @@ class Monitor:
         """Batched :meth:`_message`: one vectorized v2 encode pass for
         the whole window batch (:func:`~repro.core.wire.encode_histograms_v2`
         is byte-identical to per-histogram encodes)."""
-        if self.wire_format != "v2":
-            return [
-                self._message(w, h)
-                for w, h in zip(window_indices, histograms)
-            ]
         payloads = encode_histograms_v2(
             histograms,
             self.function.domain,

@@ -42,7 +42,6 @@ accuracy-per-bit story of the paper, measured rather than asserted.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -50,7 +49,6 @@ import numpy as np
 
 from ..core.errors import PenaltyMetric
 from ..core.groups import GroupTable
-from ..core.wire import WIRE_FORMATS
 from ..obs import (
     Alert,
     emit_window_record,
@@ -158,25 +156,16 @@ class MonitoringSystem:
         incremental: bool = False,
         faults: Optional[FaultModel] = None,
         max_install_attempts: int = 64,
-        parallel: int = 1,
-        wire_format: str = "v2",
         shared_cache=None,
         **builder_options,
     ) -> None:
         if num_monitors < 1:
             raise ValueError(f"need at least one monitor, got {num_monitors}")
-        if wire_format not in WIRE_FORMATS:
-            raise ValueError(
-                f"wire_format must be one of {WIRE_FORMATS}, "
-                f"got {wire_format!r}"
-            )
         if max_install_attempts < 1:
             raise ValueError(
                 f"max_install_attempts must be >= 1, got "
                 f"{max_install_attempts}"
             )
-        if parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
         self.table = table
         self.metric = metric
         self.control_center = self.control_center_class(
@@ -185,24 +174,10 @@ class MonitoringSystem:
             incremental=incremental, shared_cache=shared_cache,
             **builder_options,
         )
-        #: Histogram wire format Monitors speak (``"v2"``, the default,
-        #: ships the queryable self-describing encoding from
-        #: :mod:`repro.core.wire`; ``"v1"`` keeps the modelled
-        #: (node, fixed-width counter) accounting of the seed era).
-        self.wire_format = wire_format
-        self.monitors = [
-            Monitor(f"monitor-{i}", wire_format=wire_format)
-            for i in range(num_monitors)
-        ]
+        self.monitors = [Monitor(f"monitor-{i}") for i in range(num_monitors)]
         self.faults = faults
         self.channel = Channel(table.domain, faults=faults)
         self.max_install_attempts = max_install_attempts
-        #: Worker threads partitioning monitor windows concurrently
-        #: (1 = the serial loop).  Results are identical either way:
-        #: partitioning is pure per-monitor work, and the fault RNG
-        #: draws stay in the serial per-monitor order (decisions are
-        #: drawn before the pool runs; see ``FaultModel.plan_decisions``).
-        self.parallel = parallel
 
     def train(self, history: Trace) -> None:
         """Build the partitioning function from past traffic and push it
@@ -244,31 +219,15 @@ class MonitoringSystem:
                 )
 
     # -- the windowed pipeline ---------------------------------------------
-    def _partition_jobs(self, pool, jobs):
+    def _partition_jobs(self, jobs):
         """Phase 2 of the window loop: turn the planned ``(monitor,
         window, fault-plan)`` jobs into outgoing histogram messages.
 
         Pure per-monitor work — no RNG draws, no channel writes — so
-        subclasses may fan it out however they like (the thread pool
-        here; shard worker processes in
-        :class:`repro.serving.ShardedMonitoringSystem`) as long as the
-        returned messages are bit-identical to the serial loop's.
+        subclasses may source the messages elsewhere (shard worker
+        processes in :class:`repro.serving.ShardedMonitoringSystem`) as
+        long as they are bit-identical to the serial build's.
         """
-        if pool is not None and len(jobs) > 1:
-            built = list(
-                pool.map(
-                    lambda job: job[0]._build(
-                        np.asarray(job[1].uids, dtype=np.int64),
-                        job[1].values,
-                    ),
-                    jobs,
-                )
-            )
-            messages = []
-            for (monitor, window, _), hist in zip(jobs, built):
-                monitor._account(1, int(window.uids.size), (hist,))
-                messages.append(monitor._message(window.index, hist))
-            return messages
         return [
             monitor.process_window(
                 window.index, window.uids, values=window.values
@@ -338,18 +297,6 @@ class MonitoringSystem:
         installer = InstallScheduler()
         #: arrival tick -> deliveries landing there (delayed copies).
         in_flight: Dict[int, List[Delivery]] = {}
-        # The pool is scoped to this run: created fresh, torn down in
-        # the ``finally`` below with ``cancel_futures=True`` so a
-        # mid-run exception (a poisoned window, a KeyboardInterrupt)
-        # never leaks worker threads into the next ``run()`` call.
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=self.parallel,
-                thread_name_prefix="repro-partition",
-            )
-            if self.parallel > 1
-            else None
-        )
         try:
             segmented = self._segment_shares(live, window_width, split_seed)
             n_windows = max((len(s) for s in segmented), default=0)
@@ -375,7 +322,6 @@ class MonitoringSystem:
                     budget=cc.budget,
                     metric=getattr(self.metric, "name", "") or repr(self.metric),
                     stale_policy=cc.stale_policy,
-                    parallel=self.parallel,
                     window_width=float(window_width),
                     split_seed=int(split_seed),
                     faults=faults_spec,
@@ -436,9 +382,8 @@ class MonitoringSystem:
                         )
                         jobs.append((monitor, window, plan))
                     # Phase 2: partition every reporting Monitor's
-                    # window — pure per-monitor work, fanned out across
-                    # the pool when one is configured.
-                    messages = self._partition_jobs(pool, jobs)
+                    # window — pure per-monitor work.
+                    messages = self._partition_jobs(jobs)
                     # Phase 3 (sequential): sends in monitor order,
                     # applying the pre-drawn fault plans.
                     for (monitor, window, plan), msg in zip(jobs, messages):
@@ -590,8 +535,6 @@ class MonitoringSystem:
                 )
         finally:
             self.channel.faults = previous_faults
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
         report.upstream_bytes = self.channel.upstream_bytes
         report.function_bytes = self.channel.downstream_bytes
         if slo.enabled:

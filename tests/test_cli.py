@@ -96,21 +96,13 @@ class TestSimulate:
         assert "duplicates dropped" in text
         assert "stale messages" in text
 
-    def test_simulate_wire_format_v2_same_error_fewer_bytes(self, capsys):
-        outputs = {}
-        for wire in ("v1", "v2"):
-            assert main(["simulate", "--height", "10", "--packets", "20000",
-                         "--budget", "20", "--monitors", "2",
-                         "--wire-format", wire]) == 0
-            outputs[wire] = capsys.readouterr().out
-        error = lambda text: [
-            line for line in text.splitlines() if "mean rms error" in line
-        ]
-        upstream = lambda text: [
-            line for line in text.splitlines() if "histogram bytes" in line
-        ]
-        assert error(outputs["v1"]) == error(outputs["v2"])
-        assert upstream(outputs["v1"]) != upstream(outputs["v2"])
+    @pytest.mark.parametrize("flag", [["--parallel", "2"],
+                                      ["--wire-format", "v1"]])
+    def test_simulate_rejects_removed_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--height", "10", "--packets", "5000"] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_simulate_bad_fault_spec_rejected(self, capsys):
         assert main(["simulate", "--height", "10", "--packets", "5000",
@@ -129,11 +121,6 @@ class TestSimulateServing:
         assert main(SERVING_SMALL + ["--shards", "2"]) == 0
         sharded = capsys.readouterr().out
         assert sharded == serial
-
-    def test_shards_require_v2_wire_format(self, capsys):
-        assert main(SERVING_SMALL + ["--shards", "2",
-                                     "--wire-format", "v1"]) == 2
-        assert "--wire-format v2" in capsys.readouterr().err
 
     def test_shards_must_be_positive(self, capsys):
         assert main(SERVING_SMALL + ["--shards", "0"]) == 2

@@ -238,10 +238,14 @@ class TestFaultModelUnit:
             FaultModel(max_delay_windows=0)
 
     def test_plans_deterministic_after_reset(self):
+        from repro.core.wire import encode_histogram_v2
         from repro.streams.monitor import HistogramMessage
-        from repro import Histogram
+        from repro import Histogram, UIDDomain
 
-        msg = HistogramMessage("m0", 0, Histogram({1: 2.0}), 0)
+        hist = Histogram({1: 2.0})
+        msg = HistogramMessage(
+            "m0", 0, hist, 0, payload=encode_histogram_v2(hist, UIDDomain(4))
+        )
         fm = FaultModel(drop=0.4, duplicate=0.4, delay=0.3, seed=99)
         first = [fm.plan_histogram(msg) for _ in range(50)]
         fm.reset()

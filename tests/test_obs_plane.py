@@ -539,7 +539,7 @@ class TestTop:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: concurrency — per-instrument locks, parallel ingest
+# Satellite: concurrency — per-instrument locks
 # ---------------------------------------------------------------------------
 class TestConcurrentIngest:
     def test_no_lost_increments_across_instruments(self, registry):
@@ -600,32 +600,6 @@ class TestConcurrentIngest:
         inners = [s for s in registry.spans if s.name == "inner"]
         assert len(inners) == 6
         assert all(s.parent == "outer" for s in inners)
-
-    def test_parallel_system_ingest_matches_serial(self, workload):
-        """MonitoringSystem(parallel=N) under a live registry: reports
-        and metric totals must match the serial run exactly."""
-        table, history, live = workload
-        outcomes = {}
-        for workers in (1, 3):
-            reg = MetricsRegistry()
-            with use_registry(reg):
-                system = MonitoringSystem(
-                    table, get_metric("rms"), num_monitors=3,
-                    algorithm="lpm_greedy", budget=40,
-                    faults=FaultModel.parse(FAULTS),
-                    stale_policy="rescale", parallel=workers,
-                )
-                system.train(history)
-                report = system.run(live, window_width=4.0)
-            outcomes[workers] = (
-                report,
-                reg.counter("system.tuples").value,
-                reg.counter("channel.upstream.messages").value,
-                len(reg.window_series),
-            )
-        serial, parallel = outcomes[1], outcomes[3]
-        assert parallel[0].windows == serial[0].windows
-        assert parallel[1:] == serial[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,6 @@ class TestReportIdentity:
         table, _history, _live = workload
         with pytest.raises(ValueError, match="shards"):
             ShardedMonitoringSystem(table, get_metric("rms"), shards=0)
-        with pytest.raises(ValueError, match="wire_format"):
-            ShardedMonitoringSystem(
-                table, get_metric("rms"), shards=2, wire_format="v1"
-            )
 
 
 # -- fan-in decode --------------------------------------------------------
@@ -189,7 +185,7 @@ class TestFanIn:
         cc_serial = serial.control_center
         cc_fanin = sharded.control_center
         assert isinstance(cc_fanin, FanInControlCenter)
-        monitor = Monitor("m0", wire_format="v2")
+        monitor = Monitor("m0")
         monitor.install_function(
             cc_fanin.function, cc_fanin.function_version
         )
@@ -216,7 +212,7 @@ class TestFanIn:
         table, history, live = workload
         _serial, sharded = _systems(table, history, 2)
         cc = sharded.control_center
-        monitor = Monitor("m0", wire_format="v2")
+        monitor = Monitor("m0")
         monitor.install_function(cc.function, cc.function_version)
         shares = live.split(4, seed=1)
         messages = monitor.process_windows(

@@ -17,8 +17,7 @@ Covered here, over randomized functions and windows:
   :func:`~repro.core.estimate.reconstruct_estimates`;
 * vectorized :meth:`~repro.core.partition.Histogram.merge` vs bucketwise
   dict accumulation;
-* the Monitor / Control Center / MonitoringSystem integration, serial
-  and ``parallel=N``;
+* the Monitor / Control Center / MonitoringSystem integration;
 * the mode machinery itself.
 """
 
@@ -282,30 +281,6 @@ class TestStreamPipeline:
         with use_stream_kernel_mode("naive"):
             naive = cc.decode_window([msg])
         assert np.array_equal(fast.estimates, naive.estimates)
-
-    def test_system_parallel_equals_serial(self):
-        table, history, live = self._workload(4)
-        reports = []
-        for parallel in (1, 3):
-            system = MonitoringSystem(
-                table,
-                get_metric("rms"),
-                num_monitors=3,
-                budget=30,
-                parallel=parallel,
-            )
-            system.train(history)
-            reports.append(system.run(live, window_width=10.0))
-        serial, pooled = reports
-        assert pooled.windows == serial.windows
-        assert pooled.upstream_bytes == serial.upstream_bytes
-
-    def test_system_rejects_bad_parallel(self):
-        table, _, _ = self._workload()
-        with pytest.raises(ValueError, match="parallel"):
-            MonitoringSystem(
-                table, get_metric("rms"), num_monitors=2, parallel=0
-            )
 
 
 class TestModeMachinery:

@@ -282,7 +282,7 @@ class TestMonitorAndChannel:
         m.install_function(fn, 0)
         msg = m.process_window(0, [0, 1])
         ch.send_histogram(msg)
-        assert ch.upstream_bytes == msg.size_bytes(dom)
+        assert ch.upstream_bytes == msg.size_bytes()
         assert ch.total_bytes == ch.upstream_bytes + ch.downstream_bytes
         assert ch.raw_stream_bytes(100) == 100 * ((dom.height + 7) // 8)
 
@@ -355,7 +355,7 @@ class TestChannelFaultAccounting:
         fn, msg = self._message(table)
         ch = Channel(table.domain, faults=FaultModel(duplicate=1.0))
         deliveries = ch.send_histogram(msg)
-        size = msg.size_bytes(table.domain)
+        size = msg.size_bytes()
         assert len(deliveries) == 2
         assert len(ch.messages) == 2
         assert ch.upstream_bytes == 2 * size
@@ -366,7 +366,7 @@ class TestChannelFaultAccounting:
         deliveries = ch.send_histogram(msg)
         assert deliveries == []
         assert len(ch.messages) == 1
-        assert ch.upstream_bytes == msg.size_bytes(table.domain)
+        assert ch.upstream_bytes == msg.size_bytes()
         assert ch.delivered == []
 
     def test_duplicate_of_dropped_copy_still_possible(self, table):
@@ -376,7 +376,7 @@ class TestChannelFaultAccounting:
         ch = Channel(table.domain,
                      faults=FaultModel(drop=1.0, duplicate=1.0))
         assert ch.send_histogram(msg) == []
-        assert ch.upstream_bytes == 2 * msg.size_bytes(table.domain)
+        assert ch.upstream_bytes == 2 * msg.size_bytes()
 
     def test_install_retries_charged_per_attempt(self, table):
         fn, _msg = self._message(table)
@@ -392,7 +392,7 @@ class TestChannelFaultAccounting:
         deliveries = ch.send_histogram(msg)
         assert len(deliveries) == 1
         assert deliveries[0].delay == 0
-        assert ch.upstream_bytes == msg.size_bytes(table.domain)
+        assert ch.upstream_bytes == msg.size_bytes()
         assert ch.send_function(fn) is True
 
 
@@ -505,31 +505,25 @@ class TestDecodeWindow:
             rescaled.estimates, quarantined.estimates * 2.0
         )
 
-    @pytest.mark.parametrize("wire_format", ["v1", "v2", "mixed"])
-    def test_fast_decode_matches_reference(self, table, wire_format):
-        """One merge_views over the parsed payloads (v2) or the message
-        histograms (v1) must equal the naive reference and, for v2, the
-        wire-level merge the Control Center used to round-trip through."""
+    def test_fast_decode_matches_reference(self, table):
+        """One merge_views over the parsed payloads must equal the naive
+        reference and the wire-level merge the Control Center used to
+        round-trip through."""
         cc = ControlCenter(table, get_metric("rms"),
                            algorithm="nonoverlapping", budget=4)
         fn = cc.rebuild_function(np.array([10.0, 6.0, 4.0, 2.0]))
-        formats = {"v1": ["v1"] * 3, "v2": ["v2"] * 3,
-                   "mixed": ["v1", "v2", "v2"]}[wire_format]
         rng = np.random.default_rng(0)
         msgs = []
-        for i, fmt in enumerate(formats):
-            monitor = Monitor(f"m{i}", wire_format=fmt)
+        for i in range(3):
+            monitor = Monitor(f"m{i}")
             monitor.install_function(fn, cc.function_version)
             msgs.append(monitor.process_window(0, rng.integers(0, 16, 40)))
         with use_stream_kernel_mode("fast"):
             fast = cc.decode_window(msgs)
         with use_stream_kernel_mode("naive"):
             naive = cc.decode_window(msgs)
-        for other in (naive.merged,) + (
-            (WireHistogram(merge_wire([m.payload for m in msgs]))
-             .to_histogram(),)
-            if wire_format == "v2" else ()
-        ):
+        wire = WireHistogram(merge_wire([m.payload for m in msgs]))
+        for other in (naive.merged, wire.to_histogram()):
             assert np.array_equal(fast.merged.nodes, other.nodes)
             assert np.array_equal(fast.merged.values, other.values)
             assert fast.merged.unmatched == other.unmatched
@@ -566,17 +560,3 @@ class TestDecodeWindow:
             cc.decode_window([msg], policy="ignore")
         with pytest.raises(ValueError, match="stale_policy"):
             ControlCenter(table, get_metric("rms"), stale_policy="nope")
-
-
-class TestChannelCounterBits:
-    def test_narrow_counters_shrink_messages(self, table):
-        dom = table.domain
-        fn = LongestPrefixMatchPartitioning(dom, [Bucket(1)])
-        wide = Channel(dom, counter_bits=32)
-        narrow = Channel(dom, counter_bits=16)
-        m = Monitor("m0")
-        m.install_function(fn, 0)
-        msg = m.process_window(0, [0, 1, 2])
-        wide.send_histogram(msg)
-        narrow.send_histogram(msg)
-        assert narrow.upstream_bytes <= wide.upstream_bytes

@@ -301,26 +301,36 @@ class TestCompressionRatio:
 
 
 class TestWireFormatV2:
-    """The v2 wire format through the whole pipeline: identical
-    estimates, cheaper link, both algorithms of transport."""
+    """The v2 wire format through the whole pipeline: lossless payloads,
+    never more bytes than the paper's v1 size model."""
 
     @pytest.mark.parametrize("algorithm", ["nonoverlapping", "overlapping",
                                            "lpm_greedy"])
     def test_v2_estimates_bit_identical_to_v1(self, workload, algorithm):
+        """Within one run: every payload decodes to exactly the
+        histogram it was built from (the object the v1 path decoded
+        from, so estimates are identical), and the link costs no more
+        than the v1 model of the same transmissions."""
+        from repro.core.wire import decode_histogram_v2
+
         table, history, live = workload
-        reports = {}
-        for wire in ("v1", "v2"):
-            system = MonitoringSystem(
-                table, get_metric("rms"), num_monitors=3,
-                algorithm=algorithm, budget=40, wire_format=wire,
-            )
-            system.train(history)
-            reports[wire] = system.run(live, window_width=5.0)
-        v1, v2 = reports["v1"], reports["v2"]
-        assert [w.error for w in v1.windows] == [
-            w.error for w in v2.windows
-        ]
-        assert v2.upstream_bytes <= v1.upstream_bytes
+        system = MonitoringSystem(
+            table, get_metric("rms"), num_monitors=3,
+            algorithm=algorithm, budget=40,
+        )
+        system.train(history)
+        report = system.run(live, window_width=5.0)
+        messages = system.channel.messages
+        assert messages
+        for m in messages:
+            decoded = decode_histogram_v2(m.payload)
+            assert np.array_equal(decoded.nodes, m.histogram.nodes)
+            assert np.array_equal(decoded.values, m.histogram.values)
+            assert decoded.unmatched == m.histogram.unmatched
+            assert decoded.total == m.histogram.total
+        v1_model = sum(8 + m.histogram.size_bytes(table.domain)
+                       for m in messages)
+        assert report.upstream_bytes <= v1_model
 
     def test_v2_naive_and_fast_kernels_bit_identical(self, workload):
         from repro.streams import use_stream_kernel_mode
@@ -331,7 +341,7 @@ class TestWireFormatV2:
             with use_stream_kernel_mode(mode):
                 system = MonitoringSystem(
                     table, get_metric("rms"), num_monitors=3,
-                    algorithm="lpm_greedy", budget=40, wire_format="v2",
+                    algorithm="lpm_greedy", budget=40,
                 )
                 system.train(history)
                 errors[mode] = [
@@ -343,7 +353,7 @@ class TestWireFormatV2:
         table, history, live = workload
         system = MonitoringSystem(
             table, get_metric("rms"), num_monitors=2,
-            algorithm="lpm_greedy", budget=40, wire_format="v2",
+            algorithm="lpm_greedy", budget=40,
         )
         system.train(history)
         system.run(live, window_width=5.0)
@@ -354,22 +364,49 @@ class TestWireFormatV2:
         assert charged == system.channel.upstream_bytes
 
     def test_unknown_wire_format_rejected(self, workload):
+        """There is no wire selector: any ``wire_format`` is an unknown
+        option, rejected at construction."""
         table, _history, _live = workload
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="'wire_format'"):
             MonitoringSystem(table, get_metric("rms"), wire_format="v3")
 
 
-class TestParallelPoolRobustness:
-    def test_mid_run_exception_raises_and_leaks_no_threads(self, workload):
-        """A poisoned window under ``parallel>1`` must propagate the
-        exception, reap every pool thread (the pool is context-managed
-        per run), and leave the system usable for the next run."""
-        import threading
+class TestConstructorOptions:
+    """A keyword the selected builder does not take fails at
+    construction, not at the first rebuild."""
 
+    def test_unknown_options_raise_at_construction(self, workload):
+        from repro.serving import ShardedMonitoringSystem
+
+        table, _history, _live = workload
+        rms = get_metric("rms")
+        with pytest.raises(TypeError, match="'parallel'"):
+            MonitoringSystem(table, rms, parallel=2)
+        with pytest.raises(TypeError, match="'wire_format'"):
+            ShardedMonitoringSystem(table, rms, shards=2, wire_format="v1")
+        with pytest.raises(TypeError, match="'bogus_knob'"):
+            MonitoringSystem(table, rms, bogus_knob=3)
+        with pytest.raises(TypeError, match="'k'"):
+            MonitoringSystem(table, rms, algorithm="lpm_greedy", k=3)
+
+    def test_builder_options_accepted(self, workload):
+        table, history, _live = workload
+        system = MonitoringSystem(
+            table, get_metric("rms"), algorithm="nonoverlapping", budget=20,
+            low_memory=True,
+        )
+        system.train(history)
+        assert system.control_center.builder_options == {"low_memory": True}
+
+
+class TestMidRunFailure:
+    def test_mid_run_exception_raises_and_next_run_recovers(self, workload):
+        """A poisoned window must propagate its exception and leave the
+        system usable: the next run equals the reference report."""
         table, history, live = workload
         system = MonitoringSystem(
             table, get_metric("rms"), num_monitors=2,
-            algorithm="lpm_greedy", budget=40, parallel=3,
+            algorithm="lpm_greedy", budget=40,
         )
         system.train(history)
         reference = system.run(live, window_width=5.0)
@@ -387,11 +424,6 @@ class TestParallelPoolRobustness:
         victim._build = poisoned_build
         with pytest.raises(RuntimeError, match="poisoned window"):
             system.run(live, window_width=5.0)
-        leaked = [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-partition")
-        ]
-        assert leaked == []
 
         victim._build = original_build
         recovered = system.run(live, window_width=5.0)
