@@ -340,7 +340,7 @@ def _bench_tenants(
     }
 
 
-def run_grid(grid: str, mode: str, reps: int) -> Dict[str, object]:
+def run_grid(grid: str, reps: int) -> Dict[str, object]:
     sizes = TINY_SIZES if grid == "tiny" else FULL_SIZES
     points: List[Dict[str, object]] = []
     for height, tuples, width, monitors, budget in sizes:
@@ -366,7 +366,6 @@ def run_grid(grid: str, mode: str, reps: int) -> Dict[str, object]:
         "schema": SCHEMA,
         "generated_by": "benchmarks/bench_serving.py",
         "grid": grid,
-        "mode": mode,
         "shard_counts": list(SHARD_COUNTS),
         "points": points,
         "largest_point": {
@@ -429,10 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="workload grid: 'tiny' is the CI smoke grid",
     )
     parser.add_argument(
-        "--mode", choices=("shards", "all"), default="shards",
-        help="both run every leg (kept so existing invocations work)",
-    )
-    parser.add_argument(
         "--reps", type=int, default=3,
         help="timing repetitions (best-of-N, interleaved)",
     )
@@ -441,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="output JSON path (default: repo-root BENCH_serving.json)",
     )
     args = parser.parse_args(argv)
-    doc = run_grid(args.grid, args.mode, max(1, args.reps))
+    doc = run_grid(args.grid, max(1, args.reps))
     path = write_report(doc, args.out)
     print(f"wrote {os.path.abspath(path)}")
     if not doc["all_reports_identical"] or not doc["all_faulty_identical"]:

@@ -3,12 +3,13 @@
 Times the steady-state window lifecycle in both stream kernel modes —
 Monitor-side ingest (histogram construction per window, plus the
 batched multi-window path), Control-Center decode (per-group estimate
-reconstruction), and the end-to-end serial :class:`MonitoringSystem`
-run — across all three semantics classes,
-verifies the fast-path histograms and estimates are **bit-identical**
-to the naive reference, and writes the measurements to
-``BENCH_streams.json`` at the repo root so perf PRs have a recorded
-trajectory.
+reconstruction), the exact ground-truth join every window is scored
+against, and the end-to-end serial :class:`MonitoringSystem` run —
+across all three semantics classes, verifies the fast-path histograms,
+estimates and join results are **bit-identical** to the naive
+reference, and writes the measurements to ``BENCH_streams.json`` at
+the repo root so perf PRs have a recorded trajectory.  Exits nonzero
+when the join is not bit-identical.
 
 Usage::
 
@@ -42,8 +43,9 @@ from repro.algorithms import (
 )
 from repro.data import TrafficModel, generate_subnet_table, generate_trace
 from repro.streams import MonitoringSystem, Trace, use_stream_kernel_mode
+from repro.streams.query import exact_group_counts
 
-SCHEMA = "repro.bench_streams.v2"
+SCHEMA = "repro.bench_streams.v3"
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -159,6 +161,35 @@ def _bench_decode(table, fn, histograms) -> Dict[str, object]:
     }
 
 
+def _bench_truth(table, windows: List[np.ndarray]) -> Dict[str, object]:
+    """Per-window exact ground-truth join (``exact_group_counts``):
+    the naive ``GroupTable`` join vs the compiled one, with bit-identity
+    verification."""
+    tuples = sum(int(w.size) for w in windows)
+    results = {}
+    seconds = {}
+    for mode in ("naive", "fast"):
+        with use_stream_kernel_mode(mode):
+            exact_group_counts(table, windows[0])  # untimed compile+warmup
+            t0 = time.perf_counter()
+            results[mode] = [exact_group_counts(table, w) for w in windows]
+            seconds[mode] = time.perf_counter() - t0
+    identical = all(
+        n.tobytes() == f.tobytes()
+        for n, f in zip(results["naive"], results["fast"])
+    )
+    return {
+        "tuples": tuples,
+        "windows": len(windows),
+        "seconds": {m: round(t, 6) for m, t in seconds.items()},
+        "tuples_per_sec": {
+            m: round(tuples / t, 1) for m, t in seconds.items()
+        },
+        "speedup_fast": round(seconds["naive"] / seconds["fast"], 3),
+        "bit_identical": identical,
+    }
+
+
 def _bench_system(
     table, uids: np.ndarray, windows: int, budget: int
 ) -> Dict[str, object]:
@@ -225,6 +256,15 @@ def run_grid(grid: str) -> Dict[str, object]:
                 f"{decode['speedup_fast']}x "
                 f"(identical={decode['bit_identical']})"
             )
+        truth = _bench_truth(table, windows)
+        points.append(
+            {"workload": workload, "algorithm": "truth", "truth": truth}
+        )
+        print(
+            f"h={height} n={tuples} truth: {truth['speedup_fast']}x "
+            f"({truth['tuples_per_sec']['fast']} tps, "
+            f"identical={truth['bit_identical']})"
+        )
         system = _bench_system(table, uids, n_windows, budget)
         points.append(
             {"workload": workload, "algorithm": "system", "system": system}
@@ -240,6 +280,11 @@ def run_grid(grid: str) -> Dict[str, object]:
         for p in points
         if p["workload"]["tuples"] == largest and "ingest" in p
     }
+    (truth,) = [
+        p["truth"]
+        for p in points
+        if p["workload"]["tuples"] == largest and "truth" in p
+    ]
     return {
         "schema": SCHEMA,
         "generated_by": "benchmarks/bench_streams.py",
@@ -250,7 +295,11 @@ def run_grid(grid: str) -> Dict[str, object]:
             "tuples": largest,
             "ingest_speedup_fast": summary,
             "min_ingest_speedup_fast": min(summary.values()),
+            "truth_speedup_fast": truth["speedup_fast"],
         },
+        "truth_bit_identical": all(
+            p["truth"]["bit_identical"] for p in points if "truth" in p
+        ),
     }
 
 
@@ -275,6 +324,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     doc = run_grid(args.grid)
     path = write_report(doc, args.out)
     print(f"wrote {os.path.abspath(path)}")
+    if not doc["truth_bit_identical"]:
+        print("FAIL: the compiled ground-truth join differs from naive")
+        return 1
     return 0
 
 

@@ -29,6 +29,7 @@ from .core import (
     AverageRelativeError,
     Bucket,
     CompiledEstimator,
+    CompiledGroupJoin,
     CompiledPartitioner,
     DistributiveErrorMetric,
     GroupTable,
@@ -98,6 +99,7 @@ __all__ = [
     # estimation
     "CompiledPartitioner",
     "CompiledEstimator",
+    "CompiledGroupJoin",
     "assign_groups_to_buckets",
     "histogram_from_group_counts",
     "reconstruct_estimates",

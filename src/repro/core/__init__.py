@@ -20,7 +20,7 @@ from .estimate import (
     net_group_populations,
     reconstruct_estimates,
 )
-from .compiled import CompiledEstimator, CompiledPartitioner
+from .compiled import CompiledEstimator, CompiledGroupJoin, CompiledPartitioner
 from .groups import GroupTable
 from .hierarchy import PNode, PrunedHierarchy
 from .serialize import (
@@ -71,6 +71,7 @@ __all__ = [
     "LongestPrefixMatchPartitioning",
     "CompiledPartitioner",
     "CompiledEstimator",
+    "CompiledGroupJoin",
     "assign_groups_to_buckets",
     "histogram_from_group_counts",
     "reconstruct_estimates",

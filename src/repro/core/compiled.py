@@ -44,14 +44,27 @@ arithmetic:
     precomputed reciprocals so the floats are bit-identical to the
     reference path's ``count / max(1, pop)``.
 
+:class:`CompiledGroupJoin`
+    The ground-truth join of Section 2.2.2 (each identifier joined with
+    ``GroupTable``, then grouped by node) compiled the same way: the
+    disjoint group ranges cut the UID axis into elementary segments,
+    and for domains up to the dense cap the segment owners compose into
+    a dense uid -> group-index table, so the join is one gather per
+    tuple plus one shifted ``np.bincount``.
+
+Identifiers outside the domain (negative, or ``>= 2**height``) match
+nothing on every compiled path, exactly as on the reference paths:
+they count as ``unmatched`` in histograms and are dropped by the join.
+
 **Bit-exactness contract** (the same one ``algorithms.kernels``
-established for construction): both compiled paths perform the *same*
-floating-point accumulations in the *same order* as the naive
-reference, so histograms and estimates are bit-for-bit identical —
-``np.bincount`` adds weights in input order, and every window is
-processed in its original tuple order.  ``tests/test_stream_kernels.py``
-property-tests this across all three semantics classes, sparse buckets
-included.
+established for construction): every compiled path performs the
+*same* floating-point accumulations in the *same order* as the naive
+reference, so histograms, estimates and join results are bit-for-bit
+identical — ``np.bincount`` adds weights in input order, and every
+window is processed in its original tuple order.
+``tests/test_stream_kernels.py`` property-tests this across all three
+semantics classes, sparse buckets included; ``tests/test_compiled_join.py``
+covers the join.
 """
 
 from __future__ import annotations
@@ -69,11 +82,64 @@ from .partition import (
     PartitioningFunction,
 )
 
-__all__ = ["CompiledPartitioner", "CompiledEstimator"]
+__all__ = ["CompiledPartitioner", "CompiledEstimator", "CompiledGroupJoin"]
 
 #: Largest domain (in identifiers) for which the compiler also builds
 #: a dense uid -> elementary-segment lookup table.
 _DENSE_SEGMENT_CAP = 1 << 20
+
+
+def _gather_in_domain(table: np.ndarray, uids: np.ndarray) -> np.ndarray:
+    """``table[uids]`` for a dense per-uid ``table``, with identifiers
+    outside ``[0, table.size)`` mapped to ``-1``.
+
+    Viewed as unsigned, negative identifiers are huge, so one ``max``
+    proves the whole window in range; only a window that fails it pays
+    for the masked gather."""
+    as_unsigned = uids.view(np.uint64)
+    if not uids.size or as_unsigned.max() < table.size:
+        return table[uids]
+    out = np.full(uids.shape, -1, dtype=table.dtype)
+    ok = as_unsigned < table.size
+    out[ok] = table[uids[ok]]
+    return out
+
+
+class _SegmentLookup:
+    """uid -> elementary-segment index over sorted ``bounds`` that
+    start at 0 and end at the domain size.
+
+    Identifiers outside the domain get index ``-1`` (negative ids on the
+    binary-search path, every out-of-domain id on the dense path) or
+    ``bounds.size - 1`` (ids ``>=`` the domain size on the binary-search
+    path).  Per-segment tables built by :meth:`table` carry one trailing
+    sentinel entry that both indices reach, so out-of-domain ids look
+    up the sentinel without a mask.
+    """
+
+    def __init__(self, bounds: np.ndarray, num_uids: int) -> None:
+        self.bounds = bounds
+        #: Dense uid -> segment table for small domains: one gather per
+        #: window instead of a searchsorted.  8 MiB at the 2^20 cap;
+        #: larger domains fall back to binary search.
+        self.dense: Optional[np.ndarray] = None
+        if num_uids <= _DENSE_SEGMENT_CAP:
+            self.dense = (
+                np.searchsorted(
+                    bounds, np.arange(num_uids, dtype=np.int64), side="right"
+                )
+                - 1
+            )
+
+    def table(self) -> np.ndarray:
+        """A per-segment int64 table of ``-1``, one entry per segment
+        plus the trailing out-of-domain sentinel."""
+        return np.full(self.bounds.size, -1, dtype=np.int64)
+
+    def __call__(self, uids: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return _gather_in_domain(self.dense, uids)
+        return np.searchsorted(self.bounds, uids, side="right") - 1
 
 
 class CompiledPartitioner:
@@ -125,12 +191,12 @@ class CompiledPartitioner:
                 [np.asarray([0, domain.num_uids], dtype=np.int64), los, his]
             )
         )
-        owner = np.full(bounds.size - 1, -1, dtype=np.int64)
+        self._segments = _SegmentLookup(bounds, domain.num_uids)
+        owner = self._segments.table()
         for i in sorted(range(n), key=lambda k: depths[k]):
             a = int(np.searchsorted(bounds, los[i]))
             b = int(np.searchsorted(bounds, his[i]))
             owner[a:b] = i
-        self._bounds = bounds
         self._seg_owner = owner
 
         # Per-nesting-level disjoint interval tables (overlapping
@@ -144,26 +210,12 @@ class CompiledPartitioner:
                 sel = np.nonzero(level == lv)[0]
                 order = np.argsort(los[sel], kind="stable")
                 sel = sel[order]
-                seg_pos = np.full(bounds.size - 1, -1, dtype=np.int64)
+                seg_pos = self._segments.table()
                 for j, i in enumerate(sel):
                     a = int(np.searchsorted(bounds, los[i]))
                     b = int(np.searchsorted(bounds, his[i]))
                     seg_pos[a:b] = j
                 self._levels.append((int(sel.size), sel, seg_pos))
-
-        # Dense uid -> segment table for small domains: one fancy-index
-        # gather per window instead of a searchsorted.  8 MiB at the
-        # 2^20 cap; larger domains fall back to binary search.
-        self._seg_of_uid: Optional[np.ndarray] = None
-        if domain.num_uids <= _DENSE_SEGMENT_CAP:
-            self._seg_of_uid = (
-                np.searchsorted(
-                    bounds,
-                    np.arange(domain.num_uids, dtype=np.int64),
-                    side="right",
-                )
-                - 1
-            )
 
     # -- compile cache -----------------------------------------------------
     @classmethod
@@ -179,13 +231,6 @@ class CompiledPartitioner:
         return cached
 
     # -- matching ----------------------------------------------------------
-    def _segments(self, uids: np.ndarray) -> np.ndarray:
-        """Elementary-segment index per uid: a dense-table gather for
-        small domains, one searchsorted otherwise."""
-        if self._seg_of_uid is not None:
-            return self._seg_of_uid[uids]
-        return np.searchsorted(self._bounds, uids, side="right") - 1
-
     def match_slots(self, uids: np.ndarray) -> np.ndarray:
         """Closest-ancestor bucket slot per uid (-1 where unmatched)."""
         return self._seg_owner[self._segments(uids)]
@@ -417,3 +462,90 @@ class CompiledEstimator:
             slot_est[self._outer_slots] = residual / self._outer_empties
         estimates = np.where(self._covered, slot_est[self._gather], 0.0)
         return estimates
+
+
+#: Compiled group joins keyed by table (weakly).
+_JOIN_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
+
+
+class CompiledGroupJoin:
+    """The exact identifier -> group join compiled to a segment table.
+
+    The disjoint group ranges cut the UID axis into elementary
+    segments, each owned by one group or by none.  For domains up to
+    the dense cap the owners compose into a dense uid -> group-index
+    table (one gather per tuple); larger domains keep one binary search
+    over the segment boundaries.  :meth:`counts` is bit-identical to
+    :meth:`~.groups.GroupTable.counts_from_uids`: a shifted
+    ``np.bincount`` drops uncovered tuples in bin 0 instead of
+    compressing them out, which leaves every group's accumulation order
+    unchanged.
+    """
+
+    def __init__(self, table: GroupTable) -> None:
+        # The table itself is not kept, so the weakly keyed cache entry
+        # dies with it.
+        self.num_groups = len(table)
+        num_uids = table.domain.num_uids
+        bounds = np.unique(
+            np.concatenate(
+                [
+                    np.asarray([0, num_uids], dtype=np.int64),
+                    table.starts,
+                    table.ends,
+                ]
+            )
+        )
+        segments = _SegmentLookup(bounds, num_uids)
+        # Groups are disjoint, so each is exactly one segment.
+        owner = segments.table()
+        owner[np.searchsorted(bounds, table.starts)] = np.arange(
+            self.num_groups, dtype=np.int64
+        )
+        self._seg_owner = owner
+        self._group_of_uid: Optional[np.ndarray] = (
+            None if segments.dense is None else owner[segments.dense]
+        )
+        # Only the binary-search path needs the segment lookup; the
+        # dense path drops its uid -> segment table once composed.
+        self._segments = segments if segments.dense is None else None
+
+    @classmethod
+    def for_table(cls, table: GroupTable) -> "CompiledGroupJoin":
+        """The compiled join for ``table``, compiling at most once per
+        table."""
+        join = _JOIN_CACHE.get(table)
+        if join is None:
+            join = cls(table)
+            _JOIN_CACHE[table] = join
+        return join
+
+    def group_indices(self, uids: np.ndarray) -> np.ndarray:
+        """Group index per uid, ``-1`` where no group covers it (or it
+        lies outside the domain) — the values of
+        :meth:`~.groups.GroupTable.lookup_many`."""
+        uids = np.asarray(uids, dtype=np.int64)
+        if self._group_of_uid is not None:
+            return _gather_in_domain(self._group_of_uid, uids)
+        return self._seg_owner[self._segments(uids)]
+
+    def counts(
+        self,
+        uids: Sequence[int],
+        values: Optional[Sequence[float]] = None,
+    ) -> np.ndarray:
+        """Per-group ``count(*)``, or ``sum(value)`` with a parallel
+        ``values`` vector: bit-identical to
+        :meth:`~.groups.GroupTable.counts_from_uids`."""
+        idx = self.group_indices(uids)
+        if values is not None:
+            values = np.asarray(values, dtype=np.float64)
+            if values.shape != idx.shape:
+                raise ValueError(
+                    f"{values.shape[0] if values.ndim else 0} values for "
+                    f"{idx.shape[0]} identifiers"
+                )
+        sums = np.bincount(
+            idx + 1, weights=values, minlength=self.num_groups + 1
+        )
+        return sums[1:].astype(np.float64)

@@ -6,11 +6,15 @@ hierarchy — each carrying a group id.  Every identifier below a group
 node belongs to that group.  For the network-monitoring workload the
 group nodes are the subnet prefixes derived from WHOIS data.
 
-The table is stored column-wise in sorted numpy arrays so that the
-identifier-to-group join (the expensive lookup the paper wants to avoid
-shipping) is a vectorized binary search, and so that histogram
-construction can count groups inside any identifier range in
-``O(log |G|)``.
+The table is stored column-wise in sorted numpy arrays so that
+histogram construction can count groups inside any identifier range in
+``O(log |G|)``, and so that the identifier-to-group join (the expensive
+lookup the paper wants to avoid shipping) has a vectorized reference
+form: :meth:`GroupTable.counts_from_uids` binary-searches the group
+starts.  The serving loop's ``fast`` stream kernel mode runs the same
+join through :class:`~repro.core.compiled.CompiledGroupJoin` instead —
+one dense uid -> group gather per tuple — and is checked bit for bit
+against this reference.
 """
 
 from __future__ import annotations

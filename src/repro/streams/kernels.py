@@ -11,16 +11,21 @@ Monitor and Control Center actually repeat forever:
     ``searchsorted`` over precompiled interval boundaries plus one
     ``bincount`` per window) and the Control Center estimates through a
     :class:`~repro.core.compiled.CompiledEstimator` (flat gather/divide
-    arrays instead of per-node dict walks).  Every fast path performs
+    arrays instead of per-node dict walks); the exact ground-truth join
+    every window is scored against runs through a
+    :class:`~repro.core.compiled.CompiledGroupJoin` (one dense gather
+    per tuple instead of a binary search).  Every fast path performs
     the *same* floating-point operations in the *same* order as the
-    naive reference, so histograms and estimates are bit-for-bit
-    identical — only interpreter overhead is eliminated.
+    naive reference, so histograms, estimates and ground truth are
+    bit-for-bit identical — only interpreter overhead is eliminated.
 
 ``"naive"``
     The seed per-depth ancestor-mask loops in
-    :meth:`~repro.core.partition.PartitioningFunction.build_histogram`
-    and the per-node loops of
-    :func:`~repro.core.estimate.reconstruct_estimates`.  Kept as the
+    :meth:`~repro.core.partition.PartitioningFunction.build_histogram`,
+    the per-node loops of
+    :func:`~repro.core.estimate.reconstruct_estimates`, and the
+    binary-search join of
+    :meth:`~repro.core.groups.GroupTable.counts_from_uids`.  Kept as the
     executable reference the fast paths are property-tested against,
     and as the baseline ``benchmarks/bench_streams.py`` measures
     speedups from.

@@ -9,7 +9,11 @@ This is the ground truth the histograms approximate::
 
 Evaluated directly against the full lookup table — the expensive
 computation a deployment avoids by shipping histograms instead of raw
-identifiers.
+identifiers.  Under the ``fast`` stream kernel mode the join runs
+through a :class:`~repro.core.compiled.CompiledGroupJoin` (one dense
+gather per tuple); ``naive`` keeps
+:meth:`~repro.core.groups.GroupTable.counts_from_uids` as the
+reference it is checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.compiled import CompiledGroupJoin
 from ..core.groups import GroupTable
+from .kernels import stream_kernel_mode
 from .tuples import Trace
 from .windows import TumblingWindows, Window
 
@@ -37,6 +43,8 @@ def exact_group_counts(
     """Exact per-group aggregates of a window (the join + group-by):
     ``count(*)`` per group, or ``sum(value)`` when a parallel per-tuple
     ``values`` vector is given."""
+    if stream_kernel_mode() == "fast":
+        return CompiledGroupJoin.for_table(table).counts(uids, values)
     return table.counts_from_uids(uids, values=values)
 
 
@@ -49,15 +57,18 @@ def exact_group_counts_batched(
 
     Returns a ``(windows, groups)`` float64 matrix whose row ``w`` is
     bit-identical to ``exact_group_counts(table, uid_windows[w],
-    values=value_windows[w])``: the batch runs one ``lookup_many`` over
-    the concatenated windows and one flattened ``bincount`` keyed by
-    ``window * num_groups + group``.  Cells are disjoint per (window,
-    group) and the concatenation preserves each window's tuple order,
-    so every cell accumulates the same elements in the same order as
-    the per-window call — exact for counts, and bit-identical float
-    summation for weighted aggregates.  The serving layer uses this to
-    precompute a whole run's ground truth instead of paying a
-    per-window table walk.
+    values=value_windows[w])``: the batch runs one group lookup over
+    the concatenated windows (the compiled join's gather under the
+    ``fast`` stream kernel mode, ``GroupTable.lookup_many`` under
+    ``naive``) and one flattened ``bincount`` keyed by
+    ``window * (num_groups + 1) + group + 1``, whose per-window bin 0
+    collects the uncovered tuples and is dropped.  Cells are disjoint
+    per (window, group) and the concatenation preserves each window's
+    tuple order, so every cell accumulates the same elements in the
+    same order as the per-window call — exact for counts, and
+    bit-identical float summation for weighted aggregates.  The
+    serving layer uses this to precompute a whole run's ground truth in
+    its prefetch pass.
     """
     n_windows = len(uid_windows)
     n_groups = len(table)
@@ -87,20 +98,19 @@ def exact_group_counts_batched(
     uids = (
         np.concatenate(arrays) if n_windows > 1 else arrays[0]
     )
-    idx = table.lookup_many(uids)
+    if stream_kernel_mode() == "fast":
+        idx = CompiledGroupJoin.for_table(table).group_indices(uids)
+    else:
+        idx = table.lookup_many(uids)
     win = np.repeat(np.arange(n_windows, dtype=np.int64), sizes)
-    covered = idx >= 0
-    flat = win[covered] * n_groups + idx[covered]
-    if value_windows is None:
-        counts = np.bincount(flat, minlength=n_windows * n_groups)
-        return counts.reshape(n_windows, n_groups).astype(np.float64)
-    values = (
-        np.concatenate(weights) if n_windows > 1 else weights[0]
-    )
+    flat = win * (n_groups + 1) + (idx + 1)
+    values = None
+    if value_windows is not None:
+        values = np.concatenate(weights) if n_windows > 1 else weights[0]
     sums = np.bincount(
-        flat, weights=values[covered], minlength=n_windows * n_groups
+        flat, weights=values, minlength=n_windows * (n_groups + 1)
     )
-    return sums.reshape(n_windows, n_groups).astype(np.float64)
+    return sums.reshape(n_windows, n_groups + 1)[:, 1:].astype(np.float64)
 
 
 class GroupedAggregationQuery:

@@ -249,10 +249,13 @@ class MonitoringSystem:
     def _ground_truth(
         self, window: int, uids: np.ndarray, values: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Exact per-group aggregates for one window's full traffic.
+        """Exact per-group aggregates for one window's full traffic:
+        the Section 2.2.2 join, run per window through
+        :func:`~.query.exact_group_counts` (the compiled dense-gather
+        join under the ``fast`` stream kernel mode).
 
         Subclass extension point: the serving layer precomputes the
-        whole run's ground truth in one batched pass
+        whole run's ground truth in its prefetch pass
         (:func:`~.query.exact_group_counts_batched`) and answers from
         the matrix — bit-identical to this per-window join."""
         return exact_group_counts(self.table, uids, values=values)

@@ -88,13 +88,15 @@ class Trace:
             raise ValueError(f"shares must be at least 1, got {shares}")
         rng = np.random.default_rng(seed)
         owner = rng.integers(0, shares, size=len(self))
+        # One index array per share, gathered with ``take``: cheaper
+        # than compressing every column through a boolean mask.
         return tuple(
             Trace(
-                self.timestamps[mask],
-                self.uids[mask],
-                None if self.values is None else self.values[mask],
+                self.timestamps.take(rows),
+                self.uids.take(rows),
+                None if self.values is None else self.values.take(rows),
             )
-            for mask in (owner == s for s in range(shares))
+            for rows in (np.flatnonzero(owner == s) for s in range(shares))
         )
 
     def __iter__(self) -> Iterator[Tuple[float, int]]:

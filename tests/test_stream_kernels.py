@@ -10,7 +10,8 @@ Covered here, over randomized functions and windows:
 
 * :class:`~repro.core.compiled.CompiledPartitioner` vs
   ``PartitioningFunction.build_histogram`` for all three semantics
-  classes, weighted and unweighted, sparse buckets included;
+  classes, weighted and unweighted, sparse buckets included, and on
+  identifiers outside the domain (dense and binary-search lookups);
 * batched :meth:`~repro.core.compiled.CompiledPartitioner.build_histograms`
   vs one call per window;
 * :class:`~repro.core.compiled.CompiledEstimator` vs
@@ -153,6 +154,77 @@ class TestCompiledPartitioner:
         assert CompiledPartitioner.for_function(
             fn
         ) is CompiledPartitioner.for_function(fn)
+
+
+def _out_of_domain_uids(domain):
+    """In-domain identifiers at both ends of the axis, plus negative,
+    ``== 2**h`` and large out-of-domain identifiers."""
+    n = domain.num_uids
+    return np.asarray(
+        [0, -1, n - 1, n, -2, n + 1, 3, -(2**40), 2**40, n // 2,
+         -(2**62), 2**62, -1, n],
+        dtype=np.int64,
+    )
+
+
+class TestOutOfDomainIdentifiers:
+    """Identifiers outside ``[0, 2**h)`` match no bucket on the compiled
+    path, exactly as on the naive one (they count as ``unmatched``)."""
+
+    @staticmethod
+    def _functions(domain):
+        d = domain
+        yield NonoverlappingPartitioning(
+            d, [Bucket(d.node(1, 0)), Bucket(d.node(1, 1))]
+        )
+        nested = [Bucket(1), Bucket(d.node(1, 1)), Bucket(d.node(3, 7)),
+                  Bucket(d.node(2, 0))]
+        yield OverlappingPartitioning(d, nested)
+        yield LongestPrefixMatchPartitioning(d, nested)
+
+    # h=8 takes the dense uid -> segment table; h=21 is above the dense
+    # cap and takes the binary search.
+    @pytest.mark.parametrize("height", [8, 21])
+    def test_histograms_equal_naive(self, height):
+        domain = UIDDomain(height)
+        uids = _out_of_domain_uids(domain)
+        values = np.arange(1.0, uids.size + 1.0) * 1.5
+        for fn in self._functions(domain):
+            compiled = CompiledPartitioner.for_function(fn)
+            for vals in (None, values):
+                naive = fn.build_histogram(uids, values=vals)
+                _assert_histograms_identical(
+                    naive, compiled.build_histogram(uids, values=vals)
+                )
+                # Every out-of-domain id lands in ``unmatched``.
+                outside = (uids < 0) | (uids >= domain.num_uids)
+                weights = np.ones(uids.size) if vals is None else vals
+                assert naive.unmatched >= weights[outside].sum()
+                batched = compiled.build_histograms(
+                    [uids, uids[::-1]],
+                    None if vals is None else [vals, vals[::-1]],
+                )
+                _assert_histograms_identical(naive, batched[0])
+                _assert_histograms_identical(
+                    fn.build_histogram(
+                        uids[::-1],
+                        values=None if vals is None else vals[::-1],
+                    ),
+                    batched[1],
+                )
+
+    @pytest.mark.parametrize("height", [8, 21])
+    @pytest.mark.parametrize("uid_kind", ["negative", "domain_size", "large"])
+    def test_single_out_of_domain_id(self, height, uid_kind):
+        domain = UIDDomain(height)
+        uid = {"negative": -1, "domain_size": domain.num_uids,
+               "large": 2**61}[uid_kind]
+        uids = np.asarray([uid], dtype=np.int64)
+        for fn in self._functions(domain):
+            got = CompiledPartitioner.for_function(fn).build_histogram(uids)
+            _assert_histograms_identical(fn.build_histogram(uids), got)
+            assert got.unmatched == 1.0 and got.total == 1.0
+            assert not np.any(got.values)
 
 
 class TestCompiledEstimator:
