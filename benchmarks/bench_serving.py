@@ -103,60 +103,28 @@ def _phase_timers(system) -> Dict[str, float]:
     """Wrap the system's ingest and decode entry points with timers.
 
     Returns the accumulator dict; ``ingest`` collects
-    ``_partition_jobs`` (and, for sharded systems, the prefetch pass
-    minus its split/segment/ground-truth scaffolding — work the serial
-    run performs identically), ``decode`` collects
+    ``_partition_jobs`` and ``_prefetch`` (a no-op on the serial system;
+    on sharded systems the shard partition pass), ``decode`` collects
     ``decode_window``.  Call :func:`_unwrap_timers` after the run.
     """
-    t = {"ingest": 0.0, "decode": 0.0, "scaffold": 0.0}
+    t = {"ingest": 0.0, "decode": 0.0}
 
-    pj = system.__class__._partition_jobs.__get__(system)
-
-    def timed_pj(jobs):
-        t0 = time.perf_counter()
-        result = pj(jobs)
-        t["ingest"] += time.perf_counter() - t0
-        return result
-
-    system._partition_jobs = timed_pj
-
-    if hasattr(system, "_prefetch"):
-        pf = system.__class__._prefetch.__get__(system)
-        seg = system.__class__._segment_shares.__get__(system)
-        tru = system.__class__._prefetch_truth.__get__(system)
-
-        def timed_seg(*args):
+    def timed(fn, phase):
+        def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
-            result = seg(*args)
-            t["scaffold"] += time.perf_counter() - t0
+            result = fn(*args, **kwargs)
+            t[phase] += time.perf_counter() - t0
             return result
 
-        def timed_tru(*args):
-            t0 = time.perf_counter()
-            tru(*args)
-            t["scaffold"] += time.perf_counter() - t0
+        return wrapper
 
-        def timed_pf(*args):
-            system._segment_shares = timed_seg
-            system._prefetch_truth = timed_tru
-            t0 = time.perf_counter()
-            pf(*args)
-            t["ingest"] += time.perf_counter() - t0 - t["scaffold"]
-            del system._segment_shares, system._prefetch_truth
-
-        system._prefetch = timed_pf
-
-    dw = system.control_center.__class__.decode_window.__get__(
-        system.control_center
+    for attr in ("_partition_jobs", "_prefetch"):
+        bound = getattr(system.__class__, attr).__get__(system)
+        setattr(system, attr, timed(bound, "ingest"))
+    cc = system.control_center
+    cc.decode_window = timed(
+        cc.__class__.decode_window.__get__(cc), "decode"
     )
-
-    def timed_dw(*args, **kwargs):
-        t0 = time.perf_counter()
-        result = dw(*args, **kwargs)
-        t["decode"] += time.perf_counter() - t0
-        return result
-
-    system.control_center.decode_window = timed_dw
     return t
 
 

@@ -4,13 +4,13 @@
 :class:`~repro.streams.MonitoringSystem` loop into a ``shards=K``
 engine while keeping its :class:`~repro.streams.SystemReport`
 **bit-identical** to the serial run for the same seed — faults
-included.  Three mechanisms, none of which touches the fault RNG:
+included.  Two mechanisms, neither of which touches the fault RNG:
 
-1. **Shard prefetch.**  Before the window loop starts, every
+1. **Shard prefetch.**  Before the first window is processed, every
    ``(monitor, window)`` histogram is built by shard worker processes:
-   UIDs are hash-split across Monitors exactly as the serial run splits
-   them (:meth:`~repro.streams.tuples.Trace.split` is seeded), the
-   window buffers are placed in :mod:`multiprocessing.shared_memory`
+   the base loop hands over its own split and segmentation
+   (:meth:`~repro.streams.MonitoringSystem._prefetch`), the window
+   buffers are placed in :mod:`multiprocessing.shared_memory`
    segments (workers read zero-copy ``int64``/``float64`` views), and
    each worker runs the batched
    :meth:`~repro.streams.Monitor.process_windows` kernel — which is
@@ -29,10 +29,9 @@ included.  Three mechanisms, none of which touches the fault RNG:
    holds each payload's histogram.  The estimates are bit-identical to
    the serial path (same merge and estimate code, and v2
    encode/decode is a lossless inverse).
-3. **Batched ground truth.**  The exact per-window grouped aggregation
-   is computed for the whole run in one flattened bincount
-   (:func:`~repro.streams.query.exact_group_counts_batched`) and
-   answered from the matrix.
+
+Segmentation and the exact per-window ground truth stay in the base
+loop: the Monitors only build histograms (paper Figure 1).
 
 If a prefetched message is missing or carries a stale function version
 (e.g. an adaptive subclass rebuilt mid-run), phase 2 falls back to the
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
@@ -73,7 +73,8 @@ from ..obs import (
 from ..streams.control_center import ControlCenter
 from ..streams.kernels import stream_kernel_mode, use_stream_kernel_mode
 from ..streams.monitor import HistogramMessage, Monitor
-from ..streams.query import exact_group_counts_batched
+# Re-exported for tools that wrap it by this name.
+from ..streams.query import exact_group_counts_batched  # noqa: F401
 from ..streams.system import MonitoringSystem, SystemReport, _UNSET
 from ..streams.tuples import Trace
 
@@ -179,30 +180,20 @@ def _shard_worker(task):
             batch_start = time.perf_counter()
             monitor = Monitor(name)
             monitor.install_function(function, version)
-            indices = [w for (w, _off, _n, _hv) in wins]
-            arrays = [uid_buf[off:off + n] for (_w, off, n, _hv) in wins]
-            if val_buf is not None and all(hv for (*_rest, hv) in wins):
-                vals = [val_buf[off:off + n] for (_w, off, n, _hv) in wins]
-                messages = monitor.process_windows(indices, arrays, vals)
-            elif val_buf is not None:
-                # Mixed weighted/unweighted windows (cannot happen
-                # from Trace.split, but keep the slow exact path).
-                messages = [
-                    monitor.process_window(
-                        w,
-                        uid_buf[off:off + n],
-                        values=val_buf[off:off + n] if hv else None,
-                    )
-                    for (w, off, n, hv) in wins
-                ]
-            else:
-                messages = monitor.process_windows(indices, arrays)
+            indices = [w for (w, _off, _n) in wins]
+            arrays = [uid_buf[off:off + n] for (_w, off, n) in wins]
+            vals = (
+                [val_buf[off:off + n] for (_w, off, n) in wins]
+                if val_buf is not None
+                else None
+            )
+            messages = monitor.process_windows(indices, arrays, vals)
             if buffer.enabled:
                 buffer.emit(
                     "batch",
                     monitor=name,
                     windows=len(messages),
-                    tuples=sum(n for (_w, _o, n, _hv) in wins),
+                    tuples=sum(n for (_w, _o, n) in wins),
                     payload_bytes=sum(len(m.payload) for m in messages),
                     duration_us=round(
                         (time.perf_counter() - batch_start) * 1e6, 1
@@ -323,17 +314,16 @@ class ShardedMonitoringSystem(MonitoringSystem):
         Optional tenant label stamped on ``serving.shard.*`` metrics
         and ``shard.prefetch`` journal events (the
         :class:`~.engine.ServingEngine` sets it).
-    worker_telemetry:
-        When true (the default) **and** a live registry or journal is
-        scoped in the parent at prefetch time, shard workers run a real
-        local :class:`~repro.obs.MetricsRegistry` plus an in-memory
-        :class:`~repro.obs.BufferJournal` and ship a
-        :mod:`repro.obs.crossproc` snapshot back with the results; the
-        parent merges the metrics under ``shard=N`` labels and
-        re-sequences the events as ``shard.worker.*`` in deterministic
-        ``(shard, seq)`` order.  With observability disabled (or this
-        flag off) workers run fully nulled and nothing changes on the
-        wire — reports and journals stay byte-identical.
+
+    When a live registry or journal is scoped in the parent at prefetch
+    time, shard workers run a real local
+    :class:`~repro.obs.MetricsRegistry` plus an in-memory
+    :class:`~repro.obs.BufferJournal` and ship a
+    :mod:`repro.obs.crossproc` snapshot back with the results; the
+    parent merges the metrics under ``shard=N`` labels and re-sequences
+    the events as ``shard.worker.*`` in deterministic ``(shard, seq)``
+    order.  With observability disabled workers run fully nulled and
+    nothing changes on the wire — reports stay byte-identical.
     """
 
     control_center_class = FanInControlCenter
@@ -345,7 +335,6 @@ class ShardedMonitoringSystem(MonitoringSystem):
         num_monitors: int = 4,
         shards: int = 2,
         tenant: Optional[str] = None,
-        worker_telemetry: bool = True,
         **kwargs,
     ) -> None:
         if shards < 1:
@@ -361,16 +350,8 @@ class ShardedMonitoringSystem(MonitoringSystem):
         self._pool: Optional[ProcessPoolExecutor] = None
         #: (monitor name, window index) -> prefetched message.
         self._prefetched: Dict[Tuple[str, int], HistogramMessage] = {}
-        #: Segmentation computed by the prefetch pass, handed to the
-        #: base loop so the (deterministic) split/segment work runs
-        #: once per run.  Keyed by the run parameters as a guard.
-        self._segmented_cache: Optional[Tuple[Tuple[int, float, int], List[list]]] = None
-        #: window index -> exact per-group aggregates row.
-        self._truth: Dict[int, np.ndarray] = {}
-        self._truth_sizes: Dict[int, int] = {}
         self.prefetch_hits = 0
         self.prefetch_misses = 0
-        self.worker_telemetry = worker_telemetry
         #: Monotonic snapshot sequence: one per prefetch pass, shared
         #: by every shard in that pass (the merge orders by
         #: ``(shard, seq)``, so within one pass shards disambiguate).
@@ -449,71 +430,17 @@ class ShardedMonitoringSystem(MonitoringSystem):
             pass
 
     # -- prefetch -----------------------------------------------------------
-    def _segment_shares(
-        self, live: Trace, window_width: float, split_seed: int
-    ) -> List[list]:
-        """Reuse the prefetch pass's decomposition when the base loop
-        asks for the same one (split and segmentation are
-        deterministic, so it is exactly what the base computation would
-        return); recompute otherwise."""
-        cached = self._segmented_cache
-        if cached is not None:
-            key, segmented = cached
-            if key == (id(live), float(window_width), int(split_seed)):
-                return segmented
-        return super()._segment_shares(live, window_width, split_seed)
-
-    def _prefetch_truth(self, segmented: List[list], n_windows: int) -> None:
-        plain: List[Tuple[int, np.ndarray]] = []
-        weighted: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for w in range(n_windows):
-            window_uids = [s[w].uids for s in segmented if w < len(s)]
-            if not window_uids:
-                continue
-            window_values = [
-                s[w].values
-                for s in segmented
-                if w < len(s) and s[w].values is not None
-            ]
-            uids = np.concatenate(window_uids)
-            # Same all-or-nothing rule as the base loop: a window where
-            # some share lacks values is scored unweighted.
-            if len(window_values) == len(window_uids):
-                weighted.append((w, uids, np.concatenate(window_values)))
-            else:
-                plain.append((w, uids))
-        if plain:
-            rows = exact_group_counts_batched(
-                self.table, [u for _w, u in plain]
-            )
-            for (w, u), row in zip(plain, rows):
-                self._truth[w] = row
-                self._truth_sizes[w] = int(u.size)
-        if weighted:
-            rows = exact_group_counts_batched(
-                self.table,
-                [u for _w, u, _v in weighted],
-                [v for _w, _u, v in weighted],
-            )
-            for (w, u, _v), row in zip(weighted, rows):
-                self._truth[w] = row
-                self._truth_sizes[w] = int(u.size)
-
-    def _prefetch(
-        self, live: Trace, window_width: float, split_seed: int
-    ) -> None:
-        cc = self.control_center
-        segmented = MonitoringSystem._segment_shares(
-            self, live, window_width, split_seed
-        )
-        self._segmented_cache = (
-            (id(live), float(window_width), int(split_seed)),
-            segmented,
-        )
-        n_windows = max((len(s) for s in segmented), default=0)
-        if n_windows == 0:
+    def _prefetch(self, segmented: List[list]) -> None:
+        """Build every ``(monitor, window)`` histogram of this run in
+        the shard workers, from the base loop's segmentation."""
+        self._prefetched = {}
+        self._worker_metrics_merged = False
+        self._window_hits = {}
+        self._window_misses = {}
+        self._window_imbalance = {}
+        if not any(segmented):
             return
-        self._prefetch_truth(segmented, n_windows)
+        cc = self.control_center
         total = sum(len(win) for segs in segmented for win in segs)
         has_values = any(
             win.values is not None for segs in segmented for win in segs
@@ -542,18 +469,15 @@ class ShardedMonitoringSystem(MonitoringSystem):
                 for win in segs:
                     n = len(win)
                     uid_buf[offset:offset + n] = win.uids
-                    win_has_values = win.values is not None
-                    if val_buf is not None and win_has_values:
+                    if val_buf is not None:
                         val_buf[offset:offset + n] = win.values
-                    wins.append((win.index, offset, n, win_has_values))
+                    wins.append((win.index, offset, n))
                     offset += n
                 shard_jobs[i % self.shards].append((monitor.name, wins))
             registry = get_registry()
             journal = get_journal()
             telemetry = None
-            if self.worker_telemetry and (
-                registry.enabled or journal.enabled
-            ):
+            if registry.enabled or journal.enabled:
                 self._telemetry_seq += 1
                 telemetry = (registry.enabled, self._telemetry_seq)
             tasks = [
@@ -574,7 +498,15 @@ class ShardedMonitoringSystem(MonitoringSystem):
             shard_bytes = [0] * self.shards
             snapshots = []
             pool = self._ensure_pool()
-            for shard, results, snapshot in pool.map(_shard_worker, tasks):
+            try:
+                outputs = list(pool.map(_shard_worker, tasks))
+            except BrokenProcessPool:
+                # A worker died (in this pass or since the last run):
+                # drop the broken pool so the next run forks a fresh one.
+                self._pool = None
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
+            for shard, results, snapshot in outputs:
                 if snapshot is not None:
                     snapshots.append(snapshot)
                 for packed in results:
@@ -597,7 +529,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
             if not jobs:
                 continue
             windows = sum(len(wins) for _name, wins in jobs)
-            tuples = sum(n for _name, wins in jobs for (_w, _o, n, _hv) in wins)
+            tuples = sum(n for _name, wins in jobs for (_w, _o, n) in wins)
             if registry.enabled:
                 registry.counter(
                     "serving.shard.windows", shard=str(shard), **labels
@@ -648,7 +580,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
         per_window: Dict[int, List[float]] = {}
         for shard, jobs in enumerate(shard_jobs):
             for _name, wins in jobs:
-                for (w, _off, n, _hv) in wins:
+                for (w, _off, n) in wins:
                     per_window.setdefault(
                         w, [0.0] * self.shards
                     )[shard] += n
@@ -736,12 +668,6 @@ class ShardedMonitoringSystem(MonitoringSystem):
             signals["shard_imbalance"] = imbalance
         return signals
 
-    def _ground_truth(self, window, uids, values):
-        row = self._truth.get(window)
-        if row is not None and self._truth_sizes.get(window) == int(uids.size):
-            return row
-        return super()._ground_truth(window, uids, values)
-
     # -- entry point --------------------------------------------------------
     def run(
         self,
@@ -750,30 +676,10 @@ class ShardedMonitoringSystem(MonitoringSystem):
         split_seed: int = 0,
         faults: object = _UNSET,
     ) -> "SystemReport":
-        self._prefetched = {}
-        self._truth = {}
-        self._truth_sizes = {}
-        self._segmented_cache = None
-        self._worker_metrics_merged = False
-        self._window_hits = {}
-        self._window_misses = {}
-        self._window_imbalance = {}
-        if self.control_center.function is not None:
-            # Untrained systems skip straight to the base loop's
-            # "call train() before run()" error.
-            self._prefetch(live, window_width, split_seed)
-        try:
-            report = super().run(live, window_width, split_seed, faults)
-            registry = get_registry()
-            if registry.enabled:
-                # Parent-process counterpart of the worker proc.*
-                # series: cumulative totals under shard="parent".
-                export_resources(
-                    registry, sample_resources(), shard="parent"
-                )
-            return report
-        finally:
-            # Per-run caches can pin the whole live trace; drop them.
-            self._segmented_cache = None
-            self._truth = {}
-            self._truth_sizes = {}
+        report = super().run(live, window_width, split_seed, faults)
+        registry = get_registry()
+        if registry.enabled:
+            # Parent-process counterpart of the worker proc.* series:
+            # cumulative totals under shard="parent".
+            export_resources(registry, sample_resources(), shard="parent")
+        return report

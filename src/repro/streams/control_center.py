@@ -56,6 +56,14 @@ from .monitor import HistogramMessage
 
 __all__ = ["ControlCenter", "DecodedWindow", "STALE_POLICIES"]
 
+#: Rebuild outcome -> its ``control.rebuild.cache.*`` counter (rebuilds
+#: with caching off count only in ``control.rebuilds``).
+_CACHE_COUNTERS = {
+    "hit": "control.rebuild.cache.hits",
+    "shared": "control.rebuild.cache.shared_hits",
+    "miss": "control.rebuild.cache.misses",
+}
+
 #: How :meth:`ControlCenter.decode_window` treats histograms built with
 #: a stale partitioning function:
 #:
@@ -210,7 +218,6 @@ class ControlCenter:
         built against, not how the Control Center obtained it.
         """
         counts = np.asarray(history_counts, dtype=np.float64)
-        registry = get_registry()
         key: Optional[bytes] = None
         if self.cache_size > 0 or self.shared_cache is not None:
             key = self._fingerprint(counts)
@@ -218,19 +225,7 @@ class ControlCenter:
             cached = self._function_cache.get(key)
             if cached is not None:
                 self._function_cache.move_to_end(key)
-                self.function = cached
-                self.function_version += 1
-                self._journal_rebuild(cached, cache="hit")
-                if registry.enabled:
-                    registry.counter("control.rebuilds").inc()
-                    registry.counter("control.rebuild.cache.hits").inc()
-                    registry.gauge("control.function.buckets").set(
-                        cached.num_buckets
-                    )
-                    registry.gauge("control.function.bits").set(
-                        cached.size_bits()
-                    )
-                return cached
+                return self._adopt(cached, "hit")
         if self.shared_cache is not None and key is not None:
             shared = self.shared_cache.get_function(
                 self.table.fingerprint(), key
@@ -244,21 +239,7 @@ class ControlCenter:
                     self._function_cache[key] = shared
                     while len(self._function_cache) > self.cache_size:
                         self._function_cache.popitem(last=False)
-                self.function = shared
-                self.function_version += 1
-                self._journal_rebuild(shared, cache="shared")
-                if registry.enabled:
-                    registry.counter("control.rebuilds").inc()
-                    registry.counter(
-                        "control.rebuild.cache.shared_hits"
-                    ).inc()
-                    registry.gauge("control.function.buckets").set(
-                        shared.num_buckets
-                    )
-                    registry.gauge("control.function.bits").set(
-                        shared.size_bits()
-                    )
-                return shared
+                return self._adopt(shared, "shared")
         inc_stats: Optional[Dict[str, float]] = None
         with span(
             "control.rebuild", algorithm=self.algorithm, budget=self.budget,
@@ -289,7 +270,7 @@ class ControlCenter:
                 self.algorithm, hierarchy, self.metric, self.budget,
                 memo=session, **self.builder_options,
             )
-            self.function = result.function_at(self.budget)
+            function = result.function_at(self.budget)
             if session is not None:
                 self._curve_memo = session.finish()
                 if self.shared_cache is not None:
@@ -304,47 +285,34 @@ class ControlCenter:
                     reused_fraction=inc_stats["reused_fraction"],
                 )
             sp.annotate(
-                buckets=self.function.num_buckets,
-                function_bits=self.function.size_bits(),
+                buckets=function.num_buckets,
+                function_bits=function.size_bits(),
             )
-        self.function_version += 1
-        self._journal_rebuild(
-            self.function, cache="miss" if key is not None else "off",
-            incremental=inc_stats,
-        )
         if key is not None and self.cache_size > 0:
-            self._function_cache[key] = self.function
+            self._function_cache[key] = function
             while len(self._function_cache) > self.cache_size:
                 self._function_cache.popitem(last=False)
         if key is not None and self.shared_cache is not None:
             self.shared_cache.put_function(
-                self.table.fingerprint(), key, self.function
+                self.table.fingerprint(), key, function
             )
-        if registry.enabled:
-            registry.counter("control.rebuilds").inc()
-            if key is not None:
-                registry.counter("control.rebuild.cache.misses").inc()
-            if inc_stats is not None:
-                registry.counter("control.rebuild.subtrees.dirty").inc(
-                    int(inc_stats["dirty_subtrees"])
-                )
-                registry.counter("control.rebuild.subtrees.reused").inc(
-                    int(inc_stats["reused_subtrees"])
-                )
-            registry.gauge("control.function.buckets").set(
-                self.function.num_buckets
-            )
-            registry.gauge("control.function.bits").set(
-                self.function.size_bits()
-            )
-        return self.function
+        return self._adopt(
+            function, "miss" if key is not None else "off", inc_stats
+        )
 
-    def _journal_rebuild(
+    def _adopt(
         self,
         function: PartitioningFunction,
         cache: str,
         incremental: Optional[Dict[str, float]] = None,
-    ) -> None:
+    ) -> PartitioningFunction:
+        """Bookkeeping shared by every rebuild outcome (``cache`` is
+        ``hit``, ``shared``, ``miss`` or ``off``): make ``function``
+        current under a new version, journal the rebuild, count it and
+        set the ``control.function.*`` gauges."""
+        self.function = function
+        self.function_version += 1
+        registry = get_registry()
         journal = get_journal()
         if journal.enabled:
             extra = {}
@@ -367,6 +335,22 @@ class ControlCenter:
                 cache=cache,
                 **extra,
             )
+        if registry.enabled:
+            registry.counter("control.rebuilds").inc()
+            if cache in _CACHE_COUNTERS:
+                registry.counter(_CACHE_COUNTERS[cache]).inc()
+            if incremental is not None:
+                registry.counter("control.rebuild.subtrees.dirty").inc(
+                    int(incremental["dirty_subtrees"])
+                )
+                registry.counter("control.rebuild.subtrees.reused").inc(
+                    int(incremental["reused_subtrees"])
+                )
+            registry.gauge("control.function.buckets").set(
+                function.num_buckets
+            )
+            registry.gauge("control.function.bits").set(function.size_bits())
+        return function
 
     # -- decoding ----------------------------------------------------------
     @staticmethod

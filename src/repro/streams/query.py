@@ -66,9 +66,7 @@ def exact_group_counts_batched(
     per (window, group) and the concatenation preserves each window's
     tuple order, so every cell accumulates the same elements in the
     same order as the per-window call — exact for counts, and
-    bit-identical float summation for weighted aggregates.  The
-    serving layer uses this to precompute a whole run's ground truth in
-    its prefetch pass.
+    bit-identical float summation for weighted aggregates.
     """
     n_windows = len(uid_windows)
     n_groups = len(table)

@@ -235,30 +235,12 @@ class MonitoringSystem:
             for monitor, window, _ in jobs
         ]
 
-    def _segment_shares(
-        self, live: Trace, window_width: float, split_seed: int
-    ) -> List[list]:
-        """Split the live trace across Monitors and segment each share
-        into tumbling windows.  Deterministic (the split is seeded), so
-        subclasses that already derived the same decomposition (the
-        serving layer's prefetch pass) may return it instead."""
-        shares = live.split(len(self.monitors), seed=split_seed)
-        windows = TumblingWindows(window_width)
-        return [list(windows.segment(share)) for share in shares]
-
-    def _ground_truth(
-        self, window: int, uids: np.ndarray, values: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Exact per-group aggregates for one window's full traffic:
-        the Section 2.2.2 join, run per window through
-        :func:`~.query.exact_group_counts` (the compiled dense-gather
-        join under the ``fast`` stream kernel mode).
-
-        Subclass extension point: the serving layer precomputes the
-        whole run's ground truth in its prefetch pass
-        (:func:`~.query.exact_group_counts_batched`) and answers from
-        the matrix — bit-identical to this per-window join."""
-        return exact_group_counts(self.table, uids, values=values)
+    def _prefetch(self, segmented: List[list]) -> None:
+        """Hook run once per run, after the live trace is split across
+        Monitors and segmented into windows, before any window is
+        processed (subclass extension point: the serving layer builds
+        every window's histograms in shard worker processes here).
+        ``segmented[i]`` is Monitor ``i``'s list of windows."""
 
     def _after_window(
         self,
@@ -301,8 +283,13 @@ class MonitoringSystem:
         #: arrival tick -> deliveries landing there (delayed copies).
         in_flight: Dict[int, List[Delivery]] = {}
         try:
-            segmented = self._segment_shares(live, window_width, split_seed)
+            windows = TumblingWindows(window_width)
+            segmented = [
+                list(windows.segment(share))
+                for share in live.split(len(self.monitors), seed=split_seed)
+            ]
             n_windows = max((len(s) for s in segmented), default=0)
+            self._prefetch(segmented)
             if journal.enabled:
                 faults_spec = (
                     {
@@ -438,7 +425,9 @@ class MonitoringSystem:
                         if len(window_values) == len(window_uids)
                         else None
                     )
-                    actual = self._ground_truth(w, uids, vals)
+                    # The Section 2.2.2 join, per window (the compiled
+                    # dense-gather join under the ``fast`` kernel mode).
+                    actual = exact_group_counts(self.table, uids, values=vals)
                     decoded = cc.decode_window(
                         on_time, expected_monitors=expected
                     )

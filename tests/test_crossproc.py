@@ -470,38 +470,19 @@ class TestShardedTelemetry:
         assert replay_system_report(events) == report
 
     def test_telemetry_off_is_byte_identical(self, workload):
-        """Without obs sinks the worker runs fully nulled: the journal
-        (none) and report match a worker_telemetry=False run exactly."""
+        """Without obs sinks the worker runs fully nulled: the report
+        matches the serial system's exactly."""
         table, history, live = workload
-
-        def run(**kwargs):
-            system = ShardedMonitoringSystem(
-                table, get_metric("rms"), num_monitors=3, shards=2,
-                budget=40, **kwargs,
-            )
-            system.train(history)
-            with system:
-                return system.run(live, window_width=4.0)
-
-        assert run() == run(worker_telemetry=False)
-
-    def test_worker_telemetry_flag_off_with_obs(self, workload):
-        table, history, live = workload
-        system = ShardedMonitoringSystem(
-            table, get_metric("rms"), num_monitors=3, shards=2,
-            budget=40, worker_telemetry=False,
+        kwargs = dict(num_monitors=3, budget=40)
+        serial = MonitoringSystem(table, get_metric("rms"), **kwargs)
+        sharded = ShardedMonitoringSystem(
+            table, get_metric("rms"), shards=2, **kwargs
         )
-        system.train(history)
-        report, reg, journal_text = _run_with_obs(system, live)
-        # No worker-side series, no shard.worker.* events — but the
-        # parent-side serving.shard.* accounting still works.
-        assert not any(
-            inst.name.startswith("monitor.")
-            and any(k == "shard" for k, _v in inst.labels)
-            for _kind, inst in reg.instruments()
-        )
-        assert "shard.worker." not in journal_text
-        assert "shard.prefetch" in journal_text
+        serial.train(history)
+        sharded.train(history)
+        with sharded:
+            actual = sharded.run(live, window_width=4.0)
+        assert actual == serial.run(live, window_width=4.0)
 
     def test_shard_summary_and_signals(self, workload):
         table, history, live = workload

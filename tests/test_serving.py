@@ -14,7 +14,11 @@ is tested around that invariant.
 import dataclasses
 import io
 import json
+import os
+import signal
 import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -145,6 +149,38 @@ class TestReportIdentity:
         assert second == serial.run(live, window_width=4.0)
         assert sharded._pool is None  # closed by the context manager
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="lists segments in /dev/shm"
+    )
+    def test_dead_worker_pool_is_replaced(self, workload):
+        """A shard worker killed between runs fails the next run with
+        BrokenProcessPool, leaking no shared memory, and the run after
+        it forks a fresh pool and matches the serial report again."""
+        table, history, live = workload
+        serial, sharded = _systems(table, history, 2)
+
+        def shm_entries():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        with sharded:
+            assert sharded.run(live, window_width=4.0) == serial.run(
+                live, window_width=4.0
+            )
+            before = shm_entries()
+            pool = sharded._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            # Let the pool's manager thread see the death first; a run
+            # racing it could still finish on the surviving worker.
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(BrokenProcessPool):
+                sharded.run(live, window_width=4.0)
+            assert shm_entries() - before == set()
+            assert sharded.run(live, window_width=4.0) == serial.run(
+                live, window_width=4.0
+            )
+
     def test_poisoned_prefetch_falls_back_inline(self, workload):
         """Stale prefetched messages (wrong function version) must be
         rebuilt inline — correctness never depends on the prefetch."""
@@ -153,8 +189,8 @@ class TestReportIdentity:
         expected = serial.run(live, window_width=4.0)
         original = sharded._prefetch
 
-        def poisoned(live, width, seed):
-            original(live, width, seed)
+        def poisoned(segmented):
+            original(segmented)
             for key in list(sharded._prefetched)[:7]:
                 message = sharded._prefetched[key]
                 sharded._prefetched[key] = dataclasses.replace(
@@ -463,8 +499,8 @@ class TestServingTelemetry:
         expected = serial.run(live, window_width=4.0)
         original = sharded._prefetch
 
-        def poisoned(live, width, seed):
-            original(live, width, seed)
+        def poisoned(segmented):
+            original(segmented)
             for key in list(sharded._prefetched)[:3]:
                 message = sharded._prefetched[key]
                 sharded._prefetched[key] = dataclasses.replace(
