@@ -7,12 +7,15 @@ bytes shipped, compared with shipping raw identifiers.  Monitors
 transmit the v2 wire format; v1 is the paper's Section 4.3 size model,
 priced over the same transmissions as ``8 + Histogram.size_bytes`` per
 message (window/version header plus fixed-width (node, 32-bit counter)
-pairs).  Checked at every grid point, not just reported:
+pairs).  The histograms it prices are rebuilt independently of the run:
+the same split and segmentation, partitioned by the naive
+``function.build_histogram``.  Checked at every grid point, not just
+reported:
 
-* every v2 payload decodes to exactly the histogram it encodes, so the
-  estimates are the ones a v1 transmission of the same histograms
-  would give (the format changes the bytes on the link, never the
-  answer);
+* every v2 payload decodes to exactly that rebuilt histogram, field by
+  field, so the estimates are the ones a v1 transmission of the same
+  histograms would give (the format changes the bytes on the link,
+  never the answer);
 * the v2 payloads (delta-encoded node ids, self-describing narrow
   counters) are never larger than the v1 model;
 * the histograms compress the raw stream (ratio above 1).
@@ -39,7 +42,7 @@ from repro import UIDDomain, get_metric
 from repro.core.wire import decode_histogram_v2
 from repro.data import TrafficModel, generate_subnet_table
 from repro.data.traffic import generate_timestamped_trace
-from repro.streams import MonitoringSystem, Trace
+from repro.streams import MonitoringSystem, Trace, TumblingWindows
 
 SCHEMA = "repro.bench_bandwidth.v2"
 
@@ -81,10 +84,21 @@ def _run(table, history, live, budget: int, width: float):
     return system, report, time.perf_counter() - t0
 
 
-def _lossless(message) -> bool:
-    """The payload decodes to exactly the message's histogram."""
+def _rebuilt(system, live, width: float):
+    """(monitor, window) -> the histogram the naive partitioner builds
+    from the run's split (seed 0) and segmentation."""
+    function = system.control_center.function
+    shares = live.split(len(system.monitors), seed=0)
+    return {
+        (monitor.name, win.index): function.build_histogram(win.uids)
+        for monitor, share in zip(system.monitors, shares)
+        for win in TumblingWindows(width).segment(share)
+    }
+
+
+def _lossless(message, h) -> bool:
+    """The payload decodes to exactly the histogram ``h``."""
     decoded = decode_histogram_v2(message.payload)
-    h = message.histogram
     return (
         decoded.nodes.tolist() == h.nodes.tolist()
         and decoded.values.tolist() == h.values.tolist()
@@ -102,13 +116,19 @@ def run_grid(grid: str) -> Dict[str, object]:
                 table, history, live, budget, width
             )
             messages = system.channel.messages
+            rebuilt = _rebuilt(system, live, width)
+            assert len(messages) == len(rebuilt)
+            histograms = [
+                rebuilt[(m.monitor, m.window_index)] for m in messages
+            ]
             v2_bytes = report.upstream_bytes
             # What the v1 channel charged for the same transmissions.
             v1_bytes = sum(
-                8 + m.histogram.size_bytes(table.domain, 32)
-                for m in messages
+                8 + h.size_bytes(table.domain, 32) for h in histograms
             )
-            lossless = all(_lossless(m) for m in messages)
+            lossless = all(
+                _lossless(m, h) for m, h in zip(messages, histograms)
+            )
             # Hard checks, not just recorded numbers: identical answers,
             # never-larger payloads, real compression.
             assert lossless, (

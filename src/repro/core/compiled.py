@@ -32,6 +32,12 @@ arithmetic:
       is bounded by — and usually far smaller than — the number of
       populated depths the naive path loops over.
 
+    A count(*) window (no ``values``) needs no weights at all: its
+    buckets and its unmatched tuples come out of one unweighted integer
+    ``bincount``, which is exact.  Every output is built by the trusted
+    :meth:`~.partition.Histogram.from_slots` constructor, since the
+    slot layout is already sorted and distinct.
+
 :class:`CompiledEstimator`
     The Control Center's uniform-spread reconstruction compiles to a
     sparse gather: per group its assigned bucket slot, per slot the
@@ -42,7 +48,11 @@ arithmetic:
     loop over ``groups_below`` dict rebuilds.  Division is performed at
     estimate time (``counts / populations``) rather than multiplying by
     precomputed reciprocals so the floats are bit-identical to the
-    reference path's ``count / max(1, pop)``.
+    reference path's ``count / max(1, pop)``.  The Control Center also
+    merges a window here, in slot space: when every node of the
+    window's payloads is a slot of the current function,
+    :meth:`~CompiledEstimator.slot_sums` adds them into the dense slot
+    array with one ``bincount`` and the estimate reads it directly.
 
 :class:`CompiledGroupJoin`
     The ground-truth join of Section 2.2.2 (each identifier joined with
@@ -235,36 +245,43 @@ class CompiledPartitioner:
         """Closest-ancestor bucket slot per uid (-1 where unmatched)."""
         return self._seg_owner[self._segments(uids)]
 
-    def _closest_sums(
-        self, uids: np.ndarray, weights: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        slot = self.match_slots(uids)
-        # Shifted bincount: unmatched (-1) lands in a discarded bin 0,
-        # avoiding a boolean compress of uids and weights.  Per-bucket
-        # accumulation order is untouched, so sums stay bit-identical.
-        sums = np.bincount(
-            slot + 1, weights=weights, minlength=self.slot_nodes.size + 1
-        )[1:]
-        return sums, slot >= 0
+    def _bins(
+        self,
+        uids: np.ndarray,
+        weights: Optional[np.ndarray],
+        win: Optional[np.ndarray] = None,
+        n_win: int = 1,
+    ) -> "tuple[np.ndarray, Optional[np.ndarray]]":
+        """Per-window slot aggregates behind a leading unmatched bin.
 
-    def _overlapping_sums(
-        self, uids: np.ndarray, weights: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        n = int(self.slot_nodes.size)
-        sums = np.zeros(n, dtype=np.float64)
-        matched = np.zeros(uids.shape, dtype=bool)
+        Returns an ``(n_win, slots + 1)`` array — column 0 holds the
+        tuples no bucket matched, column ``1 + s`` slot ``s`` — plus the
+        per-tuple matched mask (``None`` for count(*), which needs
+        none).  ``win`` gives each tuple's window (``None``: one
+        window).  ``weights=None`` is count(*): one unweighted integer
+        ``bincount``, exact.  Otherwise the sums are float ``bincount``
+        accumulations in tuple order, bit-identical to the naive path.
+        """
+        if not self.overlapping:
+            slot = self.match_slots(uids)
+            bins = _shifted_bincount(
+                slot, weights, win, n_win, int(self.slot_nodes.size)
+            )
+            return bins, (slot >= 0 if weights is not None else None)
         seg = self._segments(uids)
         for k, (width, slots, seg_pos) in enumerate(self._levels):
             pos = seg_pos[seg]
+            local = _shifted_bincount(pos, weights, win, n_win, width)
             if k == 0:
-                # Top-level intervals contain every deeper one, so any
-                # match at all implies a level-0 match.
-                matched = pos >= 0
-            local = np.bincount(
-                pos + 1, weights=weights, minlength=width + 1
-            )[1:]
-            sums[slots] = local
-        return sums, matched
+                # Top-level intervals contain every deeper one, so a
+                # tuple unmatched at level 0 matches nothing at all.
+                matched = pos >= 0 if weights is not None else None
+                bins = np.zeros(
+                    (n_win, self.slot_nodes.size + 1), dtype=local.dtype
+                )
+                bins[:, 0] = local[:, 0]
+            bins[:, slots + 1] = local[:, 1:]
+        return bins, matched
 
     # -- histogram construction --------------------------------------------
     def build_histogram(
@@ -275,14 +292,16 @@ class CompiledPartitioner:
         """Bit-identical fast form of
         :meth:`~.partition.PartitioningFunction.build_histogram`."""
         uids = np.asarray(uids, dtype=np.int64)
+        if values is None:
+            bins, _ = self._bins(uids, None)
+            return Histogram.from_slots(
+                self.slot_nodes, bins[0, 1:], bins[0, 0], uids.size
+            )
         weights = PartitioningFunction._weights(uids, values)
-        if self.overlapping:
-            sums, matched = self._overlapping_sums(uids, weights)
-        else:
-            sums, matched = self._closest_sums(uids, weights)
-        return Histogram.from_arrays(
+        bins, matched = self._bins(uids, weights)
+        return Histogram.from_slots(
             self.slot_nodes,
-            sums,
+            bins[0, 1:],
             unmatched=float(weights[~matched].sum()),
             total=float(weights.sum()),
         )
@@ -303,64 +322,62 @@ class CompiledPartitioner:
         :meth:`build_histogram` calls.
         """
         arrays = [np.asarray(w, dtype=np.int64) for w in uid_windows]
-        if values is None:
-            values = [None] * len(arrays)
-        elif len(values) != len(arrays):
+        if values is not None and len(values) != len(arrays):
             raise ValueError(
                 f"{len(values)} value vectors for {len(arrays)} windows"
             )
         n_win = len(arrays)
         if n_win == 0:
             return []
+        uids = np.concatenate(arrays) if n_win > 1 else arrays[0]
+        lengths = [a.size for a in arrays]
+        win = np.repeat(np.arange(n_win, dtype=np.int64), lengths)
+        if values is None:
+            bins, _ = self._bins(uids, None, win, n_win)
+            return [
+                Histogram.from_slots(
+                    self.slot_nodes, bins[w, 1:], bins[w, 0], lengths[w]
+                )
+                for w in range(n_win)
+            ]
         weight_arrays = [
             PartitioningFunction._weights(u, v)
             for u, v in zip(arrays, values)
         ]
-        uids = np.concatenate(arrays) if n_win > 1 else arrays[0]
         weights = (
             np.concatenate(weight_arrays) if n_win > 1 else weight_arrays[0]
         )
-        lengths = [a.size for a in arrays]
+        bins, matched = self._bins(uids, weights, win, n_win)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
-        win = np.repeat(np.arange(n_win, dtype=np.int64), lengths)
-        n_slots = int(self.slot_nodes.size)
-        sums = np.zeros((n_win, n_slots), dtype=np.float64)
-        # Both branches use the shifted-bincount trick of the
-        # single-window kernels: per window, bin 0 absorbs unmatched
-        # tuples and is dropped by the ``[:, 1:]`` slice.
-        if self.overlapping:
-            matched = np.zeros(uids.shape, dtype=bool)
-            seg = self._segments(uids)
-            for k, (width, slots, seg_pos) in enumerate(self._levels):
-                pos = seg_pos[seg]
-                if k == 0:
-                    matched = pos >= 0
-                flat = win * (width + 1) + (pos + 1)
-                local = np.bincount(
-                    flat, weights=weights, minlength=n_win * (width + 1)
-                ).reshape(n_win, width + 1)
-                sums[:, slots] = local[:, 1:]
-        else:
-            slot = self.match_slots(uids)
-            matched = slot >= 0
-            flat = win * (n_slots + 1) + (slot + 1)
-            sums = np.bincount(
-                flat, weights=weights, minlength=n_win * (n_slots + 1)
-            ).reshape(n_win, n_slots + 1)[:, 1:]
         out = []
         for w in range(n_win):
             lo, hi = int(offsets[w]), int(offsets[w + 1])
             w_weights = weights[lo:hi]
-            w_matched = matched[lo:hi]
             out.append(
-                Histogram.from_arrays(
+                Histogram.from_slots(
                     self.slot_nodes,
-                    sums[w],
-                    unmatched=float(w_weights[~w_matched].sum()),
+                    bins[w, 1:],
+                    unmatched=float(w_weights[~matched[lo:hi]].sum()),
                     total=float(w_weights.sum()),
                 )
             )
         return out
+
+
+def _shifted_bincount(
+    idx: np.ndarray,
+    weights: Optional[np.ndarray],
+    win: Optional[np.ndarray],
+    n_win: int,
+    width: int,
+) -> np.ndarray:
+    """``(n_win, width + 1)`` per-window bincount of ``idx + 1``: index
+    ``-1`` (unmatched) lands in column 0 instead of being compressed
+    out, which leaves every bucket's accumulation order untouched."""
+    flat = idx + 1 if win is None else win * (width + 1) + (idx + 1)
+    return np.bincount(
+        flat, weights=weights, minlength=n_win * (width + 1)
+    ).reshape(n_win, width + 1)
 
 
 #: Compiled estimators keyed by function (weakly) -> (table, estimator).
@@ -446,10 +463,36 @@ class CompiledEstimator:
             counts[idx[ok]] = histogram.values[ok]
         return counts
 
+    def slot_sums(self, views: Sequence) -> Optional[np.ndarray]:
+        """The slot-space merge: dense per-slot sums of several bucket
+        views' counters (:class:`~.wire.WireHistogram` views or
+        anything with sorted ``nodes`` and parallel ``values``), or
+        ``None`` when some node is not a slot of this function.
+
+        The nodes are concatenated and binary-searched into
+        :attr:`slot_nodes`; one ``bincount`` then adds each slot's
+        counters in view order into a zero bin — the accumulation
+        :func:`~.wire.merge_views` performs per node, so the sums are
+        bit-identical to it (and exact-zero where no view has the
+        slot)."""
+        nodes = np.concatenate([v.nodes for v in views])
+        last = self.slot_nodes.size - 1
+        idx = np.minimum(np.searchsorted(self.slot_nodes, nodes), last)
+        if not (self.slot_nodes[idx] == nodes).all():
+            return None
+        # ``bincount`` casts the (possibly narrow unsigned) counters to
+        # float64 exactly as a per-view cast would.
+        values = np.concatenate([v.values for v in views])
+        return np.bincount(idx, weights=values, minlength=last + 1)
+
     def estimate(self, histogram: Histogram) -> np.ndarray:
         """Per-group estimates — the sparse matvec form of
         :func:`~.estimate.reconstruct_estimates`."""
-        counts = self.slot_counts(histogram)
+        return self.estimate_slots(self.slot_counts(histogram))
+
+    def estimate_slots(self, counts: np.ndarray) -> np.ndarray:
+        """Per-group estimates from dense per-slot bucket counts (the
+        form :meth:`slot_counts` and :meth:`slot_sums` produce)."""
         slot_est = counts / self.populations
         if self._inner_slots.size:
             # Sparse inner sub-buckets report their single group
@@ -460,8 +503,7 @@ class CompiledEstimator:
                 counts[self._outer_slots] - counts[self._inner_slots],
             )
             slot_est[self._outer_slots] = residual / self._outer_empties
-        estimates = np.where(self._covered, slot_est[self._gather], 0.0)
-        return estimates
+        return np.where(self._covered, slot_est[self._gather], 0.0)
 
 
 #: Compiled group joins keyed by table (weakly).

@@ -137,6 +137,29 @@ class Histogram:
         )
         return h
 
+    @classmethod
+    def from_slots(
+        cls,
+        slot_nodes: np.ndarray,
+        sums: np.ndarray,
+        unmatched: float = 0.0,
+        total: float = 0.0,
+    ) -> "Histogram":
+        """Build from dense per-slot sums over a compiled function's
+        sorted, distinct ``slot_nodes`` (the compiled build and the
+        slot-space merge).  The layout is trusted, so nothing is
+        re-validated: zero slots are dropped and the rest kept in
+        order."""
+        # ``flatnonzero`` of the 1-D sums, without its Python wrapper.
+        keep = sums.nonzero()[0]
+        h = cls.__new__(cls)
+        h.nodes = slot_nodes[keep]
+        h.values = np.asarray(sums[keep], dtype=np.float64)
+        h.unmatched = float(unmatched)
+        h.total = float(total)
+        h._dict = None
+        return h
+
     @property
     def counts(self) -> Dict[int, float]:
         """Node-to-count mapping (nonzero buckets only).  Materialized

@@ -20,15 +20,14 @@ included.  Two mechanisms, neither of which touches the fault RNG:
    decisions in the exact serial order
    (:meth:`~repro.streams.faults.FaultModel.plan_decisions`) and simply
    consumes prefetched messages in phase 2.
-2. **Wire-level fan-in.**  Each shard ships v2-encoded payloads; the
-   :class:`FanInControlCenter` combines one window's shard histograms
-   with the Control Center's k-way merge
-   (:func:`repro.core.wire.merge_views`) and decodes **exactly once at
-   the tenant boundary**.  It skips the per-payload parse the serial
-   decode uses to validate link bytes, because the prefetch already
-   holds each payload's histogram.  The estimates are bit-identical to
-   the serial path (same merge and estimate code, and v2
-   encode/decode is a lossless inverse).
+2. **Wire-level fan-in.**  Each shard ships its v2 payloads back as
+   one blob (plus window indices and payload lengths); the messages
+   rebuilt from it carry those bytes and nothing else.  The
+   :class:`FanInControlCenter` decodes one window's shard payloads
+   **exactly once at the tenant boundary**, with the serial Control
+   Center's code: each payload is parsed and validated, then merged
+   in slot space and estimated.  The estimates are bit-identical to
+   the serial path because it is the same code over the same bytes.
 
 Segmentation and the exact per-window ground truth stay in the base
 loop: the Monitors only build histograms (paper Figure 1).
@@ -49,7 +48,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.partition import Histogram
 # Re-exported for tools that wrap it by this name.
 from ..core.wire import merge_views  # noqa: F401
 from ..obs import (
@@ -82,23 +80,19 @@ __all__ = ["FanInControlCenter", "ShardedMonitoringSystem"]
 
 
 class FanInControlCenter(ControlCenter):
-    """Control center that fans shard histograms in without a parse.
+    """The serial Control Center plus a fan-in timer.
 
-    Shard messages arrive with their payload's histogram already
-    unpacked by the prefetch (the v2 codec is a lossless inverse), so
-    those are the merge views; merge and estimate are the base class's.
-    Each fan-in is timed (``serving.fanin.*``, ``shard.fanin`` events).
+    Shard payloads are parsed, merged and estimated by the base class,
+    exactly as serial link bytes are.  Each fan-in is timed
+    (``serving.fanin.*``, ``shard.fanin`` events).
     """
-
-    def _views(self, usable):
-        return [m.histogram for m in usable]
 
     def _merge_and_estimate(self, usable):
         registry = get_registry()
         journal = get_journal()
         timed = bool(usable) and (registry.enabled or journal.enabled)
         start = time.perf_counter() if timed else 0.0
-        merged, estimates = super()._merge_and_estimate(usable)
+        result = super()._merge_and_estimate(usable)
         if timed:
             # The fan-in merge is the serving layer's per-window hot
             # spot; surface it as a timer plus a journal slice (the
@@ -116,7 +110,7 @@ class FanInControlCenter(ControlCenter):
                     payloads=len(usable),
                     duration_us=round(duration * 1e6, 1),
                 )
-        return merged, estimates
+        return result
 
 
 def _shard_worker(task):
@@ -124,10 +118,9 @@ def _shard_worker(task):
 
     Runs in a worker process with the parent's stream kernel mode
     pinned explicitly so a ``spawn`` start method cannot drift from
-    the serial build.  Returns pickled
-    :class:`~repro.streams.monitor.HistogramMessage` lists — histogram
-    arrays are fresh bincount outputs, never views into the shared
-    segments.
+    the serial build.  Returns each monitor's messages packed by
+    :func:`_pack_messages` — payload bytes, never views into the
+    shared segments.
 
     Observability is nulled by default (worker Monitor objects are
     throwaway; the parent owns metrics and the journal).  When the
@@ -167,8 +160,7 @@ def _shard_worker(task):
     def build_all():
         # Scoped so every view into the shared segments is dropped when
         # this returns (SharedMemory refuses to close while exported
-        # buffers are alive).  Histogram arrays are bincount outputs —
-        # fresh memory, never views.
+        # buffers are alive).  Payloads are fresh bytes, never views.
         uid_buf = np.ndarray((total_tuples,), dtype=np.int64, buffer=shm.buf)
         val_buf = (
             np.ndarray((total_tuples,), dtype=np.float64, buffer=vshm.buf)
@@ -223,74 +215,31 @@ def _shard_worker(task):
 
 
 def _pack_messages(name, messages):
-    """Flatten one monitor's messages into a few large objects for the
-    result pipe: per-message pickling of thousands of small arrays,
-    payload bytes and dataclass instances costs more than the build
-    itself, while a handful of concatenated arrays plus one payload
-    blob crosses the pipe almost for free.  :func:`_unpack_messages`
-    reconstructs messages with histogram arrays that are slices of the
-    blobs — every downstream consumer (the k-way merge, accounting,
-    byte charging) only reads them."""
+    """Flatten one monitor's messages for the result pipe: window
+    indices, payload lengths and one payload blob.  Pickling thousands
+    of small ``bytes`` and dataclass instances one by one costs more
+    than the build itself, while two arrays and one blob cross the pipe
+    almost for free."""
     indices = np.asarray([m.window_index for m in messages], dtype=np.int64)
-    lengths = np.asarray(
-        [m.histogram.nodes.size for m in messages], dtype=np.int64
-    )
-    nodes = (
-        np.concatenate([m.histogram.nodes for m in messages])
-        if messages
-        else np.empty(0, dtype=np.int64)
-    )
-    values = (
-        np.concatenate([m.histogram.values for m in messages])
-        if messages
-        else np.empty(0, dtype=np.float64)
-    )
-    unmatched = np.asarray(
-        [m.histogram.unmatched for m in messages], dtype=np.float64
-    )
-    totals = np.asarray(
-        [m.histogram.total for m in messages], dtype=np.float64
-    )
-    payload_lengths = np.asarray(
-        [len(m.payload) for m in messages], dtype=np.int64
-    )
-    payload_blob = b"".join(m.payload for m in messages)
-    return (
-        name, indices, lengths, nodes, values, unmatched, totals,
-        payload_lengths, payload_blob,
-    )
+    lengths = np.asarray([len(m.payload) for m in messages], dtype=np.int64)
+    return name, indices, lengths, b"".join(m.payload for m in messages)
 
 
 def _unpack_messages(packed, function_version):
-    """Inverse of :func:`_pack_messages`."""
-    (
-        name, indices, lengths, nodes, values, unmatched, totals,
-        payload_lengths, payload_blob,
-    ) = packed
-    messages = []
-    bucket_off = 0
-    payload_off = 0
-    for i in range(int(indices.size)):
-        n = int(lengths[i])
-        p = int(payload_lengths[i])
-        histogram = Histogram.__new__(Histogram)
-        histogram.nodes = nodes[bucket_off:bucket_off + n]
-        histogram.values = values[bucket_off:bucket_off + n]
-        histogram.unmatched = float(unmatched[i])
-        histogram.total = float(totals[i])
-        histogram._dict = None
-        messages.append(
-            HistogramMessage(
-                monitor=name,
-                window_index=int(indices[i]),
-                histogram=histogram,
-                function_version=function_version,
-                payload=payload_blob[payload_off:payload_off + p],
-            )
+    """Inverse of :func:`_pack_messages`: payload-only messages whose
+    payloads are slices of the blob."""
+    name, indices, lengths, blob = packed
+    ends = np.cumsum(lengths).tolist()
+    starts = [0] + ends[:-1]
+    return name, [
+        HistogramMessage(
+            monitor=name,
+            window_index=w,
+            function_version=function_version,
+            payload=blob[lo:hi],
         )
-        bucket_off += n
-        payload_off += p
-    return name, messages
+        for w, lo, hi in zip(indices.tolist(), starts, ends)
+    ]
 
 
 class ShardedMonitoringSystem(MonitoringSystem):
@@ -356,11 +305,6 @@ class ShardedMonitoringSystem(MonitoringSystem):
         #: by every shard in that pass (the merge orders by
         #: ``(shard, seq)``, so within one pass shards disambiguate).
         self._telemetry_seq = 0
-        #: True while worker ``monitor.*`` metrics for the current run
-        #: were merged into the parent registry — prefetch hits then
-        #: replay accounting with ``metrics=False`` so nothing is
-        #: counted twice.
-        self._worker_metrics_merged = False
         #: shard id -> accumulated worker resource usage, summarized
         #: (gauges + ``shard.summary`` events) at :meth:`close`.
         self._shard_resources: Dict[int, Dict[str, float]] = {}
@@ -434,7 +378,6 @@ class ShardedMonitoringSystem(MonitoringSystem):
         """Build every ``(monitor, window)`` histogram of this run in
         the shard workers, from the base loop's segmentation."""
         self._prefetched = {}
-        self._worker_metrics_merged = False
         self._window_hits = {}
         self._window_misses = {}
         self._window_imbalance = {}
@@ -556,8 +499,6 @@ class ShardedMonitoringSystem(MonitoringSystem):
             # (shard, seq) order.  Resource deltas accumulate for the
             # close()-time per-shard summaries.
             merge_worker_snapshots(registry, journal, snapshots)
-            if registry.enabled:
-                self._worker_metrics_merged = True
             for doc in snapshots:
                 shard = int(doc["shard"])
                 for rec in worker_resource_events(doc):
@@ -616,17 +557,12 @@ class ShardedMonitoringSystem(MonitoringSystem):
             self.prefetch_hits += 1
             hits += 1
             # The worker's throwaway Monitor absorbed the per-window
-            # accounting; replay it on the real one so lifetime stats
-            # match the serial run.  When the worker's own registry was
-            # merged (telemetry on) the monitor.* metrics already exist
-            # under shard=N labels, so skip them here — otherwise every
-            # hit window would be counted twice.
-            monitor._account(
-                1,
-                len(window),
-                (msg.histogram,),
-                metrics=not self._worker_metrics_merged,
-            )
+            # accounting; replay its lifetime stats on the real one so
+            # they match the serial run.  Its monitor.* metrics are not
+            # replayed: a registry live at prefetch time made the worker
+            # record them (merged under shard=N labels), and without one
+            # there is nothing to record.
+            monitor._account(1, len(window), (), metrics=False)
             messages.append(msg)
         if jobs:
             w = int(jobs[0][1].index)

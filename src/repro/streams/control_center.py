@@ -120,7 +120,8 @@ class DecodedWindow:
     #: ``monitors_reporting / expected_monitors`` (0.0 when nothing was
     #: expected).
     coverage: float
-    #: Nonzero buckets across the used histograms (decode-time cost).
+    #: Buckets carried by the used payloads (decode-time cost; the
+    #: Monitors encode nonzero buckets only).
     nonzero_buckets: int
     #: Online quality signals for this window (``None`` when neither
     #: metrics nor the journal are enabled — the disabled path stays
@@ -353,12 +354,6 @@ class ControlCenter:
         return function
 
     # -- decoding ----------------------------------------------------------
-    @staticmethod
-    def merge_histograms(messages: Sequence[HistogramMessage]) -> Histogram:
-        """Merge one window's histograms from all Monitors (count
-        aggregates are distributive: bucket-wise sums)."""
-        return Histogram.merge(msg.histogram for msg in messages)
-
     def _parse(self, payload) -> WireHistogram:
         """Parse one v2 payload — the Control Center's validation of the
         bytes that crossed the link — and check that it was built for
@@ -375,32 +370,43 @@ class ControlCenter:
             )
         return view
 
-    def _views(self, usable: Sequence[HistogramMessage]) -> list:
-        """The merge views: each payload parsed once by :meth:`_parse`."""
-        return [self._parse(m.payload) for m in usable]
-
     def _merge_and_estimate(self, usable: Sequence[HistogramMessage]):
-        """Merge one window's usable histograms and reconstruct the
-        per-group estimates.  ``fast``: one ``merge_views`` over
-        :meth:`_views`, one merged histogram, one compiled estimate.
-        ``naive``, the reference: parse and decode each payload, merge
-        the objects, reconstruct group by group.  Both are bit-identical
-        (same accumulation order; integral wire counters cast exactly)."""
+        """Parse, merge and estimate one window's usable messages.
+        Returns ``(merged, estimates, nonzero_buckets)``.
+
+        ``fast`` merges in slot space: the payloads' nodes are looked
+        up in the current function's slots and one ``bincount`` gives
+        the dense slot sums the compiled estimate reads
+        (:meth:`~repro.core.compiled.CompiledEstimator.slot_sums`).  A
+        node outside the current function falls back to the node-space
+        ``merge_views``.  ``naive``, the reference: decode each payload,
+        merge the objects, reconstruct group by group.  All are
+        bit-identical (same accumulation order; integral wire counters
+        cast exactly)."""
         if not usable:
-            return self.merge_histograms(usable), np.zeros(
-                len(self.table), dtype=np.float64
-            )
+            return Histogram({}), np.zeros(len(self.table)), 0
+        views = [self._parse(m.payload) for m in usable]
+        nonzero = sum(len(v) for v in views)
         if stream_kernel_mode() != "fast":
-            merged = Histogram.merge(
-                self._parse(m.payload).to_histogram() for m in usable
-            )
-            return merged, reconstruct_estimates(
+            merged = Histogram.merge(v.to_histogram() for v in views)
+            estimates = reconstruct_estimates(
                 self.table, self.function, merged
             )
-        nodes, sums, unmatched, total = merge_views(self._views(usable))
-        merged = Histogram.from_arrays(nodes, sums, unmatched, total)
+            return merged, estimates, nonzero
         estimator = CompiledEstimator.for_pair(self.table, self.function)
-        return merged, estimator.estimate(merged)
+        sums = estimator.slot_sums(views)
+        if sums is None:
+            nodes, sums, unmatched, total = merge_views(views)
+            merged = Histogram.from_arrays(nodes, sums, unmatched, total)
+            return merged, estimator.estimate(merged), nonzero
+        unmatched = total = 0.0
+        for v in views:
+            unmatched += v.unmatched
+            total += v.total
+        merged = Histogram.from_slots(
+            estimator.slot_nodes, sums, unmatched, total
+        )
+        return merged, estimator.estimate_slots(sums), nonzero
 
     def decode_window(
         self,
@@ -449,9 +455,11 @@ class ControlCenter:
         registry = get_registry()
         if registry.enabled:
             with registry.timer("control.decode.duration").time():
-                merged, estimates = self._merge_and_estimate(usable)
+                merged, estimates, nonzero = self._merge_and_estimate(
+                    usable
+                )
         else:
-            merged, estimates = self._merge_and_estimate(usable)
+            merged, estimates, nonzero = self._merge_and_estimate(usable)
         monitors_reporting = len({m.monitor for m in usable})
         if expected_monitors is None:
             expected_monitors = len({m.monitor for m in messages})
@@ -514,7 +522,7 @@ class ControlCenter:
             duplicates_dropped=duplicates,
             stale_messages=stale,
             coverage=coverage,
-            nonzero_buckets=sum(len(m.histogram) for m in usable),
+            nonzero_buckets=nonzero,
             quality=quality,
         )
 
@@ -533,7 +541,7 @@ class ControlCenter:
         return {
             self.table.group_ids[i]: float(v)
             for i, v in enumerate(estimates)
-            if v > 0
+            if v != 0
         }
 
     def error(

@@ -11,13 +11,16 @@ Under the default ``fast`` stream kernel mode (see
 :mod:`repro.streams.kernels`) the function is compiled at install time
 into a :class:`~repro.core.compiled.CompiledPartitioner`, reducing a
 window to one ``searchsorted`` + ``bincount`` pass; histograms are
-bit-identical to the naive path either way.
+bit-identical to the naive path either way.  The histogram is encoded
+to the v2 wire format as soon as it is built, and only those bytes
+leave the Monitor: a :class:`HistogramMessage` carries the payload and
+nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,17 +39,16 @@ class HistogramMessage:
 
     The Monitor encodes the histogram at send time (the v2 format of
     :mod:`repro.core.wire`) and ``payload`` holds the actual bytes that
-    cross the link — byte accounting charges ``len(payload)`` and the
-    Control Center validates and decodes those bytes.  ``histogram`` is
-    the same content as an object, kept for monitor-side accounting and
-    the sharded fan-in.
+    cross the link — the only form of the histogram the message has.
+    Byte accounting charges ``len(payload)``, and the Control Center
+    validates and decodes those bytes
+    (:func:`~repro.core.wire.decode_histogram_v2` recovers the object).
     """
 
     monitor: str
     window_index: int
-    histogram: Histogram
     function_version: int
-    #: The v2 wire encoding of ``histogram``.
+    #: The v2 wire encoding of the window's histogram.
     payload: bytes
 
     def size_bytes(self) -> int:
@@ -98,11 +100,11 @@ class Monitor:
         self, window_index: int, histogram: Histogram
     ) -> HistogramMessage:
         # The v2 encode happens exactly once per transmission-worthy
-        # histogram (here, or batched in ``_messages``).
+        # histogram (here, or batched in ``_messages``); the object is
+        # dropped once encoded.
         return HistogramMessage(
             monitor=self.name,
             window_index=window_index,
-            histogram=histogram,
             function_version=self.function_version,
             payload=encode_histogram_v2(
                 histogram,
@@ -112,14 +114,18 @@ class Monitor:
         )
 
     def _account(
-        self, windows: int, tuples: int, histograms, metrics: bool = True
+        self,
+        windows: int,
+        tuples: int,
+        nonzero: Iterable[int],
+        metrics: bool = True,
     ) -> None:
         """Fold a batch into the lifetime stats and ``monitor.*``
-        metrics.  ``metrics=False`` updates only the stats — the
-        sharded serving layer passes it when replaying a prefetched
-        build whose metrics were already recorded by the worker's own
-        registry (and merged under a ``shard=`` label), so hit windows
-        are never double-counted."""
+        metrics; ``nonzero`` holds each window's nonzero-bucket count.
+        ``metrics=False`` updates only the stats — the sharded serving
+        layer passes it when replaying a prefetched build, whose
+        metrics the worker's own registry recorded (merged under a
+        ``shard=`` label), so hit windows are never double-counted."""
         self.windows_processed += windows
         self.tuples_processed += tuples
         if not metrics:
@@ -130,9 +136,9 @@ class Monitor:
                 windows
             )
             registry.counter("monitor.tuples", monitor=self.name).inc(tuples)
-            nonzero = registry.histogram("monitor.window.nonzero_buckets")
-            for histogram in histograms:
-                nonzero.observe(len(histogram))
+            observed = registry.histogram("monitor.window.nonzero_buckets")
+            for buckets in nonzero:
+                observed.observe(buckets)
 
     def process_window(
         self,
@@ -158,7 +164,7 @@ class Monitor:
                 histogram = self._build(uids, values)
         else:
             histogram = self._build(uids, values)
-        self._account(1, int(uids.size), (histogram,))
+        self._account(1, int(uids.size), (len(histogram),))
         return self._message(window_index, histogram)
 
     def process_windows(
@@ -205,7 +211,8 @@ class Monitor:
                 for u, v in zip(arrays, values)
             ]
         self._account(
-            len(arrays), sum(int(a.size) for a in arrays), histograms
+            len(arrays), sum(int(a.size) for a in arrays),
+            map(len, histograms),
         )
         return self._messages(window_indices, histograms)
 
@@ -224,9 +231,8 @@ class Monitor:
             HistogramMessage(
                 monitor=self.name,
                 window_index=w,
-                histogram=h,
                 function_version=self.function_version,
                 payload=p,
             )
-            for w, h, p in zip(window_indices, histograms, payloads)
+            for w, p in zip(window_indices, payloads)
         ]

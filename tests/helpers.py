@@ -7,6 +7,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import GroupTable, UIDDomain
+from repro.streams import TumblingWindows
 
 ALL_METRICS = ["rms", "average", "avg_relative", "max_relative"]
 
@@ -44,3 +45,21 @@ def random_instance(
     if counts.sum() == 0:
         counts[0] = float(max_count // 2 + 1)
     return dom, table, counts
+
+
+def naive_window_histograms(system, live, window_width, split_seed=0):
+    """``(monitor name, window index) -> Histogram`` for a run of
+    ``system`` over ``live``, rebuilt independently of the run: the same
+    split and segmentation as :meth:`MonitoringSystem.run`, partitioned
+    by the naive ``function.build_histogram`` of the current function
+    (valid for runs that install one function)."""
+    function = system.control_center.function
+    windows = TumblingWindows(window_width)
+    shares = live.split(len(system.monitors), seed=split_seed)
+    return {
+        (monitor.name, win.index): function.build_histogram(
+            win.uids, values=win.values
+        )
+        for monitor, share in zip(system.monitors, shares)
+        for win in windows.segment(share)
+    }

@@ -18,6 +18,7 @@ from repro import (
     reconstruct_estimates,
 )
 from repro.algorithms import build_lpm_greedy
+from repro.core.wire import decode_histogram_v2
 from repro.streams import ControlCenter, Monitor
 
 
@@ -106,8 +107,9 @@ class TestDecodeRobustness:
         m = Monitor("m")
         m.install_function(fn, 0)
         msg = m.process_window(0, np.array([], dtype=np.int64))
-        assert len(msg.histogram) == 0
-        assert msg.histogram.total == 0
+        histogram = decode_histogram_v2(msg.payload)
+        assert len(histogram) == 0
+        assert histogram.total == 0
 
     def test_live_traffic_outside_history(self, small_instance):
         """A function trained on one window must still decode a window

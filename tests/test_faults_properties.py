@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro import UIDDomain, get_metric
 from repro.data import TrafficModel, generate_subnet_table
 from repro.data.traffic import generate_timestamped_trace
+from repro.core.wire import decode_histogram_v2
 from repro.streams import FaultModel, MonitoringSystem, Trace
 
 
@@ -162,7 +163,10 @@ class TestWeightedValuesUnderFaults:
         system, report = _run(table, history, live, faults=None)
         # Histogram totals are sums of tuple values, not tuple counts —
         # for a lognormal value column the two cannot coincide.
-        totals = sum(m.histogram.total for m in system.channel.messages)
+        totals = sum(
+            decode_histogram_v2(m.payload).total
+            for m in system.channel.messages
+        )
         tuples = sum(w.tuples for w in report.windows)
         assert totals == pytest.approx(float(np.sum(live.values)))
         assert abs(totals - tuples) > 1.0
@@ -244,7 +248,7 @@ class TestFaultModelUnit:
 
         hist = Histogram({1: 2.0})
         msg = HistogramMessage(
-            "m0", 0, hist, 0, payload=encode_histogram_v2(hist, UIDDomain(4))
+            "m0", 0, 0, payload=encode_histogram_v2(hist, UIDDomain(4))
         )
         fm = FaultModel(drop=0.4, duplicate=0.4, delay=0.3, seed=99)
         first = [fm.plan_histogram(msg) for _ in range(50)]

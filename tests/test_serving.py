@@ -26,6 +26,7 @@ import pytest
 from repro import UIDDomain, get_metric
 from repro.data import TrafficModel, generate_subnet_table
 from repro.data.traffic import generate_timestamped_trace
+from repro.core.wire import decode_histogram_v2
 from repro.obs import EventJournal, MetricsRegistry, use_journal, use_registry
 from repro.serving import (
     FanInControlCenter,
@@ -213,9 +214,9 @@ class TestReportIdentity:
 
 class TestFanIn:
     def test_merge_matches_serial_wire_path(self, workload):
-        """The fan-in (merge over the message histograms, no parse)
-        must produce the same merged histogram and the same estimates as
-        the serial path, which parses every payload first."""
+        """The fan-in (timed, but the serial parse, merge and estimate)
+        must produce the same merged histogram, estimates and bucket
+        count as the serial path."""
         table, history, live = workload
         serial, sharded = _systems(table, history, 2)
         cc_serial = serial.control_center
@@ -229,8 +230,11 @@ class TestFanIn:
         usable = [
             monitor.process_window(0, share.uids) for share in shares
         ]
-        merged_fast, est_fast = cc_fanin._merge_and_estimate(usable)
-        merged_ref, est_ref = cc_serial._merge_and_estimate(usable)
+        merged_fast, est_fast, nz_fast = cc_fanin._merge_and_estimate(
+            usable
+        )
+        merged_ref, est_ref, nz_ref = cc_serial._merge_and_estimate(usable)
+        assert nz_fast == nz_ref > 0
         assert np.array_equal(merged_fast.nodes, merged_ref.nodes)
         assert np.array_equal(merged_fast.values, merged_ref.values)
         assert merged_fast.unmatched == merged_ref.unmatched
@@ -240,7 +244,10 @@ class TestFanIn:
     def test_empty_usable_defers_to_base(self, workload):
         table, history, _live = workload
         _serial, sharded = _systems(table, history, 2)
-        merged, estimates = sharded.control_center._merge_and_estimate([])
+        merged, estimates, nonzero = (
+            sharded.control_center._merge_and_estimate([])
+        )
+        assert nonzero == 0
         assert len(merged) == 0
         assert estimates is None or np.all(estimates == 0)
 
@@ -263,16 +270,16 @@ class TestFanIn:
             assert restored.window_index == original.window_index
             assert restored.function_version == original.function_version
             assert restored.payload == original.payload
-            assert np.array_equal(
-                restored.histogram.nodes, original.histogram.nodes
+            # The bytes are the whole message: they decode to the
+            # window's histogram, rebuilt here on the naive path.
+            decoded = decode_histogram_v2(restored.payload)
+            built = cc.function.build_histogram(
+                shares[original.window_index].uids
             )
-            assert np.array_equal(
-                restored.histogram.values, original.histogram.values
+            assert decoded.counts == built.counts
+            assert (decoded.unmatched, decoded.total) == (
+                built.unmatched, built.total
             )
-            assert restored.histogram.unmatched == original.histogram.unmatched
-            assert restored.histogram.total == original.histogram.total
-            # Reconstructed histograms must behave as full objects.
-            assert restored.histogram.counts == original.histogram.counts
 
     def test_pack_unpack_empty(self):
         packed = _pack_messages("m0", [])

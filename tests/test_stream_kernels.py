@@ -40,6 +40,7 @@ from repro import (
     histogram_from_group_counts,
     reconstruct_estimates,
 )
+from repro.core.wire import decode_histogram_v2
 from repro.streams import (
     STREAM_KERNEL_MODES,
     ControlCenter,
@@ -306,7 +307,10 @@ class TestStreamPipeline:
                 fast = monitor.process_window(0, live.uids, values=vals)
             with use_stream_kernel_mode("naive"):
                 naive = monitor.process_window(0, live.uids, values=vals)
-            _assert_histograms_identical(fast.histogram, naive.histogram)
+            _assert_histograms_identical(
+                decode_histogram_v2(fast.payload),
+                decode_histogram_v2(naive.payload),
+            )
 
     def test_monitor_batch_api(self):
         fn = NonoverlappingPartitioning(
@@ -327,7 +331,7 @@ class TestStreamPipeline:
             assert monitor.tuples_processed == sum(len(w) for w in windows)
             for msg, uids in zip(messages, windows):
                 _assert_histograms_identical(
-                    msg.histogram, fn.build_histogram(uids)
+                    decode_histogram_v2(msg.payload), fn.build_histogram(uids)
                 )
 
     def test_monitor_batch_rejects_mismatched_lengths(self):

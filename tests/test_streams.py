@@ -11,7 +11,12 @@ from repro import (
     UIDDomain,
     get_metric,
 )
-from repro.core.wire import WireHistogram, encode_histogram_v2, merge_wire
+from repro.core.wire import (
+    WireHistogram,
+    decode_histogram_v2,
+    encode_histogram_v2,
+    merge_wire,
+)
 from repro.streams import (
     Channel,
     ControlCenter,
@@ -269,7 +274,7 @@ class TestMonitorAndChannel:
         m.install_function(fn, version=0)
         msg = m.process_window(3, [0, 1, 2])
         assert msg.window_index == 3
-        assert msg.histogram.get(1) == 3
+        assert decode_histogram_v2(msg.payload).get(1) == 3
         assert m.tuples_processed == 3
 
     def test_channel_accounting(self, table):
@@ -308,7 +313,7 @@ class TestControlCenter:
         for i, m in enumerate(monitors):
             m.install_function(fn, cc.function_version)
             msgs.append(m.process_window(0, [i * 4, i * 4 + 1]))
-        merged = cc.merge_histograms(msgs)
+        merged = cc.decode_window(msgs).merged
         assert merged.total == 4
 
     def test_stale_function_rejected(self, table):
@@ -336,6 +341,20 @@ class TestControlCenter:
         ans = cc.approximate_answer([msg])
         assert set(ans) <= {"g0", "g1", "g2", "g3"}
         assert sum(ans.values()) == pytest.approx(2.0)
+
+    def test_approximate_answer_keeps_negative_estimates(self, table):
+        """A weighted window can sum to a negative estimate; the answer
+        keeps every nonzero group, not only the positive ones."""
+        cc = ControlCenter(table, get_metric("rms"),
+                           algorithm="nonoverlapping", budget=4)
+        fn = cc.rebuild_function(np.ones(4))
+        m = Monitor("m0")
+        m.install_function(fn, cc.function_version)
+        msg = m.process_window(0, [0, 15], values=[-3.0, 2.0])
+        assert list(cc.decode([msg])) == [-0.25] * 4
+        assert cc.approximate_answer([msg]) == {
+            g: -0.25 for g in ("g0", "g1", "g2", "g3")
+        }
 
 
 class TestChannelFaultAccounting:
@@ -544,10 +563,10 @@ class TestDecodeWindow:
                 if s != fn.semantics
             )
         foreign = HistogramMessage(
-            monitor="m9", window_index=0, histogram=msg.histogram,
+            monitor="m9", window_index=0,
             function_version=cc.function_version,
-            payload=encode_histogram_v2(msg.histogram, domain,
-                                        semantics=semantics),
+            payload=encode_histogram_v2(decode_histogram_v2(msg.payload),
+                                        domain, semantics=semantics),
         )
         with use_stream_kernel_mode(mode):
             with pytest.raises(ValueError, match="current function"):

@@ -9,6 +9,8 @@ from repro.data.traffic import generate_timestamped_trace
 from repro.obs import MetricsRegistry, use_registry
 from repro.streams import FaultModel, MonitoringSystem, Trace
 
+from helpers import naive_window_histograms
+
 
 @pytest.fixture(scope="module")
 def workload():
@@ -142,9 +144,7 @@ class TestFaultyPipeline:
         assert zero.compression_ratio == clean.compression_ratio
         def wire(channel):
             return [
-                (m.monitor, m.window_index, m.function_version,
-                 m.histogram.counts, m.histogram.unmatched,
-                 m.histogram.total)
+                (m.monitor, m.window_index, m.function_version, m.payload)
                 for m in channel.messages
             ]
 
@@ -308,9 +308,11 @@ class TestWireFormatV2:
                                            "lpm_greedy"])
     def test_v2_estimates_bit_identical_to_v1(self, workload, algorithm):
         """Within one run: every payload decodes to exactly the
-        histogram it was built from (the object the v1 path decoded
-        from, so estimates are identical), and the link costs no more
-        than the v1 model of the same transmissions."""
+        histogram the naive partitioner rebuilds for its (monitor,
+        window) from the same split and segmentation (the object a v1
+        transmission would carry, so estimates are identical), and the
+        link costs no more than the v1 model of the same
+        transmissions."""
         from repro.core.wire import decode_histogram_v2
 
         table, history, live = workload
@@ -321,15 +323,20 @@ class TestWireFormatV2:
         system.train(history)
         report = system.run(live, window_width=5.0)
         messages = system.channel.messages
+        rebuilt = naive_window_histograms(system, live, 5.0)
         assert messages
+        assert len(messages) == len(rebuilt)
         for m in messages:
             decoded = decode_histogram_v2(m.payload)
-            assert np.array_equal(decoded.nodes, m.histogram.nodes)
-            assert np.array_equal(decoded.values, m.histogram.values)
-            assert decoded.unmatched == m.histogram.unmatched
-            assert decoded.total == m.histogram.total
-        v1_model = sum(8 + m.histogram.size_bytes(table.domain)
-                       for m in messages)
+            expected = rebuilt[(m.monitor, m.window_index)]
+            assert np.array_equal(decoded.nodes, expected.nodes)
+            assert np.array_equal(decoded.values, expected.values)
+            assert decoded.unmatched == expected.unmatched
+            assert decoded.total == expected.total
+        v1_model = sum(
+            8 + rebuilt[(m.monitor, m.window_index)].size_bytes(table.domain)
+            for m in messages
+        )
         assert report.upstream_bytes <= v1_model
 
     def test_v2_naive_and_fast_kernels_bit_identical(self, workload):

@@ -11,6 +11,7 @@ from repro import (
     OverlappingPartitioning,
     UIDDomain,
 )
+from repro.core.wire import decode_histogram_v2
 from repro.streams import Monitor
 
 DOM = UIDDomain(4)
@@ -78,7 +79,7 @@ class TestWeightedHistograms:
         m = Monitor("m0")
         m.install_function(fn, 0)
         msg = m.process_window(0, [0, 1], values=[100.0, 50.0])
-        assert msg.histogram.get(1) == 150.0
+        assert decode_histogram_v2(msg.payload).get(1) == 150.0
 
     def test_weighted_matches_expansion(self, table):
         """sum(value) over a stream equals count(*) over a stream with
