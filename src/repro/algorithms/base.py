@@ -18,10 +18,9 @@ This module provides:
   fixed density) in one vectorized pass, including the O(1)
   contribution of empty regions (Section 4.3).  Batched evaluation
   over many densities (:meth:`DPContext.grperr_many`) serves the
-  overlapping DP's ancestor loop, and when the active kernel mode is
-  ``"suffstats"`` the context precomputes weighted postorder prefix
-  sums of each metric-declared sufficient statistic so sum-combine
-  ``grperr`` is O(1) per call instead of O(leaves);
+  overlapping DP's ancestor loop.  In the ``"fast"`` kernel mode every
+  batched path is bit-for-bit identical to the ``"naive"`` per-slice
+  reference;
 * :class:`ConstructionResult` — a constructed partitioning function
   together with the full budget/error curve (one DP run yields the
   optimal error for *every* budget up to the requested one).
@@ -94,21 +93,10 @@ class DPContext:
     ----------
     hierarchy, metric:
         The pruned hierarchy and the penalty metric to evaluate.
-    suffstats:
-        Force the sufficient-statistic fast path on (``True``) or off
-        (``False``).  The default (``None``) follows the active kernel
-        mode (:func:`repro.algorithms.kernels.kernel_mode`): only the
-        ``"suffstats"`` mode enables it.  The fast path engages only
-        for sum-combine metrics that declare a decomposition via
-        :meth:`~repro.core.errors.PenaltyMetric.suffstats`; everything
-        else keeps the exact vectorized slice path.
     """
 
     def __init__(
-        self,
-        hierarchy: PrunedHierarchy,
-        metric: PenaltyMetric,
-        suffstats: Optional[bool] = None,
+        self, hierarchy: PrunedHierarchy, metric: PenaltyMetric
     ) -> None:
         if not isinstance(metric, PenaltyMetric):
             raise TypeError(
@@ -117,10 +105,9 @@ class DPContext:
             )
         self.hierarchy = hierarchy
         self.metric = metric
-        mode = kernel_mode()
         #: Whether batched/vectorized evaluation is active (everything
         #: but the ``"naive"`` reference mode).
-        self.batched = mode != "naive"
+        self.batched = kernel_mode() != "naive"
         # Leaf arrays in postorder; per-node contiguous slices.  They
         # depend only on the hierarchy (not the metric or kernel mode),
         # so they are built once per hierarchy and shared by every
@@ -153,29 +140,11 @@ class DPContext:
             )
             hierarchy._dp_leaf_arrays = cached
         self.leaf_lo, self.leaf_hi, self.leaf_actual, self.leaf_weight = cached
-        # Sufficient-statistic prefix arrays: stats_prefix[k][hi] -
-        # stats_prefix[k][lo] is the weighted sum of the k-th statistic
-        # over any postorder slice, making sum-combine grperr O(1).
-        self._stats_prefix: Optional[List[np.ndarray]] = None
-        if suffstats is None:
-            suffstats = mode == "suffstats"
-        if suffstats and metric.combine == "sum":
-            arrays = metric.suffstats(self.leaf_actual)
-            if arrays is not None:
-                self._stats_prefix = [
-                    np.concatenate(([0.0], np.cumsum(self.leaf_weight * a)))
-                    for a in arrays
-                ]
         # Per-node own-density errors, filled lazily on the first
         # grperr_own call in a batched mode (the nonoverlapping sweep
         # asks for every node's value; low-memory reconstruction asks
         # again per re-sweep, so the precompute amortizes further).
         self._own_err: Optional[np.ndarray] = None
-
-    @property
-    def uses_suffstats(self) -> bool:
-        """Whether the O(1) sufficient-statistic path is active."""
-        return self._stats_prefix is not None
 
     def grperr(self, pnode: PNode, density: float) -> float:
         """Aggregate penalty of estimating every group below ``pnode``
@@ -183,9 +152,6 @@ class DPContext:
         lo, hi = self.leaf_lo[pnode.index], self.leaf_hi[pnode.index]
         if lo == hi:
             return 0.0
-        if self._stats_prefix is not None:
-            stats = tuple(P[hi] - P[lo] for P in self._stats_prefix)
-            return float(self.metric.penalty_from_stats(stats, density))
         pens = self.metric.penalty_array(self.leaf_actual[lo:hi], density)
         if self.metric.combine == "sum":
             return float(pens @ self.leaf_weight[lo:hi])
@@ -209,11 +175,6 @@ class DPContext:
         lo, hi = self.leaf_lo[pnode.index], self.leaf_hi[pnode.index]
         if lo == hi:
             return np.zeros(d.shape)
-        if self._stats_prefix is not None:
-            stats = tuple(P[hi] - P[lo] for P in self._stats_prefix)
-            return np.asarray(
-                self.metric.penalty_from_stats(stats, d), dtype=np.float64
-            )
         is_sum = self.metric.combine == "sum"
         if self.batched and hi - lo == 1:
             pens = self.metric.penalty_array(self.leaf_actual[lo:hi], d)
@@ -236,8 +197,8 @@ class DPContext:
         ``densities`` is either one shared density vector ``(D,)`` or a
         per-node matrix ``(K, D)`` aligned with ``idx``.  Row ``k``
         equals ``grperr_many(nodes[idx[k]], densities[k])`` bit for
-        bit: the suffstats and single-leaf paths broadcast the same
-        elementwise penalty expressions over a ``(K, D)`` grid (IEEE
+        bit: the single-leaf path broadcasts the same elementwise
+        penalty expressions over a ``(K, D)`` grid (IEEE
         elementwise operations are shape-independent), and longer leaf
         slices fall back to the per-node evaluation verbatim.  The
         incremental overlapping rebuild uses this to re-condition every
@@ -250,18 +211,6 @@ class DPContext:
             d = np.broadcast_to(d[None, :], (idx.shape[0], d.shape[0]))
         out = np.zeros((idx.shape[0], d.shape[1]))
         lo, hi = self.leaf_lo[idx], self.leaf_hi[idx]
-        if self._stats_prefix is not None:
-            rows = np.nonzero(hi > lo)[0]
-            if rows.size:
-                stats = tuple(
-                    (P[hi[rows]] - P[lo[rows]])[:, None]
-                    for P in self._stats_prefix
-                )
-                out[rows] = np.asarray(
-                    self.metric.penalty_from_stats(stats, d[rows]),
-                    dtype=np.float64,
-                )
-            return out
         is_sum = self.metric.combine == "sum"
         lengths = hi - lo
         single = np.nonzero(lengths == 1)[0]
@@ -347,21 +296,6 @@ class DPContext:
         dens = self.node_densities()
         out = np.zeros(n)
         lo, hi = self.leaf_lo, self.leaf_hi
-        if self._stats_prefix is not None:
-            nonempty = hi > lo
-            if only is not None:
-                sel = np.zeros(n, dtype=bool)
-                sel[only] = True
-                nonempty = nonempty & sel
-            idx = np.nonzero(nonempty)[0]
-            stats = tuple(
-                P[hi[idx]] - P[lo[idx]] for P in self._stats_prefix
-            )
-            out[idx] = np.asarray(
-                self.metric.penalty_from_stats(stats, dens[idx]),
-                dtype=np.float64,
-            )
-            return out
         is_sum = self.metric.combine == "sum"
         lengths = hi - lo
         if only is not None:

@@ -8,7 +8,7 @@ The lever is the tree structure of the dynamic programs themselves:
 * **Nonoverlapping.**  The table ``E[i, .]`` (and its recorded split
   choices) depends only on the *content* of ``i``'s pruned subtree —
   the leaf counts, the zero-summary weights and the subtree shape —
-  plus the construction configuration (metric, budget, kernel mode).
+  plus the construction configuration (metric, budget, options).
   A subtree whose per-group counts did not change therefore
   contributes a bit-identical table to its parent's knapsack merge,
   so the whole subtree's tables and splits can be reused from the
@@ -45,14 +45,17 @@ starts cold — correct either way, because reuse is an optimization
 over an identical computation.
 
 A memo is only consulted when its configuration key (algorithm,
-metric, budget, builder options, kernel mode) matches the rebuild's;
-the kernel mode is part of the key because ``suffstats`` curves are
-not bit-identical to the other modes'.  Because reused entries are
-the arrays an identical solve on identical content produced, the
-incremental result — curve, argmin tie-breaks, reconstructed bucket
-set — is **bit-identical to a from-scratch build**.
-``tests/test_incremental.py`` property-tests this with zero
-tolerance.
+metric, budget, builder options) matches the rebuild's.  The kernel
+mode is not part of the key: ``"fast"`` is bit-identical to the
+``"naive"`` oracle, and only ``"fast"`` memoizes — under ``"naive"``
+:func:`new_session` returns ``None`` and the rebuild runs from scratch,
+leaving any previous memo to seed the next ``"fast"`` rebuild (its
+dirty diff runs against the counts the memo was built from).  Because
+reused entries are the arrays an identical solve on identical content
+produced, the incremental result — curve, argmin tie-breaks,
+reconstructed bucket set — is **bit-identical to a from-scratch
+build**.  ``tests/test_incremental.py`` property-tests this against
+the naive oracle with zero tolerance.
 
 The dirty set is cross-checked against the count diff: each session
 diffs the new counts against the counts the previous memo was built
@@ -145,17 +148,11 @@ def _structure_signature(counts: np.ndarray) -> bytes:
 def memo_config_key(
     algorithm: str, metric: PenaltyMetric, budget: int, options: Dict
 ) -> Tuple:
-    """Everything besides subtree content that shapes the DP tables.
-
-    The kernel mode is included because ``suffstats`` grperr values are
-    only approximately equal to the other modes' — reusing curves
-    across modes would silently break each mode's self-consistency.
-    """
+    """Everything besides subtree content that shapes the DP tables."""
     return (
         algorithm,
         int(budget),
         repr(metric),
-        kernel_mode(),
         tuple(sorted(options.items())),
     )
 
@@ -495,9 +492,9 @@ class NonoverlappingMemo:
     arrays: _TreeArrays
     fps: List[bytes]
     by_index: List[Optional[_NOEntry]]
-    #: Per-node own-density errors of the build (batched modes only) —
-    #: spliced into the next same-structure rebuild's context so only
-    #: dirty rows are re-evaluated.
+    #: Per-node own-density errors of the build — spliced into the next
+    #: same-structure rebuild's context so only dirty rows are
+    #: re-evaluated.
     own: Optional[np.ndarray] = None
     _fp_map: Optional[Dict[bytes, int]] = field(default=None, repr=False)
 
@@ -577,15 +574,12 @@ class NonoverlappingSession:
     def _sweep_same_structure(self, ctx: DPContext, budget: int):
         """Fast path: the pruned support set is unchanged, so old and
         new postorders coincide index for index.  The dirty set is one
-        vectorized diff; only dirty internal nodes (ascending postorder
-        is a valid bottom-up schedule) re-run their merges, reading
-        clean child tables straight out of the previous memo."""
-        from .nonoverlapping import _merge_node_naive
-
+        vectorized diff; only dirty internal nodes re-run their merges,
+        phase by phase, reading clean child tables straight out of the
+        previous memo."""
         hierarchy = self._hierarchy
         old = self._old
         ar = old.arrays
-        nodes = hierarchy.nodes
         dirty = _dirty_vector(ar, old.counts, hierarchy.counts)
         internal = ar.left >= 0
         dirty_internal = np.nonzero(dirty & internal)[0]
@@ -593,33 +587,12 @@ class NonoverlappingSession:
         self.reused = int(np.count_nonzero(internal)) - self.solved
 
         by_index: List[Optional[_NOEntry]] = list(old.by_index)
-        left_arr, right_arr = ar.left, ar.right
         new_tables: Dict[int, np.ndarray] = {}
-        if ctx.batched:
-            if old.own is not None:
-                ctx.splice_own_errors(old.own, np.nonzero(dirty)[0])
-            self._merge_dirty_batched(
-                ctx, budget, ar, dirty, dirty_internal,
-                by_index, new_tables,
-            )
-        else:
-            for i in dirty_internal.tolist():
-                li, ri = int(left_arr[i]), int(right_arr[i])
-                lt = (
-                    self._leaf_table(ctx, nodes[li]) if left_arr[li] < 0
-                    else new_tables[li] if dirty[li]
-                    else by_index[li].table
-                )
-                rt = (
-                    self._leaf_table(ctx, nodes[ri]) if left_arr[ri] < 0
-                    else new_tables[ri] if dirty[ri]
-                    else by_index[ri].table
-                )
-                table, split = _merge_node_naive(
-                    ctx, nodes[i], lt, rt, budget
-                )
-                new_tables[i] = table
-                by_index[i] = _NOEntry(table=table, split=split)
+        if old.own is not None:
+            ctx.splice_own_errors(old.own, np.nonzero(dirty)[0])
+        self._merge_dirty_batched(
+            ctx, budget, ar, dirty, dirty_internal, by_index, new_tables,
+        )
 
         self._result = NonoverlappingMemo(
             config=self._config,
@@ -628,9 +601,9 @@ class NonoverlappingSession:
             arrays=ar,
             fps=_refresh_fingerprints(hierarchy, old.fps, dirty, ar),
             by_index=by_index,
-            own=ctx.own_errors() if ctx.batched else None,
+            own=ctx.own_errors(),
         )
-        root_index = len(nodes) - 1
+        root_index = len(hierarchy.nodes) - 1
         root_table = new_tables.get(root_index)
         if root_table is None:  # nothing dirty at all
             root_table = by_index[root_index].table
@@ -779,30 +752,19 @@ class NonoverlappingSession:
                             table=block[k], split=spblock[k]
                         )
 
-    @staticmethod
-    def _leaf_table(ctx: DPContext, p: PNode) -> np.ndarray:
-        table = np.full(2, INF)
-        table[1] = ctx.grperr_own(p)
-        return table
-
     def _sweep_restructured(self, root: PNode, ctx: DPContext, budget: int):
         """Fallback when the pruned support set changed (or there is no
         previous memo): walk the new tree, splicing any subtree whose
         content fingerprint the old memo knows and merging the rest."""
-        from .nonoverlapping import (
-            _merge_node_fast,
-            _merge_node_naive,
-            _shared_split_cache,
-        )
+        from .nonoverlapping import _merge_node_fast, _shared_split_cache
 
         hierarchy = self._hierarchy
         fps = subtree_fingerprints(hierarchy)
         old = self._old
         fpmap = old.fp_map() if old is not None else {}
         by_index: List[Optional[_NOEntry]] = [None] * len(hierarchy.nodes)
-        batched = ctx.batched
         maximum = ctx.metric.combine == "max"
-        own = ctx.own_errors() if batched else None
+        own = ctx.own_errors()
         const_split = _shared_split_cache()
         tables: Dict[int, np.ndarray] = {}
         stack = [(root, False)]
@@ -810,8 +772,6 @@ class NonoverlappingSession:
             p, expanded = stack.pop()
             if not expanded:
                 if p.is_leaf:
-                    if not batched:
-                        tables[p.index] = self._leaf_table(ctx, p)
                     continue
                 oi = fpmap.get(fps[p.index], -1) if fpmap else -1
                 if oi >= 0:
@@ -822,20 +782,13 @@ class NonoverlappingSession:
                 stack.append((p.left, False))
                 continue
             left, right = p.left, p.right
-            if batched:
-                lt = tables.pop(left.index) if not left.is_leaf else None
-                rt = tables.pop(right.index) if not right.is_leaf else None
-                table, split = _merge_node_fast(
-                    own[p.index], lt, rt,
-                    own[left.index], own[right.index],
-                    budget, maximum, True, const_split,
-                )
-            else:
-                table, split = _merge_node_naive(
-                    ctx, p,
-                    tables.pop(left.index), tables.pop(right.index),
-                    budget,
-                )
+            lt = tables.pop(left.index) if not left.is_leaf else None
+            rt = tables.pop(right.index) if not right.is_leaf else None
+            table, split = _merge_node_fast(
+                own[p.index], lt, rt,
+                own[left.index], own[right.index],
+                budget, maximum, True, const_split,
+            )
             tables[p.index] = table
             by_index[p.index] = _NOEntry(table=table, split=split)
             self.solved += 1
@@ -896,27 +849,8 @@ class NonoverlappingSession:
 # Overlapping: per-node bucket case + conditioned row blocks
 # ---------------------------------------------------------------------------
 @dataclass
-class _OVNodeEntry:
-    """One internal (non-collapse) node's solve output.
-
-    ``e2``/``flags_block``/``splits_block`` are the batched-mode
-    conditioned-row blocks (row ``d`` is conditioned on the ancestor at
-    depth ``d``); naive-mode entries keep them ``None`` and reuse only
-    the ancestor-independent bucket case.
-    """
-
-    e_b: np.ndarray
-    split_b: np.ndarray
-    bucket_flag: np.ndarray
-    sparse_at: Optional[int]
-    e2: Optional[np.ndarray]
-    flags_block: Optional[np.ndarray]
-    splits_block: Optional[np.ndarray]
-
-
-@dataclass
 class _OVArena:
-    """Contiguous DP-state arenas for one batched overlapping build.
+    """Contiguous DP-state arenas for one overlapping build.
 
     Node ``i``'s conditioned-row block (row ``d`` conditioned on the
     ancestor at depth ``d``) lives at arena rows
@@ -971,34 +905,29 @@ def _alloc_arena(depth: np.ndarray, width: int) -> _OVArena:
 
 @dataclass
 class OverlappingMemo:
-    """One build's DP state, indexed by that build's postorder, plus
-    the counts/support signature identifying it.  Batched builds store
-    the contiguous :class:`_OVArena`; the naive reference mode keeps
-    per-node entries (bucket case only).  The kernel mode is part of
-    ``config``, so a memo is only ever consulted by its own mode."""
+    """One build's DP state — the contiguous :class:`_OVArena`,
+    indexed by that build's postorder — plus the counts/support
+    signature identifying it."""
 
     config: Tuple
     counts: np.ndarray
     structure_sig: bytes
     arrays: _TreeArrays
-    entries: Optional[List[Optional[_OVNodeEntry]]] = None
     arena: Optional[_OVArena] = None
 
 
 class OverlappingSession:
     """One incremental overlapping solve.
 
-    On a batched same-structure rebuild the DP never recurses into a
-    clean subtree: a vectorized prepass re-conditions the
-    dirty-ancestor row prefix of *every* clean node directly in the
-    memo arena (rows conditioned on clean ancestors — always the
-    suffix, because dirtiness is monotone up any ancestor chain — stay
-    valid verbatim), and the recursion then only visits dirty nodes,
-    adopting each maximal clean subtree as one arena view.  The naive
-    reference mode keeps the per-node entry protocol and reuses only
-    the ancestor-independent bucket case.  A support-set change starts
-    a cold session: every node is dirty and a fresh memo is recorded
-    for the next rebuild.
+    On a same-structure rebuild the DP never recurses into a clean
+    subtree: a vectorized prepass re-conditions the dirty-ancestor row
+    prefix of *every* clean node directly in the memo arena (rows
+    conditioned on clean ancestors — always the suffix, because
+    dirtiness is monotone up any ancestor chain — stay valid
+    verbatim), and the recursion then only visits dirty nodes,
+    adopting each maximal clean subtree as one arena view.  A
+    support-set change starts a cold session: every node is dirty and
+    a fresh memo is recorded for the next rebuild.
     """
 
     algorithm = "overlapping"
@@ -1014,10 +943,6 @@ class OverlappingSession:
         counts = hierarchy.counts
         self._config = config
         self._sig = _structure_signature(counts)
-        #: Whether this session records naive-mode entries instead of
-        #: the batched arena (index 3 of the config key is the kernel
-        #: mode — see :func:`memo_config_key`).
-        self.naive = config[3] == "naive"
         self.dirty_groups = _dirty_groups(
             None if old is None else old.counts, counts
         )
@@ -1025,8 +950,7 @@ class OverlappingSession:
             old is not None
             and old.structure_sig == self._sig
             and old.counts.shape == counts.shape
-            and (old.entries is not None) == self.naive
-            and (self.naive or old.arena is not None)
+            and old.arena is not None
         ):
             self._arrays = old.arrays
             _install_caches(hierarchy, old.arrays, counts)
@@ -1040,16 +964,12 @@ class OverlappingSession:
         #: Whether the old memo survived with an identical pruned
         #: support set — the precondition for the skip-clean fast path.
         self.same_structure = old is not None
-        self._old = old
         self._counts = counts
         self.arena: Optional[_OVArena] = (
-            old.arena if old is not None and not self.naive else None
-        )
-        self._entries: Optional[List[Optional[_OVNodeEntry]]] = (
-            [None] * len(hierarchy.nodes) if self.naive else None
+            old.arena if old is not None else None
         )
         self.solved = 0  # internal bucket-case merges re-run
-        self.reused = 0  # internal nodes reusing their memo entry
+        self.reused = 0  # internal nodes adopted from the memo arena
         self.rows_solved = 0
         self.rows_reused = 0
 
@@ -1057,7 +977,7 @@ class OverlappingSession:
     def arrays(self) -> _TreeArrays:
         return self._arrays
 
-    # -- arena protocol (batched modes) ------------------------------------
+    # -- arena protocol ----------------------------------------------------
     def ensure_arena(self, width: int) -> _OVArena:
         """The carried-over arena, or a fresh one sized ``width`` (=
         ``max subtree cap + 1``, a structural constant for a fixed
@@ -1104,7 +1024,10 @@ class OverlappingSession:
         flags2: np.ndarray,
         split2: np.ndarray,
     ) -> None:
-        """Record a visited internal node's full solve output."""
+        """Record a visited internal node's full solve output: one
+        bucket case and ``depth`` conditioned rows re-merged."""
+        self.solved += 1
+        self.rows_solved += depth
         a = self.arena
         start = int(a.row_start[index])
         width = e2.shape[1]
@@ -1139,34 +1062,6 @@ class OverlappingSession:
         self.solved += int(nodes)
         self.rows_solved += int(rows_solved)
 
-    # -- per-node protocol (naive mode; stats for both) --------------------
-    def lookup(self, p: PNode) -> Optional[_OVNodeEntry]:
-        """The node's previous entry when its subtree is clean (same
-        structure, unchanged counts below); ``None`` forces a fresh
-        solve.  Counts the subtree-level reuse stats.  Batched sessions
-        only ever reach this with dirty nodes — clean subtrees are
-        adopted before recursion."""
-        if (
-            self._old is None
-            or self.dirty[p.index]
-            or self._old.entries is None
-        ):
-            self.solved += 1
-            return None
-        entry = self._old.entries[p.index]
-        if entry is None:  # defensive: unknown node class drift
-            self.solved += 1
-            return None
-        self.reused += 1
-        return entry
-
-    def store(self, p: PNode, entry: _OVNodeEntry) -> None:
-        self._entries[p.index] = entry
-
-    def note_rows(self, solved: int, reused: int) -> None:
-        self.rows_solved += solved
-        self.rows_reused += reused
-
     # -- lifecycle ---------------------------------------------------------
     def finish(self) -> OverlappingMemo:
         return OverlappingMemo(
@@ -1174,7 +1069,6 @@ class OverlappingSession:
             counts=self._counts.copy(),
             structure_sig=self._sig,
             arrays=self._arrays,
-            entries=self._entries,
             arena=self.arena,
         )
 
@@ -1205,18 +1099,23 @@ def new_session(
     memo,
     **options,
 ):
-    """Create the memo session for one rebuild.
+    """Create the memo session for one rebuild, or ``None`` under the
+    ``"naive"`` kernel mode.
 
     ``memo`` is the previous build's memo (or ``None`` on the first
-    build).  A memo built under a different configuration — or a
-    different kernel mode — contributes nothing; the session then
-    behaves as a cold first build that still records a fresh memo.
+    build).  A memo built under a different configuration contributes
+    nothing; the session then behaves as a cold first build that still
+    records a fresh memo.  The naive oracle never memoizes: callers
+    build from scratch when this returns ``None`` and keep ``memo`` for
+    the next ``"fast"`` rebuild.
     """
     if not supports_incremental(algorithm, options):
         raise ValueError(
             f"algorithm {algorithm!r} (options {options!r}) has no "
             f"incremental rebuild path"
         )
+    if kernel_mode() == "naive":
+        return None
     config = memo_config_key(algorithm, metric, budget, options)
     if algorithm == "nonoverlapping":
         return NonoverlappingSession(hierarchy, config, memo)

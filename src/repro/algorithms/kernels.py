@@ -18,18 +18,13 @@ between them:
     allocations and one ``grperr`` slice evaluation per density.  Kept
     as the executable reference the fast paths are tested against, and
     as the baseline the construction perf harness
-    (``benchmarks/bench_kernel.py``) measures speedups from.
-
-``"suffstats"``
-    Everything in ``"fast"``, plus O(1) sufficient-statistic ``grperr``
-    for metrics that declare a decomposition
-    (:meth:`~repro.core.errors.PenaltyMetric.suffstats`).  The
-    algebraic regrouping reassociates floating-point sums, so results
-    agree with the reference to ~1e-12 relative error rather than
-    bit-for-bit; see ``docs/performance.md`` for the contract.
+    (``benchmarks/bench_kernel.py``) measures speedups from.  Naive
+    rebuilds never memoize: incremental rebuilds run through ``"fast"``
+    only (see :mod:`repro.algorithms.incremental`).
 
 The mode can also be pinned from the environment with
-``REPRO_KERNELS=naive|fast|suffstats`` (read at import time).
+``REPRO_KERNELS=naive|fast`` (read at import time; an unknown non-empty
+value raises :class:`ValueError`, unset or empty means ``"fast"``).
 
 Both merge kernels return ``(out, choice)`` with identical semantics,
 including argmin tie-breaking: ties go to the smallest left-child
@@ -59,7 +54,7 @@ __all__ = [
 
 INF = float("inf")
 
-KERNEL_MODES = ("naive", "fast", "suffstats")
+KERNEL_MODES = ("naive", "fast")
 
 #: Cap on candidate-matrix size per block — bounds peak memory of the
 #: broadcast merge to a few megabytes regardless of table sizes.
@@ -92,9 +87,16 @@ def _strided(buf: np.ndarray, offset: int, shape, strides) -> np.ndarray:
     )
 
 
+def _check_mode(mode: str) -> str:
+    if mode not in KERNEL_MODES:
+        known = ", ".join(KERNEL_MODES)
+        raise ValueError(f"unknown kernel mode {mode!r}; known modes: {known}")
+    return mode
+
+
 def _initial_mode() -> str:
     mode = os.environ.get("REPRO_KERNELS", "").strip().lower()
-    return mode if mode in KERNEL_MODES else "fast"
+    return _check_mode(mode) if mode else "fast"
 
 
 _mode = _initial_mode()
@@ -114,9 +116,7 @@ def set_kernel_mode(mode: str) -> str:
     contexts (or use :func:`use_kernel_mode` around whole runs).
     """
     global _mode
-    if mode not in KERNEL_MODES:
-        known = ", ".join(KERNEL_MODES)
-        raise ValueError(f"unknown kernel mode {mode!r}; known modes: {known}")
+    _check_mode(mode)
     with _mode_lock:
         previous = _mode
         _mode = mode

@@ -37,7 +37,7 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, OverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .incremental import _OVNodeEntry, _phase_slices, _ranges
+from .incremental import _phase_slices, _ranges
 from .kernels import knapsack_merge, knapsack_merge_batch
 
 __all__ = ["build_overlapping", "OverlappingDP"]
@@ -503,48 +503,35 @@ class OverlappingDP:
         J = depth
         batched = self.ctx.batched
 
-        entry = inc.lookup(p) if inc is not None else None
-        if entry is not None:
-            # Clean subtree: the ancestor-independent bucket case is
-            # reused verbatim (it depends on subtree content alone).
-            e_b = entry.e_b
-            rec.split_b = entry.split_b
-            rec.bucket_flag = entry.bucket_flag
-            rec.sparse_at = entry.sparse_at
-            size_b = len(e_b)
+        # Bucket case: one bucket on p, the rest split among children
+        # which now see p as their closest selected ancestor.  In
+        # batched mode the child tables are (J + 1, width) blocks: rows
+        # [0, J) conditioned on this node's ancestors and row J on this
+        # node itself.
+        if batched:
+            left_self, right_self = left_tabs[J], right_tabs[J]
         else:
-            # Bucket case: one bucket on p, the rest split among
-            # children which now see p as their closest selected
-            # ancestor.  In batched mode the child tables are (J + 1,
-            # width) blocks: rows [0, J) conditioned on this node's
-            # ancestors and row J on this node itself; row J is
-            # materialized exactly when p is dirty or unmemoized —
-            # i.e. whenever this branch runs.
-            if batched:
-                left_self, right_self = left_tabs[J], right_tabs[J]
-            else:
-                left_self = left_tabs[p.index]
-                right_self = right_tabs[p.index]
-            merged, split = knapsack_merge(
-                left_self, right_self, cap - 1, self.metric.combine
-            )
-            # size - 1 <= len(merged), so every entry past 0 comes from
-            # the merge — no inf prefill needed beyond entry 0.
-            size_b = min(cap, len(merged)) + 1
-            e_b = np.empty(size_b)
-            e_b[0] = INF
-            e_b[1:] = merged[: size_b - 1]
-            rec.split_b = split
-            rec.bucket_flag = np.full(size_b, _BUCKET, dtype=np.int8)
+            left_self = left_tabs[p.index]
+            right_self = right_tabs[p.index]
+        merged, split = knapsack_merge(
+            left_self, right_self, cap - 1, self.metric.combine
+        )
+        # size - 1 <= len(merged), so every entry past 0 comes from the
+        # merge — no inf prefill needed beyond entry 0.
+        size_b = min(cap, len(merged)) + 1
+        e_b = np.empty(size_b)
+        e_b[0] = INF
+        e_b[1:] = merged[: size_b - 1]
+        rec.split_b = split
+        rec.bucket_flag = np.full(size_b, _BUCKET, dtype=np.int8)
 
         # Non-bucket case per enclosing ancestor.
         if batched:
-            # ``entry`` is always None here: batched sessions adopt
-            # clean subtrees before recursion ever reaches them, so a
-            # visited node re-merges in full.  One stacked merge
-            # replaces the per-ancestor loop below — each row of the
-            # batch is the same merge the loop would run, and the
-            # bucket-case overlay applies the identical
+            # Sessions adopt clean subtrees before recursion ever
+            # reaches them, so a visited node re-merges in full.  One
+            # stacked merge replaces the per-ancestor loop below — each
+            # row of the batch is the same merge the loop would run,
+            # and the bucket-case overlay applies the identical
             # strict-improvement comparison, so results are bit-for-bit
             # unchanged.
             merged2, split2 = knapsack_merge_batch(
@@ -565,16 +552,14 @@ class OverlappingDP:
                     p.index, J, e_b, rec.split_b, rec.bucket_flag,
                     rec.sparse_at, e2, flags2, split2,
                 )
-                inc.note_rows(J, 0)
             rec.flags_block = flags2
             rec.splits_block = split2
             self._tables[p.index] = e2
             del self._tables[p.left.index]
             del self._tables[p.right.index]
             return e_b
-        # Naive reference mode: per-ancestor merges, recomputed in
-        # full even for clean subtrees (only the bucket case is reused
-        # — the mode exists for bit-level cross-checks, not speed).
+        # Naive reference mode: per-ancestor merges (it never
+        # memoizes — the mode exists for bit-level cross-checks).
         rec.flags = {}
         rec.splits_nb = {}
         tables = {}
@@ -595,12 +580,6 @@ class OverlappingDP:
             tables[j_idx] = e
             rec.flags[j_idx] = flags
             rec.splits_nb[j_idx] = split_nb
-        if inc is not None:
-            inc.store(p, _OVNodeEntry(
-                e_b, rec.split_b, rec.bucket_flag, rec.sparse_at,
-                None, None, None,
-            ))
-            inc.note_rows(depth, 0)
         self._tables[p.index] = tables
         # Child tables are no longer needed; free the bulky arrays.
         del self._tables[p.left.index]

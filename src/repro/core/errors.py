@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -151,43 +151,6 @@ class PenaltyMetric(DistributiveErrorMetric):
             dtype=np.float64,
         )
 
-    # -- sufficient statistics (optional O(1)-grperr fast path) ---------
-    def suffstats(self, actual: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
-        """Per-group sufficient-statistic arrays, or ``None``.
-
-        A sum-combine metric whose penalty decomposes as a linear
-        combination of functions of the actual count alone (with
-        density-dependent coefficients) can return a tuple of arrays
-        ``(f_0(actual), ..., f_k(actual))``.  The DP layer precomputes
-        weighted postorder prefix sums of each, after which the
-        aggregate penalty of *any* hierarchy subtree at *any* density
-        is O(1) via :meth:`penalty_from_stats` — the prefix-aggregate
-        trick of tree-indexed histogram constructions.
-
-        Contract: for any weights ``w`` and density ``d``::
-
-            penalty_from_stats((sum(w*f_0), ..., sum(w*f_k)), d)
-                ≈ sum(w * penalty_array(actual, d))
-
-        Equality is up to floating-point reassociation, which is why
-        the suffstats path is a distinct kernel mode rather than the
-        default (see ``docs/performance.md``).  Return ``None`` (the
-        default) to keep the exact vectorized slice path.
-        """
-        return None
-
-    def penalty_from_stats(self, stats: Sequence[float], density):
-        """Aggregate penalty from summed sufficient statistics.
-
-        ``stats`` holds the weighted sums of each :meth:`suffstats`
-        array over the group set; ``density`` may be a scalar or an
-        array of densities (the result broadcasts accordingly).  Only
-        called when :meth:`suffstats` returned non-``None``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares no sufficient statistics"
-        )
-
     # -- generic API implemented on top of the scalar pieces -----------
     def start(self, actual: float, estimate: float) -> PSR:
         return (self.penalty(actual, estimate), 1.0)
@@ -270,17 +233,6 @@ class RMSError(PenaltyMetric):
         if count <= 0:
             return np.zeros_like(np.asarray(totals, dtype=np.float64))
         return np.sqrt(np.asarray(totals, dtype=np.float64) / count)
-
-    def suffstats(self, actual):
-        # (a - d)^2 = a^2 - 2 d a + d^2, so (Σw, Σw·a, Σw·a²) suffice.
-        return (np.ones_like(actual), actual, actual * actual)
-
-    def penalty_from_stats(self, stats, density):
-        s0, s1, s2 = stats
-        val = s2 - (2.0 * density) * s1 + (density * density) * s0
-        # Cancellation can drive a mathematically nonnegative penalty a
-        # few ulps below zero; clamp so sqrt/compare stay well-defined.
-        return np.maximum(val, 0.0)
 
 
 class AverageError(PenaltyMetric):

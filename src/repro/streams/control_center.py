@@ -193,7 +193,11 @@ class ControlCenter:
     # -- function construction -------------------------------------------
     def _fingerprint(self, counts: np.ndarray) -> bytes:
         """Cache key for a rebuild: the exact history counts plus every
-        configuration knob that influences construction."""
+        configuration knob that influences construction.
+
+        The construction kernel mode is not such a knob: ``"fast"`` is
+        bit-identical to the ``"naive"`` oracle, so a function built
+        under either mode serves both."""
         digest = hashlib.blake2b(digest_size=16)
         digest.update(counts.tobytes())
         config = (
@@ -263,6 +267,9 @@ class ControlCenter:
                         self.budget, self.builder_options,
                     ):
                         self._curve_memo = candidate
+                # None under the naive kernel mode: the oracle builds
+                # from scratch and the memo waits for the next fast
+                # rebuild.
                 session = new_session(
                     self.algorithm, hierarchy, self.metric, self.budget,
                     self._curve_memo, **self.builder_options,

@@ -31,7 +31,8 @@ Monitor and Control Center actually repeat forever:
     speedups from.
 
 The mode can be pinned from the environment with
-``REPRO_STREAM_KERNELS=naive|fast`` (read at import time), switched
+``REPRO_STREAM_KERNELS=naive|fast`` (read at import time; an unknown
+non-empty value raises :class:`ValueError`), switched
 process-wide with :func:`set_stream_kernel_mode`, or scoped with
 :func:`use_stream_kernel_mode`.  It is independent of the construction
 mode — a run can build with ``REPRO_KERNELS=naive`` while serving with
@@ -55,9 +56,18 @@ __all__ = [
 STREAM_KERNEL_MODES = ("naive", "fast")
 
 
+def _check_mode(mode: str) -> str:
+    if mode not in STREAM_KERNEL_MODES:
+        known = ", ".join(STREAM_KERNEL_MODES)
+        raise ValueError(
+            f"unknown stream kernel mode {mode!r}; known modes: {known}"
+        )
+    return mode
+
+
 def _initial_mode() -> str:
     mode = os.environ.get("REPRO_STREAM_KERNELS", "").strip().lower()
-    return mode if mode in STREAM_KERNEL_MODES else "fast"
+    return _check_mode(mode) if mode else "fast"
 
 
 _mode = _initial_mode()
@@ -72,11 +82,7 @@ def stream_kernel_mode() -> str:
 def set_stream_kernel_mode(mode: str) -> str:
     """Install ``mode`` process-wide; returns the previous mode."""
     global _mode
-    if mode not in STREAM_KERNEL_MODES:
-        known = ", ".join(STREAM_KERNEL_MODES)
-        raise ValueError(
-            f"unknown stream kernel mode {mode!r}; known modes: {known}"
-        )
+    _check_mode(mode)
     with _mode_lock:
         previous = _mode
         _mode = mode

@@ -4,9 +4,14 @@ from-scratch builds.
 The memo splices previous-build DP arrays for subtrees whose content
 fingerprint is unchanged; because those arrays are exactly what an
 identical solve on identical content produces, the curve bytes and the
-reconstructed bucket lists must match a full rebuild with zero
-tolerance — for both semantics, all three kernel modes, and arbitrary
-count perturbations including ones that change the pruned structure.
+reconstructed bucket lists must match a from-scratch build by the
+naive oracle and by the fast kernels with zero tolerance — for both
+semantics and arbitrary count perturbations including ones that change
+the pruned structure.
+
+Only the ``fast`` kernel mode memoizes, so every test that asserts
+memo reuse pins it explicitly (the suite also runs under
+``REPRO_KERNELS=naive``).
 """
 
 import numpy as np
@@ -30,7 +35,6 @@ from repro.obs import (
 )
 from repro.streams import ControlCenter
 
-MODES = ("naive", "fast", "suffstats")
 BUDGETS = {"nonoverlapping": 16, "overlapping": 10}
 
 TABLE = generate_subnet_table(UIDDomain(10), seed=5)
@@ -48,17 +52,30 @@ def _buckets(fn):
     ]
 
 
-def _check_pair(algorithm, counts, memo, **options):
-    """Build full + incremental from the same counts; assert
-    bit-identity and return the refreshed memo + session stats."""
+def _scratch(algorithm, counts, budget, mode="naive", **options):
+    """A from-scratch build in kernel ``mode`` (the naive oracle by
+    default)."""
+    with use_kernel_mode(mode):
+        return build(
+            algorithm, PrunedHierarchy(TABLE, counts), METRIC, budget,
+            **options,
+        )
+
+
+def _check_pair(algorithm, counts, memo, scratch_mode="naive", **options):
+    """Build from scratch (in ``scratch_mode``) + incremental (fast)
+    from the same counts; assert bit-identity and return the refreshed
+    memo + session stats."""
     budget = BUDGETS[algorithm]
-    h_full = PrunedHierarchy(TABLE, counts)
-    full = build(algorithm, h_full, METRIC, budget, **options)
+    full = _scratch(algorithm, counts, budget, scratch_mode, **options)
     h_inc = PrunedHierarchy(TABLE, counts)
-    session = incmod.new_session(
-        algorithm, h_inc, METRIC, budget, memo, **options
-    )
-    incr = build(algorithm, h_inc, METRIC, budget, memo=session, **options)
+    with use_kernel_mode("fast"):
+        session = incmod.new_session(
+            algorithm, h_inc, METRIC, budget, memo, **options
+        )
+        incr = build(
+            algorithm, h_inc, METRIC, budget, memo=session, **options
+        )
     assert full.curve.tobytes() == incr.curve.tobytes()
     for b in (1, 3, budget):
         assert _buckets(full.function_at(b)) == _buckets(
@@ -67,8 +84,12 @@ def _check_pair(algorithm, counts, memo, **options):
     return session.finish(), session.stats()
 
 
+# Kernel mode of the from-scratch side; the incremental side is fast.
+SCRATCH_MODES = ("naive", "fast")
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", SCRATCH_MODES)
     @pytest.mark.parametrize(
         "algorithm", ("nonoverlapping", "overlapping")
     )
@@ -77,42 +98,40 @@ class TestBitIdentity:
     def test_random_perturbation_chain(self, mode, algorithm, data):
         counts = _base_counts()
         n = len(counts)
-        with use_kernel_mode(mode):
-            memo, _ = _check_pair(algorithm, counts, None)
-            steps = data.draw(st.integers(1, 3))
-            for _ in range(steps):
-                idx = data.draw(
-                    st.lists(
-                        st.integers(0, n - 1), min_size=1, max_size=12,
-                        unique=True,
-                    )
+        memo, _ = _check_pair(algorithm, counts, None, mode)
+        steps = data.draw(st.integers(1, 3))
+        for _ in range(steps):
+            idx = data.draw(
+                st.lists(
+                    st.integers(0, n - 1), min_size=1, max_size=12,
+                    unique=True,
                 )
-                vals = data.draw(
-                    st.lists(
-                        st.integers(0, 200),  # 0 changes pruned shape
-                        min_size=len(idx), max_size=len(idx),
-                    )
+            )
+            vals = data.draw(
+                st.lists(
+                    st.integers(0, 200),  # 0 changes pruned shape
+                    min_size=len(idx), max_size=len(idx),
                 )
-                counts = counts.copy()
-                counts[idx] = np.asarray(vals, dtype=float)
-                if counts.sum() == 0:
-                    counts[0] = 1.0  # empty windows are not built
-                memo, _ = _check_pair(algorithm, counts, memo)
+            )
+            counts = counts.copy()
+            counts[idx] = np.asarray(vals, dtype=float)
+            if counts.sum() == 0:
+                counts[0] = 1.0  # empty windows are not built
+            memo, _ = _check_pair(algorithm, counts, memo, mode)
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", SCRATCH_MODES)
     def test_localized_drift_reuses_subtrees(self, mode):
         counts = _base_counts()
-        with use_kernel_mode(mode):
-            for algorithm in ("nonoverlapping", "overlapping"):
-                memo, first = _check_pair(algorithm, counts, None)
-                assert first["reused_subtrees"] == 0  # cold start
-                drifted = counts.copy()
-                nz = np.nonzero(drifted)[0]
-                drifted[nz[:3]] *= 2.0
-                _, stats = _check_pair(algorithm, drifted, memo)
-                assert stats["dirty_groups"] == 3
-                assert stats["reused_fraction"] > 0.3
-                assert stats["dirty_subtrees"] > 0
+        for algorithm in ("nonoverlapping", "overlapping"):
+            memo, first = _check_pair(algorithm, counts, None, mode)
+            assert first["reused_subtrees"] == 0  # cold start
+            drifted = counts.copy()
+            nz = np.nonzero(drifted)[0]
+            drifted[nz[:3]] *= 2.0
+            _, stats = _check_pair(algorithm, drifted, memo, mode)
+            assert stats["dirty_groups"] == 3
+            assert stats["reused_fraction"] > 0.3
+            assert stats["dirty_subtrees"] > 0
 
     def test_identical_counts_reuse_everything(self):
         counts = _base_counts()
@@ -139,24 +158,66 @@ class TestMemoKeying:
         memo, _ = _check_pair("nonoverlapping", counts, None)
         # Same counts, different budget: nothing may be spliced.
         h = PrunedHierarchy(TABLE, counts)
-        session = incmod.new_session(
-            "nonoverlapping", h, METRIC, BUDGETS["nonoverlapping"] + 4,
-            memo,
-        )
-        build_nonoverlapping(
-            h, METRIC, BUDGETS["nonoverlapping"] + 4, memo=session
-        )
+        with use_kernel_mode("fast"):
+            session = incmod.new_session(
+                "nonoverlapping", h, METRIC,
+                BUDGETS["nonoverlapping"] + 4, memo,
+            )
+            build_nonoverlapping(
+                h, METRIC, BUDGETS["nonoverlapping"] + 4, memo=session
+            )
         assert session.stats()["reused_subtrees"] == 0
 
-    def test_kernel_mode_is_part_of_the_key(self):
-        # suffstats grperr values are ~1e-12 off the other modes', so a
-        # memo recorded under one mode must not leak into another.
-        counts = _base_counts()
-        with use_kernel_mode("fast"):
-            memo, _ = _check_pair("nonoverlapping", counts, None)
-        with use_kernel_mode("suffstats"):
-            _, stats = _check_pair("nonoverlapping", counts, memo)
-        assert stats["reused_subtrees"] == 0
+    def test_kernel_mode_is_not_part_of_the_key(self):
+        keys = []
+        for mode in ("naive", "fast"):
+            with use_kernel_mode(mode):
+                keys.append(
+                    incmod.memo_config_key("overlapping", METRIC, 8, {})
+                )
+        assert keys[0] == keys[1]
+
+    @pytest.mark.parametrize(
+        "algorithm", ("nonoverlapping", "overlapping")
+    )
+    def test_mode_switches_between_rebuilds(self, algorithm, tmp_path):
+        """fast -> naive -> fast: the naive step builds from scratch
+        and journals no reuse fields; the third step seeds from the
+        first step's memo, which the naive step left in place."""
+        budget = BUDGETS[algorithm]
+        steps = [_base_counts(seed=7)]
+        for k in (1, 2):
+            drifted = steps[-1].copy()
+            drifted[np.nonzero(drifted)[0][3 * k : 3 * k + 3]] *= 2.0
+            steps.append(drifted)
+        registry = MetricsRegistry()
+        path = str(tmp_path / "switch.journal")
+        reused = []
+        with use_registry(registry), use_journal(EventJournal(path)):
+            center = ControlCenter(
+                TABLE, METRIC, algorithm=algorithm, budget=budget,
+                incremental=True,
+            )
+            counter = registry.counter("control.rebuild.subtrees.reused")
+            for mode, counts in zip(("fast", "naive", "fast"), steps):
+                before = counter.value
+                with use_kernel_mode(mode):
+                    function = center.rebuild_function(counts)
+                reused.append(counter.value - before)
+                expected = _scratch(algorithm, counts, budget)
+                assert _buckets(function) == _buckets(
+                    expected.function_at(budget)
+                )
+        rebuilds = [
+            e for e in read_journal(path) if e["event"] == "rebuild"
+        ]
+        assert len(rebuilds) == 3
+        assert "dirty_subtrees" in rebuilds[0]
+        assert "dirty_subtrees" not in rebuilds[1]
+        assert "reused_fraction" not in rebuilds[1]
+        assert rebuilds[2]["reused_fraction"] > 0.0
+        assert reused[0] == 0 and reused[1] == 0
+        assert reused[2] > 0
 
     def test_unsupported_algorithms_are_rejected(self):
         assert not incmod.supports_incremental("lpm_greedy", {})
@@ -170,9 +231,10 @@ class TestMemoKeying:
 
     def test_low_memory_with_memo_rejected(self):
         h = PrunedHierarchy(TABLE, _base_counts())
-        session = incmod.new_session(
-            "nonoverlapping", h, METRIC, 8, None
-        )
+        with use_kernel_mode("fast"):
+            session = incmod.new_session(
+                "nonoverlapping", h, METRIC, 8, None
+            )
         with pytest.raises(ValueError):
             build_nonoverlapping(h, METRIC, 8, low_memory=True,
                                  memo=session)
@@ -209,8 +271,9 @@ class TestControlCenterIncremental:
                 TABLE, METRIC, algorithm="nonoverlapping", budget=16,
                 incremental=True,
             )
-            center.rebuild_function(counts1)
-            center.rebuild_function(counts2)
+            with use_kernel_mode("fast"):
+                center.rebuild_function(counts1)
+                center.rebuild_function(counts2)
         rebuilds = [
             e for e in read_journal(path) if e["event"] == "rebuild"
         ]

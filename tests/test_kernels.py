@@ -208,44 +208,6 @@ def test_own_errors_match_naive_grperr(seed, mname):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_suffstats_grperr_close(seed):
-    """RMS declares sufficient statistics; the O(1) path agrees with
-    the exact slice evaluation to tight tolerance."""
-    _dom, table, counts = random_instance(seed + 80, height_range=(3, 6))
-    metric = get_metric("rms")
-    h = PrunedHierarchy(table, counts)
-    with use_kernel_mode("fast"):
-        exact = DPContext(h, metric)
-    with use_kernel_mode("suffstats"):
-        fast = DPContext(h, metric)
-    assert fast.uses_suffstats
-    rng = np.random.default_rng(seed)
-    densities = rng.random(4) * max(counts.max(), 1.0)
-    for node in h.nodes:
-        for d in densities:
-            a = exact.grperr(node, float(d))
-            b = fast.grperr(node, float(d))
-            assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
-
-
-def test_suffstats_falls_back_for_undeclared_metrics():
-    """Metrics without a decomposition run the exact path even in
-    suffstats mode — results are bit-identical, not merely close."""
-    _dom, table, counts = random_instance(3, height_range=(3, 5))
-    metric = get_metric("max_relative")
-    h = PrunedHierarchy(table, counts)
-    with use_kernel_mode("suffstats"):
-        ctx = DPContext(h, metric)
-    assert not ctx.uses_suffstats
-    with use_kernel_mode("fast"):
-        exact = DPContext(h, metric)
-    for node in h.nodes:
-        assert ctx.grperr(node, node.density) == exact.grperr(
-            node, node.density
-        )
-
-
 @pytest.mark.parametrize("mname", ALL_METRICS)
 def test_finalize_curve_matches_scalar_loop(mname):
     _dom, table, counts = random_instance(9, height_range=(3, 5))
@@ -308,3 +270,35 @@ def test_low_memory_reconstruction_matches_fast(seed):
     assert {b.node for b in full.function_at(budget).buckets} == {
         b.node for b in low.function_at(budget).buckets
     }
+
+
+def _mode_from_env(value):
+    """Import the kernels module in a fresh interpreter with
+    ``REPRO_KERNELS`` set to ``value``."""
+    import os
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.algorithms import kernel_mode; print(kernel_mode())",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "REPRO_KERNELS": value},
+    )
+
+
+def test_env_rejects_unknown_kernel_mode():
+    """An unknown mode (a typo, or a mode that no longer exists) fails
+    at import instead of silently running the fast kernels; empty
+    means fast."""
+    out = _mode_from_env("fastest")
+    assert out.returncode != 0
+    assert "ValueError" in out.stderr
+    assert "known modes: naive, fast" in out.stderr
+    out = _mode_from_env("")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "fast"

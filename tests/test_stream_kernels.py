@@ -397,3 +397,18 @@ class TestModeMachinery:
             env={**os.environ, "REPRO_STREAM_KERNELS": "naive"},
         )
         assert out.stdout.strip() == "naive"
+
+    def test_env_rejects_unknown_mode(self):
+        import os
+        import subprocess
+        import sys
+
+        out = subprocess.run(
+            [sys.executable, "-c", "import repro.streams"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "REPRO_STREAM_KERNELS": "naiv"},
+        )
+        assert out.returncode != 0
+        assert "ValueError" in out.stderr
+        assert "known modes: naive, fast" in out.stderr
