@@ -1,11 +1,13 @@
 """Construction perf harness: kernel-mode speedups over a size grid.
 
-Times nonoverlapping and overlapping construction in both kernel modes
-(``naive`` — the seed implementation, ``fast`` — the vectorized
-kernels) across an |G| × budget grid, verifies that the fast curves are
-identical to the naive reference (zero tolerance on finite entries),
-and writes the measurements to ``BENCH_construction.json`` at the repo
-root so perf PRs have a recorded trajectory.  The exit status is
+Times nonoverlapping, overlapping and greedy longest-prefix-match
+construction in both kernel modes (``naive`` — the seed implementation,
+``fast`` — the vectorized kernels and, for the greedy heuristic, the
+compiled error curve) across an |G| × budget grid, verifies that the
+fast curves are identical to the naive reference (zero tolerance on
+finite entries), and writes the measurements to
+``BENCH_construction.json`` at the repo root so perf PRs have a
+recorded trajectory.  The exit status is
 non-zero when any point's fast curve is not identical, so the tiny
 grid doubles as an identity smoke test.
 
@@ -31,6 +33,7 @@ import numpy as np
 
 from repro import PrunedHierarchy, UIDDomain, get_metric
 from repro.algorithms import (
+    build_lpm_greedy,
     build_nonoverlapping,
     build_overlapping,
     use_kernel_mode,
@@ -63,6 +66,7 @@ MODES = ["naive", "fast"]
 ALGORITHMS = {
     "nonoverlapping": build_nonoverlapping,
     "overlapping": build_overlapping,
+    "lpm_greedy": build_lpm_greedy,
 }
 
 

@@ -33,11 +33,21 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.compiled import evaluate_closest
 from ..core.errors import PenaltyMetric
+from ..core.estimate import evaluate_function
 from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.partition import PartitioningFunction
 from .kernels import INF, kernel_mode, knapsack_merge
 
-__all__ = ["INF", "knapsack_merge", "DPContext", "ConstructionResult"]
+__all__ = [
+    "INF",
+    "knapsack_merge",
+    "DPContext",
+    "ConstructionResult",
+    "curve_points",
+    "measured_curve",
+]
 
 
 @dataclass
@@ -77,6 +87,46 @@ class ConstructionResult:
     def function_at(self, b: int):
         """The best partitioning function using at most ``b`` buckets."""
         return self.make_function(self.best_budget(b))
+
+
+def curve_points(
+    budget: int, curve_budgets: Optional[Sequence[int]] = None
+) -> List[int]:
+    """The budgets a heuristic measures its curve at: every budget up
+    to ``budget``, or the given grid clamped into ``[1, budget]``."""
+    if curve_budgets is None:
+        return list(range(1, budget + 1))
+    return sorted({min(budget, max(1, b)) for b in curve_budgets})
+
+
+def measured_curve(
+    hierarchy: PrunedHierarchy,
+    metric: PenaltyMetric,
+    make_function: Callable[[int], PartitioningFunction],
+    budget: int,
+    budgets: Sequence[int],
+) -> np.ndarray:
+    """A heuristic's error curve: the *measured* error of
+    ``make_function(b)`` at each of ``budgets``, as a running minimum
+    over ``1..budget`` (``inf`` before the first measured budget).
+
+    Under the ``"fast"`` kernel mode each measurement is the compiled
+    :func:`~repro.core.compiled.evaluate_closest`; under ``"naive"`` it
+    is the reference :func:`~repro.core.estimate.evaluate_function`.
+    The two are bit-identical, so both modes install the same function.
+    """
+    table, counts = hierarchy.table, hierarchy.counts
+    evaluate = (
+        evaluate_function if kernel_mode() == "naive" else evaluate_closest
+    )
+    curve = np.full(budget + 1, INF)
+    for b in budgets:
+        curve[b] = evaluate(table, counts, make_function(b), metric)
+    best = INF
+    for b in range(1, budget + 1):
+        best = min(best, curve[b])
+        curve[b] = best
+    return curve
 
 
 class DPContext:

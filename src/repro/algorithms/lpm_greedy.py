@@ -31,13 +31,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.compiled import closest_enclosing
 from ..core.domain import UIDDomain
 from ..core.errors import PenaltyMetric
-from ..core.estimate import evaluate_function
 from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Bucket, LongestPrefixMatchPartitioning
 from ..obs import span
-from .base import INF, ConstructionResult
+from .base import ConstructionResult, curve_points, measured_curve
 from .overlapping import OverlappingDP
 
 __all__ = ["build_lpm_greedy", "bucket_approx_errors"]
@@ -50,33 +50,27 @@ def _bucket_assignment(
 
     Returns per-node overlapping densities and, for every bucket node
     that owns at least one group, the (sorted) group indices assigned
-    to it.  One stable argsort over the assignment array replaces the
-    O(buckets x groups) boolean scan of a per-bucket mask: member
-    indices come out in ascending group order, exactly the order the
-    mask-based gather produced, so downstream penalty sums are
-    bit-for-bit unchanged.
+    to it.  The assignment is the compiled
+    :func:`~repro.core.compiled.closest_enclosing`; one stable argsort
+    over it yields member indices in ascending group order, exactly the
+    order a per-bucket mask gathers them in, so downstream penalty sums
+    are bit-for-bit unchanged.
     """
-    table = hierarchy.table
     counts = hierarchy.counts
-    node_list = sorted((b.node for b in buckets), key=UIDDomain.depth)
-    assigned = np.full(len(table), -1, dtype=np.int64)
+    nodes = [b.node for b in buckets]
+    first, last, slot = closest_enclosing(hierarchy.table, nodes)
     density: Dict[int, float] = {}
-    for node in node_list:
-        idx = table.group_indices_below(node)
-        if idx.size:
-            assigned[idx] = node
-            density[node] = float(counts[idx].sum()) / idx.size
-        else:
-            density[node] = 0.0
-    order = np.argsort(assigned, kind="stable")
-    keys = assigned[order]
-    members: Dict[int, np.ndarray] = {}
-    lo = int(np.searchsorted(keys, -1, side="right"))
-    while lo < len(keys):
-        node = int(keys[lo])
-        hi = int(np.searchsorted(keys, node, side="right"))
-        members[node] = order[lo:hi]
-        lo = hi
+    for node, lo, hi in zip(nodes, first.tolist(), last.tolist()):
+        density[node] = (
+            float(counts[lo:hi].sum()) / (hi - lo) if hi > lo else 0.0
+        )
+    order = np.argsort(slot, kind="stable")
+    edges = np.searchsorted(slot[order], np.arange(len(nodes) + 1)).tolist()
+    members: Dict[int, np.ndarray] = {
+        nodes[k]: order[edges[k]:edges[k + 1]]
+        for k in range(len(nodes))
+        if edges[k + 1] > edges[k]
+    }
     return density, members
 
 
@@ -157,8 +151,6 @@ def build_lpm_greedy(
         with span("lpm_greedy.pool", budget=pool_budget):
             dp = OverlappingDP(hierarchy, metric, pool_budget, sparse=sparse)
     root_node = hierarchy.root.node
-    table = hierarchy.table
-    counts = hierarchy.counts
     cache: Dict[int, LongestPrefixMatchPartitioning] = {}
     pool_sizes: Dict[int, int] = {}
 
@@ -194,28 +186,18 @@ def build_lpm_greedy(
         cache[b] = LongestPrefixMatchPartitioning(hierarchy.domain, chosen)
         return cache[b]
 
-    curve = np.full(budget + 1, INF)
-    budgets = (
-        range(1, budget + 1)
-        if curve_budgets is None
-        else sorted({min(budget, max(1, b)) for b in curve_budgets})
-    )
+    budgets = curve_points(budget, curve_budgets)
     with span(
         "lpm_greedy.curve", budget=budget, rank=rank,
         overprovision=overprovision,
     ) as sp:
-        for b in budgets:
-            curve[b] = evaluate_function(
-                table, counts, make_function(b), metric
-            )
+        curve = measured_curve(
+            hierarchy, metric, make_function, budget, budgets
+        )
         sp.annotate(
             evaluations=len(budgets),
             pool=max(pool_sizes.values(), default=0),
         )
-    best = INF
-    for b in range(1, budget + 1):
-        best = min(best, curve[b])
-        curve[b] = best
 
     return ConstructionResult(
         make_function=make_function,

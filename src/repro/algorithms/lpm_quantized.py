@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.estimate import evaluate_function
 from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, LongestPrefixMatchPartitioning
 from ..obs import span
-from .base import INF, ConstructionResult, DPContext
+from .base import ConstructionResult, DPContext, curve_points, measured_curve
 
 __all__ = ["build_lpm_quantized", "Quantizer"]
 
@@ -116,7 +115,6 @@ def build_lpm_quantized(
     ) as sp:
         table = solver.solve_root()
         sp.annotate(density_cells=len(solver.d_cells))
-    curve = np.full(budget + 1, INF)
     cache: Dict[int, LongestPrefixMatchPartitioning] = {}
 
     def make_function(b: int) -> LongestPrefixMatchPartitioning:
@@ -136,21 +134,11 @@ def build_lpm_quantized(
                 )
         return cache[b]
 
-    budgets = (
-        range(1, budget + 1)
-        if curve_budgets is None
-        else sorted({min(budget, max(1, b)) for b in curve_budgets})
-    )
+    budgets = curve_points(budget, curve_budgets)
     with span("lpm_quantized.curve", evaluations=len(budgets)):
-        for b in budgets:
-            fn = make_function(b)
-            curve[b] = evaluate_function(
-                hierarchy.table, hierarchy.counts, fn, metric
-            )
-    best = INF
-    for b in range(1, budget + 1):
-        best = min(best, curve[b])
-        curve[b] = best
+        curve = measured_curve(
+            hierarchy, metric, make_function, budget, budgets
+        )
     return ConstructionResult(
         make_function=make_function, curve=curve, budget=budget,
         stats={"theta": theta, "beam": float(beam)},

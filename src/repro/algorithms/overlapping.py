@@ -156,6 +156,9 @@ class OverlappingDP:
         # consumed them (the paper's Section 4.4 space optimization —
         # reconstruction uses the retained choice arrays instead).
         self._tables: Dict[int, Dict[int, np.ndarray]] = {}
+        # Bucket-case expansions ``(node index, b) -> buckets``, shared
+        # by every budget's reconstruction (see buckets_for_budget).
+        self._expanded: Dict[Tuple[int, int], List[Bucket]] = {}
         # Ancestor state maintained along the recursion: entry d holds
         # the pruned index / density of the ancestor at depth d, so the
         # first ``depth`` entries are the current node's strict
@@ -590,52 +593,82 @@ class OverlappingDP:
     # Solution reconstruction
     # ------------------------------------------------------------------
     def buckets_for_budget(self, b: int) -> List[Bucket]:
-        """Materialize the optimal bucket set for budget ``b``."""
+        """Materialize the optimal bucket set for budget ``b``.
+
+        An explicit-stack preorder walk of the recorded choices: a task
+        ``(p, b, j, row)`` expands the full table entry ``E[p, b, j]``
+        (``j`` is the enclosing bucket's node index and ``row`` its
+        depth, its row in the batched blocks), or, with ``j`` ``None``,
+        the bucket case at ``p``.  Children are pushed right first, so
+        buckets come out in the preorder the greedy heuristic's stable
+        ranking relies on to break score ties.
+
+        The bucket case at ``p`` with ``b`` buckets depends on nothing
+        above ``p``, so its expansion is recorded once per DP and reused
+        by every later budget (a 100-budget curve expands a few hundred
+        distinct ones instead of thousands): a ``(None, start, key, 0)``
+        marker, pushed under the children, closes the expansion.
+        """
         out: List[Bucket] = []
         b = max(1, min(b, len(self.root_table) - 1))
+        records = self.records
+        depths = self._depths
+        expanded = self._expanded
         with span("dp.overlapping.collect", budget=b) as sp:
-            self._collect_bucket(self.hierarchy.root, b, out)
+            stack: List[tuple] = [(self.hierarchy.root, b, None, 0)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                p, b, j_idx, row = pop()
+                if p is None:
+                    expanded[j_idx] = out[b:]
+                    continue
+                rec = records[p.index]
+                if j_idx is not None:
+                    # Entries with no budget expand to nothing and are
+                    # never pushed.
+                    block = rec.flags_block
+                    if block is not None:
+                        b = min(b, block.shape[1] - 1)
+                        expand = block[row, b] == _NOT_BUCKET
+                        if expand:
+                            c = int(rec.splits_block[row, b])
+                    else:
+                        flags = rec.flags[j_idx]
+                        b = min(b, len(flags) - 1)
+                        expand = flags[b] == _NOT_BUCKET
+                        if expand:
+                            c = int(rec.splits_nb[j_idx][b])
+                    if expand:
+                        if b > c:
+                            push((p.right, b - c, j_idx, row))
+                        if c > 0:
+                            push((p.left, c, j_idx, row))
+                        continue
+                # The bucket case at ``p`` with ``b`` buckets.
+                b = min(b, len(rec.bucket_flag) - 1)
+                if rec.bucket_flag[b] == _SPARSE or (
+                    b == 1 and rec.sparse_at is not None
+                ):
+                    out.append(Bucket(p.node, sparse_group_node=rec.sparse_at))
+                    continue
+                if p.is_leaf or rec.split_b is None or b <= 1:
+                    out.append(Bucket(p.node))
+                    continue
+                key = (p.index, b)
+                done = expanded.get(key)
+                if done is not None:
+                    out.extend(done)
+                    continue
+                push((None, len(out), key, 0))
+                out.append(Bucket(p.node))
+                c = int(rec.split_b[b - 1])
+                row = int(depths[p.index])
+                if b - 1 > c:
+                    push((p.right, b - 1 - c, p.index, row))
+                if c > 0:
+                    push((p.left, c, p.index, row))
             sp.annotate(buckets=len(out))
         return out
-
-    def _collect_bucket(self, p: PNode, b: int, out: List[Bucket]) -> None:
-        """Expand the bucket case at ``p`` with ``b`` buckets."""
-        rec = self.records[p.index]
-        b = min(b, len(rec.bucket_flag) - 1)
-        if rec.bucket_flag[b] == _SPARSE or (
-            b == 1 and rec.sparse_at is not None
-        ):
-            out.append(Bucket(p.node, sparse_group_node=rec.sparse_at))
-            return
-        out.append(Bucket(p.node))
-        if p.is_leaf or rec.split_b is None or b <= 1:
-            return
-        c = int(rec.split_b[b - 1])
-        self._collect(p.left, c, p.index, out)
-        self._collect(p.right, b - 1 - c, p.index, out)
-
-    def _collect(self, p: PNode, b: int, j_idx: int, out: List[Bucket]) -> None:
-        """Expand the full table entry E[p, b, j]."""
-        if b <= 0:
-            return
-        rec = self.records[p.index]
-        if rec.flags_block is not None:
-            # Batched mode: the ancestor's depth is its row in the
-            # blocks (ancestors are stacked root-first).
-            row = int(self._depths[j_idx])
-            flags = rec.flags_block[row]
-        else:
-            flags = rec.flags[j_idx]
-        b = min(b, len(flags) - 1)
-        if flags[b] != _NOT_BUCKET:
-            self._collect_bucket(p, b, out)
-            return
-        if rec.flags_block is not None:
-            c = int(rec.splits_block[row][b])
-        else:
-            c = int(rec.splits_nb[j_idx][b])
-        self._collect(p.left, c, j_idx, out)
-        self._collect(p.right, b - c, j_idx, out)
 
 
 def build_overlapping(

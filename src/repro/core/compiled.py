@@ -62,6 +62,19 @@ arithmetic:
     a dense uid -> group-index table, so the join is one gather per
     tuple plus one shifted ``np.bincount``.
 
+:func:`evaluate_closest`
+    The construction heuristics' measured error curve
+    (:func:`~.estimate.evaluate_function` at every budget) compiled for
+    closest-ancestor functions: :func:`closest_enclosing` assigns every
+    group its closest enclosing bucket from two vectorized
+    ``searchsorted`` calls, one stable ``argsort`` makes each bucket's
+    groups a contiguous run of one gather, and each run is summed by
+    its own ``.sum()`` — the same array in the same order as the
+    reference's boolean-mask gather, so the same pairwise summation.
+    (``np.add.reduceat`` or a weighted ``bincount`` would sum in a
+    different order and drift by ulps; the running minimum over the
+    curve picks the installed function, so an ulp can change it.)
+
 Identifiers outside the domain (negative, or ``>= 2**height``) match
 nothing on every compiled path, exactly as on the reference paths:
 they count as ``unmatched`` in histograms and are dropped by the join.
@@ -74,16 +87,17 @@ identical — ``np.bincount`` adds weights in input order, and every
 window is processed in its original tuple order.
 ``tests/test_stream_kernels.py`` property-tests this across all three
 semantics classes, sparse buckets included; ``tests/test_compiled_join.py``
-covers the join.
+covers the join and ``tests/test_curve_eval.py`` the curve evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from .errors import DistributiveErrorMetric
 from .estimate import _spread_data
 from .groups import GroupTable
 from .partition import (
@@ -92,7 +106,14 @@ from .partition import (
     PartitioningFunction,
 )
 
-__all__ = ["CompiledPartitioner", "CompiledEstimator", "CompiledGroupJoin"]
+__all__ = [
+    "CompiledPartitioner",
+    "CompiledEstimator",
+    "CompiledGroupJoin",
+    "closest_enclosing",
+    "closest_estimates",
+    "evaluate_closest",
+]
 
 #: Largest domain (in identifiers) for which the compiler also builds
 #: a dense uid -> elementary-segment lookup table.
@@ -591,3 +612,111 @@ class CompiledGroupJoin:
             idx + 1, weights=values, minlength=self.num_groups + 1
         )
         return sums[1:].astype(np.float64)
+
+
+_add_reduce = np.add.reduce
+
+
+def closest_enclosing(
+    table: GroupTable, nodes: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closest-ancestor assignment of ``table``'s groups to ``nodes``.
+
+    Returns ``(first, last, slot)``: node ``k`` encloses the groups
+    ``first[k]:last[k]`` (two vectorized ``searchsorted`` calls, the
+    bounds of :meth:`~.groups.GroupTable.group_indices_below`), and
+    ``slot[g]`` is the position in ``nodes`` of group ``g``'s closest
+    enclosing node, ``-1`` where none encloses it.  Nodes paint their
+    ranges shallow to deep, deeper ranges overwrite — the assignment
+    of :func:`~.estimate.assign_groups_to_buckets`.
+    """
+    depths = np.asarray(
+        [int(n).bit_length() - 1 for n in nodes], dtype=np.int64
+    )
+    nodes = np.asarray(nodes, dtype=np.int64)
+    shifts = table.domain.height - depths
+    los = (nodes - (1 << depths)) << shifts
+    first = np.searchsorted(table.starts, los, side="left")
+    last = np.maximum(
+        first,
+        np.searchsorted(table.ends, los + (1 << shifts), side="right"),
+    )
+    slot = np.full(len(table), -1, dtype=np.int64)
+    lo_list, hi_list = first.tolist(), last.tolist()
+    for k in np.argsort(depths, kind="stable").tolist():
+        slot[lo_list[k]:hi_list[k]] = k
+    return first, last, slot
+
+
+def _check_not_below_groups(
+    table: GroupTable, nodes: Sequence[int], empty: np.ndarray
+) -> None:
+    """Raise :class:`ValueError`, as the reference assignment does, if
+    a node enclosing no group lies strictly below a group node."""
+    for k in sorted(empty.tolist(), key=lambda k: nodes[k].bit_length()):
+        node = nodes[k]
+        lo, hi = table.domain.uid_range(node)
+        g = int(np.searchsorted(table.starts, lo, side="right")) - 1
+        if g >= 0 and hi <= int(table.ends[g]) and (hi - lo) < (
+            int(table.ends[g]) - int(table.starts[g])
+        ):
+            raise ValueError(
+                f"bucket node {node} lies strictly below group node "
+                f"{int(table.nodes[g])}; group-level estimation is undefined"
+            )
+
+
+def closest_estimates(
+    table: GroupTable,
+    counts: Sequence[float],
+    function: PartitioningFunction,
+) -> np.ndarray:
+    """Per-group estimates of a window with exact group ``counts``
+    under a closest-ancestor (nonoverlapping or longest-prefix-match)
+    function: bit-identical to :func:`~.estimate.reconstruct_estimates`
+    of :func:`~.estimate.histogram_from_group_counts`.
+
+    Each bucket's groups are one contiguous run of the stable-sorted
+    count gather; the run's sum is the histogram count, its length the
+    (hole-netted) key density, and one gather of
+    ``sum / max(1, population)`` gives every group's estimate.
+    """
+    if isinstance(function, OverlappingPartitioning):
+        raise TypeError("closest_estimates needs closest-ancestor semantics")
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (len(table),):
+        raise ValueError(
+            f"expected {len(table)} group counts, got shape {counts.shape}"
+        )
+    nodes = function.match_nodes
+    first, last, slot = closest_enclosing(table, nodes)
+    empty = np.flatnonzero(first == last)
+    if empty.size:
+        _check_not_below_groups(table, nodes, empty)
+    order = np.argsort(slot, kind="stable")
+    gathered = counts[order]
+    edges = np.searchsorted(slot[order], np.arange(len(nodes) + 1))
+    populations = np.diff(edges)
+    # A one-group run's sum is its count; longer runs take the same
+    # ``add.reduce`` (``ndarray.sum``) the reference applies to its
+    # masked gather.
+    sums = np.zeros(len(nodes), dtype=np.float64)
+    single = populations == 1
+    sums[single] = gathered[edges[:-1][single]]
+    bounds = edges.tolist()
+    for k in np.flatnonzero(populations > 1).tolist():
+        sums[k] = _add_reduce(gathered[bounds[k]:bounds[k + 1]])
+    slot_est = sums / np.maximum(1, populations)
+    return np.where(slot >= 0, slot_est[slot], 0.0)
+
+
+def evaluate_closest(
+    table: GroupTable,
+    counts: Sequence[float],
+    function: PartitioningFunction,
+    metric: DistributiveErrorMetric,
+) -> float:
+    """:func:`~.estimate.evaluate_function` of a closest-ancestor
+    function, bit for bit: ``metric`` over :func:`closest_estimates`."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return metric.evaluate(counts, closest_estimates(table, counts, function))

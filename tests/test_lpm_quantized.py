@@ -1,5 +1,7 @@
 """Tests for the quantized LPM heuristic (Section 3.2.7)."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,12 @@ from repro import (
     evaluate_function,
     get_metric,
 )
-from repro.algorithms import build_lpm_quantized, exhaustive_lpm
+from repro.algorithms import (
+    KERNEL_MODES,
+    build_lpm_quantized,
+    exhaustive_lpm,
+    use_kernel_mode,
+)
 from repro.algorithms.lpm_quantized import Quantizer
 
 from helpers import random_instance
@@ -60,13 +67,19 @@ def test_produces_valid_lpm_function(seed, mname):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_curve_is_measured_error(seed):
+    """Under either kernel mode the curve is exactly the running minimum
+    of the evaluated error of the materialized functions."""
     _dom, table, counts = random_instance(seed + 20)
     metric = get_metric("average")
     h = PrunedHierarchy(table, counts)
-    res = build_lpm_quantized(h, metric, 4, theta=0.5, beam=8)
-    fn = res.function_at(4)
-    measured = evaluate_function(table, counts, fn, metric)
-    assert measured == pytest.approx(res.error_at(4), abs=1e-9)
+    for mode in KERNEL_MODES:
+        with use_kernel_mode(mode):
+            res = build_lpm_quantized(h, metric, 4, theta=0.5, beam=8)
+        measured = [
+            evaluate_function(table, counts, res.make_function(b), metric)
+            for b in range(1, 5)
+        ]
+        assert list(res.curve[1:]) == list(accumulate(measured, min)), mode
 
 
 @pytest.mark.parametrize("seed", range(6))
