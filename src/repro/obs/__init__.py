@@ -45,7 +45,6 @@ from .snapshots import (
     RegistrySnapshot,
     bucket_quantile,
     emit_window_record,
-    snapshot_delta,
     take_snapshot,
 )
 from .quality import (
@@ -68,6 +67,7 @@ from .journal import (
     set_journal,
     use_journal,
 )
+from .facts import REDUCERS, emit, telemetry_on
 from .crossproc import (
     WIRE_SNAPSHOT_VERSION,
     capture_worker_snapshot,
@@ -141,10 +141,9 @@ __all__ = [
     "load_jsonl",
     "render_summary",
     "render_span_tree",
-    # windowed snapshots
+    # per-window records and snapshots
     "RegistrySnapshot",
     "take_snapshot",
-    "snapshot_delta",
     "emit_window_record",
     "bucket_quantile",
     # quality signals
@@ -165,6 +164,10 @@ __all__ = [
     "set_journal",
     "use_journal",
     "read_journal",
+    # one call per fact
+    "emit",
+    "telemetry_on",
+    "REDUCERS",
     # cross-process telemetry
     "WIRE_SNAPSHOT_VERSION",
     "parse_instrument_key",

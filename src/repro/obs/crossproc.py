@@ -223,7 +223,9 @@ def merge_snapshot(
     Counters add, gauges overwrite, distributions pool (count / sum /
     per-bucket tallies add, extrema min/max).  Bucket bounds must match
     the existing parent child's — a mismatch raises rather than pooling
-    incomparable buckets.  No-op on a disabled registry.
+    incomparable buckets.  Every pooled child enters the registry's
+    change log, so the next window record carries what was merged.
+    No-op on a disabled registry.
     """
     if not registry.enabled:
         return
@@ -259,6 +261,7 @@ def _pool_distribution(
                 f"cannot pool {child.name!r}: bucket bounds differ "
                 f"({tuple(child.bounds)} vs {tuple(state.bounds)})"
             )
+        child.note_change()
         child.count += state.count
         child.sum += state.sum
         if state.count:

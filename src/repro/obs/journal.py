@@ -97,20 +97,15 @@ EVENT_TYPES = (
 )
 
 
-class EventJournal:
-    """Append-only JSON-lines event sink with monotonic sequence ids."""
+class _Journal:
+    """What every live journal shares: the lock, the gapless sequence
+    ids, the monotonic ``ts`` and the record shape.  Subclasses supply
+    the sink (:meth:`_write`)."""
 
     enabled = True
+    path: Optional[str] = None
 
-    def __init__(self, sink: Union[str, TextIO]) -> None:
-        if isinstance(sink, str):
-            self._file: TextIO = open(sink, "w")
-            self._owns_file = True
-            self.path: Optional[str] = sink
-        else:
-            self._file = sink
-            self._owns_file = False
-            self.path = getattr(sink, "name", None)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._seq = 0
         self._epoch = time.perf_counter()
@@ -120,7 +115,7 @@ class EventJournal:
         self.wall_start = datetime.now(timezone.utc).isoformat()
 
     def emit(self, event: str, **fields) -> int:
-        """Write one event; returns its sequence id."""
+        """Record one event; returns its sequence id."""
         with self._lock:
             seq = self._seq
             self._seq += 1
@@ -130,26 +125,51 @@ class EventJournal:
                 "event": event,
             }
             record.update(fields)
-            self._file.write(json.dumps(record, sort_keys=True) + "\n")
-            self._file.flush()
+            self._write(record)
         return seq
+
+    def _write(self, record: Dict) -> None:
+        """Store one record (called with the lock held)."""
+        raise NotImplementedError
 
     @property
     def events_written(self) -> int:
         return self._seq
 
     def close(self) -> None:
-        if self._owns_file and not self._file.closed:
-            self._file.close()
+        pass
 
-    def __enter__(self) -> "EventJournal":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-class BufferJournal:
+class EventJournal(_Journal):
+    """Append-only JSON-lines event sink with monotonic sequence ids."""
+
+    def __init__(self, sink: Union[str, TextIO]) -> None:
+        super().__init__()
+        if isinstance(sink, str):
+            self._file: TextIO = open(sink, "w")
+            self._owns_file = True
+            self.path = sink
+        else:
+            self._file = sink
+            self._owns_file = False
+            self.path = getattr(sink, "name", None)
+
+    def _write(self, record: Dict) -> None:
+        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+        self._file.flush()
+
+    def close(self) -> None:
+        if self._owns_file and not self._file.closed:
+            self._file.close()
+
+
+class BufferJournal(_Journal):
     """An in-memory journal: same ``emit`` contract as
     :class:`EventJournal`, records appended to :attr:`events` instead
     of a file.
@@ -164,44 +184,14 @@ class BufferJournal:
     seconds since the buffer was created (monotonic clock).
     """
 
-    enabled = True
-    path = None
-
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._epoch = time.perf_counter()
-        self.wall_start = datetime.now(timezone.utc).isoformat()
+        super().__init__()
         #: Buffered event records (the same dict shape
         #: :meth:`EventJournal.emit` writes as JSON lines).
         self.events: List[Dict] = []
 
-    def emit(self, event: str, **fields) -> int:
-        """Buffer one event; returns its sequence id."""
-        with self._lock:
-            seq = self._seq
-            self._seq += 1
-            record = {
-                "seq": seq,
-                "ts": round(time.perf_counter() - self._epoch, 6),
-                "event": event,
-            }
-            record.update(fields)
-            self.events.append(record)
-        return seq
-
-    @property
-    def events_written(self) -> int:
-        return self._seq
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "BufferJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _write(self, record: Dict) -> None:
+        self.events.append(record)
 
 
 class NullJournal:

@@ -34,9 +34,10 @@ invariant the tests lock exactly::
     delivered   == decoded + rescaled + deduped + quarantined + late
 
 Delivered closes record their **end-to-end age in window-time**
-(``close window - send window``) into the ``delivery.age_windows``
-timer; every transition is journalled as a ``trace.*`` event (the raw
-material of ``repro trace``) and counted as a ``lifecycle.*`` metric.
+(``close window - send window``); every transition is one ``trace.*``
+event through :func:`repro.obs.emit` (the raw material of ``repro
+trace``), which the registry folds into the ``lifecycle.*`` counters
+and the ``delivery.age_windows`` timer.
 
 Plumbing mirrors the registry/journal: a module-level *current* tracer
 defaults to a shared no-op :class:`NullTracer`, so the instrumented
@@ -56,8 +57,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .journal import get_journal
-from .registry import get_registry
+from .facts import emit
 
 __all__ = [
     "DELIVERED_OUTCOMES",
@@ -113,27 +113,20 @@ class LifecycleTracer:
             self._open.setdefault((monitor, window, version), {})[copy] = (
                 _IN_FLIGHT
             )
-        journal = get_journal()
-        if journal.enabled:
-            journal.emit(
-                "trace.sent",
-                monitor=monitor, window=window, version=version, copy=copy,
-            )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("lifecycle.sent").inc()
+        emit(
+            "trace.sent",
+            monitor=monitor, window=window, version=version, copy=copy,
+        )
 
     def duplicated(
         self, monitor: str, window: int, version: int, copy: int
     ) -> None:
         """Copy ``copy`` exists only because the network duplicated the
         send (informational; the copy was separately :meth:`sent`)."""
-        journal = get_journal()
-        if journal.enabled:
-            journal.emit(
-                "trace.duplicated",
-                monitor=monitor, window=window, version=version, copy=copy,
-            )
+        emit(
+            "trace.duplicated",
+            monitor=monitor, window=window, version=version, copy=copy,
+        )
 
     def dropped(
         self, monitor: str, window: int, version: int, copy: int
@@ -147,24 +140,20 @@ class LifecycleTracer:
         self, monitor: str, window: int, version: int, copy: int, k: int
     ) -> None:
         """The copy will arrive ``k`` windows late (still in flight)."""
-        journal = get_journal()
-        if journal.enabled:
-            journal.emit(
-                "trace.delayed",
-                monitor=monitor, window=window, version=version,
-                copy=copy, delay=k,
-            )
+        emit(
+            "trace.delayed",
+            monitor=monitor, window=window, version=version, copy=copy,
+            delay=k,
+        )
 
     def reordered(
         self, monitor: str, window: int, version: int, copy: int
     ) -> None:
         """The copy was shuffled within its arrival window."""
-        journal = get_journal()
-        if journal.enabled:
-            journal.emit(
-                "trace.reordered",
-                monitor=monitor, window=window, version=version, copy=copy,
-            )
+        emit(
+            "trace.reordered",
+            monitor=monitor, window=window, version=version, copy=copy,
+        )
 
     def delivered(
         self,
@@ -179,13 +168,11 @@ class LifecycleTracer:
             copies = self._open.get((monitor, window, version))
             if copies is not None and copy in copies:
                 copies[copy] = _ARRIVED
-        journal = get_journal()
-        if journal.enabled:
-            journal.emit(
-                "trace.delivered",
-                monitor=monitor, window=window, version=version,
-                copy=copy, at_window=at_window,
-            )
+        emit(
+            "trace.delivered",
+            monitor=monitor, window=window, version=version, copy=copy,
+            at_window=at_window,
+        )
 
     # -- decode-side closes ------------------------------------------------
     def close(
@@ -238,19 +225,11 @@ class LifecycleTracer:
             age = at_window - key[1]
             if outcome in DELIVERED_OUTCOMES:
                 self._window_ages.append(float(age))
-        journal = get_journal()
-        if journal.enabled:
-            journal.emit(
-                "trace.closed",
-                monitor=key[0], window=key[1], version=key[2],
-                copy=copy, outcome=outcome, at_window=at_window,
-                age_windows=age,
-            )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(f"lifecycle.outcome.{outcome}").inc()
-            if outcome in DELIVERED_OUTCOMES:
-                registry.timer("delivery.age_windows").observe(float(age))
+        emit(
+            "trace.closed",
+            monitor=key[0], window=key[1], version=key[2], copy=copy,
+            outcome=outcome, at_window=at_window, age_windows=age,
+        )
 
     def expire_open(self, at_window: int) -> int:
         """Close every still-open trace as ``expired`` (the run ended

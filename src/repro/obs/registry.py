@@ -17,6 +17,10 @@ constraints, in order:
    same counter serialize on that counter alone.  The registry-wide
    lock guards only family creation, span recording and the snapshot
    series.
+4. **Per-window records cost O(changes).**  A counter, histogram or
+   timer child's first update after a window record appends the child
+   to the registry's change log, without any registry lock; the next
+   record is built from that log (:mod:`repro.obs.snapshots`).
 
 Instrument kinds follow the conventional semantics:
 
@@ -40,8 +44,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -74,13 +78,24 @@ def _label_items(labels: Dict[str, object]) -> LabelItems:
 class Counter:
     """A monotonically nondecreasing count."""
 
-    __slots__ = ("name", "labels", "value", "_lock")
+    __slots__ = ("name", "labels", "value", "_lock", "_note", "_base")
 
-    def __init__(self, name: str, labels: LabelItems, lock: threading.Lock):
+    def __init__(
+        self,
+        name: str,
+        labels: LabelItems,
+        lock: threading.Lock,
+        note: Optional[Callable[[object], None]] = None,
+    ):
         self.name = name
         self.labels = labels
         self.value = 0.0
         self._lock = lock
+        #: Enters this child in its registry's change log.
+        self._note = note
+        #: The value at the last window record; ``None`` until the
+        #: first change after it.
+        self._base: Optional[float] = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -88,6 +103,9 @@ class Counter:
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
             )
         with self._lock:
+            if self._base is None and self._note is not None:
+                self._base = self.value
+                self._note(self)
             self.value += amount
 
 
@@ -97,6 +115,8 @@ class Gauge:
     __slots__ = ("name", "labels", "value", "_lock")
 
     def __init__(self, name: str, labels: LabelItems, lock: threading.Lock):
+        # Every window record carries every gauge's level, so gauges
+        # keep no change log.
         self.name = name
         self.labels = labels
         self.value = 0.0
@@ -119,7 +139,7 @@ class HistogramInstrument:
 
     __slots__ = (
         "name", "labels", "count", "sum", "min", "max",
-        "bounds", "bucket_counts", "_lock",
+        "bounds", "bucket_counts", "_lock", "_note", "_base",
     )
 
     def __init__(
@@ -127,6 +147,7 @@ class HistogramInstrument:
         name: str,
         labels: LabelItems,
         lock: threading.Lock,
+        note: Optional[Callable[[object], None]] = None,
         bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
     ):
         self.name = name
@@ -138,10 +159,23 @@ class HistogramInstrument:
         self.bounds = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # trailing +inf
         self._lock = lock
+        self._note = note
+        #: ``(count, sum, bucket_counts)`` at the last window record;
+        #: ``None`` until the first change after it.
+        self._base: Optional[Tuple[int, float, List[int]]] = None
+
+    def note_change(self) -> None:
+        """Enter the change log if this is the first change since the
+        last window record (call with ``_lock`` held, before
+        mutating)."""
+        if self._base is None and self._note is not None:
+            self._base = (self.count, self.sum, list(self.bucket_counts))
+            self._note(self)
 
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
+            self.note_change()
             self.count += 1
             self.sum += value
             if value < self.min:
@@ -213,12 +247,17 @@ class MetricsRegistry:
         self._spans: List[SpanRecord] = []
         #: Origin of the registry's span timeline (monotonic clock).
         self.epoch = time.perf_counter()
-        #: Per-window snapshot-delta records, appended by
+        #: Per-window records, appended by
         #: :func:`repro.obs.snapshots.emit_window_record` (one per
         #: decoded window of a monitoring run).
         self.window_series: List[Dict[str, object]] = []
-        #: The snapshot the next window delta is taken against.
-        self._last_snapshot: Optional[object] = None
+        #: Counter/histogram/timer children changed since the last
+        #: window record, each once, in first-change order.  Children
+        #: append themselves without any registry lock (``list.append``
+        #: is atomic) and hold only this list, not the registry.
+        self._changes: List[object] = []
+        #: Gauge children in export order (rebuilt after a new gauge).
+        self._gauges: Optional[List[Gauge]] = None
 
     # -- instrument lookup -------------------------------------------------
     def _instrument(self, kind: str, name: str, labels: Dict[str, object]):
@@ -231,7 +270,13 @@ class MetricsRegistry:
                 # Each child gets its own lock: hot instruments updated
                 # from worker threads must not serialize on unrelated
                 # families (or on family creation).
-                child = self._KINDS[kind](name, items, threading.Lock())
+                if kind == "gauge":
+                    child = Gauge(name, items, threading.Lock())
+                    self._gauges = None
+                else:
+                    child = self._KINDS[kind](
+                        name, items, threading.Lock(), self._changes.append
+                    )
                 family[items] = child
             return child
 
@@ -272,6 +317,34 @@ class MetricsRegistry:
         ):
             yield kind, child
 
+    # -- window records ----------------------------------------------------
+    def drain_changes(self) -> List[object]:
+        """The children changed since the last drain.  The caller
+        resets each one's ``_base`` under its lock, which re-arms its
+        entry into the log."""
+        with self._lock:
+            # Only this end of the list shrinks: children appended
+            # while it is read stay for the next drain.
+            n = len(self._changes)
+            changes = self._changes[:n]
+            del self._changes[:n]
+        return changes
+
+    def gauges(self) -> List[Gauge]:
+        """Every gauge child, in export order."""
+        with self._lock:
+            if self._gauges is None:
+                self._gauges = sorted(
+                    (
+                        child
+                        for (kind, _name), family in self._metrics.items()
+                        if kind == "gauge"
+                        for child in family.values()
+                    ),
+                    key=lambda child: (child.name, child.labels),
+                )
+            return self._gauges
+
     def get(self, kind: str, name: str, **labels):
         """The existing instrument, or ``None`` (never creates)."""
         family = self._metrics.get((kind, name))
@@ -297,11 +370,12 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        yield
+    def time(self) -> nullcontext:
+        # One shared context: timing nothing allocates nothing.
+        return _NULL_CONTEXT
 
 
+_NULL_CONTEXT = nullcontext()
 _NULL_INSTRUMENT = _NullInstrument()
 
 

@@ -11,7 +11,7 @@ handed to it.
   * ``/metrics`` — the registry in Prometheus exposition format
     (what ``repro simulate --serve-metrics :9100`` serves, scrapeable
     mid-run);
-  * ``/series.json`` — the per-window snapshot-delta series
+  * ``/series.json`` — the per-window record series
     (:mod:`repro.obs.snapshots`), the data source for
     ``repro top http://host:port``; ``?since=N`` returns only the
     records from index ``N`` on, so pollers fetch each window once;

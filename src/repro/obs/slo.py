@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from .journal import get_journal
+from .facts import emit
 from .registry import get_registry
 
 __all__ = [
@@ -237,7 +237,6 @@ class SLOEngine:
         can neither fire nor resolve) — e.g. ``delivery_*`` quantiles
         with lifecycle tracing off.
         """
-        journal = get_journal()
         registry = get_registry()
         fired: List[Alert] = []
         with self._lock:
@@ -248,11 +247,10 @@ class SLOEngine:
                     continue
                 value = float(value)
                 breached = not rule.ok(value)
-                if registry.enabled:
-                    registry.gauge("slo.value", rule=rule.spec).set(value)
-                    registry.gauge("slo.breached", rule=rule.spec).set(
-                        1.0 if breached else 0.0
-                    )
+                registry.gauge("slo.value", rule=rule.spec).set(value)
+                registry.gauge("slo.breached", rule=rule.spec).set(
+                    1.0 if breached else 0.0
+                )
                 active = self._active.get(rule.spec)
                 if breached and active is None:
                     alert = Alert(
@@ -264,26 +262,20 @@ class SLOEngine:
                     self._active[rule.spec] = len(self.alerts)
                     self.alerts.append(alert)
                     fired.append(alert)
-                    if registry.enabled:
-                        registry.counter("slo.alerts.fired").inc()
-                    if journal.enabled:
-                        journal.emit(
-                            "alert.fired",
-                            window=window, rule=rule.spec,
-                            value=value, threshold=rule.threshold,
-                        )
+                    emit(
+                        "alert.fired",
+                        window=window, rule=rule.spec,
+                        value=value, threshold=rule.threshold,
+                    )
                 elif not breached and active is not None:
                     self.alerts[active] = replace(
                         self.alerts[active], resolved_window=window
                     )
                     del self._active[rule.spec]
-                    if registry.enabled:
-                        registry.counter("slo.alerts.resolved").inc()
-                    if journal.enabled:
-                        journal.emit(
-                            "alert.resolved",
-                            window=window, rule=rule.spec, value=value,
-                        )
+                    emit(
+                        "alert.resolved",
+                        window=window, rule=rule.spec, value=value,
+                    )
         return fired
 
     @property

@@ -1,28 +1,28 @@
-"""Windowed registry snapshots and per-window deltas.
+"""Windowed registry records and frozen snapshots.
 
 A cumulative :class:`~repro.obs.registry.MetricsRegistry` answers "what
 has happened so far"; a live operator wants "what happened *this*
 window".  This module bridges the two:
 
-* :func:`take_snapshot` freezes the registry's current state into an
-  immutable :class:`RegistrySnapshot` (counter/gauge values, histogram
-  and timer states keyed by ``name{label=value,...}``).
-* :func:`snapshot_delta` turns two snapshots into one time-series
-  record: **counters as deltas**, **gauges as levels**, **histograms
-  and timers as per-window count/sum/mean plus approximate p50/p90/p99
-  quantiles** interpolated from the bucket-count deltas.
-* :func:`emit_window_record` does both against the registry's last
-  snapshot and appends the record to ``registry.window_series`` — the
-  monitoring loop calls it once per decoded window, so a run leaves a
-  full per-window telemetry trail behind (served live at
-  ``/series.json`` by :mod:`repro.obs.server` and rendered by
-  ``repro top``).
+* :func:`emit_window_record` appends one time-series record to
+  ``registry.window_series``: **counters as deltas**, **gauges as
+  levels**, **histograms and timers as per-window count/sum/mean plus
+  approximate p50/p90/p99 quantiles** interpolated from the
+  bucket-count deltas.  It reads only the children the registry's
+  change log noted since the previous record (and the gauges), so a
+  record costs O(changes), not O(instruments).  The monitoring loop
+  calls it once per decoded window, so a run leaves a full per-window
+  telemetry trail behind (served live at ``/series.json`` by
+  :mod:`repro.obs.server` and rendered by ``repro top``).
+* :func:`take_snapshot` freezes the whole registry into an immutable
+  :class:`RegistrySnapshot` (counter/gauge values, histogram and timer
+  states keyed by ``name{label=value,...}``) — the unit a shard worker
+  ships to the parent (:mod:`repro.obs.crossproc`).
 
-Everything here is read-only with respect to the instruments and costs
-nothing when the registry is the no-op ``NullRegistry``
-(:func:`emit_window_record` returns immediately).
+Everything costs nothing when the registry is the no-op
+``NullRegistry`` (:func:`emit_window_record` returns immediately).
 
-Snapshot-delta record shape (JSON-friendly)::
+Record shape (JSON-friendly)::
 
     {"window": 3, "ts": 12.345,          # seconds since registry epoch
      "counters":  {"system.tuples": 4096.0, ...},          # deltas
@@ -31,6 +31,9 @@ Snapshot-delta record shape (JSON-friendly)::
                    {"count": 1, "sum": ..., "mean": ...,
                     "p50": ..., "p90": ..., "p99": ...}},
      "histograms": {...same shape as timers...}}
+
+Keys in each section are in export order (sorted by name, then
+labels).
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .registry import (
 __all__ = [
     "RegistrySnapshot",
     "take_snapshot",
-    "snapshot_delta",
     "emit_window_record",
     "bucket_quantile",
     "instrument_key",
@@ -169,77 +171,57 @@ def bucket_quantile(
     return float(bounds[-1])
 
 
-def _distribution_delta(
-    cur: _HistogramState, prev: Optional[_HistogramState]
-) -> Optional[Dict[str, object]]:
-    """Per-window view of one histogram/timer family (``None`` when no
-    observations landed this window)."""
-    prev_count = prev.count if prev is not None else 0
-    count = cur.count - prev_count
-    if count <= 0:
-        return None
-    prev_sum = prev.sum if prev is not None else 0.0
-    prev_buckets = (
-        prev.bucket_counts if prev is not None else (0,) * len(cur.bucket_counts)
-    )
-    dbuckets = tuple(
-        c - p for c, p in zip(cur.bucket_counts, prev_buckets)
-    )
-    dsum = cur.sum - prev_sum
-    entry: Dict[str, object] = {
-        "count": count,
-        "sum": dsum,
-        "mean": dsum / count,
-    }
-    for label, q in WINDOW_QUANTILES:
-        entry[label] = bucket_quantile(cur.bounds, dbuckets, q)
-    return entry
-
-
-def snapshot_delta(
-    prev: Optional[RegistrySnapshot],
-    cur: RegistrySnapshot,
-    window: Optional[int] = None,
-) -> Dict[str, object]:
-    """One time-series record between two snapshots (``prev`` may be
-    ``None`` for the first window: deltas are then absolute values)."""
-    record: Dict[str, object] = {
-        "window": window,
-        "ts": cur.ts,
-        "counters": {},
-        "gauges": dict(cur.gauges),
-        "timers": {},
-        "histograms": {},
-    }
-    counters = record["counters"]
-    for key, value in cur.counters.items():
-        base = prev.counters.get(key, 0.0) if prev is not None else 0.0
-        delta = value - base
-        if delta:
-            counters[key] = delta
-    for key, state in cur.histograms.items():
-        entry = _distribution_delta(
-            state, prev.histograms.get(key) if prev is not None else None
-        )
-        if entry is None:
-            continue
-        section = "timers" if key in cur.timer_keys else "histograms"
-        record[section][key] = entry
-    return record
-
-
 def emit_window_record(
     registry: MetricsRegistry, window: int
 ) -> Optional[Dict[str, object]]:
-    """Snapshot the registry, append the delta record for ``window`` to
-    ``registry.window_series``, and return it (``None`` when the
-    registry is disabled — strictly free on the no-op path)."""
+    """Append the record for ``window`` to ``registry.window_series`` and
+    return it (``None`` when the registry is disabled — strictly free on
+    the no-op path).
+
+    The record is built from the children the registry's change log
+    noted since the previous record, plus every gauge's level; nothing
+    else is read.  Draining the log resets each child's base, so the
+    next record starts from here."""
     if not registry.enabled:
         return None
-    cur = take_snapshot(registry)
+    counters: Dict[str, float] = {}
+    sections: Dict[str, Dict[str, object]] = {"timers": {}, "histograms": {}}
+    changed = registry.drain_changes()
+    changed.sort(key=lambda child: (child.name, child.labels))
+    for child in changed:
+        key = instrument_key(child.name, child.labels)
+        with child._lock:
+            base, child._base = child._base, None
+            if isinstance(child, Counter):
+                delta = child.value - base
+                if delta:
+                    counters[key] = delta
+                continue
+            count = child.count - base[0]
+            if count <= 0:
+                continue
+            dsum = child.sum - base[1]
+            dbuckets = [c - p for c, p in zip(child.bucket_counts, base[2])]
+        entry: Dict[str, object] = {
+            "count": count,
+            "sum": dsum,
+            "mean": dsum / count,
+        }
+        for label, q in WINDOW_QUANTILES:
+            entry[label] = bucket_quantile(child.bounds, dbuckets, q)
+        section = "timers" if isinstance(child, Timer) else "histograms"
+        sections[section][key] = entry
+    record: Dict[str, object] = {
+        "window": window,
+        "ts": time.perf_counter() - registry.epoch,
+        "counters": counters,
+        "gauges": {
+            instrument_key(g.name, g.labels): g.value
+            for g in registry.gauges()
+        },
+        "timers": sections["timers"],
+        "histograms": sections["histograms"],
+    }
     with registry._lock:
-        prev = registry._last_snapshot
-        registry._last_snapshot = cur
-        record = snapshot_delta(prev, cur, window=window)
         registry.window_series.append(record)
     return record

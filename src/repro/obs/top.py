@@ -10,7 +10,7 @@ either of the two live surfaces a run exposes:
   tolerate a partially flushed last line) and exits once it sees the
   ``run_end`` event;
 * a **metrics server URL** (``repro simulate --serve-metrics :9100``):
-  the per-window snapshot-delta series is fetched from
+  the per-window record series is fetched from
   ``<url>/series.json`` (:mod:`repro.obs.snapshots`); here the error
   column is the window's measured error from the
   ``system.window.error`` histogram delta and the quality gauges ride
@@ -200,7 +200,7 @@ _SERIES_COUNTERS = {
 
 
 def state_from_series(records: List[Dict], source: str) -> TopState:
-    """Fold per-window snapshot-delta records (``/series.json``) into
+    """Fold per-window records (``/series.json``) into
     dashboard state."""
     state = TopState(source=source)
     for rec in records:

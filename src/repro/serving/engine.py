@@ -37,10 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.errors import PenaltyMetric
 from ..core.groups import GroupTable
 from ..obs import (
+    emit,
     export_resources,
-    get_journal,
     get_registry,
     sample_resources,
+    telemetry_on,
 )
 from ..streams.system import MonitoringSystem, SystemReport
 from ..streams.tuples import Trace
@@ -191,8 +192,6 @@ class ServingEngine:
         self.tenants = tenants
         self.admitted: List[TenantSpec] = []
         self.rejected: List[Tuple[TenantSpec, str]] = []
-        registry = get_registry()
-        journal = get_journal()
         committed = 0
         for spec in tenants:
             reason = ""
@@ -208,29 +207,17 @@ class ServingEngine:
                     )
             if reason:
                 self.rejected.append((spec, reason))
-                if registry.enabled:
-                    registry.counter(
-                        "serving.tenants.rejected", tenant=spec.name
-                    ).inc()
-                if journal.enabled:
-                    journal.emit(
-                        "tenant.rejected", tenant=spec.name, reason=reason
-                    )
+                emit("tenant.rejected", tenant=spec.name, reason=reason)
                 continue
             if spec.byte_budget is not None:
                 committed += spec.byte_budget
             self.admitted.append(spec)
-            if registry.enabled:
-                registry.counter(
-                    "serving.tenants.admitted", tenant=spec.name
-                ).inc()
-            if journal.enabled:
-                journal.emit(
-                    "tenant.admitted",
-                    tenant=spec.name,
-                    byte_budget=spec.byte_budget,
-                    committed_bytes=committed,
-                )
+            emit(
+                "tenant.admitted",
+                tenant=spec.name,
+                byte_budget=spec.byte_budget,
+                committed_bytes=committed,
+            )
         self.systems: Dict[str, MonitoringSystem] = {}
         for spec in self.admitted:
             if shards > 1:
@@ -263,8 +250,6 @@ class ServingEngine:
         """Train and run every admitted tenant; returns per-tenant
         reports keyed by tenant name (rejected tenants included with
         ``admitted=False``)."""
-        registry = get_registry()
-        journal = get_journal()
         results: Dict[str, TenantReport] = {}
         for spec in self.admitted:
             system = self.systems[spec.name]
@@ -282,37 +267,24 @@ class ServingEngine:
                 bytes_used=bytes_used,
                 over_budget=over,
             )
-            if registry.enabled:
-                registry.counter(
-                    "serving.tenant.windows", tenant=spec.name
-                ).inc(len(report.windows))
-                registry.counter(
-                    "serving.tenant.bytes", tenant=spec.name
-                ).inc(bytes_used)
-                registry.gauge(
-                    "serving.tenant.mean_error", tenant=spec.name
-                ).set(report.mean_error)
-                if over:
-                    registry.counter(
-                        "serving.tenant.over_budget", tenant=spec.name
-                    ).inc()
-            if journal.enabled:
-                if over:
-                    journal.emit(
-                        "tenant.over_budget",
-                        tenant=spec.name,
-                        bytes_used=bytes_used,
-                        byte_budget=spec.byte_budget,
-                    )
-                journal.emit(
-                    "tenant.report",
+            if not telemetry_on():
+                continue
+            if over:
+                emit(
+                    "tenant.over_budget",
                     tenant=spec.name,
-                    windows=len(report.windows),
                     bytes_used=bytes_used,
                     byte_budget=spec.byte_budget,
-                    mean_error=report.mean_error,
-                    over_budget=over,
                 )
+            emit(
+                "tenant.report",
+                tenant=spec.name,
+                windows=len(report.windows),
+                bytes_used=bytes_used,
+                byte_budget=spec.byte_budget,
+                mean_error=report.mean_error,
+                over_budget=over,
+            )
         for spec, reason in self.rejected:
             results[spec.name] = TenantReport(
                 spec=spec, admitted=False, reason=reason
@@ -321,9 +293,9 @@ class ServingEngine:
         # serving.cache.* counters (delta-published, so multi-run
         # engines stay monotonic) and the control plane's own resource
         # usage next to the shard workers' proc.* series.
+        registry = get_registry()
         self.cache.publish_metrics(registry)
-        if registry.enabled:
-            export_resources(registry, sample_resources(), shard="parent")
+        export_resources(registry, sample_resources(), shard="parent")
         return results
 
     def close(self) -> None:

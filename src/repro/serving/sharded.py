@@ -57,12 +57,14 @@ from ..obs import (
     MetricsRegistry,
     NullRegistry,
     capture_worker_snapshot,
+    emit,
     export_resources,
     get_journal,
     get_registry,
     merge_worker_snapshots,
     resource_delta,
     sample_resources,
+    telemetry_on,
     use_journal,
     use_registry,
     use_tracer,
@@ -88,9 +90,7 @@ class FanInControlCenter(ControlCenter):
     """
 
     def _merge_and_estimate(self, usable):
-        registry = get_registry()
-        journal = get_journal()
-        timed = bool(usable) and (registry.enabled or journal.enabled)
+        timed = bool(usable) and telemetry_on()
         start = time.perf_counter() if timed else 0.0
         result = super()._merge_and_estimate(usable)
         if timed:
@@ -99,17 +99,13 @@ class FanInControlCenter(ControlCenter):
             # Chrome trace exporter renders `shard.fanin` events on the
             # control-center track).
             duration = time.perf_counter() - start
-            window = usable[0].window_index
-            if registry.enabled:
-                registry.timer("serving.fanin.duration").observe(duration)
-                registry.counter("serving.fanin.payloads").inc(len(usable))
-            if journal.enabled:
-                journal.emit(
-                    "shard.fanin",
-                    window=window,
-                    payloads=len(usable),
-                    duration_us=round(duration * 1e6, 1),
-                )
+            get_registry().timer("serving.fanin.duration").observe(duration)
+            emit(
+                "shard.fanin",
+                window=usable[0].window_index,
+                payloads=len(usable),
+                duration_us=round(duration * 1e6, 1),
+            )
         return result
 
 
@@ -333,33 +329,20 @@ class ShardedMonitoringSystem(MonitoringSystem):
             pool.shutdown(wait=True, cancel_futures=True)
 
     def _export_shard_summaries(self) -> None:
-        """Flush per-shard resource totals as ``serving.shard.*``
-        gauges and ``shard.summary`` journal events, then reset."""
+        """Flush per-shard resource totals as ``shard.summary`` events
+        (the registry folds them into ``serving.shard.*`` gauges), then
+        reset."""
         usage, self._shard_resources = self._shard_resources, {}
-        if not usage:
-            return
-        registry = get_registry()
-        journal = get_journal()
-        labels = {"tenant": self.tenant} if self.tenant else {}
         for shard in sorted(usage):
             summary = usage[shard]
-            cpu_s = round(summary["cpu_s"], 6)
-            if registry.enabled:
-                registry.gauge(
-                    "serving.shard.cpu_seconds", shard=str(shard), **labels
-                ).set(cpu_s)
-                registry.gauge(
-                    "serving.shard.max_rss_kb", shard=str(shard), **labels
-                ).set(summary["max_rss_kb"])
-            if journal.enabled:
-                journal.emit(
-                    "shard.summary",
-                    shard=shard,
-                    tenant=self.tenant or "",
-                    batches=int(summary["batches"]),
-                    cpu_s=cpu_s,
-                    max_rss_kb=round(summary["max_rss_kb"], 3),
-                )
+            emit(
+                "shard.summary",
+                shard=shard,
+                tenant=self.tenant or "",
+                batches=int(summary["batches"]),
+                cpu_s=round(summary["cpu_s"], 6),
+                max_rss_kb=round(summary["max_rss_kb"], 3),
+            )
 
     def __enter__(self) -> "ShardedMonitoringSystem":
         return self
@@ -418,9 +401,8 @@ class ShardedMonitoringSystem(MonitoringSystem):
                     offset += n
                 shard_jobs[i % self.shards].append((monitor.name, wins))
             registry = get_registry()
-            journal = get_journal()
             telemetry = None
-            if registry.enabled or journal.enabled:
+            if telemetry_on():
                 self._telemetry_seq += 1
                 telemetry = (registry.enabled, self._telemetry_seq)
             tasks = [
@@ -467,30 +449,17 @@ class ShardedMonitoringSystem(MonitoringSystem):
                 vshm.close()
                 vshm.unlink()
         self._record_imbalance(shard_jobs)
-        labels = {"tenant": self.tenant} if self.tenant else {}
         for shard, jobs in enumerate(shard_jobs):
-            if not jobs:
-                continue
-            windows = sum(len(wins) for _name, wins in jobs)
-            tuples = sum(n for _name, wins in jobs for (_w, _o, n) in wins)
-            if registry.enabled:
-                registry.counter(
-                    "serving.shard.windows", shard=str(shard), **labels
-                ).inc(windows)
-                registry.counter(
-                    "serving.shard.tuples", shard=str(shard), **labels
-                ).inc(tuples)
-                registry.counter(
-                    "serving.shard.payload_bytes", shard=str(shard), **labels
-                ).inc(shard_bytes[shard])
-            if journal.enabled:
-                journal.emit(
+            if jobs and telemetry_on():
+                emit(
                     "shard.prefetch",
                     shard=shard,
                     tenant=self.tenant or "",
                     monitors=[name for name, _wins in jobs],
-                    windows=windows,
-                    tuples=tuples,
+                    windows=sum(len(wins) for _name, wins in jobs),
+                    tuples=sum(
+                        n for _name, wins in jobs for (_w, _o, n) in wins
+                    ),
                     payload_bytes=shard_bytes[shard],
                 )
         if snapshots:
@@ -498,7 +467,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
             # worker events re-sequence as shard.worker.* in
             # (shard, seq) order.  Resource deltas accumulate for the
             # close()-time per-shard summaries.
-            merge_worker_snapshots(registry, journal, snapshots)
+            merge_worker_snapshots(registry, get_journal(), snapshots)
             for doc in snapshots:
                 shard = int(doc["shard"])
                 for rec in worker_resource_events(doc):
@@ -613,9 +582,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
         faults: object = _UNSET,
     ) -> "SystemReport":
         report = super().run(live, window_width, split_seed, faults)
-        registry = get_registry()
-        if registry.enabled:
-            # Parent-process counterpart of the worker proc.* series:
-            # cumulative totals under shard="parent".
-            export_resources(registry, sample_resources(), shard="parent")
+        # Parent-process counterpart of the worker proc.* series:
+        # cumulative totals under shard="parent".
+        export_resources(get_registry(), sample_resources(), shard="parent")
         return report

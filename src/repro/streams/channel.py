@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from ..core.domain import UIDDomain
 from ..core.partition import PartitioningFunction
-from ..obs import get_journal, get_registry, get_tracer
+from ..obs import emit, get_registry, get_tracer
 from .faults import Delivery, FaultModel
 from .monitor import HistogramMessage
 
@@ -77,34 +77,20 @@ class Channel:
                 registry.counter("channel.upstream.messages").inc()
                 registry.histogram("channel.message.bytes").observe(size)
         self.delivered.extend(deliveries)
-        if registry.enabled:
-            dropped = transmissions - len(deliveries)
-            if dropped:
-                registry.counter("channel.faults.dropped").inc(dropped)
-            if transmissions > 1:
-                registry.counter("channel.faults.duplicated").inc(
-                    transmissions - 1
+        monitor = message.monitor
+        window = message.window_index
+        for _ in range(transmissions - 1):
+            emit("fault.duplicate", monitor=monitor, window=window)
+        for _ in range(transmissions - len(deliveries)):
+            emit("fault.drop", monitor=monitor, window=window)
+        for d in deliveries:
+            if d.delay:
+                emit(
+                    "fault.delay", delay=d.delay, monitor=monitor,
+                    window=window,
                 )
-            delayed = sum(1 for d in deliveries if d.delay)
-            if delayed:
-                registry.counter("channel.faults.delayed").inc(delayed)
-        journal = get_journal()
-        if journal.enabled:
-            where = {
-                "monitor": message.monitor,
-                "window": message.window_index,
-            }
-            for _ in range(transmissions - 1):
-                journal.emit("fault.duplicate", **where)
-            for _ in range(transmissions - len(deliveries)):
-                journal.emit("fault.drop", **where)
-            for d in deliveries:
-                if d.delay:
-                    journal.emit("fault.delay", delay=d.delay, **where)
         tracer = get_tracer()
         if tracer.enabled:
-            monitor = message.monitor
-            window = message.window_index
             version = message.function_version
             # Surviving copies are numbered 0..len(deliveries)-1, the
             # dropped transmissions take the remaining indices.
@@ -131,11 +117,10 @@ class Channel:
         self.downstream_bytes += size
         delivered = self.faults.deliver_install() if self.faults else True
         registry = get_registry()
-        if registry.enabled:
-            registry.counter("channel.downstream.bytes").inc(size)
-            registry.counter("channel.downstream.installs").inc()
-            if not delivered:
-                registry.counter("channel.faults.install_dropped").inc()
+        registry.counter("channel.downstream.bytes").inc(size)
+        registry.counter("channel.downstream.installs").inc()
+        if not delivered:
+            registry.counter("channel.faults.install_dropped").inc()
         return delivered
 
     @property

@@ -46,23 +46,17 @@ from ..core.wire import merge_wire  # noqa: F401
 from ..obs import (
     QualityTracker,
     WindowQuality,
-    get_journal,
+    emit,
     get_registry,
+    get_slo_engine,
     get_tracer,
     span,
+    telemetry_on,
 )
 from .kernels import stream_kernel_mode
 from .monitor import HistogramMessage
 
 __all__ = ["ControlCenter", "DecodedWindow", "STALE_POLICIES"]
-
-#: Rebuild outcome -> its ``control.rebuild.cache.*`` counter (rebuilds
-#: with caching off count only in ``control.rebuilds``).
-_CACHE_COUNTERS = {
-    "hit": "control.rebuild.cache.hits",
-    "shared": "control.rebuild.cache.shared_hits",
-    "miss": "control.rebuild.cache.misses",
-}
 
 #: How :meth:`ControlCenter.decode_window` treats histograms built with
 #: a stale partitioning function:
@@ -320,22 +314,20 @@ class ControlCenter:
         set the ``control.function.*`` gauges."""
         self.function = function
         self.function_version += 1
-        registry = get_registry()
-        journal = get_journal()
-        if journal.enabled:
-            extra = {}
-            if incremental is not None:
-                # Only incremental rebuilds carry these fields, so
-                # journals written with the flag off stay byte-identical
-                # to previous releases; replay ignores rebuild events
-                # either way.
-                extra = {
-                    "dirty_subtrees": int(incremental["dirty_subtrees"]),
-                    "reused_fraction": float(
-                        incremental["reused_fraction"]
-                    ),
-                }
-            journal.emit(
+        if incremental is not None:
+            get_registry().counter("control.rebuild.subtrees.reused").inc(
+                int(incremental["reused_subtrees"])
+            )
+        if telemetry_on():
+            # Only incremental rebuilds carry the subtree fields, so
+            # journals written with the flag off stay byte-identical to
+            # previous releases; replay ignores rebuild events either
+            # way.
+            extra = {} if incremental is None else {
+                "dirty_subtrees": int(incremental["dirty_subtrees"]),
+                "reused_fraction": float(incremental["reused_fraction"]),
+            }
+            emit(
                 "rebuild",
                 version=self.function_version,
                 buckets=int(function.num_buckets),
@@ -343,21 +335,6 @@ class ControlCenter:
                 cache=cache,
                 **extra,
             )
-        if registry.enabled:
-            registry.counter("control.rebuilds").inc()
-            if cache in _CACHE_COUNTERS:
-                registry.counter(_CACHE_COUNTERS[cache]).inc()
-            if incremental is not None:
-                registry.counter("control.rebuild.subtrees.dirty").inc(
-                    int(incremental["dirty_subtrees"])
-                )
-                registry.counter("control.rebuild.subtrees.reused").inc(
-                    int(incremental["reused_subtrees"])
-                )
-            registry.gauge("control.function.buckets").set(
-                function.num_buckets
-            )
-            registry.gauge("control.function.bits").set(function.size_bits())
         return function
 
     # -- decoding ----------------------------------------------------------
@@ -460,12 +437,7 @@ class ControlCenter:
                 f"function (expected version {self.function_version})"
             )
         registry = get_registry()
-        if registry.enabled:
-            with registry.timer("control.decode.duration").time():
-                merged, estimates, nonzero = self._merge_and_estimate(
-                    usable
-                )
-        else:
+        with registry.timer("control.decode.duration").time():
             merged, estimates, nonzero = self._merge_and_estimate(usable)
         monitors_reporting = len({m.monitor for m in usable})
         if expected_monitors is None:
@@ -497,10 +469,13 @@ class ControlCenter:
                     outcome, at_window=m.window_index,
                 )
         quality: Optional[WindowQuality] = None
-        if registry.enabled or get_journal().enabled:
+        if telemetry_on() or get_slo_engine().enabled:
             # Online quality signals need no ground truth — everything
             # below derives from the merged histogram and the decode
-            # accounting.  Skipped entirely on the disabled path.
+            # accounting.  Computed whenever anything consumes them —
+            # metrics, the journal's decode events or SLO rules — so
+            # every live combination yields the same report; skipped
+            # entirely when none is.
             quality = self.quality.observe(
                 counts=merged.counts,
                 unmatched=merged.unmatched,
@@ -511,16 +486,14 @@ class ControlCenter:
                 duplicates=duplicates,
                 stale=stale,
             )
-            if registry.enabled:
-                for name, value in quality.as_dict().items():
-                    registry.gauge(f"quality.{name}").set(value)
-        if registry.enabled:
-            registry.counter("control.decodes").inc()
-            registry.counter("control.decode.messages").inc(len(messages))
-            if duplicates:
-                registry.counter("control.decode.duplicates").inc(duplicates)
-            if stale:
-                registry.counter("control.decode.stale").inc(stale)
+            for name, value in quality.as_dict().items():
+                registry.gauge(f"quality.{name}").set(value)
+        registry.counter("control.decodes").inc()
+        registry.counter("control.decode.messages").inc(len(messages))
+        if duplicates:
+            registry.counter("control.decode.duplicates").inc(duplicates)
+        if stale:
+            registry.counter("control.decode.stale").inc(stale)
         return DecodedWindow(
             estimates=estimates,
             merged=merged,

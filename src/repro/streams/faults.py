@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs import get_journal, get_registry, get_tracer
+from ..obs import emit, get_tracer
 from .monitor import HistogramMessage
 
 __all__ = ["Delivery", "FaultModel", "InstallScheduler"]
@@ -225,12 +225,10 @@ class FaultModel:
             arrivals.remove(delivery)  # identity equality: exact copy out
             pos = int(self._rng.integers(0, len(arrivals) + 1))
             arrivals.insert(pos, delivery)
-            if tracer.enabled:
-                m = delivery.message
-                tracer.reordered(
-                    m.monitor, m.window_index, m.function_version,
-                    delivery.copy,
-                )
+            m = delivery.message
+            tracer.reordered(
+                m.monitor, m.window_index, m.function_version, delivery.copy,
+            )
         return arrivals
 
 
@@ -276,7 +274,6 @@ class InstallScheduler:
         function = control_center.function
         if function is None:
             return 0
-        registry = get_registry()
         delivered_count = 0
         for monitor in monitors:
             if (
@@ -297,23 +294,17 @@ class InstallScheduler:
             retry = state.attempts > 0
             if retry:
                 self.retries += 1
-                if registry.enabled:
-                    registry.counter("control.install.retries").inc()
-            if registry.enabled:
-                registry.counter("control.install.attempts").inc()
             state.attempts += 1
             acked = channel.send_function(function, version=target)
-            journal = get_journal()
-            if journal.enabled:
-                journal.emit(
-                    "install",
-                    window=window,
-                    monitor=monitor.name,
-                    version=target,
-                    attempt=state.attempts,
-                    retry=retry,
-                    acked=acked,
-                )
+            emit(
+                "install",
+                window=window,
+                monitor=monitor.name,
+                version=target,
+                attempt=state.attempts,
+                retry=retry,
+                acked=acked,
+            )
             if acked:
                 monitor.install_function(function, target)
                 self._state.pop(monitor.name, None)

@@ -156,13 +156,9 @@ class Monitor:
                 f"monitor {self.name!r} has no partitioning function installed"
             )
         uids = np.asarray(uids, dtype=np.int64)
-        registry = get_registry()
-        if registry.enabled:
-            with registry.timer(
-                "monitor.partition.duration", monitor=self.name
-            ).time():
-                histogram = self._build(uids, values)
-        else:
+        with get_registry().timer(
+            "monitor.partition.duration", monitor=self.name
+        ).time():
             histogram = self._build(uids, values)
         self._account(1, int(uids.size), (len(histogram),))
         return self._message(window_index, histogram)
@@ -192,16 +188,10 @@ class Monitor:
                 f"monitor {self.name!r} has no partitioning function installed"
             )
         arrays = [np.asarray(u, dtype=np.int64) for u in uid_windows]
-        registry = get_registry()
         if stream_kernel_mode() == "fast":
-            if registry.enabled:
-                with registry.timer(
-                    "monitor.partition.duration", monitor=self.name
-                ).time():
-                    histograms = self._compiled.build_histograms(
-                        arrays, values
-                    )
-            else:
+            with get_registry().timer(
+                "monitor.partition.duration", monitor=self.name
+            ).time():
                 histograms = self._compiled.build_histograms(arrays, values)
         else:
             if values is None:

@@ -45,7 +45,7 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 from ..core.partition import Histogram
-from ..obs import get_journal, get_registry
+from ..obs import emit
 from ..obs.quality import drift_score, normalized_distribution
 from .control_center import DecodedWindow
 from .system import _UNSET, MonitoringSystem, SystemReport
@@ -195,16 +195,7 @@ class AdaptiveMonitoringSystem(MonitoringSystem):
         # histogram stream alone.
         rebuild = self.detector.observe(decoded.merged)
         report.drift_scores.append(self.detector.last_score)
-        registry = get_registry()
-        journal = get_journal()
-        if registry.enabled:
-            registry.histogram("system.drift.score").observe(
-                self.detector.last_score
-            )
-        if journal.enabled:
-            journal.emit(
-                "drift", window=window, score=self.detector.last_score
-            )
+        emit("drift", window=window, score=self.detector.last_score)
         if rebuild:
             # Copy: the running sum mutates in place every window, and
             # the rebuild path fingerprints / retains what we hand it.
@@ -212,14 +203,11 @@ class AdaptiveMonitoringSystem(MonitoringSystem):
             self._install(history)
             self.detector.reset()  # re-anchor next window
             report.rebuilds.append(window)
-            if registry.enabled:
-                registry.counter("system.recalibrations").inc()
-            if journal.enabled:
-                journal.emit(
-                    "recalibration",
-                    window=window,
-                    version=self.control_center.function_version,
-                )
+            emit(
+                "recalibration",
+                window=window,
+                version=self.control_center.function_version,
+            )
 
     def run(
         self,

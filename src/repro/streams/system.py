@@ -51,12 +51,15 @@ from ..core.errors import PenaltyMetric
 from ..core.groups import GroupTable
 from ..obs import (
     Alert,
+    WindowQuality,
+    emit,
     emit_window_record,
     get_journal,
     get_registry,
     get_slo_engine,
     get_tracer,
     span,
+    telemetry_on,
 )
 from ..obs.slo import quantile
 from .channel import Channel
@@ -72,6 +75,9 @@ __all__ = ["WindowReport", "SystemReport", "MonitoringSystem"]
 #: Sentinel distinguishing "no faults passed to run()" from an explicit
 #: ``faults=None`` override of the system-level default.
 _UNSET = object()
+
+#: The all-zero quality signals of a window decoded with no consumer live.
+_NO_QUALITY = WindowQuality()
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,8 @@ class WindowReport:
     #: Deliveries that arrived after their window's decode watermark.
     late_messages: int = 0
     #: Online quality signals (see :mod:`repro.obs.quality`), filled
-    #: when metrics or the event journal were live during the run;
-    #: ``0.0`` otherwise.
+    #: when metrics, the event journal or an SLO engine were live
+    #: during the run; ``0.0`` otherwise.
     coverage: float = 0.0
     spill_fraction: float = 0.0
     occupancy_entropy: float = 0.0
@@ -193,22 +199,20 @@ class MonitoringSystem:
         )
         function = self.control_center.rebuild_function(counts)
         version = self.control_center.function_version
-        journal = get_journal()
         for monitor in self.monitors:
             for attempt in range(1, self.max_install_attempts + 1):
                 acked = self.channel.send_function(function, version=version)
-                if journal.enabled:
-                    # window -1 marks the training phase (before any
-                    # live window existed).
-                    journal.emit(
-                        "install",
-                        window=-1,
-                        monitor=monitor.name,
-                        version=version,
-                        attempt=attempt,
-                        retry=attempt > 1,
-                        acked=acked,
-                    )
+                # window -1 marks the training phase (before any live
+                # window existed).
+                emit(
+                    "install",
+                    window=-1,
+                    monitor=monitor.name,
+                    version=version,
+                    attempt=attempt,
+                    retry=attempt > 1,
+                    acked=acked,
+                )
                 if acked:
                     monitor.install_function(function, version)
                     break
@@ -272,7 +276,6 @@ class MonitoringSystem:
             raise RuntimeError("call train() before run()")
         cc = self.control_center
         registry = get_registry()
-        journal = get_journal()
         tracer = get_tracer()
         slo = get_slo_engine()
         if faults is not None:
@@ -290,22 +293,10 @@ class MonitoringSystem:
             ]
             n_windows = max((len(s) for s in segmented), default=0)
             self._prefetch(segmented)
-            if journal.enabled:
-                faults_spec = (
-                    {
-                        name: getattr(faults, name)
-                        for name in (
-                            "drop", "duplicate", "reorder", "delay",
-                            "max_delay_windows", "crash", "install_drop",
-                            "seed",
-                        )
-                    }
-                    if faults is not None
-                    else None
-                )
-                journal.emit(
+            if telemetry_on():
+                emit(
                     "run_start",
-                    wall_start=journal.wall_start,
+                    wall_start=get_journal().wall_start,
                     windows=n_windows,
                     monitors=len(self.monitors),
                     algorithm=cc.algorithm,
@@ -314,7 +305,7 @@ class MonitoringSystem:
                     stale_policy=cc.stale_policy,
                     window_width=float(window_width),
                     split_seed=int(split_seed),
-                    faults=faults_spec,
+                    faults=asdict(faults) if faults is not None else None,
                 )
             with span(
                 "system.run", windows=n_windows, monitors=len(self.monitors),
@@ -350,16 +341,9 @@ class MonitoringSystem:
                         ):
                             monitor.crash()
                             report.monitor_crashes += 1
-                            if registry.enabled:
-                                registry.counter(
-                                    "system.monitor.crashes"
-                                ).inc()
-                            if journal.enabled:
-                                journal.emit(
-                                    "fault.crash",
-                                    window=w,
-                                    monitor=monitor.name,
-                                )
+                            emit(
+                                "fault.crash", window=w, monitor=monitor.name
+                            )
                             continue
                         if monitor.function is None:
                             # Down since a crash; rejoins once the
@@ -397,8 +381,6 @@ class MonitoringSystem:
                         if d.message.window_index == w
                     ]
                     late = len(arrivals) - len(on_time)
-                    if late and registry.enabled:
-                        registry.counter("system.messages.late").inc(late)
                     if tracer.enabled:
                         # Every copy arriving this tick is delivered;
                         # copies past their window's watermark close
@@ -433,7 +415,7 @@ class MonitoringSystem:
                     )
                     error = float(cc.error(decoded.estimates, actual))
                     raw = self.channel.raw_stream_bytes(int(uids.size))
-                    quality = decoded.quality
+                    quality = decoded.quality or _NO_QUALITY
                     window_report = WindowReport(
                         window_index=w,
                         tuples=int(uids.size),
@@ -446,41 +428,17 @@ class MonitoringSystem:
                         stale_messages=decoded.stale_messages,
                         late_messages=late,
                         coverage=decoded.coverage,
-                        spill_fraction=(
-                            quality.spill_fraction if quality else 0.0
-                        ),
-                        occupancy_entropy=(
-                            quality.occupancy_entropy if quality else 0.0
-                        ),
-                        occupancy_skew=(
-                            quality.occupancy_skew if quality else 0.0
-                        ),
-                        drift_score=(
-                            quality.drift_score if quality else 0.0
-                        ),
+                        spill_fraction=quality.spill_fraction,
+                        occupancy_entropy=quality.occupancy_entropy,
+                        occupancy_skew=quality.occupancy_skew,
+                        drift_score=quality.drift_score,
                     )
                     report.windows.append(window_report)
                     report.raw_bytes += raw
-                    if journal.enabled:
+                    if telemetry_on():
                         # The decode event carries the full WindowReport
                         # so replay can rebuild it field-for-field.
-                        journal.emit("decode", **asdict(window_report))
-                    if registry.enabled:
-                        registry.counter("system.windows").inc()
-                        registry.counter("system.tuples").inc(int(uids.size))
-                        registry.counter("system.raw.bytes").inc(raw)
-                        registry.histogram("system.window.error").observe(
-                            error
-                        )
-                        registry.histogram("system.window.bytes").observe(
-                            hist_bytes
-                        )
-                        registry.histogram(
-                            "system.window.nonzero_buckets"
-                        ).observe(decoded.nonzero_buckets)
-                        registry.histogram(
-                            "system.window.monitors_reporting"
-                        ).observe(decoded.monitors_reporting)
+                        emit("decode", **asdict(window_report))
                     self._after_window(w, decoded, actual, report)
                     # One time-series point per decoded window:
                     # counters as deltas, gauges as levels, timers as
@@ -489,11 +447,7 @@ class MonitoringSystem:
                     # Delivered-close ages are per-window: drain them
                     # even without an SLO engine so a late-attached one
                     # never sees stale history.
-                    ages = (
-                        tracer.drain_window_ages()
-                        if tracer.enabled
-                        else []
-                    )
+                    ages = tracer.drain_window_ages()
                     if slo.enabled:
                         signals = {
                             name: float(value)
@@ -503,44 +457,32 @@ class MonitoringSystem:
                             if isinstance(value, (int, float))
                         }
                         if tracer.enabled:
-                            signals["delivery_p50_windows"] = quantile(
-                                ages, 0.50
-                            )
-                            signals["delivery_p90_windows"] = quantile(
-                                ages, 0.90
-                            )
-                            signals["delivery_p99_windows"] = quantile(
-                                ages, 0.99
-                            )
+                            for p in (50, 90, 99):
+                                signals[f"delivery_p{p}_windows"] = quantile(
+                                    ages, p / 100
+                                )
                         signals.update(self._window_signals(w))
                         slo.observe(w, signals)
             report.expired_messages = sum(
                 len(v) for v in in_flight.values()
             )
-            if tracer.enabled:
-                # Copies still in flight past the last window can never
-                # decode — close their traces as expired.
-                tracer.expire_open(n_windows)
-            if report.expired_messages and registry.enabled:
-                registry.counter("system.messages.expired").inc(
-                    report.expired_messages
-                )
+            # Copies still in flight past the last window can never
+            # decode — close their traces as expired.
+            tracer.expire_open(n_windows)
         finally:
             self.channel.faults = previous_faults
         report.upstream_bytes = self.channel.upstream_bytes
         report.function_bytes = self.channel.downstream_bytes
-        if slo.enabled:
-            report.alerts = slo.finish()
-        if journal.enabled:
-            journal.emit(
-                "run_end",
-                windows=len(report.windows),
-                upstream_bytes=report.upstream_bytes,
-                function_bytes=report.function_bytes,
-                raw_bytes=report.raw_bytes,
-                monitor_crashes=report.monitor_crashes,
-                expired_messages=report.expired_messages,
-            )
+        report.alerts = slo.finish()
+        emit(
+            "run_end",
+            windows=len(report.windows),
+            upstream_bytes=report.upstream_bytes,
+            function_bytes=report.function_bytes,
+            raw_bytes=report.raw_bytes,
+            monitor_crashes=report.monitor_crashes,
+            expired_messages=report.expired_messages,
+        )
         if registry.enabled:
             registry.gauge("system.mean_error").set(report.mean_error)
             registry.gauge("system.compression_ratio").set(

@@ -255,6 +255,29 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="not firing"):
             replay_system_report(events + [orphan])
 
+    def test_quality_rule_fires_without_metrics_or_journal(
+        self, workload, tmp_path
+    ):
+        """A quality-signal rule must see real values under an SLO
+        engine alone, and the report must not depend on which other
+        telemetry sinks are live."""
+        table, history, live = workload
+
+        def run(journal=None):
+            system = MonitoringSystem(
+                table, get_metric("rms"), num_monitors=2, budget=25,
+            )
+            engine = SLOEngine(parse_slo_spec("occupancy_entropy<0.001"))
+            with use_journal(journal), use_slo_engine(engine):
+                system.train(history)
+                return system.run(live, window_width=3.0)
+
+        alone = run()
+        journaled = run(EventJournal(str(tmp_path / "run.journal")))
+        assert alone.alerts, "the quality rule never fired"
+        assert alone.alerts[0].value > 0.001
+        assert alone == journaled
+
     def test_top_folds_alert_events(self, slo_run):
         path, report, _engine = slo_run
         state = state_from_journal(read_journal(path), path)
