@@ -8,6 +8,13 @@ incremental path must be *bit-identical* to the full build — every
 point asserts curve-byte equality — so the only thing measured is how
 much of the previous build's DP state the memo lets the rebuild skip.
 
+One more point per workload changes the *support*: it empties 1% of
+the nonzero groups and fills as many empty ones, so the nonzero mask
+(and the pruned structure) moves.  Such a rebuild runs cold — the full
+sweep plus a fresh memo — and the point times that path and asserts
+the same bit-identity (``support_changed: true``; every other point
+keeps the mask).
+
 Timings are construction-only (the ``PrunedHierarchy`` build is timed
 separately and reported per workload): the full leg times ``build()``
 alone; the incremental leg times session creation + build + memo
@@ -62,6 +69,10 @@ TINY_GRID: List[Tuple[str, int, int, int]] = [
 #: Fraction of the nonzero support drifted between builds.
 DRIFT_FRACTIONS = [0.01, 0.10, 0.50, 1.00]
 
+#: Fraction of the nonzero support emptied (and refilled elsewhere) by
+#: the support-changing point.
+SUPPORT_FRACTION = 0.01
+
 REPS = 5
 
 
@@ -90,12 +101,75 @@ def _drift(counts: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
+def _support_change(counts: np.ndarray, fraction: float) -> np.ndarray:
+    """Empty the first ``fraction`` of the nonzero support and give as
+    many empty groups one tuple each: the nonzero mask changes, so the
+    rebuild cannot reuse the memo's structure."""
+    out = counts.copy()
+    nz = np.nonzero(out)[0]
+    empty = np.nonzero(out == 0)[0]
+    k = min(max(1, round(fraction * len(nz))), len(empty))
+    out[nz[:k]] = 0.0
+    out[empty[:k]] = 1.0
+    return out
+
+
 def _build_with_memo(table, counts, algorithm, metric, budget, memo):
     """One incremental build; returns (result, next_memo, stats)."""
     h = PrunedHierarchy(table, counts)
     session = incmod.new_session(algorithm, h, metric, budget, memo)
     result = build(algorithm, h, metric, budget, memo=session)
     return result, session.finish(), session.stats()
+
+
+def _time_point(table, counts, drifted, algorithm, metric, budget):
+    """Time full builds of ``drifted`` against incremental rebuilds
+    from a ``counts`` memo; raise unless the curves are bit-identical."""
+    # Full-build leg: consecutive reps, construction only.
+    full_times = []
+    full_result = None
+    for _ in range(REPS):
+        h = PrunedHierarchy(table, drifted)
+        t0 = time.perf_counter()
+        full_result = build(algorithm, h, metric, budget)
+        full_times.append(time.perf_counter() - t0)
+    # Incremental leg: memo seeded from a baseline build (untimed);
+    # each rep rebuilds back to baseline between timings because the
+    # overlapping memo arena is patched in place.
+    _, memo, _ = _build_with_memo(
+        table, counts, algorithm, metric, budget, None
+    )
+    inc_times = []
+    inc_result = None
+    stats: Dict[str, float] = {}
+    for _ in range(REPS):
+        h = PrunedHierarchy(table, drifted)
+        t0 = time.perf_counter()
+        session = incmod.new_session(algorithm, h, metric, budget, memo)
+        inc_result = build(algorithm, h, metric, budget, memo=session)
+        after = session.finish()
+        inc_times.append(time.perf_counter() - t0)
+        stats = session.stats()
+        _, memo, _ = _build_with_memo(
+            table, counts, algorithm, metric, budget, after
+        )
+    identical = full_result.curve.tobytes() == inc_result.curve.tobytes()
+    if not identical:
+        raise AssertionError(
+            f"incremental curve diverged: {algorithm} "
+            f"reused={stats['reused_fraction']:.3f}"
+        )
+    full_s = min(full_times)
+    inc_s = min(inc_times)
+    return {
+        "full_seconds": round(full_s, 6),
+        "incremental_seconds": round(inc_s, 6),
+        "speedup": round(full_s / inc_s, 3),
+        "identical": identical,
+        "dirty_subtrees": stats["dirty_subtrees"],
+        "reused_subtrees": stats["reused_subtrees"],
+        "reused_fraction": round(stats["reused_fraction"], 4),
+    }
 
 
 def run_grid(grid: str) -> Dict[str, object]:
@@ -123,70 +197,35 @@ def run_grid(grid: str) -> Dict[str, object]:
             f"nodes={workload['pruned_nodes']} "
             f"(hierarchy {hierarchy_seconds * 1e3:.1f} ms)"
         )
-        for fraction in DRIFT_FRACTIONS:
-            drifted = _drift(counts, fraction)
-            # Full-build leg: consecutive reps, construction only.
-            full_times = []
-            full_result = None
-            for _ in range(REPS):
-                h = PrunedHierarchy(table, drifted)
-                t0 = time.perf_counter()
-                full_result = build(algorithm, h, metric, budget)
-                full_times.append(time.perf_counter() - t0)
-            # Incremental leg: memo seeded from a baseline build
-            # (untimed); each rep rebuilds back to baseline between
-            # timings because the memo arena is patched in place.
-            _, memo, _ = _build_with_memo(
-                table, counts, algorithm, metric, budget, None
+        legs = [(f, _drift(counts, f), False) for f in DRIFT_FRACTIONS]
+        legs.append((
+            SUPPORT_FRACTION,
+            _support_change(counts, SUPPORT_FRACTION),
+            True,
+        ))
+        for fraction, drifted, support_changed in legs:
+            point = _time_point(
+                table, counts, drifted, algorithm, metric, budget
             )
-            inc_times = []
-            inc_result = None
-            stats: Dict[str, float] = {}
-            for _ in range(REPS):
-                h = PrunedHierarchy(table, drifted)
-                session = incmod.new_session(
-                    algorithm, h, metric, budget, memo
-                )
-                t0 = time.perf_counter()
-                inc_result = build(
-                    algorithm, h, metric, budget, memo=session
-                )
-                after = session.finish()
-                inc_times.append(time.perf_counter() - t0)
-                stats = session.stats()
-                _, memo, _ = _build_with_memo(
-                    table, counts, algorithm, metric, budget, after
-                )
-            identical = (
-                full_result.curve.tobytes() == inc_result.curve.tobytes()
-            )
-            if not identical:
-                raise AssertionError(
-                    f"incremental curve diverged: {algorithm} "
-                    f"drift={fraction}"
-                )
-            full_s = min(full_times)
-            inc_s = min(inc_times)
             point = {
                 "workload": workload,
                 "drift_fraction": fraction,
-                "full_seconds": round(full_s, 6),
-                "incremental_seconds": round(inc_s, 6),
-                "speedup": round(full_s / inc_s, 3),
-                "identical": identical,
-                "dirty_subtrees": stats["dirty_subtrees"],
-                "reused_subtrees": stats["reused_subtrees"],
-                "reused_fraction": round(stats["reused_fraction"], 4),
+                "support_changed": support_changed,
+                **point,
             }
             points.append(point)
             print(
-                f"  drift={fraction:.2f}: full={full_s * 1e3:.1f}ms "
-                f"inc={inc_s * 1e3:.1f}ms ({point['speedup']}x, "
+                f"  {'support' if support_changed else 'drift'}="
+                f"{fraction:.2f}: full={point['full_seconds'] * 1e3:.1f}ms "
+                f"inc={point['incremental_seconds'] * 1e3:.1f}ms "
+                f"({point['speedup']}x, "
                 f"reused={point['reused_fraction']:.3f}, "
-                f"identical={identical})"
+                f"identical={point['identical']})"
             )
     low_drift = {}
     for p in points:
+        if p["support_changed"]:
+            continue
         if p["drift_fraction"] <= 0.10:
             alg = p["workload"]["algorithm"]
             key = f"{alg}@{p['drift_fraction']}"
@@ -199,6 +238,11 @@ def run_grid(grid: str) -> Dict[str, object]:
         "reps": REPS,
         "points": points,
         "low_drift_speedups": low_drift,
+        "support_change_speedups": {
+            p["workload"]["algorithm"]: p["speedup"]
+            for p in points
+            if p["support_changed"]
+        },
     }
 
 

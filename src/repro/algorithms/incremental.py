@@ -1,9 +1,9 @@
-"""Subtree-memoized incremental DP rebuilds (ROADMAP item 2).
+"""Subtree-memoized incremental DP rebuilds.
 
-The paper leaves recalibration *policy* open; PR 5 answered "when"
-with the drift detector, and this module answers "how much work" — a
-rebuild should cost time proportional to the drift, not to ``|G|``.
-The lever is the tree structure of the dynamic programs themselves:
+The paper leaves recalibration *policy* open; the drift detector
+answers "when", and this module answers "how much work" — a rebuild
+should cost time proportional to the drift, not to ``|G|``.  The lever
+is the tree structure of the dynamic programs themselves:
 
 * **Nonoverlapping.**  The table ``E[i, .]`` (and its recorded split
   choices) depends only on the *content* of ``i``'s pruned subtree —
@@ -11,9 +11,9 @@ The lever is the tree structure of the dynamic programs themselves:
   plus the construction configuration (metric, budget, options).
   A subtree whose per-group counts did not change therefore
   contributes a bit-identical table to its parent's knapsack merge,
-  so the whole subtree's tables and splits can be reused from the
-  previous build and only the *dirty* nodes (ancestors of changed
-  groups) re-run their merges.
+  so only the *dirty* nodes (ancestors of changed groups) re-run
+  their merges — in the same phase-batched merge a full build runs,
+  reading clean children's tables out of the memo.
 
 * **Overlapping.**  The bucket-case table ``F[i, .]`` is independent
   of the enclosing ancestor (the property the LPM heuristic also
@@ -27,22 +27,17 @@ The lever is the tree structure of the dynamic programs themselves:
   copied from the memo and only the first ``D`` rows are re-merged —
   in one stacked kernel call, since batch rows are row-independent.
 
-Each node's identity is its per-subtree **content fingerprint**:
-BLAKE2b over the subtree's pruned structure (node ids, kinds, group
-counts, tuple counts, recursively over children).  Two builds of the
-same window support (the pruned tree's shape is a pure function of
-which groups are nonzero) assign every subtree the same postorder
-index, so the common case — localized count drift with an unchanged
-support set, recognized by a BLAKE2b *structure signature* over the
-nonzero mask — resolves fingerprint equality by index: the dirty set
-is one vectorized diff of the new counts against the counts the memo
-was built from, pushed to internal nodes by a prefix sum over each
-subtree's contiguous postorder interval, and only dirty fingerprints
-are re-hashed.  When the support set did change, the nonoverlapping
-session falls back to fingerprint-keyed splicing (reuse survives
-pruned-shape changes elsewhere in the tree); the overlapping session
-starts cold — correct either way, because reuse is an optimization
-over an identical computation.
+Both DPs follow one memo policy.  The pruned hierarchy's shape (and
+therefore its postorder numbering) is a pure function of *which*
+groups are nonzero, so a rebuild whose nonzero mask equals the memo's
+— checked by a BLAKE2b *structure signature* over the mask — sees
+node ``i`` of the memo cover the same subtree as its own node ``i``.
+The dirty set is then one vectorized diff of the new counts against
+the counts the memo was built from, pushed to internal nodes by a
+prefix sum over each subtree's contiguous postorder interval.  Any
+other rebuild — a changed mask, a different configuration, or no
+memo at all — starts cold: it runs the full sweep and records a
+complete memo for the next rebuild.
 
 A memo is only consulted when its configuration key (algorithm,
 metric, budget, builder options) matches the rebuild's.  The kernel
@@ -57,19 +52,17 @@ reconstructed bucket set — is **bit-identical to a from-scratch
 build**.  ``tests/test_incremental.py`` property-tests this against
 the naive oracle with zero tolerance.
 
-The dirty set is cross-checked against the count diff: each session
-diffs the new counts against the counts the previous memo was built
-from (the warehouse history the standing function used), reporting
-``dirty_groups`` alongside the subtree reuse counters so the drift
-signals of PR 5 (``quality.drift_score``, occupancy skew) can
+Each session also diffs the new counts against the counts the previous
+memo was built from (the warehouse history the standing function
+used), reporting ``dirty_groups`` alongside the subtree reuse counters
+so the drift signals (``quality.drift_score``, occupancy skew) can
 corroborate what the rebuild actually re-solved.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,9 +71,9 @@ from ..core.errors import PenaltyMetric
 from ..core.hierarchy import PNode, PrunedHierarchy
 from .base import INF, DPContext
 from .kernels import kernel_mode
+from .nonoverlapping import _merge_internal
 
 __all__ = [
-    "subtree_fingerprints",
     "memo_config_key",
     "memo_compatible",
     "supports_incremental",
@@ -95,41 +88,6 @@ __all__ = [
 #: heuristics rebuild through their own greedy passes and are cheap
 #: enough that memoization has nothing to amortize.
 INCREMENTAL_ALGORITHMS = ("nonoverlapping", "overlapping")
-
-_KIND_CODE = {"group": 0, "zero": 1, "branch": 2}
-
-_pack_node = struct.Struct("<Bqqd").pack
-
-
-def _node_hash(p: PNode, fps: List[bytes]) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(_pack_node(_KIND_CODE[p.kind], p.node, p.n_groups, p.tuples))
-    if p.left is not None:
-        h.update(fps[p.left.index])
-        h.update(fps[p.right.index])
-    return h.digest()
-
-
-def subtree_fingerprints(hierarchy: PrunedHierarchy) -> List[bytes]:
-    """Per-node content fingerprints, cached on the hierarchy.
-
-    ``fps[i]`` identifies the *content* of node ``i``'s pruned subtree:
-    BLAKE2b-128 over ``(kind, node id, group count, tuple count)`` plus
-    the children's fingerprints (postorder guarantees children hash
-    first).  Everything the dynamic programs read about a subtree —
-    leaf counts and weights, densities, collapse decisions, knapsack
-    caps — is a function of exactly these fields, so equal
-    fingerprints imply bit-identical per-subtree DP state for a fixed
-    configuration.
-    """
-    fps = getattr(hierarchy, "_subtree_fps", None)
-    if fps is not None:
-        return fps
-    fps = [b""] * len(hierarchy.nodes)
-    for p in hierarchy.nodes:  # postorder: children precede parents
-        fps[p.index] = _node_hash(p, fps)
-    hierarchy._subtree_fps = fps
-    return fps
 
 
 def _structure_signature(counts: np.ndarray) -> bytes:
@@ -167,10 +125,11 @@ def memo_compatible(
     an incompatible memo is safe but pointless; this check lets a
     *shared* memo store (the serving layer's cross-tenant cache) avoid
     handing out memos that would contribute nothing.  Config-compatible
-    memos from a different tenant are sound to share: every reuse
-    inside a session is guarded by subtree content fingerprints, and
-    equal fingerprints imply bit-identical per-subtree DP state for a
-    fixed configuration (see :func:`subtree_fingerprints`).
+    memos from a different tenant are sound to share: a session reuses
+    a memo only when the two windows have the same nonzero mask, and
+    then re-merges every node whose subtree counts differ from the
+    counts the memo was built from — a clean node's DP state is a
+    function of its subtree counts and the configuration alone.
     """
     return (
         memo is not None
@@ -226,7 +185,6 @@ class _TreeArrays:
     right: np.ndarray
     size: np.ndarray
     group: np.ndarray
-    node_id: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
     phase: np.ndarray
@@ -250,7 +208,6 @@ def _tree_arrays(hierarchy: PrunedHierarchy) -> _TreeArrays:
     right = np.full(n, -1, dtype=np.int64)
     size = np.ones(n, dtype=np.int64)
     group = np.full(n, -1, dtype=np.int64)
-    node_id = np.zeros(n, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
     n_groups = np.zeros(n, dtype=np.int64)
@@ -264,7 +221,6 @@ def _tree_arrays(hierarchy: PrunedHierarchy) -> _TreeArrays:
         i = p.index
         n_groups[i] = p.n_groups
         n_nonzero[i] = p.n_nonzero
-        node_id[i] = p.node
         if p.left is not None:
             li, ri = p.left.index, p.right.index
             left[i] = li
@@ -295,7 +251,6 @@ def _tree_arrays(hierarchy: PrunedHierarchy) -> _TreeArrays:
     order = internal[np.argsort(phase[internal], kind="stable")]
     cached = _TreeArrays(
         left=left, right=right, size=size, group=group,
-        node_id=node_id,
         parent=parent, depth=depth, phase=phase, n_groups=n_groups,
         n_nonzero=n_nonzero,
         order=order, order_phase=phase[order],
@@ -338,16 +293,18 @@ def _install_caches(
     """Rebuild the per-hierarchy DP caches from the structural arrays
     instead of per-node Python loops.
 
-    A same-structure rebuild constructs a fresh :class:`PrunedHierarchy`
-    whose postorder (hence leaf-slot layout) matches the memo's, so the
-    cached leaf arrays, phase structure, and densities the DP setup
-    would derive by walking the nodes are recomputed here with a few
-    vectorized passes and pre-installed under the attribute names
-    :class:`~repro.algorithms.base.DPContext` and the phase-batched
-    sweep look up.  Every value is bit-identical to the walked version:
-    leaf actuals are the same count gathers, and subtree tuple totals
-    are accumulated child-pair by child-pair (per phase) exactly as
-    ``PrunedHierarchy`` adds them, so the density quotients match.
+    Every session installs them: a cold one from the arrays it just
+    built, a same-structure one from the memo's (a fresh
+    :class:`PrunedHierarchy` whose postorder, hence leaf-slot layout,
+    matches the memo's).  The cached leaf arrays, phase structure, and
+    densities the DP setup would derive by walking the nodes are
+    recomputed here with a few vectorized passes and pre-installed
+    under the attribute names :class:`~repro.algorithms.base.DPContext`
+    and the phase-batched sweep look up.  Every value is bit-identical
+    to the walked version: leaf actuals are the same count gathers, and
+    subtree tuple totals are accumulated child-pair by child-pair (per
+    phase) exactly as ``PrunedHierarchy`` adds them, so the density
+    quotients match.
     """
     hierarchy._inc_tree_arrays = ar
     if getattr(hierarchy, "_dp_leaf_arrays", None) is None:
@@ -357,7 +314,7 @@ def _install_caches(
             ar.leaf_lo, ar.leaf_hi, actual, ar.leaf_weight
         )
     if getattr(hierarchy, "_dp_structure", None) is None:
-        hierarchy._dp_structure = (ar.phase, ar.left, ar.right)
+        hierarchy._dp_structure = (ar.phase, ar.left, ar.right, ar.size)
     if getattr(hierarchy, "_inc_tuples", None) is None:
         n = ar.left.shape[0]
         tup = np.zeros(n)
@@ -392,448 +349,54 @@ def _dirty_vector(
     return (prefix[idx + 1] - prefix[idx - arrays.size + 1]) > 0
 
 
-_PACK_DTYPE = np.dtype(
-    [("k", "u1"), ("n", "<i8"), ("g", "<i8"), ("t", "<f8")]
-)  # unaligned: byte-for-byte the struct "<Bqqd" layout of _pack_node
-
-
-def _refresh_fingerprints(
-    hierarchy: PrunedHierarchy,
-    old_fps: List[bytes],
-    dirty: np.ndarray,
-    ar: Optional[_TreeArrays] = None,
-) -> List[bytes]:
-    """Carry fingerprints forward across a same-structure rebuild by
-    re-hashing only the dirty nodes (ascending postorder, so dirty
-    children re-hash before their parents; clean fingerprints are
-    valid as-is because their subtree content is unchanged).
-
-    With structural arrays (and the cached per-node tuple totals, which
-    match ``PNode.tuples`` bit for bit), the 25-byte hash prefixes are
-    packed in one vectorized pass instead of touching ``PNode``
-    attributes per node."""
-    fps = list(old_fps)
-    dirty_idx = np.nonzero(dirty)[0]
-    tup = getattr(hierarchy, "_inc_tuples", None)
-    if ar is None or tup is None:
-        nodes = hierarchy.nodes
-        for i in dirty_idx.tolist():
-            fps[i] = _node_hash(nodes[i], fps)
-        hierarchy._subtree_fps = fps
-        return fps
-    rec = np.empty(dirty_idx.size, dtype=_PACK_DTYPE)
-    grp = ar.group[dirty_idx]
-    lefts = ar.left[dirty_idx]
-    rec["k"] = np.where(grp >= 0, 0, np.where(lefts < 0, 1, 2))
-    rec["n"] = ar.node_id[dirty_idx]
-    rec["g"] = ar.n_groups[dirty_idx]
-    rec["t"] = tup[dirty_idx]
-    buf = rec.tobytes()
-    lch = lefts.tolist()
-    rch = ar.right[dirty_idx].tolist()
-    blake = hashlib.blake2b
-    for j, i in enumerate(dirty_idx.tolist()):
-        li = lch[j]
-        pre = buf[25 * j : 25 * j + 25]
-        data = pre if li < 0 else pre + fps[li] + fps[rch[j]]
-        fps[i] = blake(data, digest_size=16).digest()
-    hierarchy._subtree_fps = fps
-    return fps
-
-
-class _LazySplits(dict):
-    """Split-array mapping backed by the memo's per-index entries.
-
-    The reconstruction walk reads ``splits[index]`` for the O(budget)
-    nodes on the chosen cut; resolving through the entry list avoids
-    materializing an |nodes|-sized dict of mostly-untouched arrays on
-    every rebuild.
-    """
-
-    def __init__(self, by_index: List[Optional["_NOEntry"]]) -> None:
-        super().__init__()
-        self._by_index = by_index
-
-    def __missing__(self, index: int) -> np.ndarray:
-        return self._by_index[index].split
-
-
 # ---------------------------------------------------------------------------
-# Nonoverlapping: whole-subtree table + split memo
+# Sessions: one memo policy for both DPs
 # ---------------------------------------------------------------------------
-class _NOEntry:
-    """One internal node's sweep output (leaves are recomputed — their
-    tables are two trivial entries).  Plain slots class: one of these
-    is built per dirty internal node on every rebuild, so construction
-    cost is on the incremental hot path."""
+class _Session:
+    """Setup shared by both sessions.
 
-    __slots__ = ("table", "split")
-
-    def __init__(self, table: np.ndarray, split: np.ndarray) -> None:
-        self.table = table
-        self.split = split
-
-
-@dataclass
-class NonoverlappingMemo:
-    """All internal-node tables and splits of one build.
-
-    ``by_index`` is indexed by the build's postorder; ``fps`` carries
-    the content fingerprints so a later build whose pruned support set
-    changed can still splice clean subtrees by fingerprint
-    (:meth:`fp_map` builds that mapping on demand).  ``counts`` is the
-    count vector the build saw — the baseline for the next rebuild's
-    dirty diff.
+    The previous memo survives only when its configuration and its
+    window's nonzero mask both match this build's (and
+    :meth:`_usable` accepts it); otherwise the session is cold and
+    ``self._old`` is ``None``.  Either way the structural arrays — the
+    surviving memo's, or this hierarchy's own — seed the hierarchy's DP
+    caches, so the tree is walked at most once.
     """
-
-    config: Tuple
-    counts: np.ndarray
-    structure_sig: bytes
-    arrays: _TreeArrays
-    fps: List[bytes]
-    by_index: List[Optional[_NOEntry]]
-    #: Per-node own-density errors of the build — spliced into the next
-    #: same-structure rebuild's context so only dirty rows are
-    #: re-evaluated.
-    own: Optional[np.ndarray] = None
-    _fp_map: Optional[Dict[bytes, int]] = field(default=None, repr=False)
-
-    def fp_map(self) -> Dict[bytes, int]:
-        m = self._fp_map
-        if m is None:
-            m = {
-                self.fps[i]: i
-                for i, e in enumerate(self.by_index)
-                if e is not None
-            }
-            self._fp_map = m
-        return m
-
-
-class NonoverlappingSession:
-    """One incremental nonoverlapping sweep.
-
-    Created per rebuild with the previous build's memo (or ``None``);
-    :meth:`sweep` is called by
-    :func:`~repro.algorithms.nonoverlapping.build_nonoverlapping` in
-    place of its full sweep, and :meth:`finish` hands back the memo for
-    the *next* rebuild.
-    """
-
-    algorithm = "nonoverlapping"
 
     def __init__(
-        self,
-        hierarchy: PrunedHierarchy,
-        config: Tuple,
-        old: Optional[NonoverlappingMemo],
+        self, hierarchy: PrunedHierarchy, config: Tuple, old
     ) -> None:
         if old is not None and old.config != config:
             old = None  # a reconfigured rebuild shares nothing
-        self._hierarchy = hierarchy
+        counts = hierarchy.counts
         self._config = config
-        self._old = old
-        self._sig = _structure_signature(hierarchy.counts)
-        self._same = (
-            old is not None
-            and old.structure_sig == self._sig
-            and old.counts.shape == hierarchy.counts.shape
-        )
-        if self._same:
-            _install_caches(hierarchy, old.arrays, hierarchy.counts)
-        self._result: Optional[NonoverlappingMemo] = None
+        self._counts = counts
+        self._sig = _structure_signature(counts)
         self.dirty_groups = _dirty_groups(
-            None if old is None else old.counts, hierarchy.counts
+            None if old is None else old.counts, counts
         )
+        if old is not None and not (
+            old.structure_sig == self._sig
+            and old.counts.shape == counts.shape
+            and self._usable(old)
+        ):
+            old = None  # the support changed: start cold
+        self._old = old
+        self._arrays = (
+            old.arrays if old is not None else _tree_arrays(hierarchy)
+        )
+        _install_caches(hierarchy, self._arrays, counts)
         #: Internal nodes whose merge was re-run (the dirty set).
         self.solved = 0
-        #: Internal nodes whose table/split came from the memo.
+        #: Internal nodes whose DP state came from the memo.
         self.reused = 0
 
-    # -- sweep -------------------------------------------------------------
-    def sweep(self, root: PNode, ctx: DPContext, budget: int):
-        """Memoized bottom-up sweep; tables and splits bit-identical to
-        :func:`~repro.algorithms.nonoverlapping._sweep`."""
-        hierarchy = self._hierarchy
-        if root.is_leaf:
-            table = np.full(2, INF)
-            table[1] = ctx.grperr_own(root)
-            self._result = NonoverlappingMemo(
-                config=self._config,
-                counts=hierarchy.counts.copy(),
-                structure_sig=self._sig,
-                arrays=_tree_arrays(hierarchy),
-                fps=subtree_fingerprints(hierarchy),
-                by_index=[None] * len(hierarchy.nodes),
-            )
-            return table, {}
-        if self._same:
-            return self._sweep_same_structure(ctx, budget)
-        return self._sweep_restructured(root, ctx, budget)
+    def _usable(self, old) -> bool:
+        return True
 
-    def _sweep_same_structure(self, ctx: DPContext, budget: int):
-        """Fast path: the pruned support set is unchanged, so old and
-        new postorders coincide index for index.  The dirty set is one
-        vectorized diff; only dirty internal nodes re-run their merges,
-        phase by phase, reading clean child tables straight out of the
-        previous memo."""
-        hierarchy = self._hierarchy
-        old = self._old
-        ar = old.arrays
-        dirty = _dirty_vector(ar, old.counts, hierarchy.counts)
-        internal = ar.left >= 0
-        dirty_internal = np.nonzero(dirty & internal)[0]
-        self.solved = int(dirty_internal.size)
-        self.reused = int(np.count_nonzero(internal)) - self.solved
-
-        by_index: List[Optional[_NOEntry]] = list(old.by_index)
-        new_tables: Dict[int, np.ndarray] = {}
-        if old.own is not None:
-            ctx.splice_own_errors(old.own, np.nonzero(dirty)[0])
-        self._merge_dirty_batched(
-            ctx, budget, ar, dirty, dirty_internal, by_index, new_tables,
-        )
-
-        self._result = NonoverlappingMemo(
-            config=self._config,
-            counts=hierarchy.counts.copy(),
-            structure_sig=self._sig,
-            arrays=ar,
-            fps=_refresh_fingerprints(hierarchy, old.fps, dirty, ar),
-            by_index=by_index,
-            own=ctx.own_errors(),
-        )
-        root_index = len(hierarchy.nodes) - 1
-        root_table = new_tables.get(root_index)
-        if root_table is None:  # nothing dirty at all
-            root_table = by_index[root_index].table
-        return root_table, _LazySplits(by_index)
-
-    def _merge_dirty_batched(
-        self,
-        ctx: DPContext,
-        budget: int,
-        ar: _TreeArrays,
-        dirty: np.ndarray,
-        dirty_internal: np.ndarray,
-        by_index: List[Optional[_NOEntry]],
-        new_tables: Dict[int, np.ndarray],
-    ) -> None:
-        """Phase-batched re-merge of the dirty internal nodes.
-
-        The dirty set is processed level by level exactly like the full
-        phase-batched sweep (same grouping by child-table shapes, same
-        stacked kernels — every batch row is the per-node fast merge bit
-        for bit); the only difference is that clean children contribute
-        their memoized tables instead of freshly swept ones, which are
-        identical arrays by the fingerprint argument.  Table lengths
-        are structural, so the length recurrence runs over the full
-        tree to type the clean tables without touching them.
-        """
-        from .kernels import _positive_merge_batch
-        from .nonoverlapping import _shared_split_cache
-
-        if dirty_internal.size == 0:
-            return
-        own = ctx.own_errors()
-        maximum = ctx.metric.combine == "max"
-        left_idx, right_idx, phase = ar.left, ar.right, ar.phase
-        leaf_mask = left_idx < 0
-        tlen = np.where(leaf_mask, 2, 0)
-        for idx in _phase_slices(ar.order, ar.order_phase):
-            tlen[idx] = np.minimum(
-                budget, tlen[left_idx[idx]] + tlen[right_idx[idx]] - 2
-            ) + 1
-        _const_split = _shared_split_cache()
-        dorder = dirty_internal[
-            np.argsort(phase[dirty_internal], kind="stable")
-        ]
-
-        def _table(ci: int) -> np.ndarray:
-            t = new_tables.get(ci)
-            return t if t is not None else by_index[ci].table
-
-        for idx_h in _phase_slices(dorder, phase[dorder]):
-            li = left_idx[idx_h]
-            ri = right_idx[idx_h]
-            lleaf = leaf_mask[li]
-            rleaf = leaf_mask[ri]
-
-            both = lleaf & rleaf
-            if both.any():
-                g = idx_h[both]
-                size = min(budget, 2) + 1
-                block = np.empty((g.size, size))
-                block[:, 0] = INF
-                block[:, 1] = own[g]
-                if size == 3:
-                    lv = own[li[both]]
-                    rv = own[ri[both]]
-                    block[:, 2] = (
-                        np.maximum(lv, rv) if maximum else lv + rv
-                    )
-                sp = _const_split("lr", size)
-                for k, i in enumerate(g.tolist()):
-                    new_tables[i] = block[k]
-                    by_index[i] = _NOEntry(table=block[k], split=sp)
-
-            one = lleaf ^ rleaf
-            if one.any():
-                g = idx_h[one]
-                gl = li[one]
-                gr = ri[one]
-                r_is_leaf = rleaf[one]
-                inner_idx = np.where(r_is_leaf, gl, gr)
-                edge_idx = np.where(r_is_leaf, gr, gl)
-                key = tlen[inner_idx] * 2 + r_is_leaf
-                for u in np.unique(key).tolist():
-                    sel = key == u
-                    gi = g[sel]
-                    ginner = inner_idx[sel]
-                    inner_len = int(u // 2)
-                    right_leaf = bool(u & 1)
-                    size = min(budget, inner_len) + 1
-                    K = gi.size
-                    buf = np.empty((K, inner_len))
-                    for k, ii in enumerate(ginner.tolist()):
-                        buf[k] = _table(int(ii))
-                    edge = own[edge_idx[sel]]
-                    block = np.empty((K, size))
-                    block[:, 0] = INF
-                    block[:, 1] = own[gi]
-                    if size > 2:
-                        seg = buf[:, 1 : size - 1]
-                        e = edge[:, None]
-                        block[:, 2:] = (
-                            np.maximum(seg, e) if maximum else seg + e
-                        )
-                    sp = _const_split(
-                        "rl" if right_leaf else "lr", size
-                    )
-                    for k, i in enumerate(gi.tolist()):
-                        new_tables[i] = block[k]
-                        by_index[i] = _NOEntry(table=block[k], split=sp)
-
-            both_int = ~(lleaf | rleaf)
-            if both_int.any():
-                g = idx_h[both_int]
-                gl = li[both_int]
-                gr = ri[both_int]
-                key = tlen[gl] * (2 * budget + 4) + tlen[gr]
-                for u in np.unique(key).tolist():
-                    sel = key == u
-                    gi = g[sel]
-                    m = int(u // (2 * budget + 4))
-                    nn = int(u % (2 * budget + 4))
-                    size = min(budget, m + nn - 2) + 1
-                    K = gi.size
-                    bl = np.empty((K, m - 1))
-                    br = np.empty((K, nn - 1))
-                    for k, ii in enumerate(gl[sel].tolist()):
-                        bl[k] = _table(int(ii))[1:]
-                    for k, ii in enumerate(gr[sel].tolist()):
-                        br[k] = _table(int(ii))[1:]
-                    block = np.empty((K, size))
-                    block[:, 0] = INF
-                    block[:, 1] = own[gi]
-                    if size > 2:
-                        vals, choice = _positive_merge_batch(
-                            bl, br, size - 2, maximum, want_choice=True
-                        )
-                        block[:, 2:] = vals
-                    spblock = np.empty((K, size), dtype=np.int32)
-                    spblock[:, 0] = -1
-                    spblock[:, 1] = -1
-                    if size > 2:
-                        spblock[:, 2:] = choice
-                    for k, i in enumerate(gi.tolist()):
-                        new_tables[i] = block[k]
-                        by_index[i] = _NOEntry(
-                            table=block[k], split=spblock[k]
-                        )
-
-    def _sweep_restructured(self, root: PNode, ctx: DPContext, budget: int):
-        """Fallback when the pruned support set changed (or there is no
-        previous memo): walk the new tree, splicing any subtree whose
-        content fingerprint the old memo knows and merging the rest."""
-        from .nonoverlapping import _merge_node_fast, _shared_split_cache
-
-        hierarchy = self._hierarchy
-        fps = subtree_fingerprints(hierarchy)
-        old = self._old
-        fpmap = old.fp_map() if old is not None else {}
-        by_index: List[Optional[_NOEntry]] = [None] * len(hierarchy.nodes)
-        maximum = ctx.metric.combine == "max"
-        own = ctx.own_errors()
-        const_split = _shared_split_cache()
-        tables: Dict[int, np.ndarray] = {}
-        stack = [(root, False)]
-        while stack:
-            p, expanded = stack.pop()
-            if not expanded:
-                if p.is_leaf:
-                    continue
-                oi = fpmap.get(fps[p.index], -1) if fpmap else -1
-                if oi >= 0:
-                    self._splice(p, oi, tables, by_index)
-                    continue
-                stack.append((p, True))
-                stack.append((p.right, False))
-                stack.append((p.left, False))
-                continue
-            left, right = p.left, p.right
-            lt = tables.pop(left.index) if not left.is_leaf else None
-            rt = tables.pop(right.index) if not right.is_leaf else None
-            table, split = _merge_node_fast(
-                own[p.index], lt, rt,
-                own[left.index], own[right.index],
-                budget, maximum, True, const_split,
-            )
-            tables[p.index] = table
-            by_index[p.index] = _NOEntry(table=table, split=split)
-            self.solved += 1
-        self._result = NonoverlappingMemo(
-            config=self._config,
-            counts=hierarchy.counts.copy(),
-            structure_sig=self._sig,
-            arrays=_tree_arrays(hierarchy),
-            fps=fps,
-            by_index=by_index,
-            own=own,
-        )
-        return tables[root.index], _LazySplits(by_index)
-
-    def _splice(
-        self,
-        p: PNode,
-        old_index: int,
-        tables: Dict[int, np.ndarray],
-        by_index: List[Optional[_NOEntry]],
-    ) -> None:
-        """Install a clean subtree's memoized entries without re-running
-        any merge.  Equal fingerprints imply equal pruned shape, so the
-        new subtree and the old one walk in lockstep; only the subtree
-        *root's* table is published (parents consume nothing deeper),
-        while entries land at every internal descendant so the
-        reconstruction walk finds its splits."""
-        old = self._old
-        oar = old.arrays
-        obi = old.by_index
-        tables[p.index] = obi[old_index].table
-        stack = [(p, old_index)]
-        while stack:
-            q, oj = stack.pop()
-            by_index[q.index] = obi[oj]
-            self.reused += 1
-            lo, ro = int(oar.left[oj]), int(oar.right[oj])
-            if oar.left[lo] >= 0:
-                stack.append((q.left, lo))
-            if oar.left[ro] >= 0:
-                stack.append((q.right, ro))
-
-    # -- lifecycle ---------------------------------------------------------
-    def finish(self) -> NonoverlappingMemo:
-        return self._result
+    @property
+    def arrays(self) -> _TreeArrays:
+        return self._arrays
 
     def stats(self) -> Dict[str, float]:
         total = self.solved + self.reused
@@ -843,6 +406,87 @@ class NonoverlappingSession:
             "reused_fraction": (self.reused / total) if total else 0.0,
             "dirty_groups": float(self.dirty_groups),
         }
+
+
+# ---------------------------------------------------------------------------
+# Nonoverlapping: whole-subtree table + split memo
+# ---------------------------------------------------------------------------
+@dataclass
+class NonoverlappingMemo:
+    """All internal-node tables and splits of one build.
+
+    ``tables``/``splits`` are indexed by the build's postorder (``None``
+    at leaves, whose tables stay virtual), ``lengths`` holds every
+    node's table length (2 at leaves; structural for a fixed
+    configuration) and ``own`` the per-node own-density errors.
+    ``counts`` is the count vector the build saw — the baseline for the
+    next rebuild's dirty diff.
+    """
+
+    config: Tuple
+    counts: np.ndarray
+    structure_sig: bytes
+    arrays: _TreeArrays
+    tables: List[Optional[np.ndarray]]
+    splits: List[Optional[np.ndarray]]
+    lengths: np.ndarray
+    own: np.ndarray
+
+
+class NonoverlappingSession(_Session):
+    """One incremental nonoverlapping sweep.
+
+    Created per rebuild with the previous build's memo (or ``None``);
+    :meth:`sweep` is called by
+    :func:`~repro.algorithms.nonoverlapping.build_nonoverlapping` in
+    place of its full sweep, and :meth:`finish` hands back the memo for
+    the *next* rebuild.  Both paths run the full build's phase-batched
+    merge: a cold session merges every internal node and keeps every
+    table; a same-structure one merges only the dirty internal nodes
+    and reads clean children's tables out of the memo.
+    """
+
+    algorithm = "nonoverlapping"
+
+    def sweep(self, root: PNode, ctx: DPContext, budget: int):
+        """Memoized bottom-up sweep; tables and splits bit-identical to
+        :func:`~repro.algorithms.nonoverlapping._sweep`."""
+        ar = self._arrays
+        old = self._old
+        if old is None:
+            n = ar.left.shape[0]
+            tables: List[Optional[np.ndarray]] = [None] * n
+            splits: List[Optional[np.ndarray]] = [None] * n
+            lengths = np.where(ar.left < 0, 2, 0)
+            nodes = ar.order
+        else:
+            dirty = _dirty_vector(ar, old.counts, self._counts)
+            ctx.splice_own_errors(old.own, np.nonzero(dirty)[0])
+            tables, splits = list(old.tables), list(old.splits)
+            lengths = old.lengths.copy()
+            nodes = ar.order[dirty[ar.order]]
+        _merge_internal(ctx, budget, nodes, tables, lengths, splits)
+        self.solved = int(nodes.size)
+        self.reused = int(ar.order.size) - self.solved
+        own = ctx.own_errors()
+        self._memo = NonoverlappingMemo(
+            config=self._config,
+            counts=self._counts.copy(),
+            structure_sig=self._sig,
+            arrays=ar,
+            tables=tables,
+            splits=splits,
+            lengths=lengths,
+            own=own,
+        )
+        if root.is_leaf:
+            table = np.full(2, INF)
+            table[1] = own[root.index]
+            return table, splits
+        return tables[root.index], splits
+
+    def finish(self) -> NonoverlappingMemo:
+        return self._memo
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +560,7 @@ class OverlappingMemo:
     arena: Optional[_OVArena] = None
 
 
-class OverlappingSession:
+class OverlappingSession(_Session):
     """One incremental overlapping solve.
 
     On a same-structure rebuild the DP never recurses into a clean
@@ -938,44 +582,26 @@ class OverlappingSession:
         config: Tuple,
         old: Optional[OverlappingMemo],
     ) -> None:
-        if old is not None and old.config != config:
-            old = None
-        counts = hierarchy.counts
-        self._config = config
-        self._sig = _structure_signature(counts)
-        self.dirty_groups = _dirty_groups(
-            None if old is None else old.counts, counts
+        super().__init__(hierarchy, config, old)
+        old = self._old
+        #: Per-node dirty flags; the DP also folds these into its
+        #: running dirty-ancestor counts.
+        self.dirty = (
+            _dirty_vector(old.arrays, old.counts, self._counts)
+            if old is not None
+            else np.ones(len(hierarchy.nodes), dtype=bool)
         )
-        if (
-            old is not None
-            and old.structure_sig == self._sig
-            and old.counts.shape == counts.shape
-            and old.arena is not None
-        ):
-            self._arrays = old.arrays
-            _install_caches(hierarchy, old.arrays, counts)
-            #: Per-node dirty flags; the DP also folds these into its
-            #: running dirty-ancestor counts.
-            self.dirty = _dirty_vector(old.arrays, old.counts, counts)
-        else:
-            self._arrays = _tree_arrays(hierarchy)
-            self.dirty = np.ones(len(hierarchy.nodes), dtype=bool)
-            old = None
         #: Whether the old memo survived with an identical pruned
         #: support set — the precondition for the skip-clean fast path.
         self.same_structure = old is not None
-        self._counts = counts
         self.arena: Optional[_OVArena] = (
             old.arena if old is not None else None
         )
-        self.solved = 0  # internal bucket-case merges re-run
-        self.reused = 0  # internal nodes adopted from the memo arena
         self.rows_solved = 0
         self.rows_reused = 0
 
-    @property
-    def arrays(self) -> _TreeArrays:
-        return self._arrays
+    def _usable(self, old: OverlappingMemo) -> bool:
+        return old.arena is not None
 
     # -- arena protocol ----------------------------------------------------
     def ensure_arena(self, width: int) -> _OVArena:
@@ -1073,19 +699,16 @@ class OverlappingSession:
         )
 
     def stats(self) -> Dict[str, float]:
-        total = self.solved + self.reused
+        stats = super().stats()
         rows_total = self.rows_solved + self.rows_reused
-        return {
-            "dirty_subtrees": float(self.solved),
-            "reused_subtrees": float(self.reused),
-            "reused_fraction": (self.reused / total) if total else 0.0,
-            "dirty_groups": float(self.dirty_groups),
-            "rows_solved": float(self.rows_solved),
-            "rows_reused": float(self.rows_reused),
-            "rows_reused_fraction": (
+        stats.update(
+            rows_solved=float(self.rows_solved),
+            rows_reused=float(self.rows_reused),
+            rows_reused_fraction=(
                 (self.rows_reused / rows_total) if rows_total else 0.0
             ),
-        }
+        )
+        return stats
 
 
 # ---------------------------------------------------------------------------

@@ -306,71 +306,6 @@ def _merge_two_left(
     return out, choice
 
 
-def _positive_merge(
-    l: np.ndarray,
-    r: np.ndarray,
-    width: int,
-    maximum: bool,
-    want_choice: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Full convolution of two all-finite tables (no capacity-0 row).
-
-    The nonoverlapping sweep's tables are ``inf`` at entry 0 and finite
-    everywhere else, so its merges reduce to convolving the finite
-    tails ``left[1:]`` / ``right[1:]``: ``l``/``r`` here are those
-    tails and ``out[B']`` is the best combine over ``c' + j' = B'``.
-    Every output is feasible (hence finite) and the returned choice is
-    *1-based* — the left-child bucket count ``c = c' + 1`` — matching
-    the reference kernel's smallest-``c`` tie-breaking via the same
-    first-minimum argmin.  ``want_choice=False`` skips the argmin pass
-    for sweeps that discard split choices (the low-memory
-    reconstruction mode).
-    """
-    m, n = len(l), len(r)
-    rows = min(m, width)
-    ncols = min(n, width)
-    out = np.empty(0)
-    choice: Optional[np.ndarray] = None
-    pad = np.full(rows - 1 + width, INF)
-    pad[rows - 1 : rows - 1 + ncols] = r[:ncols]
-    stride = pad.strides[0]
-    if rows >= _TRANSPOSE_ROWS and rows * width <= _MAX_BLOCK_ELEMENTS:
-        shifted = _strided(
-            pad, (rows - 1) * stride, (width, rows), (stride, -stride)
-        )
-        lv = l[None, :rows]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        out = cand.min(axis=1)
-        if want_choice:
-            choice = cand.argmin(axis=1).astype(np.int32)
-            choice += 1
-        return out, choice
-    block = max(1, _MAX_BLOCK_ELEMENTS // max(1, width))
-    for c0 in range(0, rows, block):
-        c1 = min(rows, c0 + block)
-        shifted = _strided(
-            pad,
-            (rows - 1 - c0) * stride,
-            (c1 - c0, width),
-            (-stride, stride),
-        )
-        lv = l[c0:c1, None]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        vals = cand.min(axis=0)
-        if c0 == 0:
-            out = vals
-            if want_choice:
-                choice = (cand.argmin(axis=0) + 1).astype(np.int32)
-            continue
-        better = vals < out
-        if better.any():
-            out[better] = vals[better]
-            if want_choice:
-                rowmin = cand.argmin(axis=0)
-                choice[better] = (c0 + rowmin[better] + 1).astype(np.int32)
-    return out, choice
-
-
 def _positive_merge_batch(
     l: np.ndarray,
     r: np.ndarray,
@@ -378,17 +313,21 @@ def _positive_merge_batch(
     maximum: bool,
     want_choice: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Batched :func:`_positive_merge`: row ``k`` convolves the finite
-    tails ``l[k]`` / ``r[k]``.
+    """Full convolution of stacked all-finite tables (no capacity-0
+    row): row ``k`` convolves ``l[k]`` with ``r[k]``.
 
-    ``l``/``r`` are ``(K, m)`` / ``(K, n)`` stacks of all-finite table
-    tails sharing one shape — the nonoverlapping phase-batched sweep
-    groups same-shape merges across nodes so hundreds of per-node
-    kernel invocations collapse into one.  Row ``k`` of the result is
-    bit-for-bit ``_positive_merge(l[k], r[k], width, maximum)``: the
-    same candidate cells combine in the same single operation and the
-    per-column first-minimum argmin keeps the smallest-``c``
-    tie-breaking (choice is 1-based, as there).
+    The nonoverlapping sweep's tables are ``inf`` at entry 0 and finite
+    everywhere else, so its merges reduce to convolving the finite
+    tails ``left[1:]`` / ``right[1:]``: ``l``/``r`` are ``(K, m)`` /
+    ``(K, n)`` stacks of those tails sharing one shape (the
+    phase-batched sweep groups same-shape merges across nodes), and
+    ``out[k, B']`` is the best combine over ``c' + j' = B'``.  Every
+    output is feasible (hence finite) and the returned choice is
+    *1-based* — the left-child bucket count ``c = c' + 1`` — matching
+    the reference kernel's smallest-``c`` tie-breaking via the same
+    per-column first-minimum argmin.  ``want_choice=False`` skips the
+    argmin pass for sweeps that discard split choices (the low-memory
+    reconstruction mode).
     """
     K, m = l.shape
     n = r.shape[1]

@@ -19,6 +19,7 @@ search space and the result is optimal over the full virtual hierarchy.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -28,11 +29,7 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, NonoverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .kernels import (
-    _positive_merge,
-    _positive_merge_batch,
-    knapsack_merge,
-)
+from .kernels import _positive_merge_batch, knapsack_merge
 
 __all__ = ["build_nonoverlapping"]
 
@@ -56,17 +53,20 @@ def build_nonoverlapping(
         Maximum number of histogram buckets ``b``.
     low_memory:
         Apply the paper's Section 4.4 space optimization (after Guha):
-        keep no per-node choice tables at all — only the O(b x depth)
-        error tables live during the sweep — and reconstruct bucket
-        sets by re-running the DP recursively on the two subtrees of
-        each chosen split.  Same optimum; reconstruction costs an extra
-        O(depth) factor, which is why it is opt-in.
+        keep no per-node split arrays and reconstruct bucket sets by
+        re-running the DP on the two subtrees of each chosen split.
+        The naive sweep is a depth-first walk, so only O(b x depth)
+        error values are live; the batched sweep merges a whole level
+        at a time and keeps one frontier of error tables live.  Same
+        optimum; reconstruction costs an extra O(depth) factor, which
+        is why it is opt-in.
     memo:
         A :class:`~repro.algorithms.incremental.NonoverlappingSession`
-        for subtree-memoized rebuilds; its sweep replaces the full one
-        (splicing clean-subtree tables, re-merging only dirty nodes)
-        and is bit-identical to it.  Incompatible with ``low_memory``,
-        which keeps none of the arrays the memo splices.
+        for memoized rebuilds; its sweep replaces the full one
+        (re-merging only the dirty internal nodes when the nonzero
+        mask is unchanged, every node otherwise) and is bit-identical
+        to it.  Incompatible with ``low_memory``, which keeps none of
+        the split arrays the memo carries.
 
     Returns
     -------
@@ -125,9 +125,11 @@ def build_nonoverlapping(
 def _sweep(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
     """One bottom-up DP pass over ``root``'s subtree.
 
-    Child error tables are freed as soon as their parent consumes them,
-    so at most O(depth) tables are live.  Split choices are retained
-    only when ``keep_splits`` — dropping them is the Section 4.4 mode.
+    The naive mode walks the subtree node by node and frees child error
+    tables as soon as their parent consumes them, so at most O(depth)
+    tables are live; batched modes run :func:`_merge_internal`.  Split
+    choices are retained only when ``keep_splits`` — dropping them is
+    the Section 4.4 mode.
     """
     if ctx.batched:
         return _sweep_fast(root, ctx, budget, keep_splits)
@@ -165,293 +167,197 @@ def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
     return table, split
 
 
-def _shared_split_cache():
-    """A fresh cache of shared constant split arrays for the fast
-    path's closed-form cases (contents depend only on case + size)."""
-    shared: Dict[tuple, np.ndarray] = {}
-
-    def _const_split(case: str, size: int) -> np.ndarray:
-        key = (case, size)
-        sp = shared.get(key)
-        if sp is None:
-            sp = np.empty(size, dtype=np.int32)
-            sp[0] = -1
-            sp[1] = -1
-            if size > 2:
-                if case == "rl":  # right child is the leaf
-                    sp[2:] = np.arange(1, size - 1, dtype=np.int32)
-                else:  # "lr": left child is the leaf, or leaf-leaf
-                    sp[2:] = 1
-            shared[key] = sp
-        return sp
-
-    return _const_split
-
-
-def _merge_node_fast(
-    own_p: float,
-    left_tab: Optional[np.ndarray],
-    right_tab: Optional[np.ndarray],
-    own_left: float,
-    own_right: float,
-    budget: int,
-    maximum: bool,
-    keep_splits: bool,
-    const_split,
-):
-    """One fast-mode internal-node step, bit-identical to the naive
-    merge.  Leaf children pass ``None`` tables (their virtual tables
-    are ``[inf, own]``); ``const_split`` is a
-    :func:`_shared_split_cache` closure for the closed-form cases."""
-    if left_tab is None and right_tab is None:
-        size = min(budget, 2) + 1
-        table = np.empty(size)
-        table[0] = INF
-        table[1] = own_p
-        if size == 3:
-            table[2] = (
-                max(own_left, own_right) if maximum
-                else own_left + own_right
-            )
-        split = const_split("lr", size) if keep_splits else None
-        return table, split
-    if left_tab is None or right_tab is None:
-        right_leaf = right_tab is None
-        if right_leaf:
-            inner, edge = left_tab, own_right
-        else:
-            inner, edge = right_tab, own_left
-        size = min(budget, len(inner)) + 1
-        table = np.empty(size)
-        table[0] = INF
-        table[1] = own_p
-        seg = inner[1 : size - 1]
-        table[2:] = np.maximum(seg, edge) if maximum else seg + edge
-        split = (
-            const_split("rl" if right_leaf else "lr", size)
-            if keep_splits else None
-        )
-        return table, split
-    size = min(budget, len(left_tab) + len(right_tab) - 2) + 1
-    table = np.empty(size)
-    table[0] = INF
-    table[1] = own_p
-    if size > 2:
-        vals, choice = _positive_merge(
-            left_tab[1:], right_tab[1:], size - 2, maximum,
-            want_choice=keep_splits,
-        )
-        table[2:] = vals
-    split = None
-    if keep_splits:
-        split = np.empty(size, dtype=np.int32)
-        split[0] = -1
-        split[1] = -1
-        if size > 2:
-            split[2:] = choice
-    return table, split
-
-
 def _sweep_fast(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
-    """Batched-mode sweep producing the same tables bit for bit.
-
-    Nonoverlapping tables have a fixed shape the fast path exploits:
-    entry 0 is ``inf`` (zero buckets are infeasible), entry 1 is the
-    node's own-bucket error, and every deeper in-range entry is finite.
-    Leaf tables therefore never materialize — parents read the
-    precomputed own-error array directly — a leaf-child merge is one
-    shifted vector combine, and internal merges convolve only the
-    finite table tails (:func:`~repro.algorithms.kernels._positive_merge`).
-    Entries and recorded splits match the naive sweep exactly: the
-    dropped candidates are all infinite and the surviving ones combine
-    identical scalars in the identical order.
-    """
-    own = ctx.own_errors()
-    maximum = ctx.metric.combine == "max"
+    """Batched-mode sweep of ``root``'s subtree, bit-identical to the
+    naive one: :func:`_merge_internal` over the internal nodes of the
+    subtree's postorder interval ``[i - size + 1, i]`` — the whole tree
+    for a full build, one subtree for a Section 4.4 re-sweep.  Child
+    tables are dropped once consumed, so one frontier is live."""
+    i = root.index
     if root.is_leaf:
         table = np.full(2, INF)
-        table[1] = own[root.index]
+        table[1] = ctx.own_errors()[i]
         return table, {}
-    if root is ctx.hierarchy.root:
-        # Full-tree sweeps take the phase-batched path: same-shape
-        # merges across the whole level collapse into stacked kernels.
-        return _sweep_fast_batched(ctx, budget, keep_splits)
+    _phase, left, _right, size = _structure_arrays(ctx.hierarchy)
+    interval = np.arange(i - size[i] + 1, i + 1)
     tables: Dict[int, np.ndarray] = {}
-    splits: Dict[int, np.ndarray] = {}
-    # Subtree re-sweep (low-memory reconstruction): generate the
-    # subtree's postorder by reversing a node/right/left preorder.
-    order = []
-    stack = [root]
-    while stack:
-        p = stack.pop()
-        if not p.is_leaf:
-            order.append(p)
-            stack.append(p.left)
-            stack.append(p.right)
-    order.reverse()
-    const_split = _shared_split_cache()
-    for p in order:
-        node_left = p.left
-        if node_left is None:  # leaf: tables are virtual (own errors)
-            continue
-        node_right = p.right
-        lt = (
-            tables.pop(node_left.index)
-            if node_left.left is not None else None
-        )
-        rt = (
-            tables.pop(node_right.index)
-            if node_right.left is not None else None
-        )
-        table, split = _merge_node_fast(
-            own[p.index], lt, rt,
-            own[node_left.index], own[node_right.index],
-            budget, maximum, keep_splits, const_split,
-        )
-        tables[p.index] = table
-        if keep_splits:
-            splits[p.index] = split
-    return tables[root.index], splits
+    splits: Optional[Dict[int, np.ndarray]] = {} if keep_splits else None
+    _merge_internal(
+        ctx, budget, interval[left[interval] >= 0], tables,
+        np.where(left < 0, 2, 0), splits, release=True,
+    )
+    return tables[i], splits
 
 
-def _structure_arrays(ctx: DPContext):
-    """Postorder structure arrays, cached on the hierarchy.
+def _structure_arrays(hierarchy: PrunedHierarchy):
+    """Postorder structure arrays ``(phase, left, right, size)``,
+    cached on the hierarchy (an incremental session seeds the cache from
+    its own structural arrays, so the tree is walked once).
 
     ``phase[i]`` is the subtree height of node ``i`` (0 for leaves), so
     processing phases in ascending order is a valid bottom-up schedule
     in which every node's children belong to strictly earlier phases;
-    ``left_idx``/``right_idx`` are child postorder indices (-1 at
-    leaves).  Pure structure — shared by every metric/budget/mode.
+    ``left``/``right`` are child postorder indices (-1 at leaves) and
+    ``size`` the subtree node count — node ``i``'s subtree is the
+    contiguous postorder interval ``[i - size[i] + 1, i]``.  Pure
+    structure — shared by every metric/budget/mode.
     """
-    hierarchy = ctx.hierarchy
     cached = getattr(hierarchy, "_dp_structure", None)
     if cached is None:
-        nodes = hierarchy.nodes
-        n = len(nodes)
-        left_idx = np.full(n, -1, dtype=np.int64)
-        right_idx = np.full(n, -1, dtype=np.int64)
-        phase = np.zeros(n, dtype=np.int64)
-        ph_list = [0] * n
-        for p in nodes:
+        n = len(hierarchy.nodes)
+        left = np.full(n, -1, dtype=np.int64)
+        right = np.full(n, -1, dtype=np.int64)
+        ph = [0] * n
+        sz = [1] * n
+        for p in hierarchy.nodes:
             node_left = p.left
             if node_left is None:
                 continue
             i = p.index
             li, ri = node_left.index, p.right.index
-            left_idx[i] = li
-            right_idx[i] = ri
-            pl, pr = ph_list[li], ph_list[ri]
-            ph_list[i] = (pl if pl >= pr else pr) + 1
-        phase[:] = ph_list
-        cached = (phase, left_idx, right_idx)
+            left[i] = li
+            right[i] = ri
+            pl, pr = ph[li], ph[ri]
+            ph[i] = (pl if pl >= pr else pr) + 1
+            sz[i] = sz[li] + sz[ri] + 1
+        cached = (
+            np.asarray(ph, dtype=np.int64), left, right,
+            np.asarray(sz, dtype=np.int64),
+        )
         hierarchy._dp_structure = cached
     return cached
 
 
-def _sweep_fast_batched(ctx: DPContext, budget: int, keep_splits: bool):
-    """Phase-batched full-tree sweep (tables identical to `_sweep`).
+@lru_cache(maxsize=None)
+def _const_split(case: str, size: int) -> np.ndarray:
+    """The split array of a closed-form merge (read-only and shared:
+    its contents depend only on the case and the table size)."""
+    sp = np.empty(size, dtype=np.int32)
+    sp[:2] = -1
+    if size > 2:
+        if case == "rl":  # right child is the leaf
+            sp[2:] = np.arange(1, size - 1, dtype=np.int32)
+        else:  # "lr": left child is the leaf, or leaf-leaf
+            sp[2:] = 1
+    sp.flags.writeable = False
+    return sp
 
-    Nodes are processed level by level (by subtree height) and, within
-    a level, grouped by the shapes of their children's tables.  Each
-    group becomes one stacked operation: leaf-leaf parents are a pure
-    gather/combine over the own-error array, one-leaf merges are a
-    single broadcast combine over stacked inner tables, and
-    internal-internal merges run through
-    :func:`~repro.algorithms.kernels._positive_merge_batch`.  Every row
-    of every batch performs exactly the per-node fast path's
-    operations, which in turn match the naive sweep bit for bit; split
-    arrays for the closed-form cases are shared constants (their
-    contents don't depend on the node).
+
+def _merge_internal(
+    ctx: DPContext,
+    budget: int,
+    nodes: np.ndarray,
+    tables,
+    tlen: np.ndarray,
+    splits=None,
+    release: bool = False,
+) -> None:
+    """Phase-batched merge of the internal ``nodes`` — the only fast
+    nonoverlapping merge (full builds, Section 4.4 re-sweeps and
+    incremental rebuilds all call it).
+
+    ``tables`` maps a postorder index to its error table and ``tlen``
+    holds every node's table length (2 at leaves).  Each child of a
+    merged node is a leaf, another merged node, or a node whose table
+    (and length) is already there.  Results land in ``tables``,
+    ``tlen`` and,
+    unless it is ``None``, ``splits``; ``release`` drops each child
+    table once its parent has consumed it.
+
+    Nonoverlapping tables have a fixed shape the fast path exploits:
+    entry 0 is ``inf`` (zero buckets are infeasible), entry 1 is the
+    node's own-bucket error, and every deeper in-range entry is finite.
+    Leaf tables therefore never materialize — parents read the
+    precomputed own-error array directly.  Nodes are processed level by
+    level (by subtree height) and, within a level, grouped by the
+    shapes of their children's tables; each group is one stacked
+    operation: leaf-leaf parents are a gather/combine over the
+    own-error array, one-leaf merges one broadcast combine over the
+    stacked inner tables, and internal-internal merges convolve the
+    finite table tails in
+    :func:`~repro.algorithms.kernels._positive_merge_batch`.  Entries
+    and recorded splits match the naive merge exactly: the dropped
+    candidates are all infinite and the surviving ones combine
+    identical scalars in the identical order.
     """
     own = ctx.own_errors()
     maximum = ctx.metric.combine == "max"
-    phase, left_idx, right_idx = _structure_arrays(ctx)
-    n = len(phase)
-    leaf_mask = left_idx < 0
-    tables: List[Optional[np.ndarray]] = [None] * n
-    splits: Dict[int, np.ndarray] = {}
-    # Table lengths evolve bottom-up by the same formula the per-node
-    # sweep applies; leaves count as (virtual) 2-entry tables.
-    tlen = np.where(leaf_mask, 2, 0)
-    internal = np.nonzero(~leaf_mask)[0]
-    order = internal[np.argsort(phase[internal], kind="stable")]
-    ph_sorted = phase[order]
-    # Shared constant split arrays, one per (case, size).
-    _const_split = _shared_split_cache()
+    phase, left_idx, right_idx, _size = _structure_arrays(ctx.hierarchy)
+    keep_splits = splits is not None
 
-    pos = 0
-    total = order.size
-    while pos < total:
-        h = ph_sorted[pos]
-        end = pos + np.searchsorted(ph_sorted[pos:], h, side="right")
-        idx_h = order[pos:end]
-        pos = end
+    def head(gi: np.ndarray, size: int) -> np.ndarray:
+        block = np.empty((gi.size, size))
+        block[:, 0] = INF
+        block[:, 1] = own[gi]
+        return block
+
+    def tails(ids: np.ndarray, width: int) -> np.ndarray:
+        """Stack ``tables[c][1:]`` (the finite tails) for ``ids``."""
+        buf = np.empty((ids.size, width))
+        for k, c in enumerate(ids.tolist()):
+            buf[k] = tables[c][1:]
+            if release:
+                tables[c] = None
+        return buf
+
+    def publish(gi: np.ndarray, block: np.ndarray, split_rows) -> None:
+        ids = gi.tolist()
+        for i, row in zip(ids, block):
+            tables[i] = row
+        if keep_splits:
+            for i, row in zip(ids, split_rows):
+                splits[i] = row
+
+    def const_rows(case: str, k: int, size: int):
+        return [_const_split(case, size)] * k if keep_splits else None
+
+    order = nodes[np.argsort(phase[nodes], kind="stable")]
+    ph = phase[order]
+    for idx_h in np.split(order, np.flatnonzero(ph[1:] != ph[:-1]) + 1):
         li = left_idx[idx_h]
         ri = right_idx[idx_h]
-        sizes = np.minimum(budget, tlen[li] + tlen[ri] - 2) + 1
-        tlen[idx_h] = sizes
-        lleaf = leaf_mask[li]
-        rleaf = leaf_mask[ri]
+        tlen[idx_h] = np.minimum(budget, tlen[li] + tlen[ri] - 2) + 1
+        lleaf = left_idx[li] < 0
+        rleaf = left_idx[ri] < 0
 
         # Leaf-leaf parents: closed form over the own-error array.
         both = lleaf & rleaf
         if both.any():
             g = idx_h[both]
             size = min(budget, 2) + 1
-            block = np.empty((g.size, size))
-            block[:, 0] = INF
-            block[:, 1] = own[g]
+            block = head(g, size)
             if size == 3:
                 lv = own[li[both]]
                 rv = own[ri[both]]
                 block[:, 2] = np.maximum(lv, rv) if maximum else lv + rv
-            sp = _const_split("lr", size) if keep_splits else None
-            for k, i in enumerate(g.tolist()):
-                tables[i] = block[k]
-                if keep_splits:
-                    splits[i] = sp
+            publish(g, block, const_rows("lr", g.size, size))
 
-        # One-leaf merges, grouped by inner-table length and side.
+        # One-leaf merges, grouped by inner-table length and side: the
+        # inner tail shifted by one, combined with the leaf's own error.
         one = lleaf ^ rleaf
         if one.any():
             g = idx_h[one]
-            gl = li[one]
-            gr = ri[one]
             r_is_leaf = rleaf[one]
-            inner_idx = np.where(r_is_leaf, gl, gr)
-            edge_idx = np.where(r_is_leaf, gr, gl)
+            inner_idx = np.where(r_is_leaf, li[one], ri[one])
+            edge_idx = np.where(r_is_leaf, ri[one], li[one])
             key = tlen[inner_idx] * 2 + r_is_leaf
             for u in np.unique(key).tolist():
                 sel = key == u
                 gi = g[sel]
-                ginner = inner_idx[sel]
-                inner_len = int(u // 2)
-                right_leaf = bool(u & 1)
+                inner_len = u // 2
                 size = min(budget, inner_len) + 1
-                K = gi.size
-                buf = np.empty((K, inner_len))
-                for k, ii in enumerate(ginner.tolist()):
-                    buf[k] = tables[ii]
-                    tables[ii] = None
-                edge = own[edge_idx[sel]]
-                block = np.empty((K, size))
-                block[:, 0] = INF
-                block[:, 1] = own[gi]
+                tail = tails(inner_idx[sel], inner_len - 1)
+                block = head(gi, size)
                 if size > 2:
-                    seg = buf[:, 1 : size - 1]
-                    e = edge[:, None]
+                    seg = tail[:, : size - 2]
+                    e = own[edge_idx[sel]][:, None]
                     block[:, 2:] = (
                         np.maximum(seg, e) if maximum else seg + e
                     )
-                sp = (
-                    _const_split("rl" if right_leaf else "lr", size)
-                    if keep_splits
-                    else None
+                publish(
+                    gi, block,
+                    const_rows("rl" if u & 1 else "lr", gi.size, size),
                 )
-                for k, i in enumerate(gi.tolist()):
-                    tables[i] = block[k]
-                    if keep_splits:
-                        splits[i] = sp
 
         # Internal-internal merges, grouped by child-table shapes.
         both_int = ~(lleaf | rleaf)
@@ -463,38 +369,23 @@ def _sweep_fast_batched(ctx: DPContext, budget: int, keep_splits: bool):
             for u in np.unique(key).tolist():
                 sel = key == u
                 gi = g[sel]
-                m = int(u // (2 * budget + 4))
-                nn = int(u % (2 * budget + 4))
+                m, nn = divmod(u, 2 * budget + 4)
                 size = min(budget, m + nn - 2) + 1
-                K = gi.size
-                bl = np.empty((K, m - 1))
-                br = np.empty((K, nn - 1))
-                for k, ii in enumerate(gl[sel].tolist()):
-                    bl[k] = tables[ii][1:]
-                    tables[ii] = None
-                for k, ii in enumerate(gr[sel].tolist()):
-                    br[k] = tables[ii][1:]
-                    tables[ii] = None
-                block = np.empty((K, size))
-                block[:, 0] = INF
-                block[:, 1] = own[gi]
+                bl = tails(gl[sel], m - 1)
+                br = tails(gr[sel], nn - 1)
+                block = head(gi, size)
+                split_rows = None
+                if keep_splits:
+                    split_rows = np.empty((gi.size, size), dtype=np.int32)
+                    split_rows[:, :2] = -1
                 if size > 2:
                     vals, choice = _positive_merge_batch(
                         bl, br, size - 2, maximum, want_choice=keep_splits
                     )
                     block[:, 2:] = vals
-                if keep_splits:
-                    spblock = np.empty((K, size), dtype=np.int32)
-                    spblock[:, 0] = -1
-                    spblock[:, 1] = -1
-                    if size > 2:
-                        spblock[:, 2:] = choice
-                for k, i in enumerate(gi.tolist()):
-                    tables[i] = block[k]
                     if keep_splits:
-                        splits[i] = spblock[k]
-    root_index = ctx.hierarchy.root.index
-    return tables[root_index], splits
+                        split_rows[:, 2:] = choice
+                publish(gi, block, split_rows)
 
 
 def _collect_multipass(

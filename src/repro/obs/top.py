@@ -27,7 +27,9 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .facts import REDUCERS
 from .journal import read_journal
+from .registry import MetricsRegistry
 
 __all__ = ["TopRow", "TopSource", "TopState", "load_state", "render_top"]
 
@@ -96,12 +98,40 @@ class TopState:
         return sum(r.tuples or 0 for r in timed[1:]) / elapsed
 
 
+#: Registry counters -> dashboard counter keys (both modes).
+_SERIES_COUNTERS = {
+    "channel.faults.dropped": "drop",
+    "channel.faults.duplicated": "dup",
+    "channel.faults.delayed": "delay",
+    "system.monitor.crashes": "crash",
+    "system.messages.late": "late",
+    "control.install.attempts": "installs",
+    "control.install.retries": "retries",
+    "system.recalibrations": "recalibrations",
+}
+
+#: Journal events whose :data:`~repro.obs.facts.REDUCERS` rows update
+#: :data:`_SERIES_COUNTERS`.
+_COUNTER_EVENTS = frozenset((
+    "decode", "fault.drop", "fault.duplicate", "fault.delay",
+    "fault.crash", "install", "recalibration",
+))
+
+
 def state_from_journal(events: List[Dict], source: str) -> TopState:
-    """Fold journal events into dashboard state."""
+    """Fold journal events into dashboard state.
+
+    The degradation/install counters come from folding the events that
+    carry them through :data:`~repro.obs.facts.REDUCERS` into a scratch
+    registry and reading :data:`_SERIES_COUNTERS` off it — the same
+    counters series mode reads, so both modes agree on one run.
+    """
     state = TopState(source=source)
-    counters = state.counters
+    registry = MetricsRegistry()
     for ev in events:
         kind = ev.get("event")
+        if kind in _COUNTER_EVENTS:
+            REDUCERS[kind](registry, ev)
         if kind == "decode":
             state.rows.append(
                 TopRow(
@@ -115,25 +145,6 @@ def state_from_journal(events: List[Dict], source: str) -> TopState:
                     bytes=ev.get("histogram_bytes"),
                     reporting=ev.get("monitors_reporting"),
                 )
-            )
-            late = ev.get("late_messages", 0)
-            if late:
-                counters["late"] = counters.get("late", 0) + late
-        elif kind == "fault.drop":
-            counters["drop"] = counters.get("drop", 0) + 1
-        elif kind == "fault.duplicate":
-            counters["dup"] = counters.get("dup", 0) + 1
-        elif kind == "fault.delay":
-            counters["delay"] = counters.get("delay", 0) + 1
-        elif kind == "fault.crash":
-            counters["crash"] = counters.get("crash", 0) + 1
-        elif kind == "install":
-            counters["installs"] = counters.get("installs", 0) + 1
-            if ev.get("retry"):
-                counters["retries"] = counters.get("retries", 0) + 1
-        elif kind == "recalibration":
-            counters["recalibrations"] = (
-                counters.get("recalibrations", 0) + 1
             )
         elif kind == "alert.fired":
             state.alerts.append({
@@ -183,20 +194,12 @@ def state_from_journal(events: List[Dict], source: str) -> TopState:
                 entry["over_budget"] = entry.get("over_budget", 0) + 1
         elif kind == "run_end":
             state.finished = True
+    for key, short in _SERIES_COUNTERS.items():
+        value = registry.counter(key).value
+        if value:
+            state.counters[short] = value
     return state
 
-
-#: snapshot-series keys -> dashboard counter keys.
-_SERIES_COUNTERS = {
-    "channel.faults.dropped": "drop",
-    "channel.faults.duplicated": "dup",
-    "channel.faults.delayed": "delay",
-    "system.monitor.crashes": "crash",
-    "system.messages.late": "late",
-    "control.install.attempts": "installs",
-    "control.install.retries": "retries",
-    "system.recalibrations": "recalibrations",
-}
 
 
 def state_from_series(records: List[Dict], source: str) -> TopState:

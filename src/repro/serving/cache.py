@@ -13,9 +13,9 @@ work.  :class:`SharedServingCache` deduplicates that work across the
   table, so the table's own BLAKE2b content fingerprint
   (:meth:`~repro.core.groups.GroupTable.fingerprint`) joins the key.
 * **memos** — incremental curve memos keyed by ``(table fingerprint,
-  config key)``.  Memos self-guard: every subtree entry carries a
-  content fingerprint, so a tenant whose counts drifted from the
-  donor's simply rebuilds the differing subtrees
+  config key)``.  Memos self-guard: a session reuses one only when
+  the tenant's window has the donor's nonzero mask, and then rebuilds
+  every subtree whose counts differ; any other window builds cold
   (see :func:`repro.algorithms.incremental.memo_compatible`).
 * **canonical tables** — the first :class:`~repro.core.groups.GroupTable`
   instance seen per fingerprint.  The compiled-table caches

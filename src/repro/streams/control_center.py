@@ -160,13 +160,14 @@ class ControlCenter:
         self._function_cache: OrderedDict[bytes, PartitioningFunction] = (
             OrderedDict()
         )
-        #: Subtree-memoized incremental rebuilds (ROADMAP item 2): when
-        #: on, each DP rebuild re-solves only the subtrees whose counts
-        #: changed since the previous build and splices the rest from
-        #: the curve memo.  Results are bit-identical to full rebuilds;
-        #: the flag only changes how much of the sweep is re-run.  An
-        #: exact-fingerprint LRU hit still short-circuits everything,
-        #: including the memo refresh.
+        #: Subtree-memoized incremental rebuilds: when on, a DP rebuild
+        #: whose window keeps the previous build's nonzero mask
+        #: re-solves only the subtrees whose counts changed and reads
+        #: the rest from the curve memo; any other rebuild runs cold
+        #: and records a fresh memo.  Results are bit-identical to
+        #: full rebuilds; the flag only changes how much of the sweep
+        #: is re-run.  An exact-fingerprint LRU hit still
+        #: short-circuits everything, including the memo refresh.
         self.incremental = bool(incremental) and supports_incremental(
             algorithm, builder_options
         )

@@ -84,9 +84,11 @@ class BucketDriftDetector:
 
     def set_reference(self, histogram: Histogram) -> None:
         """Anchor the detector to the traffic the function was built
-        for (typically the first live window after training)."""
+        for (typically the first live window after training).  The
+        anchor window scores 0: it *is* the reference."""
         self._reference = self._normalize(histogram)
         self._streak = 0
+        self.last_score = 0.0
 
     def reset(self) -> None:
         """Drop the reference distribution (and any drift streak); the

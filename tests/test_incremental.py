@@ -1,13 +1,14 @@
 """Incremental (subtree-memoized) rebuilds must be bit-identical to
 from-scratch builds.
 
-The memo splices previous-build DP arrays for subtrees whose content
-fingerprint is unchanged; because those arrays are exactly what an
-identical solve on identical content produces, the curve bytes and the
-reconstructed bucket lists must match a from-scratch build by the
-naive oracle and by the fast kernels with zero tolerance — for both
-semantics and arbitrary count perturbations including ones that change
-the pruned structure.
+When the nonzero mask is unchanged, the memo supplies previous-build
+DP arrays for subtrees whose counts are unchanged; because those
+arrays are exactly what an identical solve on identical content
+produces, the curve bytes and the reconstructed bucket lists must
+match a from-scratch build by the naive oracle and by the fast kernels
+with zero tolerance — for both semantics and arbitrary count
+perturbations, including ones that change the pruned structure (those
+rebuild cold).
 
 Only the ``fast`` kernel mode memoizes, so every test that asserts
 memo reuse pins it explicitly (the suite also runs under
@@ -33,6 +34,7 @@ from repro.obs import (
     use_journal,
     use_registry,
 )
+from repro.serving import SharedServingCache
 from repro.streams import ControlCenter
 
 BUDGETS = {"nonoverlapping": 16, "overlapping": 10}
@@ -152,6 +154,70 @@ class TestBitIdentity:
         assert stats["reused_subtrees"] > 0
 
 
+def _sparse_counts(seed=0):
+    """Base counts with every fourth group empty."""
+    counts = _base_counts(seed)
+    counts[::4] = 0.0
+    return counts
+
+
+def _restructured(counts, k=3):
+    """Zero ``k`` nonzero groups and revive ``k`` empty ones: the
+    nonzero mask changes, so the pruned structure does."""
+    out = counts.copy()
+    nz = np.nonzero(out)[0]
+    zero = np.nonzero(out == 0)[0]
+    out[nz[:k]] = 0.0
+    out[zero[:k]] = 17.0
+    return out
+
+
+class TestRestructuring:
+    """A rebuild whose nonzero mask changed runs cold: the full batched
+    sweep, with a complete memo recorded for the next rebuild."""
+
+    @pytest.mark.parametrize("algorithm", ("nonoverlapping", "overlapping"))
+    def test_restructuring_rebuild_is_cold_and_identical(self, algorithm):
+        counts = _sparse_counts()
+        memo, _ = _check_pair(algorithm, counts, None)
+        moved = _restructured(counts)
+        memo, stats = _check_pair(algorithm, moved, memo)
+        assert stats["reused_subtrees"] == 0
+        assert stats["dirty_groups"] == 6
+        # The cold rebuild's memo is complete: the next same-structure
+        # rebuild re-merges only the drifted spine.
+        drifted = moved.copy()
+        drifted[np.nonzero(drifted)[0][:3]] *= 2.0
+        _, stats = _check_pair(algorithm, drifted, memo)
+        assert stats["dirty_groups"] == 3
+        assert stats["reused_fraction"] > 0.3
+
+    def test_foreign_memo_with_another_mask_is_not_reused(self):
+        """A memo handed over through the cross-tenant cache from a
+        window with a different nonzero mask seeds nothing."""
+        budget = BUDGETS["nonoverlapping"]
+        donor_counts = _sparse_counts(seed=1)
+        counts = _restructured(donor_counts)
+        cache = SharedServingCache()
+        registry = MetricsRegistry()
+        with use_registry(registry), use_kernel_mode("fast"):
+            donor, tenant = (
+                ControlCenter(
+                    TABLE, METRIC, algorithm="nonoverlapping",
+                    budget=budget, incremental=True, shared_cache=cache,
+                )
+                for _ in range(2)
+            )
+            donor.rebuild_function(donor_counts)
+            reused = registry.counter("control.rebuild.subtrees.reused")
+            function = tenant.rebuild_function(counts)
+        assert cache.memo_hits == 1
+        assert reused.value == 0
+        assert tenant._curve_memo.counts.tobytes() == counts.tobytes()
+        expected = _scratch("nonoverlapping", counts, budget)
+        assert _buckets(function) == _buckets(expected.function_at(budget))
+
+
 class TestMemoKeying:
     def test_config_change_invalidates_memo(self):
         counts = _base_counts()
@@ -238,21 +304,6 @@ class TestMemoKeying:
         with pytest.raises(ValueError):
             build_nonoverlapping(h, METRIC, 8, low_memory=True,
                                  memo=session)
-
-    def test_fingerprints_track_content_not_position(self):
-        counts = _base_counts()
-        h1 = PrunedHierarchy(TABLE, counts)
-        h2 = PrunedHierarchy(TABLE, counts.copy())
-        fp1 = incmod.subtree_fingerprints(h1)
-        fp2 = incmod.subtree_fingerprints(h2)
-        assert fp1 == fp2
-        drifted = counts.copy()
-        g = np.nonzero(drifted)[0][0]
-        drifted[g] += 1.0
-        fp3 = incmod.subtree_fingerprints(PrunedHierarchy(TABLE, drifted))
-        assert fp3[-1] != fp1[-1]  # root fingerprint moved
-        changed = sum(1 for a, b in zip(fp1, fp3) if a != b)
-        assert 0 < changed < len(fp1)  # but only the dirty spine
 
 
 class TestControlCenterIncremental:

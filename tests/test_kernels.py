@@ -23,7 +23,6 @@ from repro.algorithms import (
 from repro.algorithms.base import DPContext
 from repro.algorithms.kernels import (
     INF,
-    _positive_merge,
     _positive_merge_batch,
     knapsack_merge,
     knapsack_merge_batch,
@@ -133,27 +132,37 @@ def test_batch_merge_tall_transposed(combine):
 @pytest.mark.parametrize("maximum", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_positive_merge_matches_reference(seed, maximum):
-    """The all-finite-tail convolution equals the reference merge of
-    the corresponding inf-at-0 tables (choices are the 1-based left
-    bucket counts the reference records)."""
+    """Each row of the stacked all-finite-tail convolution equals the
+    reference merge of the corresponding inf-at-0 tables (choices are
+    the 1-based left bucket counts the reference records); skipping
+    the argmin leaves the values unchanged."""
     rng = np.random.default_rng(200 + seed)
+    K = int(rng.integers(1, 9))
     m = int(rng.integers(1, 140))
     n = int(rng.integers(1, 140))
-    l, r = rng.random(m) * 5, rng.random(n) * 5
-    left = np.concatenate(([INF], l))
-    right = np.concatenate(([INF], r))
+    l, r = rng.random((K, m)) * 5, rng.random((K, n)) * 5
     combine = "max" if maximum else "sum"
     cap = int(rng.integers(2, m + n + 1))
-    ref_out, ref_ch = knapsack_merge_reference(left, right, cap, combine)
     size = min(cap, m + n) + 1
-    out, choice = _positive_merge(l, r, size - 2, maximum)
-    assert np.array_equal(out, ref_out[2:])
-    assert np.array_equal(choice, ref_ch[2:])
+    out, choice = _positive_merge_batch(l, r, size - 2, maximum)
+    for k in range(K):
+        left = np.concatenate(([INF], l[k]))
+        right = np.concatenate(([INF], r[k]))
+        ref_out, ref_ch = knapsack_merge_reference(left, right, cap, combine)
+        assert np.array_equal(out[k], ref_out[2:])
+        assert np.array_equal(choice[k], ref_ch[2:])
+    out_nc, choice_nc = _positive_merge_batch(
+        l, r, size - 2, maximum, want_choice=False
+    )
+    assert np.array_equal(out_nc, out)
+    assert choice_nc is None
 
 
 @pytest.mark.parametrize("maximum", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_positive_merge_batch_matches_single(seed, maximum):
+    """Stacking rows does not mix them: each row of a K-row batch equals
+    the same row convolved on its own."""
     rng = np.random.default_rng(300 + seed)
     K = int(rng.integers(1, 9))
     m = int(rng.integers(1, 120))
@@ -163,9 +172,9 @@ def test_positive_merge_batch_matches_single(seed, maximum):
     r = rng.random((K, n)) * 5
     out, choice = _positive_merge_batch(l, r, width, maximum)
     for k in range(K):
-        o1, c1 = _positive_merge(l[k], r[k], width, maximum)
-        assert np.array_equal(out[k], o1)
-        assert np.array_equal(choice[k], c1)
+        o1, c1 = _positive_merge_batch(l[k : k + 1], r[k : k + 1], width, maximum)
+        assert np.array_equal(out[k], o1[0])
+        assert np.array_equal(choice[k], c1[0])
     out_nc, choice_nc = _positive_merge_batch(
         l, r, width, maximum, want_choice=False
     )

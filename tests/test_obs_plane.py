@@ -517,6 +517,28 @@ class TestTop:
         assert row.coverage == pytest.approx(1.0)
         assert row.error is not None and row.bytes is not None
 
+    def test_journal_and_series_counters_agree(self, workload, tmp_path):
+        """One faulty adaptive run read both ways: journal mode folds
+        its events through the reducer table, so it shows the series
+        mode's counters (training installs are not live installs)."""
+        table, history, live = workload
+        registry = MetricsRegistry()
+        path = str(tmp_path / "both.journal")
+        system = AdaptiveMonitoringSystem(
+            table, get_metric("rms"), num_monitors=3,
+            algorithm="lpm_greedy", budget=40, stale_policy="rescale",
+            faults=FaultModel.parse(FAULTS),
+            detector=BucketDriftDetector(threshold=0.01, patience=1),
+        )
+        with use_registry(registry), use_journal(EventJournal(path)):
+            system.train(history)
+            system.run(live, window_width=1.0)
+        journal = state_from_journal(read_journal(path), "run.journal")
+        series = state_from_series(registry.window_series, "http://x")
+        assert journal.counters == series.counters
+        for key in ("drop", "installs", "recalibrations"):
+            assert journal.counters.get(key, 0) > 0
+
     def test_render_mentions_everything(self, journaled_run):
         _report, _path, events = journaled_run
         state = state_from_journal(events, "run.journal")

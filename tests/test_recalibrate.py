@@ -214,6 +214,43 @@ class TestDetectorReset:
         assert d.last_score == pytest.approx(0.0)
 
 
+    def test_anchor_window_scores_zero(self):
+        d = BucketDriftDetector(threshold=0.3, patience=2)
+        d.observe(Histogram({1: 100.0}))
+        d.observe(Histogram({2: 100.0}))
+        assert d.last_score > 0.3
+        d.reset()
+        d.observe(Histogram({2: 100.0}))  # re-anchors
+        assert d.last_score == 0.0
+
+    def test_reported_drift_is_zero_after_each_rebuild(self):
+        """The first window after a rebuild re-anchors the detector:
+        its reported score is 0, like its window report's."""
+        table = generate_subnet_table(UIDDomain(10), seed=2)
+        ts, uids = generate_timestamped_trace(
+            table, 8000, duration=40.0, seed=4,
+            model=TrafficModel(active_fraction=0.15, zipf_exponent=1.2),
+        )
+        trace = Trace(ts, uids)
+        adaptive = AdaptiveMonitoringSystem(
+            table, get_metric("rms"), num_monitors=2,
+            algorithm="lpm_greedy", budget=40,
+            detector=BucketDriftDetector(threshold=0.01, patience=1),
+        )
+        adaptive.train(trace.slice_time(0, 20))
+        report = adaptive.run(trace.slice_time(20, 40), window_width=2.0)
+        positions = {
+            w.window_index: k for k, w in enumerate(report.windows)
+        }
+        anchors = [
+            positions[w + 1] for w in report.rebuilds if w + 1 in positions
+        ]
+        assert anchors
+        for k in anchors:
+            assert report.drift_scores[k] == 0.0
+            assert report.windows[k].drift_score == 0.0
+
+
 class TestWarehouse:
     def _run(self, **kwargs):
         table, trace = _drifting_workload()
