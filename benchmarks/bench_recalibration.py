@@ -18,11 +18,9 @@ keeps the mask).
 Timings are construction-only (the ``PrunedHierarchy`` build is timed
 separately and reported per workload): the full leg times ``build()``
 alone; the incremental leg times session creation + build + memo
-finish.  All full-build repetitions run consecutively, then all
-incremental repetitions, and each leg reports the minimum — the memo
-arena is patched in place, so between incremental reps the harness
-rebuilds back to the baseline counts (untimed) to restore the
-previous-build state.
+finish.  The legs alternate rep by rep, every incremental rep
+rebuilds from the same baseline memo (a rebuild patches a copy of the
+memo's state, never the memo), and each leg reports the minimum.
 
 Usage::
 
@@ -124,35 +122,32 @@ def _build_with_memo(table, counts, algorithm, metric, budget, memo):
 
 def _time_point(table, counts, drifted, algorithm, metric, budget):
     """Time full builds of ``drifted`` against incremental rebuilds
-    from a ``counts`` memo; raise unless the curves are bit-identical."""
-    # Full-build leg: consecutive reps, construction only.
+    from a ``counts`` memo; raise unless the curves are bit-identical.
+
+    The memo is seeded from a baseline build (untimed) and seeds every
+    incremental rep (a rebuild leaves its memo intact).  The two legs
+    alternate rep by rep, so both see the same host conditions; each
+    rep times construction only.
+    """
+    _, memo, _ = _build_with_memo(
+        table, counts, algorithm, metric, budget, None
+    )
     full_times = []
-    full_result = None
+    inc_times = []
+    full_result = inc_result = None
+    stats: Dict[str, float] = {}
     for _ in range(REPS):
         h = PrunedHierarchy(table, drifted)
         t0 = time.perf_counter()
         full_result = build(algorithm, h, metric, budget)
         full_times.append(time.perf_counter() - t0)
-    # Incremental leg: memo seeded from a baseline build (untimed);
-    # each rep rebuilds back to baseline between timings because the
-    # overlapping memo arena is patched in place.
-    _, memo, _ = _build_with_memo(
-        table, counts, algorithm, metric, budget, None
-    )
-    inc_times = []
-    inc_result = None
-    stats: Dict[str, float] = {}
-    for _ in range(REPS):
         h = PrunedHierarchy(table, drifted)
         t0 = time.perf_counter()
         session = incmod.new_session(algorithm, h, metric, budget, memo)
         inc_result = build(algorithm, h, metric, budget, memo=session)
-        after = session.finish()
+        session.finish()
         inc_times.append(time.perf_counter() - t0)
         stats = session.stats()
-        _, memo, _ = _build_with_memo(
-            table, counts, algorithm, metric, budget, after
-        )
     identical = full_result.curve.tobytes() == inc_result.curve.tobytes()
     if not identical:
         raise AssertionError(

@@ -17,8 +17,9 @@ This module provides:
   ``grperr`` (the error of estimating every group in a subtree at a
   fixed density) in one vectorized pass, including the O(1)
   contribution of empty regions (Section 4.3).  Batched evaluation
-  over many densities (:meth:`DPContext.grperr_many`) serves the
-  overlapping DP's ancestor loop.  In the ``"fast"`` kernel mode every
+  over many densities (:meth:`DPContext.grperr_many`,
+  :meth:`DPContext.grperr_rows`) serves the overlapping DP's ancestor
+  rows.  In the ``"fast"`` kernel mode every
   batched path is bit-for-bit identical to the ``"naive"`` per-slice
   reference;
 * :class:`ConstructionResult` — a constructed partitioning function
@@ -251,9 +252,8 @@ class DPContext:
         penalty expressions over a ``(K, D)`` grid (IEEE
         elementwise operations are shape-independent), and longer leaf
         slices fall back to the per-node evaluation verbatim.  The
-        incremental overlapping rebuild uses this to re-condition every
-        base node's dirty-ancestor rows in one call.  Batched modes
-        only.
+        overlapping sweep uses this to condition every base node's
+        dirty-ancestor rows in one call.  Batched modes only.
         """
         d = np.asarray(densities, dtype=np.float64)
         idx = np.asarray(idx)

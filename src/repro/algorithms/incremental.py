@@ -24,8 +24,9 @@ is the tree structure of the dynamic programs themselves:
   chain (a change below ``j`` is also below every ancestor of ``j``),
   so the dirty ancestors of a clean node are always a *prefix* of its
   root-first ancestor chain: rows conditioned on the clean suffix are
-  copied from the memo and only the first ``D`` rows are re-merged —
-  in one stacked kernel call, since batch rows are row-independent.
+  carried from the memo and only the first ``D`` rows are re-merged.
+  Every fast overlapping build runs the same phase-batched sweep; a
+  scratch or cold build is the case where every node is dirty.
 
 Both DPs follow one memo policy.  The pruned hierarchy's shape (and
 therefore its postorder numbering) is a pure function of *which*
@@ -37,7 +38,9 @@ the counts the memo was built from, pushed to internal nodes by a
 prefix sum over each subtree's contiguous postorder interval.  Any
 other rebuild — a changed mask, a different configuration, or no
 memo at all — starts cold: it runs the full sweep and records a
-complete memo for the next rebuild.
+complete memo for the next rebuild.  A rebuild never writes into the
+memo it starts from, so a memo stays valid for whoever else holds it
+(the previous build's result, or a cache shared between tenants).
 
 A memo is only consulted when its configuration key (algorithm,
 metric, budget, builder options) matches the rebuild's.  The kernel
@@ -293,14 +296,15 @@ def _install_caches(
     """Rebuild the per-hierarchy DP caches from the structural arrays
     instead of per-node Python loops.
 
-    Every session installs them: a cold one from the arrays it just
-    built, a same-structure one from the memo's (a fresh
-    :class:`PrunedHierarchy` whose postorder, hence leaf-slot layout,
-    matches the memo's).  The cached leaf arrays, phase structure, and
-    densities the DP setup would derive by walking the nodes are
-    recomputed here with a few vectorized passes and pre-installed
-    under the attribute names :class:`~repro.algorithms.base.DPContext`
-    and the phase-batched sweep look up.  Every value is bit-identical
+    Every session installs them, as does every fast overlapping build:
+    a cold one from the arrays it just built, a same-structure one from
+    the memo's (a fresh :class:`PrunedHierarchy` whose postorder, hence
+    leaf-slot layout, matches the memo's).  The cached leaf arrays,
+    phase structure, and densities the DP setup would derive by walking
+    the nodes are recomputed here with a few vectorized passes and
+    pre-installed under the attribute names
+    :class:`~repro.algorithms.base.DPContext` and the phase-batched
+    sweeps look up.  Every value is bit-identical
     to the walked version: leaf actuals are the same count gathers, and
     subtree tuple totals are accumulated child-pair by child-pair (per
     phase) exactly as ``PrunedHierarchy`` adds them, so the density
@@ -493,85 +497,35 @@ class NonoverlappingSession(_Session):
 # Overlapping: per-node bucket case + conditioned row blocks
 # ---------------------------------------------------------------------------
 @dataclass
-class _OVArena:
-    """Contiguous DP-state arenas for one overlapping build.
-
-    Node ``i``'s conditioned-row block (row ``d`` conditioned on the
-    ancestor at depth ``d``) lives at arena rows
-    ``row_start[i] : row_start[i] + depth[i]``, width ``blk_w[i]``;
-    its ancestor-independent bucket case occupies ``eb[i, :size_b[i]]``
-    (the tail is ``INF`` so stacked bucket-case overlays can compare
-    full-width without a per-node length clamp — an ``INF`` candidate
-    never wins a strict ``<``).  Widths, row offsets and the
-    base/internal ``kind`` are all structural, so two same-structure
-    builds address the arena identically — which is what lets a rebuild
-    patch only the dirty-ancestor row prefix of each clean node *in
-    place* with whole-array gathers and scatters instead of per-node
-    Python.  In-place patching consumes the memo: after a rebuild the
-    arena reflects the new counts, so a memo must only ever seed the
-    *next* rebuild (replaying the identical transition is idempotent —
-    every rewritten value is bit-identical — which is what benchmark
-    repetition relies on).
-    """
-
-    row_start: np.ndarray  # (n + 1,) exclusive prefix sum of depths
-    e2: np.ndarray         # (R, W) conditioned-row tables
-    flags: np.ndarray      # (R, W) int8 reconstruction flags
-    splits: np.ndarray     # (R, W) int32 non-bucket split choices
-    eb: np.ndarray         # (n, W) bucket-case tables, INF-padded
-    split_b: np.ndarray    # (n, W) int32 bucket-case split choices
-    bflag: np.ndarray      # (n, W) int8 bucket/sparse flags
-    sparse_at: np.ndarray  # (n,) int64 sparse-leaf node id, -1 = none
-    size_b: np.ndarray     # (n,) int64 bucket-case table length
-    blk_w: np.ndarray      # (n,) int64 conditioned-block width
-    kind: np.ndarray       # (n,) int8: 0 unstored, 1 base, 2 internal
-
-
-def _alloc_arena(depth: np.ndarray, width: int) -> _OVArena:
-    n = depth.shape[0]
-    row_start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(depth, out=row_start[1:])
-    rows = int(row_start[n])
-    return _OVArena(
-        row_start=row_start,
-        e2=np.empty((rows, width)),
-        flags=np.zeros((rows, width), dtype=np.int8),
-        splits=np.full((rows, width), -1, dtype=np.int32),
-        eb=np.full((n, width), INF),
-        split_b=np.full((n, width), -1, dtype=np.int32),
-        bflag=np.zeros((n, width), dtype=np.int8),
-        sparse_at=np.full(n, -1, dtype=np.int64),
-        size_b=np.zeros(n, dtype=np.int64),
-        blk_w=np.zeros(n, dtype=np.int64),
-        kind=np.zeros(n, dtype=np.int8),
-    )
-
-
-@dataclass
 class OverlappingMemo:
-    """One build's DP state — the contiguous :class:`_OVArena`,
-    indexed by that build's postorder — plus the counts/support
-    signature identifying it."""
+    """One build's DP state — the ragged
+    :class:`~repro.algorithms.overlapping._OVArena`, indexed by that
+    build's postorder — plus the counts/support signature identifying
+    it.  A memo is a value: later rebuilds patch a copy of its arena,
+    never the arena itself."""
 
     config: Tuple
     counts: np.ndarray
     structure_sig: bytes
     arrays: _TreeArrays
-    arena: Optional[_OVArena] = None
+    arena: Optional[object] = None
 
 
 class OverlappingSession(_Session):
     """One incremental overlapping solve.
 
-    On a same-structure rebuild the DP never recurses into a clean
-    subtree: a vectorized prepass re-conditions the dirty-ancestor row
-    prefix of *every* clean node directly in the memo arena (rows
-    conditioned on clean ancestors — always the suffix, because
-    dirtiness is monotone up any ancestor chain — stay valid
-    verbatim), and the recursion then only visits dirty nodes,
-    adopting each maximal clean subtree as one arena view.  A
-    support-set change starts a cold session: every node is dirty and
-    a fresh memo is recorded for the next rebuild.
+    Every fast overlapping build runs the same phase-batched sweep
+    (:meth:`~repro.algorithms.overlapping.OverlappingDP._sweep`); the
+    session only chooses its dirty mask and arena.  A cold session (no
+    memo, another configuration, or a changed nonzero mask) marks every
+    node dirty and the sweep fills a fresh arena, exactly as a scratch
+    build does.  A same-structure session carries the memo's arena and
+    marks the nodes whose subtree counts changed: the sweep re-merges
+    their rows and the dirty-ancestor row prefix of every clean node
+    (rows conditioned on clean ancestors — always the suffix, because
+    dirtiness is monotone up any ancestor chain — stay valid verbatim)
+    in a copy of that arena.  With nothing dirty the carried arena is
+    this build's state as it is.
     """
 
     algorithm = "overlapping"
@@ -584,111 +538,32 @@ class OverlappingSession(_Session):
     ) -> None:
         super().__init__(hierarchy, config, old)
         old = self._old
-        #: Per-node dirty flags; the DP also folds these into its
-        #: running dirty-ancestor counts.
+        #: Per-node dirty flags (every node on a cold session).
         self.dirty = (
             _dirty_vector(old.arrays, old.counts, self._counts)
             if old is not None
             else np.ones(len(hierarchy.nodes), dtype=bool)
         )
-        #: Whether the old memo survived with an identical pruned
-        #: support set — the precondition for the skip-clean fast path.
-        self.same_structure = old is not None
-        self.arena: Optional[_OVArena] = (
-            old.arena if old is not None else None
-        )
+        #: The carried arena (``None`` on a cold session); the solve
+        #: replaces it with the arena it built.
+        self.arena = old.arena if old is not None else None
         self.rows_solved = 0
         self.rows_reused = 0
 
     def _usable(self, old: OverlappingMemo) -> bool:
         return old.arena is not None
 
-    # -- arena protocol ----------------------------------------------------
-    def ensure_arena(self, width: int) -> _OVArena:
-        """The carried-over arena, or a fresh one sized ``width`` (=
-        ``max subtree cap + 1``, a structural constant for a fixed
-        configuration) on a cold session."""
-        if self.arena is None:
-            self.arena = _alloc_arena(self._arrays.depth, width)
-        return self.arena
-
-    def store_base(
-        self,
-        index: int,
-        depth: int,
-        e_b: np.ndarray,
-        bucket_flag: np.ndarray,
-        sparse_at: Optional[int],
-        e2: np.ndarray,
-        flags2: np.ndarray,
+    def record_sweep(
+        self, solved: int, reused: int, rows_solved: int, rows_reused: int
     ) -> None:
-        """Record a visited base node (leaf or sparse collapse).  Every
-        node the recursion visits is dirty (clean subtrees are adopted
-        whole), so its dirty-ancestor count equals its depth and ``e2``
-        always holds the full ``depth`` rows."""
-        a = self.arena
-        start = int(a.row_start[index])
-        if depth:
-            a.e2[start : start + depth, :2] = e2
-            a.flags[start : start + depth, :2] = flags2
-        a.eb[index, :2] = e_b
-        a.bflag[index, :2] = bucket_flag
-        a.sparse_at[index] = -1 if sparse_at is None else sparse_at
-        a.size_b[index] = 2
-        a.blk_w[index] = 2
-        a.kind[index] = 1
+        """The sweep's totals: internal nodes whose bucket case was
+        re-merged (``solved``) or carried (``reused``), and conditioned
+        rows re-merged or carried verbatim."""
+        self.solved = solved
+        self.reused = reused
+        self.rows_solved = rows_solved
+        self.rows_reused = rows_reused
 
-    def store_block(
-        self,
-        index: int,
-        depth: int,
-        e_b: np.ndarray,
-        split_b: np.ndarray,
-        bucket_flag: np.ndarray,
-        sparse_at: Optional[int],
-        e2: np.ndarray,
-        flags2: np.ndarray,
-        split2: np.ndarray,
-    ) -> None:
-        """Record a visited internal node's full solve output: one
-        bucket case and ``depth`` conditioned rows re-merged."""
-        self.solved += 1
-        self.rows_solved += depth
-        a = self.arena
-        start = int(a.row_start[index])
-        width = e2.shape[1]
-        if depth:
-            a.e2[start : start + depth, :width] = e2
-            a.flags[start : start + depth, :width] = flags2
-            a.splits[start : start + depth, : split2.shape[1]] = split2
-        size_b = e_b.shape[0]
-        a.eb[index, :size_b] = e_b
-        a.eb[index, size_b:] = INF
-        a.split_b[index, : split_b.shape[0]] = split_b
-        a.bflag[index, :size_b] = bucket_flag
-        a.sparse_at[index] = -1 if sparse_at is None else sparse_at
-        a.size_b[index] = size_b
-        a.blk_w[index] = width
-        a.kind[index] = 2
-
-    def note_clean_bulk(
-        self, nodes: int, rows_solved: int, rows_reused: int
-    ) -> None:
-        """Fold the sweep totals into the reuse stats: ``nodes``
-        clean internal nodes adopted, with ``rows_solved`` conditioned
-        rows re-merged and ``rows_reused`` carried verbatim."""
-        self.reused += int(nodes)
-        self.rows_solved += int(rows_solved)
-        self.rows_reused += int(rows_reused)
-
-    def note_dirty_bulk(self, nodes: int, rows_solved: int) -> None:
-        """Fold the sweep's dirty-side totals into the stats:
-        ``nodes`` internal bucket cases re-merged, ``rows_solved``
-        conditioned rows re-merged (one per dirty ancestor)."""
-        self.solved += int(nodes)
-        self.rows_solved += int(rows_solved)
-
-    # -- lifecycle ---------------------------------------------------------
     def finish(self) -> OverlappingMemo:
         return OverlappingMemo(
             config=self._config,

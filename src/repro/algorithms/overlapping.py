@@ -27,7 +27,7 @@ enclosing bucket; see Figures 4-6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,8 +37,13 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, OverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .incremental import _phase_slices, _ranges
-from .kernels import knapsack_merge, knapsack_merge_batch
+from .incremental import (
+    _install_caches,
+    _phase_slices,
+    _ranges,
+    _tree_arrays,
+)
+from .kernels import kernel_mode, knapsack_merge, knapsack_merge_batch
 
 __all__ = ["build_overlapping", "OverlappingDP"]
 
@@ -57,30 +62,67 @@ class _NodeRecord:
     split_b: Optional[np.ndarray] = None
     sparse_at: Optional[int] = None  # node id of the single nonzero leaf
     bucket_flag: Optional[np.ndarray] = None  # _BUCKET or _SPARSE per B
-    # Per enclosing ancestor j (by pruned-node index):
-    flags: Optional[Dict[int, np.ndarray]] = None
-    splits_nb: Optional[Dict[int, np.ndarray]] = None
-    # Batched-mode equivalents: row i of each block is the table for
-    # the ancestor at depth i (ancestors are root-first, so an
+    # Non-bucket case: row d of each block is the table for the
+    # enclosing ancestor at depth d (ancestors are root-first, so an
     # ancestor's depth is its row).
     flags_block: Optional[np.ndarray] = None
     splits_block: Optional[np.ndarray] = None
 
 
-class _LazyRecords:
-    """Reconstruction records hydrated on demand from the memo arena.
+@dataclass
+class _OVArena:
+    """The fast solve's DP state in flat ragged arrays, indexed by the
+    build's postorder.
 
-    On a same-structure incremental rebuild most nodes are never
-    visited (clean subtrees are adopted whole), yet the reconstruction
-    walk may descend into any of them.  Materializing a record per
-    node would reintroduce an O(|nodes|) Python loop, so records are
-    built lazily: the solve populates the ones it visits through the
-    same ``records[i]`` accesses as the eager list, and reconstruction
-    hydrates the O(budget) untouched nodes it actually reads from the
-    arena's flag/split views.
+    Node ``i``'s conditioned block — ``depth[i]`` rows of width
+    ``blk_w[i]``, row ``d`` conditioned on the ancestor at depth ``d``
+    — is stored row-major at ``e2[off[i] : off[i + 1]]`` (``flags`` and
+    ``splits`` share the layout), and its ancestor-independent bucket
+    case at ``eb[boff[i] : boff[i + 1]]`` (``size_b[i]`` entries, with
+    ``bflag`` alongside; ``split_b`` uses the same offsets and one entry
+    less).  So the arena holds the ``Σ depth·blk_w`` cells a solve
+    writes: most nodes are leaves two entries wide, and padding every
+    row to the widest cap would multiply its size (and that of every
+    memo kept of it) by tens on deep hierarchies.  Offsets, widths,
+    ``kind``, ``sparse_at``, the base nodes' tables and flags and every
+    bucket-case flag are structural: two builds with the same nonzero
+    mask and configuration address the arena identically, which is
+    what lets a rebuild re-merge only the dirty rows.
     """
 
-    def __init__(self, arena, depth: np.ndarray) -> None:
+    off: np.ndarray        # (n + 1,) conditioned-block offsets
+    boff: np.ndarray       # (n + 1,) bucket-case offsets
+    e2: np.ndarray         # conditioned tables
+    flags: np.ndarray      # int8 reconstruction flags
+    splits: np.ndarray     # int32 non-bucket split choices
+    eb: np.ndarray         # bucket-case tables
+    split_b: np.ndarray    # int32 bucket-case split choices
+    bflag: np.ndarray      # int8 bucket/sparse flags
+    sparse_at: np.ndarray  # (n,) sparse-leaf node id, -1 = none
+    size_b: np.ndarray     # (n,) bucket-case table length
+    blk_w: np.ndarray      # (n,) conditioned-block width
+    kind: np.ndarray       # (n,) int8: 0 in a collapse, 1 base, 2 internal
+
+    def patchable(self) -> "_OVArena":
+        """A copy whose DP values may be rewritten (the structural
+        fields are shared, never written)."""
+        return replace(
+            self, e2=self.e2.copy(), flags=self.flags.copy(),
+            splits=self.splits.copy(), eb=self.eb.copy(),
+            split_b=self.split_b.copy(),
+        )
+
+
+class _LazyRecords:
+    """Fast-mode reconstruction records, hydrated on demand from the
+    arena.
+
+    Reconstruction reads O(budget) nodes, so records are built (as
+    views into the arena) only for the nodes it visits — no per-node
+    Python loop over the hierarchy.
+    """
+
+    def __init__(self, arena: _OVArena, depth: np.ndarray) -> None:
         self._arena = arena
         self._depth = depth
         self._recs: Dict[int, _NodeRecord] = {}
@@ -92,22 +134,18 @@ class _LazyRecords:
             a = self._arena
             kind = int(a.kind[index])
             if kind:
-                size_b = int(a.size_b[index])
-                rec.bucket_flag = a.bflag[index, :size_b]
+                b0, b1 = int(a.boff[index]), int(a.boff[index + 1])
+                rec.bucket_flag = a.bflag[b0:b1]
                 at = int(a.sparse_at[index])
                 rec.sparse_at = None if at < 0 else at
-                d = int(self._depth[index])
-                w = int(a.blk_w[index])
-                start = int(a.row_start[index])
-                rec.flags_block = a.flags[start : start + d, :w]
-                rec.splits_block = a.splits[start : start + d, :w]
+                o0, o1 = int(a.off[index]), int(a.off[index + 1])
+                shape = (int(self._depth[index]), int(a.blk_w[index]))
+                rec.flags_block = a.flags[o0:o1].reshape(shape)
+                rec.splits_block = a.splits[o0:o1].reshape(shape)
                 if kind == 2:
-                    rec.split_b = a.split_b[index]
+                    rec.split_b = a.split_b[b0 : b1 - 1]
             self._recs[index] = rec
         return rec
-
-    def sparse_collapses(self) -> int:
-        return int(np.count_nonzero(self._arena.sparse_at >= 0))
 
 
 class OverlappingDP:
@@ -115,6 +153,14 @@ class OverlappingDP:
 
     Kept as a class so that the longest-prefix-match greedy heuristic
     can inspect per-bucket approximation errors after the run.
+
+    The fast kernel mode runs one phase-batched sweep over a ragged
+    :class:`_OVArena` (:meth:`_sweep`).  Scratch builds, cold
+    incremental builds and same-structure rebuilds all run it and
+    differ only in the dirty mask: every node for the first two, the
+    count diff against the memo for the third.  The ``"naive"`` mode
+    runs the recursive per-ancestor solve (:meth:`_solve`), the oracle
+    the sweep is tested against; it never memoizes.
     """
 
     def __init__(
@@ -131,97 +177,43 @@ class OverlappingDP:
         self.metric = metric
         self.budget = budget
         self.sparse = sparse
-        # Optional OverlappingSession.  On a batched same-structure
-        # rebuild no recursion runs at all: one vectorized sweep
-        # re-merges every row conditioned on a dirty ancestor (always
-        # a root-first prefix of each node's ancestor chain) plus the
-        # dirty nodes' bucket cases, straight into the memo arena —
-        # producing bit-identical arrays to a full solve.
-        self._inc = memo
+        ar = _tree_arrays(hierarchy)
+        fast = kernel_mode() != "naive"
+        if fast:
+            # Leaf arrays and densities from the structural arrays, so
+            # the tree is walked once.
+            _install_caches(hierarchy, ar, hierarchy.counts)
         self.ctx = DPContext(hierarchy, metric)
-        n_nodes = len(hierarchy.nodes)
-        inc_batched = memo is not None and self.ctx.batched
-        same_inc = inc_batched and memo.same_structure
-        self._caps = self._compute_caps()
-        if inc_batched:
-            memo.ensure_arena(int(self._caps.max()) + 1)
-        if same_inc:
-            self.records = _LazyRecords(memo.arena, memo.arrays.depth)
-            self._depths = memo.arrays.depth.copy()
-        else:
-            self.records = [_NodeRecord() for _ in hierarchy.nodes]
-            self._depths = np.zeros(n_nodes, dtype=np.int64)
-        # Full tables E[p, ., j] per node, keyed by node index then by
-        # ancestor index; entries are freed as soon as the parent has
-        # consumed them (the paper's Section 4.4 space optimization —
-        # reconstruction uses the retained choice arrays instead).
-        self._tables: Dict[int, Dict[int, np.ndarray]] = {}
+        self._depths = ar.depth
+        self._base, self._under = self._base_under_masks(ar)
+        self._caps, self._blk_w, self._size_b = self._shape(ar)
         # Bucket-case expansions ``(node index, b) -> buckets``, shared
         # by every budget's reconstruction (see buckets_for_budget).
         self._expanded: Dict[Tuple[int, int], List[Bucket]] = {}
-        # Ancestor state maintained along the recursion: entry d holds
-        # the pruned index / density of the ancestor at depth d, so the
-        # first ``depth`` entries are the current node's strict
-        # ancestors root-first (no per-node list rebuilding).
-        self._anc_idx = np.empty(n_nodes + 1, dtype=np.int64)
-        self._anc_dens = np.empty(n_nodes + 1, dtype=np.float64)
+        self._arena: Optional[_OVArena] = None
         with span(
             "dp.overlapping.solve", budget=budget,
-            nodes=n_nodes, sparse=sparse,
+            nodes=len(hierarchy.nodes), sparse=sparse,
         ) as sp:
-            if same_inc:
-                root_bucket_table = (
-                    self._solve_same_structure()
-                    if memo.dirty.any()
-                    # Nothing dirty: the previous build's arena is
-                    # this build's answer verbatim.
-                    else self._adopt_all_clean()
-                )
+            if fast:
+                root_bucket_table = self._solve_fast(ar, memo)
             else:
-                root_bucket_table = self._solve(hierarchy.root, 0)
+                root_bucket_table = self._solve_naive()
             sp.annotate(sparse_collapses=self._count_sparse())
         self.root_table = root_bucket_table
 
     def _count_sparse(self) -> int:
-        recs = self.records
-        if isinstance(recs, _LazyRecords):
-            return recs.sparse_collapses()
-        return sum(1 for r in recs if r.sparse_at is not None)
+        if self._arena is not None:
+            return int(np.count_nonzero(self._arena.sparse_at >= 0))
+        return sum(1 for r in self.records if r.sparse_at is not None)
 
     # ------------------------------------------------------------------
-    def _compute_caps(self) -> np.ndarray:
-        """Max useful buckets per subtree (tree-knapsack bound)."""
-        hierarchy = self.hierarchy
-        ar = getattr(hierarchy, "_inc_tree_arrays", None)
-        if ar is not None:
-            # Phase-vectorized recurrence — pure integer minimums, so
-            # the result equals the per-node walk exactly.
-            caps = np.ones(len(hierarchy.nodes), dtype=np.int64)
-            base = ar.left < 0
-            if self.sparse:
-                base = base | (ar.n_nonzero <= 1)
-            for idx in _phase_slices(ar.order, ar.order_phase):
-                sel = idx[~base[idx]]
-                caps[sel] = np.minimum(
-                    self.budget,
-                    caps[ar.left[sel]] + caps[ar.right[sel]] + 1,
-                )
-            return caps
-        caps = np.zeros(len(hierarchy.nodes), dtype=np.int64)
-        for p in hierarchy.nodes:  # postorder
-            if p.is_leaf or (self.sparse and p.n_nonzero <= 1):
-                caps[p.index] = 1
-            else:
-                caps[p.index] = min(
-                    self.budget, caps[p.left.index] + caps[p.right.index] + 1
-                )
-        return caps
-
+    # Structure
+    # ------------------------------------------------------------------
     def _base_under_masks(self, ar) -> Tuple[np.ndarray, np.ndarray]:
         """``base``: nodes the DP resolves as a base case (leaves, and
         sparse collapses when enabled).  ``under``: nodes strictly
-        inside a collapsed subtree — never solved or stored, so the
-        prepass must not touch their (stale) arena rows.  Postorder
+        inside a collapsed subtree — never solved or stored.  Postorder
         puts each collapse's proper descendants at the contiguous
         interval before it; painting those intervals handles nested
         collapses for free."""
@@ -238,24 +230,140 @@ class OverlappingDP:
             under = np.cumsum(delta[:n]) > 0
         return base, under
 
-    def _adopt_all_clean(self) -> np.ndarray:
-        """Zero drift: the carried arena *is* this build's DP state
-        (same structure, same counts, same configuration), so nothing
-        runs at all; report every internal non-collapse node reused."""
-        inc = self._inc
-        ar = inc.arrays
-        base, under = self._base_under_masks(ar)
-        tgt = ~under & ~base
-        inc.note_clean_bulk(
-            int(np.count_nonzero(tgt)), 0, int(ar.depth[tgt].sum())
-        )
-        a = inc.arena
-        i = len(self.hierarchy.nodes) - 1  # postorder root
-        return a.eb[i, : int(a.size_b[i])]
+    def _shape(self, ar) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per node, in one phase-vectorized bottom-up pass: the cap
+        (max useful buckets, the tree-knapsack bound), the conditioned
+        block width and the bucket-case table length.
 
-    def _solve_same_structure(self) -> np.ndarray:
-        """Whole-array incremental solve: patch the memo arena in place
-        and return the root's bucket-case table — no recursion at all.
+        Base nodes take one bucket and two-entry tables (nodes inside a
+        collapse store nothing).  An internal node's widths are its
+        merges' output lengths — ``knapsack_merge(L, R, cap)`` returns
+        ``min(cap, |L| + |R| - 2) + 1`` entries — for the non-bucket
+        merge at ``cap`` and the bucket case's merge at ``cap - 1``
+        plus its zero-bucket entry.  Integer minimums only, so every
+        value is exact.
+        """
+        base, under = self._base, self._under
+        caps = np.ones(ar.left.shape[0], dtype=np.int64)
+        blk_w = np.where(under, 0, 2)
+        size_b = blk_w.copy()
+        left, right = ar.left, ar.right
+        for idx in _phase_slices(ar.order, ar.order_phase):
+            sel = idx[~base[idx]]
+            cap = np.minimum(
+                self.budget, caps[left[sel]] + caps[right[sel]] + 1
+            )
+            caps[sel] = cap
+            both = blk_w[left[sel]] + blk_w[right[sel]]
+            blk_w[sel] = np.minimum(cap + 1, both - 1)
+            size_b[sel] = np.minimum(cap + 1, both)
+        return caps, blk_w, size_b
+
+    def _single_nonzero_leaf(self, p: PNode) -> Optional[PNode]:
+        """The unique nonzero group leaf below ``p`` (requires
+        ``p.n_nonzero == 1``)."""
+        while not p.is_leaf:
+            p = p.left if p.left.n_nonzero == 1 else p.right
+        return p if p.kind == "group" else None
+
+    def _sparse_leaves(self, ar) -> np.ndarray:
+        """Per stored collapse root, the node id a sparse bucket there
+        stands for (-1 elsewhere): :meth:`_single_nonzero_leaf`,
+        vectorized.  Its descent ends at the subtree's only nonzero
+        leaf, or, with no nonzero group below, keeps right to the
+        subtree's last leaf; a subtree being the postorder interval
+        ending at its root, both are running maxima of leaf positions
+        read at the root."""
+        n = ar.left.shape[0]
+        out = np.full(n, -1, dtype=np.int64)
+        roots = np.nonzero(self._base & ~self._under & (ar.left >= 0))[0]
+        if roots.size:
+            pos = np.arange(n)
+            leaf = ar.left < 0
+            last_leaf = np.maximum.accumulate(np.where(leaf, pos, -1))
+            last_nz = np.maximum.accumulate(
+                np.where(leaf & (ar.n_nonzero == 1), pos, -1)
+            )
+            at = np.where(
+                ar.n_nonzero[roots] == 1, last_nz[roots], last_leaf[roots]
+            )
+            hit = ar.group[at] >= 0
+            nodes = self.hierarchy.nodes
+            out[roots[hit]] = [nodes[i].node for i in at[hit].tolist()]
+        return out
+
+    def _cold_arena(self, ar) -> _OVArena:
+        """The structural pass: a fresh arena with everything that
+        depends only on the pruned shape and the configuration filled
+        in — offsets, widths, ``kind``, sparse collapse ids, the base
+        nodes' bucket cases (``[INF, 0]``, flagged sparse at one bucket
+        over a collapse with a group below), the ``0`` column and flags
+        of their conditioned rows, and every bucket case's ``INF`` at
+        zero buckets.  :meth:`_sweep` fills in the rest."""
+        base, under = self._base, self._under
+        blk_w, size_b = self._blk_w, self._size_b
+        depth = ar.depth
+        n = depth.shape[0]
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(depth * blk_w, out=off[1:])
+        boff = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(size_b, out=boff[1:])
+        cells, bcells = int(off[n]), int(boff[n])
+        sparse_at = self._sparse_leaves(ar)
+        eb = np.empty(bcells)
+        eb[boff[:n][~under]] = INF
+        bflag = np.full(bcells, _BUCKET, dtype=np.int8)
+        tb = np.nonzero(base & ~under)[0]
+        one = boff[tb] + 1
+        eb[one] = 0.0
+        bflag[one[sparse_at[tb] >= 0]] = _SPARSE
+        e2 = np.empty(cells)
+        flags = np.zeros(cells, dtype=np.int8)
+        d = depth[tb]
+        col1 = np.repeat(off[tb], d) + 2 * _ranges(d) + 1
+        e2[col1] = 0.0
+        flags[col1] = np.repeat(bflag[one], d)
+        return _OVArena(
+            off=off, boff=boff, e2=e2, flags=flags,
+            splits=np.full(cells, -1, dtype=np.int32),
+            eb=eb, split_b=np.full(bcells, -1, dtype=np.int32),
+            bflag=bflag, sparse_at=sparse_at, size_b=size_b,
+            blk_w=blk_w,
+            kind=np.where(under, 0, np.where(base, 1, 2)).astype(np.int8),
+        )
+
+    # ------------------------------------------------------------------
+    # Fast solve
+    # ------------------------------------------------------------------
+    def _solve_fast(self, ar, memo) -> np.ndarray:
+        """Choose the arena and the dirty mask, then :meth:`_sweep`.
+
+        Without a carried arena (a scratch build, or a session whose
+        memo did not survive) the structural pass lays out a fresh one
+        and every node is dirty.  A same-structure session carries the
+        previous build's arena and its count-diff mask.  The sweep
+        patches a copy of it: the carried arena still backs the
+        previous memo and that build's reconstruction, and a memo
+        shared through a cache may seed other rebuilds.  An empty mask
+        adopts the carried arena as it is.
+        """
+        carried = None if memo is None else memo.arena
+        if carried is None:
+            arena = self._cold_arena(ar)
+            dirty = np.ones(ar.left.shape[0], dtype=bool)
+        else:
+            dirty = memo.dirty
+            arena = carried.patchable() if dirty.any() else carried
+        if memo is not None:
+            memo.arena = arena
+        self._arena = arena
+        self.records = _LazyRecords(arena, ar.depth)
+        return self._sweep(arena, ar, dirty, memo)
+
+    def _sweep(self, a: _OVArena, ar, dirty: np.ndarray, memo) -> np.ndarray:
+        """Re-merge, in place, every arena value a dirty node
+        determines and return the root's bucket-case table — no
+        recursion at all.
 
         Dirtiness is monotone up any ancestor chain, so the dirty
         ancestors of *any* node are a root-first prefix of its chain of
@@ -264,27 +372,23 @@ class OverlappingDP:
         is clean.  Rows ``[0, D)`` of every node are re-merged against
         the chain's current densities; rows ``[D:]`` are conditioned on
         clean ancestors and stay valid verbatim, as do every clean
-        node's bucket-case table and all structural metadata (widths,
-        offsets, flags of base rows, sparse collapse ids).  The work
+        node's bucket-case table and the structural fields.  The work
         per bottom-up phase is grouped by (child widths, cap) so each
-        group is one whole-array gather → stacked kernel → overlay →
-        scatter; base rows are closed-form (``[grperr(node, anc), 0]``)
-        via one row-batched grperr.  Every rewritten value is exactly
-        what a from-scratch solve computes: the kernel's rows are
-        batch-independent, the bucket case re-merges the same child
-        rows, and the INF-padded bucket tables make the full-width
-        overlay equal the solve's length-clamped one — so the arena
-        afterwards is bit-identical to a cold build's.
+        group is one gather → stacked kernel → overlay → scatter over
+        the flat arena; base rows are closed-form
+        (``[grperr(node, anc), 0]``) via one row-batched grperr.  A
+        scratch or cold build is the all-dirty case: ``D`` is every
+        node's depth and every row is written.  Every value written is
+        exactly what the naive recursion computes: the kernel's rows
+        are batch-independent and equal its single merges, and the
+        bucket case overlays the same strict-improvement comparison.
         """
-        inc = self._inc
-        a = inc.arena
-        ar = inc.arrays
         n = ar.left.shape[0]
-        dirty = inc.dirty
-        base, under = self._base_under_masks(ar)
+        base, under = self._base, self._under
         clean = ~dirty
         par = ar.parent
         depth = ar.depth
+        off, boff = a.off, a.boff
         # Dirty-ancestor counts: dirty nodes have an entirely dirty
         # chain (D = depth); each maximal clean subtree (clean root,
         # dirty parent) shares its root's D = depth[root], painted over
@@ -300,15 +404,13 @@ class OverlappingDP:
             np.subtract.at(delta, croots + 1, depth[croots])
             D_vec = np.where(clean, np.cumsum(delta[:n]), D_vec)
         need = ~under & (D_vec > 0)
-        rs = a.row_start
-        rows_dirty = 0
-        # Base nodes (leaves and collapse roots): closed-form rows
-        # ``[grperr(node, anc_density), 0]`` in one row-batched call;
-        # their bucket case ([INF, 0]) and flags are structural.
-        # ``anc[k, d]`` is node tb[k]'s ancestor at depth d, built by
-        # iterated parent gathers: the s-th parent of a node sits at
-        # depth ``depth - s``, so reaching depth 0 takes the node's
-        # full ``depth`` steps even though only columns ``< wide`` are
+        # Base nodes (leaves and collapse roots): column 0 of their
+        # rows is ``grperr(node, anc_density)``, in one row-batched
+        # call; the rest of their state is structural.  ``anc[k, d]``
+        # is node tb[k]'s ancestor at depth d, built by iterated
+        # parent gathers: the s-th parent of a node sits at depth
+        # ``depth - s``, so reaching depth 0 takes the node's full
+        # ``depth`` steps even though only columns ``< wide`` are
         # kept.  Unfilled cells alias node 0; their penalties are
         # masked off before writing.
         tb = np.nonzero(base & need)[0]
@@ -328,109 +430,116 @@ class OverlappingDP:
                 tb, self.ctx.node_densities()[anc]
             )
             keep = np.arange(wide) < Ds[:, None]
-            rows = np.repeat(rs[tb], Ds) + _ranges(Ds)
-            a.e2[rows, 0] = pens[keep]
-            a.e2[rows, 1] = 0.0
-        # Internal nodes bottom-up by phase (children strictly
-        # earlier), grouped by (left width, right width, cap): the cap
-        # is part of the key because it is clamped by the budget, not
-        # derivable from the child widths.  Dirty nodes first re-merge
-        # their bucket case (one bucket on the node, children
-        # conditioned on it — child row ``depth[node]``), then all rows
-        # [0, D) re-merge with the bucket-case overlay.
-        combine = self.metric.combine
-        caps = self._caps
-        W1 = a.eb.shape[1] + 1
-        span_b = self.budget + 2
-        int_mask = need & ~base
+            a.e2[np.repeat(off[tb], Ds) + 2 * _ranges(Ds)] = pens[keep]
+        # Internal nodes.  Node ``i`` re-merges its rows [0, D) from
+        # its children's rows [0, D); a dirty node also re-merges its
+        # bucket case (one bucket on the node, children conditioned on
+        # it: their row ``depth[i]`` = D) as one more row of the same
+        # kernel call.  Entry B of a merge does not depend on the cap,
+        # so the bucket case's ``cap - 1`` merge is a prefix of that
+        # row.  Every row is laid out once, sorted by (phase, left
+        # width, right width, cap) — children in strictly earlier
+        # phases, and one group per stacked kernel call; the cap is in
+        # the key because the budget clamps it — with each group's
+        # bucket-case rows last, written before the overlay reads them.
         dirty_int = dirty & ~under & ~base
-
-        def _groups(g: np.ndarray):
-            if g.size == 0:
-                return
-            key = (
-                a.blk_w[ar.left[g]] * W1 + a.blk_w[ar.right[g]]
-            ) * span_b + caps[g]
-            order = np.argsort(key, kind="stable")
-            bounds = np.nonzero(np.diff(key[order]))[0] + 1
-            for chunk in np.split(order, bounds):
-                u = int(key[chunk[0]])
-                rest = u // span_b
-                yield g[chunk], u % span_b, rest // W1, rest % W1
-
-        for idx0 in _phase_slices(ar.order, ar.order_phase):
-            gd = idx0[dirty_int[idx0]]
-            rows_dirty += int(depth[gd].sum())
-            for gs, capu, wlu, wru in _groups(gd):
-                # Bucket case: same child rows, same merge as the cold
-                # solve's knapsack_merge (batch rows are kernel-equal).
-                rowJ = depth[gs]
-                L = a.e2[rs[ar.left[gs]] + rowJ, :wlu]
-                R = a.e2[rs[ar.right[gs]] + rowJ, :wru]
-                merged, choice = knapsack_merge_batch(
-                    L, R, capu - 1, combine
+        todo = np.nonzero((need | dirty_int) & ~base)[0]
+        if todo.size:
+            combine = self.metric.combine
+            blk_w = a.blk_w
+            left, right = ar.left, ar.right
+            W1 = int(blk_w.max()) + 1
+            span_b = self.budget + 2
+            own = dirty_int[todo]
+            nrows = D_vec[todo] + own
+            node = np.repeat(todo, nrows)
+            row = _ranges(nrows)
+            gkey = (
+                (ar.phase[todo] * W1 + blk_w[left[todo]]) * W1
+                + blk_w[right[todo]]
+            ) * span_b + self._caps[todo]
+            rkey = 2 * np.repeat(gkey, nrows) + (
+                np.repeat(own, nrows) & (row == depth[node])
+            )
+            order = np.argsort(rkey, kind="stable")
+            rkey, node, row = rkey[order], node[order], row[order]
+            lc, rc = left[node], right[node]
+            lstart = off[lc] + row * blk_w[lc]
+            rstart = off[rc] + row * blk_w[rc]
+            ostart = off[node] + row * blk_w[node]
+            bstart = boff[node]
+            cut = np.nonzero(np.diff(rkey >> 1))[0] + 1
+            starts = np.concatenate(([0], cut))
+            mids = starts + np.add.reduceat(1 - (rkey & 1), starts)
+            ends = np.concatenate((cut, [rkey.size]))
+            for s0, m0, e0, key in zip(
+                starts.tolist(), mids.tolist(), ends.tolist(),
+                (rkey[starts] >> 1).tolist(),
+            ):
+                rest, cap = divmod(key, span_b)
+                rest, wr = divmod(rest, W1)
+                wl = rest % W1
+                merged, split = knapsack_merge_batch(
+                    a.e2[lstart[s0:e0, None] + np.arange(wl)],
+                    a.e2[rstart[s0:e0, None] + np.arange(wr)],
+                    cap, combine,
                 )
-                size_b = min(capu, merged.shape[1]) + 1
-                a.eb[gs, 1:size_b] = merged[:, : size_b - 1]
-                a.split_b[gs, : choice.shape[1]] = choice
-            g = idx0[int_mask[idx0]]
-            if g.size == 0:
-                continue
-            for gs, capu, wlu, wru in _groups(g):
-                Ds = D_vec[gs]
-                total = int(Ds.sum())
-                off = _ranges(Ds)
-                rowsL = np.repeat(rs[ar.left[gs]], Ds) + off
-                rowsR = np.repeat(rs[ar.right[gs]], Ds) + off
-                merged2, split_m = knapsack_merge_batch(
-                    a.e2[rowsL, :wlu], a.e2[rowsR, :wru], capu, combine
-                )
-                size = min(capu, merged2.shape[1] - 1) + 1
-                em = merged2[:, :size]
-                flags_m = np.zeros(em.shape, dtype=np.int8)
-                rep = np.repeat(gs, Ds)
-                ebp = a.eb[rep, :size]
-                better = ebp < em
-                np.copyto(em, ebp, where=better)
-                np.copyto(flags_m, a.bflag[rep, :size], where=better)
-                rowsS = rs[rep] + off
-                a.e2[rowsS, :size] = em
-                a.flags[rowsS, :size] = flags_m
-                a.splits[rowsS, : split_m.shape[1]] = split_m
-        clean_int = clean & ~under & ~base
-        rows_clean = int(D_vec[clean_int].sum())
-        inc.note_dirty_bulk(
-            int(np.count_nonzero(dirty_int)), rows_dirty
-        )
-        inc.note_clean_bulk(
-            int(np.count_nonzero(clean_int)),
-            rows_clean,
-            int((depth[clean_int] - D_vec[clean_int]).sum()),
-        )
+                nb = m0 - s0  # rows before the bucket-case rows
+                if m0 < e0:
+                    wb = int(a.size_b[node[m0]]) - 1
+                    cols = bstart[m0:e0, None] + np.arange(wb)
+                    a.eb[cols + 1] = merged[nb:, :wb]
+                    a.split_b[cols] = split[nb:, :wb]
+                if nb:
+                    cols = np.arange(merged.shape[1])
+                    vals = merged[:nb]
+                    bucket = a.eb[bstart[s0:m0, None] + cols]
+                    better = bucket < vals
+                    np.copyto(vals, bucket, where=better)
+                    cells = ostart[s0:m0, None] + cols
+                    a.e2[cells] = vals
+                    a.flags[cells] = np.where(better, _BUCKET, _NOT_BUCKET)
+                    a.splits[cells] = split[:nb]
+        if memo is not None:
+            clean_int = clean & ~under & ~base
+            memo.record_sweep(
+                solved=int(np.count_nonzero(dirty_int)),
+                reused=int(np.count_nonzero(clean_int)),
+                rows_solved=int(D_vec[dirty_int | clean_int].sum()),
+                rows_reused=int((depth - D_vec)[clean_int].sum()),
+            )
         i = n - 1  # postorder root
-        return a.eb[i, : int(a.size_b[i])]
-
-    def _single_nonzero_leaf(self, p: PNode) -> Optional[PNode]:
-        """The unique nonzero group leaf below ``p`` (requires
-        ``p.n_nonzero == 1``)."""
-        while not p.is_leaf:
-            p = p.left if p.left.n_nonzero == 1 else p.right
-        return p if p.kind == "group" else None
+        return a.eb[boff[i] : boff[i + 1]]
 
     # ------------------------------------------------------------------
-    def _solve(self, p: PNode, depth: int) -> np.ndarray:
-        """Fill this subtree's tables.
+    # Naive oracle
+    # ------------------------------------------------------------------
+    def _solve_naive(self) -> np.ndarray:
+        hierarchy = self.hierarchy
+        n_nodes = len(hierarchy.nodes)
+        self.records = [_NodeRecord() for _ in hierarchy.nodes]
+        # Full tables E[p, ., j] per node, keyed by node index, one per
+        # ancestor j in depth order; entries are freed as soon as the
+        # parent has consumed them (the paper's Section 4.4 space
+        # optimization — reconstruction uses the retained choice arrays
+        # instead).
+        self._tables: Dict[int, List[np.ndarray]] = {}
+        # Entry d holds the density of the ancestor at depth d along
+        # the recursion, so the first ``depth`` entries are the current
+        # node's strict ancestors root-first.
+        self._anc_dens = np.empty(n_nodes + 1, dtype=np.float64)
+        return self._solve(hierarchy.root, 0)
 
-        ``depth`` is the number of strict ancestors; their pruned
-        indices / densities are the first ``depth`` entries of
-        ``self._anc_idx`` / ``self._anc_dens`` (root-first).  Returns
-        the node's *bucket-case* table (used directly at the root); the
-        per-ancestor full tables are handed to the caller via
-        ``_tables`` on the record.
+    def _solve(self, p: PNode, depth: int) -> np.ndarray:
+        """Fill this subtree's tables, one merge per enclosing ancestor.
+
+        ``depth`` is the number of strict ancestors; their densities
+        are the first ``depth`` entries of ``self._anc_dens``
+        (root-first).  Returns the node's *bucket-case* table (used
+        directly at the root); the per-ancestor full tables are handed
+        to the caller via ``_tables``.
         """
-        inc = self._inc
         rec = self.records[p.index]
-        self._depths[p.index] = depth
         cap = int(self._caps[p.index])
         collapse = (not p.is_leaf) and self.sparse and p.n_nonzero <= 1
 
@@ -446,78 +555,37 @@ class OverlappingDP:
                 if leaf is not None:
                     rec.sparse_at = leaf.node
                     rec.bucket_flag[1] = _SPARSE
-            if self.ctx.batched:
-                # Batched layout: the ancestor tables live in one
-                # (depth, cap + 1) block, row i conditioned on the
-                # ancestor at depth i; reconstruction indexes rows by
-                # ancestor depth.  Entries match the per-ancestor loop
-                # below exactly: e[0] = pen, e[1] = e_b[1].
-                e2 = np.empty((depth, cap + 1))
-                flags2 = np.zeros((depth, cap + 1), dtype=np.int8)
-                if depth:
-                    # One batched grperr over the materialized ancestor
-                    # densities replaces the per-ancestor slice
-                    # evaluations — the O(log|U|) inner loop of the
-                    # DP's base case.
-                    anc_pens = self.ctx.grperr_many(
-                        p, self._anc_dens[:depth]
-                    )
-                    if cap > 1:
-                        e2[:, 2:] = INF
-                    e2[:, 0] = anc_pens
-                    e2[:, 1] = e_b[1]
-                if depth:
-                    flags2[:, 1] = rec.bucket_flag[1]
-                rec.flags_block = flags2
-                self._tables[p.index] = e2
-                if inc is not None:
-                    # Every visited node is dirty, so D == depth and
-                    # the block lands whole in the arena.
-                    inc.store_base(
-                        p.index, depth, e_b, rec.bucket_flag,
-                        rec.sparse_at, e2, flags2,
-                    )
-                return e_b
             anc_pens = (
                 self.ctx.grperr_many(p, self._anc_dens[:depth])
                 if depth
                 else ()
             )
-            tables = {}
-            rec.flags = {}
-            for i, pen in enumerate(anc_pens):
-                j_idx = int(self._anc_idx[i])
+            tables = []
+            for pen in anc_pens:
                 e = np.full(cap + 1, INF)
                 e[0] = pen
                 e[1] = min(e[1], e_b[1])
-                tables[j_idx] = e
-                flags = np.full(cap + 1, _NOT_BUCKET, dtype=np.int8)
-                flags[1] = rec.bucket_flag[1]
-                rec.flags[j_idx] = flags
+                tables.append(e)
+            rec.flags_block = np.full(
+                (depth, cap + 1), _NOT_BUCKET, dtype=np.int8
+            )
+            rec.flags_block[:, 1] = rec.bucket_flag[1]
             self._tables[p.index] = tables
             return e_b
 
-        self._anc_idx[depth] = p.index
         self._anc_dens[depth] = p.density
         self._solve(p.left, depth + 1)
         self._solve(p.right, depth + 1)
-        left_tabs = self._tables[p.left.index]
-        right_tabs = self._tables[p.right.index]
-        J = depth
-        batched = self.ctx.batched
+        # Child tables are consumed here; free the bulky arrays.
+        left_tabs = self._tables.pop(p.left.index)
+        right_tabs = self._tables.pop(p.right.index)
 
         # Bucket case: one bucket on p, the rest split among children
-        # which now see p as their closest selected ancestor.  In
-        # batched mode the child tables are (J + 1, width) blocks: rows
-        # [0, J) conditioned on this node's ancestors and row J on this
-        # node itself.
-        if batched:
-            left_self, right_self = left_tabs[J], right_tabs[J]
-        else:
-            left_self = left_tabs[p.index]
-            right_self = right_tabs[p.index]
+        # which now see p as their closest selected ancestor (their
+        # table row ``depth``).
         merged, split = knapsack_merge(
-            left_self, right_self, cap - 1, self.metric.combine
+            left_tabs[depth], right_tabs[depth], cap - 1,
+            self.metric.combine,
         )
         # size - 1 <= len(merged), so every entry past 0 comes from the
         # merge — no inf prefill needed beyond entry 0.
@@ -529,48 +597,10 @@ class OverlappingDP:
         rec.bucket_flag = np.full(size_b, _BUCKET, dtype=np.int8)
 
         # Non-bucket case per enclosing ancestor.
-        if batched:
-            # Sessions adopt clean subtrees before recursion ever
-            # reaches them, so a visited node re-merges in full.  One
-            # stacked merge replaces the per-ancestor loop below — each
-            # row of the batch is the same merge the loop would run,
-            # and the bucket-case overlay applies the identical
-            # strict-improvement comparison, so results are bit-for-bit
-            # unchanged.
-            merged2, split2 = knapsack_merge_batch(
-                left_tabs[:J], right_tabs[:J], cap,
-                self.metric.combine,
-            )
-            size = min(cap, merged2.shape[1] - 1) + 1
-            e2 = merged2[:, :size]
-            flags2 = np.zeros(e2.shape, dtype=np.int8)
-            lim = min(size, size_b)
-            better2 = e_b[:lim] < e2[:, :lim]
-            np.copyto(e2[:, :lim], e_b[:lim], where=better2)
-            np.copyto(
-                flags2[:, :lim], rec.bucket_flag[:lim], where=better2
-            )
-            if inc is not None:
-                inc.store_block(
-                    p.index, J, e_b, rec.split_b, rec.bucket_flag,
-                    rec.sparse_at, e2, flags2, split2,
-                )
-            rec.flags_block = flags2
-            rec.splits_block = split2
-            self._tables[p.index] = e2
-            del self._tables[p.left.index]
-            del self._tables[p.right.index]
-            return e_b
-        # Naive reference mode: per-ancestor merges (it never
-        # memoizes — the mode exists for bit-level cross-checks).
-        rec.flags = {}
-        rec.splits_nb = {}
-        tables = {}
+        tables, flag_rows, split_rows = [], [], []
         for i in range(depth):
-            j_idx = int(self._anc_idx[i])
             merged_nb, split_nb = knapsack_merge(
-                left_tabs[j_idx], right_tabs[j_idx], cap,
-                self.metric.combine,
+                left_tabs[i], right_tabs[i], cap, self.metric.combine,
             )
             size = min(cap, len(merged_nb) - 1) + 1
             e = np.full(size, INF)
@@ -580,13 +610,13 @@ class OverlappingDP:
             better = e_b[:lim] < e[:lim]
             e[:lim][better] = e_b[:lim][better]
             flags[:lim][better] = rec.bucket_flag[:lim][better]
-            tables[j_idx] = e
-            rec.flags[j_idx] = flags
-            rec.splits_nb[j_idx] = split_nb
+            tables.append(e)
+            flag_rows.append(flags)
+            split_rows.append(split_nb)
+        if depth:  # the root's rows are never read
+            rec.flags_block = np.stack(flag_rows)
+            rec.splits_block = np.stack(split_rows)
         self._tables[p.index] = tables
-        # Child tables are no longer needed; free the bulky arrays.
-        del self._tables[p.left.index]
-        del self._tables[p.right.index]
         return e_b
 
     # ------------------------------------------------------------------
@@ -596,17 +626,17 @@ class OverlappingDP:
         """Materialize the optimal bucket set for budget ``b``.
 
         An explicit-stack preorder walk of the recorded choices: a task
-        ``(p, b, j, row)`` expands the full table entry ``E[p, b, j]``
-        (``j`` is the enclosing bucket's node index and ``row`` its
-        depth, its row in the batched blocks), or, with ``j`` ``None``,
-        the bucket case at ``p``.  Children are pushed right first, so
-        buckets come out in the preorder the greedy heuristic's stable
-        ranking relies on to break score ties.
+        ``(p, b, row)`` expands the full table entry ``E[p, b, j]``
+        (``row`` is the enclosing bucket ``j``'s depth, its row in the
+        blocks), or, with ``row`` ``None``, the bucket case at ``p``.
+        Children are pushed right first, so buckets come out in the
+        preorder the greedy heuristic's stable ranking relies on to
+        break score ties.
 
         The bucket case at ``p`` with ``b`` buckets depends on nothing
         above ``p``, so its expansion is recorded once per DP and reused
         by every later budget (a 100-budget curve expands a few hundred
-        distinct ones instead of thousands): a ``(None, start, key, 0)``
+        distinct ones instead of thousands): a ``(None, start, key)``
         marker, pushed under the children, closes the expansion.
         """
         out: List[Bucket] = []
@@ -615,34 +645,25 @@ class OverlappingDP:
         depths = self._depths
         expanded = self._expanded
         with span("dp.overlapping.collect", budget=b) as sp:
-            stack: List[tuple] = [(self.hierarchy.root, b, None, 0)]
+            stack: List[tuple] = [(self.hierarchy.root, b, None)]
             pop, push = stack.pop, stack.append
             while stack:
-                p, b, j_idx, row = pop()
+                p, b, row = pop()
                 if p is None:
-                    expanded[j_idx] = out[b:]
+                    expanded[row] = out[b:]
                     continue
                 rec = records[p.index]
-                if j_idx is not None:
+                if row is not None:
                     # Entries with no budget expand to nothing and are
                     # never pushed.
                     block = rec.flags_block
-                    if block is not None:
-                        b = min(b, block.shape[1] - 1)
-                        expand = block[row, b] == _NOT_BUCKET
-                        if expand:
-                            c = int(rec.splits_block[row, b])
-                    else:
-                        flags = rec.flags[j_idx]
-                        b = min(b, len(flags) - 1)
-                        expand = flags[b] == _NOT_BUCKET
-                        if expand:
-                            c = int(rec.splits_nb[j_idx][b])
-                    if expand:
+                    b = min(b, block.shape[1] - 1)
+                    if block[row, b] == _NOT_BUCKET:
+                        c = int(rec.splits_block[row, b])
                         if b > c:
-                            push((p.right, b - c, j_idx, row))
+                            push((p.right, b - c, row))
                         if c > 0:
-                            push((p.left, c, j_idx, row))
+                            push((p.left, c, row))
                         continue
                 # The bucket case at ``p`` with ``b`` buckets.
                 b = min(b, len(rec.bucket_flag) - 1)
@@ -659,14 +680,14 @@ class OverlappingDP:
                 if done is not None:
                     out.extend(done)
                     continue
-                push((None, len(out), key, 0))
+                push((None, len(out), key))
                 out.append(Bucket(p.node))
                 c = int(rec.split_b[b - 1])
                 row = int(depths[p.index])
                 if b - 1 > c:
-                    push((p.right, b - 1 - c, p.index, row))
+                    push((p.right, b - 1 - c, row))
                 if c > 0:
-                    push((p.left, c, p.index, row))
+                    push((p.left, c, row))
             sp.annotate(buckets=len(out))
         return out
 

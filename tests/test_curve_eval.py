@@ -222,19 +222,13 @@ def _recursive_buckets(dp: OverlappingDP, b: int) -> List[Bucket]:
         if b <= 0:
             return
         rec = dp.records[p.index]
-        if rec.flags_block is not None:
-            row = int(dp._depths[j_idx])
-            flags = rec.flags_block[row]
-        else:
-            flags = rec.flags[j_idx]
+        row = int(dp._depths[j_idx])
+        flags = rec.flags_block[row]
         b = min(b, len(flags) - 1)
         if flags[b] != _NOT_BUCKET:
             bucket_case(p, b)
             return
-        if rec.flags_block is not None:
-            c = int(rec.splits_block[row][b])
-        else:
-            c = int(rec.splits_nb[j_idx][b])
+        c = int(rec.splits_block[row][b])
         entry(p.left, c, j_idx)
         entry(p.right, b - c, j_idx)
 

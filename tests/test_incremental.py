@@ -218,6 +218,118 @@ class TestRestructuring:
         assert _buckets(function) == _buckets(expected.function_at(budget))
 
 
+def _overlapping_build(counts, budget, memo=None, all_dirty=False, **options):
+    """A fast overlapping build through a session (``memo`` may be
+    ``None``: a cold session); ``all_dirty`` marks every node dirty
+    on a carried arena.  Returns the result and the next memo."""
+    h = PrunedHierarchy(TABLE, counts)
+    with use_kernel_mode("fast"):
+        session = incmod.new_session(
+            "overlapping", h, METRIC, budget, memo, **options
+        )
+        if all_dirty:
+            assert session.arena is not None
+            session.dirty[:] = True
+        result = build(
+            "overlapping", h, METRIC, budget, memo=session, **options
+        )
+    return result, session.finish()
+
+
+class TestOneOverlappingSweep:
+    """Scratch, cold-session and same-structure overlapping builds run
+    one sweep and differ only in the dirty mask (all, all, the count
+    diff; an empty diff adopts the memo's arena)."""
+
+    @pytest.mark.parametrize("sparse", (True, False))
+    @pytest.mark.parametrize("budget", (1, 10))
+    def test_scratch_cold_and_all_dirty_builds_agree(self, sparse, budget):
+        counts = _sparse_counts(seed=4)
+        scratch = _scratch("overlapping", counts, budget, "fast",
+                           sparse=sparse)
+        cold, memo = _overlapping_build(counts, budget, sparse=sparse)
+        # Same mask, every count changed: the memo's structure is
+        # reused, and every node is forced dirty on top.
+        _, other = _overlapping_build(counts * 3.0, budget, sparse=sparse)
+        forced, _ = _overlapping_build(
+            counts, budget, other, all_dirty=True, sparse=sparse
+        )
+        # Nothing dirty: the carried arena is adopted as it is.
+        adopted, again = _overlapping_build(
+            counts, budget, memo, sparse=sparse
+        )
+        assert again.arena is memo.arena
+        for result in (cold, forced, adopted):
+            assert result.curve.tobytes() == scratch.curve.tobytes()
+            for b in range(1, budget + 1):
+                assert _buckets(result.function_at(b)) == _buckets(
+                    scratch.function_at(b)
+                )
+
+    def test_cold_memo_arena_is_ragged(self):
+        """The arena stores each node's ``depth x width`` conditioned
+        block, not ``sum(depth)`` rows padded to the widest cap."""
+        budget = 30
+        _, memo = _overlapping_build(_base_counts(), budget)
+        arena = memo.arena
+        depth = memo.arrays.depth
+        n = depth.shape[0]
+        cells = int((depth * arena.blk_w).sum())
+        nbytes = sum(
+            v.nbytes for v in vars(arena).values()
+            if isinstance(v, np.ndarray)
+        )
+        # float64 values + int8 flags + int32 splits per cell, the
+        # bucket-case tables (at most n x (budget + 1)), and a few
+        # per-node vectors.
+        assert nbytes <= 13 * (cells + n * (budget + 1)) + 64 * (n + 1)
+
+    def test_rebuild_leaves_its_memo_intact(self):
+        """A rebuild patches a copy of the memo's arena: the memo can
+        seed another rebuild, and the earlier build's result still
+        reconstructs its own buckets."""
+        budget = BUDGETS["overlapping"]
+        counts = _base_counts()
+        drifted = counts.copy()
+        drifted[np.nonzero(drifted)[0][:5]] *= 4.0
+        first, memo = _overlapping_build(counts, budget)
+        before = [_buckets(first.function_at(b)) for b in (1, 5, budget)]
+        _overlapping_build(drifted, budget, memo)
+        again, _ = _overlapping_build(counts, budget, memo)
+        expected = _scratch("overlapping", counts, budget)
+        assert again.curve.tobytes() == expected.curve.tobytes()
+        for b, buckets in zip((1, 5, budget), before):
+            assert buckets == _buckets(expected.function_at(b))
+            assert _buckets(first.function_at(b)) == buckets
+            assert _buckets(again.function_at(b)) == buckets
+
+    def test_shared_memo_survives_the_adopters_rebuild(self):
+        """Tenant A adopts tenant B's memo through the shared cache and
+        rebuilds from it; B's next rebuild still diffs against the
+        counts its memo was built from, so it must find that memo's
+        state unchanged."""
+        budget = BUDGETS["overlapping"]
+        counts = _base_counts(seed=2)
+        counts[counts == 0] = 1.0
+        later = counts.copy()
+        later[0] += 5.0
+        cache = SharedServingCache()
+        with use_kernel_mode("fast"):
+            b_center, a_center = (
+                ControlCenter(
+                    TABLE, METRIC, algorithm="overlapping", budget=budget,
+                    incremental=True, shared_cache=cache,
+                )
+                for _ in range(2)
+            )
+            b_center.rebuild_function(counts)
+            a_center.rebuild_function(counts * 3.0)
+            function = b_center.rebuild_function(later)
+        assert cache.memo_hits == 1
+        expected = _scratch("overlapping", later, budget)
+        assert _buckets(function) == _buckets(expected.function_at(budget))
+
+
 class TestMemoKeying:
     def test_config_change_invalidates_memo(self):
         counts = _base_counts()

@@ -14,6 +14,7 @@ import pytest
 
 from repro import PrunedHierarchy, get_metric
 from repro.algorithms import (
+    build_lpm_greedy,
     build_nonoverlapping,
     build_overlapping,
     knapsack_merge_reference,
@@ -235,30 +236,45 @@ def test_finalize_curve_matches_scalar_loop(mname):
     )
 
 
-@pytest.mark.parametrize("builder", [build_nonoverlapping, build_overlapping])
+def _bucket_list(function):
+    return [
+        (bk.node, getattr(bk, "sparse_group_node", None))
+        for bk in function.buckets
+    ]
+
+
+@pytest.mark.parametrize(
+    "builder", [build_nonoverlapping, build_overlapping, build_lpm_greedy]
+)
 @pytest.mark.parametrize("mname", ALL_METRICS)
 @pytest.mark.parametrize("seed", range(8))
 def test_builders_identical_across_modes(seed, mname, builder):
-    """Whole constructions: fast curves and bucket sets equal the
-    naive reference exactly, for every metric."""
+    """Whole constructions: fast curves and bucket lists (node, sparse
+    group node and order) equal the naive reference exactly, for every
+    metric, on integer and fractional counts, and for the overlapping
+    builders with sparse buckets on and off."""
     _dom, table, counts = random_instance(seed, height_range=(4, 7))
+    rng = np.random.default_rng(seed)
+    fractional = counts * rng.uniform(0.1, 3.0, counts.shape)
     metric = get_metric(mname)
     budget = 2 + seed % 6
-    results = {}
-    for mode in ("naive", "fast"):
-        h = PrunedHierarchy(table, counts)
-        with use_kernel_mode(mode):
-            results[mode] = builder(h, metric, budget)
-    naive, fast = results["naive"], results["fast"]
-    finite = np.isfinite(naive.curve)
-    assert np.array_equal(finite, np.isfinite(fast.curve))
-    assert np.array_equal(naive.curve[finite], fast.curve[finite])
-    for b in range(1, budget + 1):
-        fn_naive = naive.function_at(b)
-        fn_fast = fast.function_at(b)
-        assert {bk.node for bk in fn_naive.buckets} == {
-            bk.node for bk in fn_fast.buckets
-        }
+    variants = (
+        [{}] if builder is build_nonoverlapping
+        else [{}, {"sparse": False}]
+    )
+    for cts in (counts, fractional):
+        for options in variants:
+            results = {}
+            for mode in ("naive", "fast"):
+                h = PrunedHierarchy(table, cts)
+                with use_kernel_mode(mode):
+                    results[mode] = builder(h, metric, budget, **options)
+            naive, fast = results["naive"], results["fast"]
+            assert naive.curve.tobytes() == fast.curve.tobytes(), options
+            for b in range(1, budget + 1):
+                assert _bucket_list(naive.function_at(b)) == _bucket_list(
+                    fast.function_at(b)
+                ), (options, b)
 
 
 @pytest.mark.parametrize("seed", range(6))
