@@ -53,8 +53,8 @@ def test_scaling_in_groups(benchmark, algorithm):
             build_lpm_greedy(hierarchy, metric, BUDGET,
                              curve_budgets=[BUDGET])
         dt = time.perf_counter() - t0
-        times[height] = (len(hierarchy.nodes), dt)
-        rows.append([algorithm, height, len(hierarchy.nodes),
+        times[height] = (len(hierarchy), dt)
+        rows.append([algorithm, height, len(hierarchy),
                      hierarchy.num_nonzero_groups, round(dt, 3)])
     save_series(f"a1_scaling_{algorithm}.csv",
                 ["algorithm", "height", "pruned_nodes", "nonzero", "seconds"],

@@ -130,6 +130,16 @@ def measured_curve(
     return curve
 
 
+def _length_groups(lengths: np.ndarray):
+    """Yield ``(rows, length)`` for each distinct value of ``lengths``
+    (ascending), ``rows`` the positions holding it."""
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for rows in np.split(order, cuts):
+        if rows.size:
+            yield rows, int(lengths[rows[0]])
+
+
 class DPContext:
     """Vectorized ``grperr`` evaluation over a pruned hierarchy.
 
@@ -159,38 +169,12 @@ class DPContext:
         #: Whether batched/vectorized evaluation is active (everything
         #: but the ``"naive"`` reference mode).
         self.batched = kernel_mode() != "naive"
-        # Leaf arrays in postorder; per-node contiguous slices.  They
-        # depend only on the hierarchy (not the metric or kernel mode),
-        # so they are built once per hierarchy and shared by every
-        # context over it.
-        cached = getattr(hierarchy, "_dp_leaf_arrays", None)
-        if cached is None:
-            n = len(hierarchy.nodes)
-            actual: List[float] = []
-            weight: List[float] = []
-            leaf_lo = np.zeros(n, dtype=np.int64)
-            leaf_hi = np.zeros(n, dtype=np.int64)
-            for p in hierarchy.nodes:
-                if p.is_leaf:
-                    leaf_lo[p.index] = len(actual)
-                    if p.kind == "group":
-                        actual.append(p.tuples)
-                        weight.append(1.0)
-                    else:  # zero summary
-                        actual.append(0.0)
-                        weight.append(float(p.n_groups))
-                    leaf_hi[p.index] = len(actual)
-                else:
-                    leaf_lo[p.index] = leaf_lo[p.left.index]
-                    leaf_hi[p.index] = leaf_hi[p.right.index]
-            cached = (
-                leaf_lo,
-                leaf_hi,
-                np.asarray(actual, dtype=np.float64),
-                np.asarray(weight, dtype=np.float64),
-            )
-            hierarchy._dp_leaf_arrays = cached
-        self.leaf_lo, self.leaf_hi, self.leaf_actual, self.leaf_weight = cached
+        # Leaf slots in postorder; every node's leaves are a contiguous
+        # slice of them.
+        arrays = hierarchy.arrays
+        self.leaf_lo, self.leaf_hi = arrays.leaf_lo, arrays.leaf_hi
+        self.leaf_actual = hierarchy.leaf_actual
+        self.leaf_weight = arrays.leaf_weight
         # Per-node own-density errors, filled lazily on the first
         # grperr_own call in a batched mode (the nonoverlapping sweep
         # asks for every node's value; low-memory reconstruction asks
@@ -248,12 +232,18 @@ class DPContext:
         ``densities`` is either one shared density vector ``(D,)`` or a
         per-node matrix ``(K, D)`` aligned with ``idx``.  Row ``k``
         equals ``grperr_many(nodes[idx[k]], densities[k])`` bit for
-        bit: the single-leaf path broadcasts the same elementwise
-        penalty expressions over a ``(K, D)`` grid (IEEE
-        elementwise operations are shape-independent), and longer leaf
-        slices fall back to the per-node evaluation verbatim.  The
-        overlapping sweep uses this to condition every base node's
-        dirty-ancestor rows in one call.  Batched modes only.
+        bit, with no per-node or per-density Python loop.  Single-leaf
+        rows broadcast the same elementwise penalty expressions over a
+        ``(K, D)`` grid (IEEE elementwise operations are
+        shape-independent).  Rows whose leaf slices share a length
+        ``L`` evaluate as one gather, one ``(K, D, L)`` penalty and one
+        ``matmul(pens[:, :, None, :], w[:, None, :, None])``: every
+        product has a 1x1 output, and numpy sends a matmul with a 1x1
+        output to the same dot kernel as the 1-D ``pens @ weight`` of
+        :meth:`grperr_many`, over the same contiguous operands.  ``max``
+        is exact under any reduction order.  The overlapping sweep uses
+        this to condition every base node's dirty-ancestor rows in one
+        call.  Batched modes only.
         """
         d = np.asarray(densities, dtype=np.float64)
         idx = np.asarray(idx)
@@ -262,22 +252,28 @@ class DPContext:
         out = np.zeros((idx.shape[0], d.shape[1]))
         lo, hi = self.leaf_lo[idx], self.leaf_hi[idx]
         is_sum = self.metric.combine == "sum"
+        pa = self.metric.penalty_array
         lengths = hi - lo
         single = np.nonzero(lengths == 1)[0]
         if single.size:
-            pens = self.metric.penalty_array(
-                self.leaf_actual[lo[single]][:, None], d[single]
-            )
+            pens = pa(self.leaf_actual[lo[single]][:, None], d[single])
             out[single] = (
                 pens * self.leaf_weight[lo[single]][:, None]
                 if is_sum
                 else pens
             )
         multi = np.nonzero(lengths > 1)[0]
-        if multi.size:
-            nodes = self.hierarchy.nodes
-            for k in multi.tolist():
-                out[k] = self.grperr_many(nodes[int(idx[k])], d[k])
+        for rows, span in _length_groups(lengths[multi]):
+            k = multi[rows]
+            gather = lo[k][:, None] + np.arange(span)
+            pens = pa(self.leaf_actual[gather][:, None, :], d[k][:, :, None])
+            if is_sum:
+                w = self.leaf_weight[gather]
+                out[k] = np.matmul(
+                    pens[:, :, None, :], w[:, None, :, None]
+                ).reshape(k.size, -1)
+            else:
+                out[k] = pens.max(axis=2)
         return out
 
     def grperr_own(self, pnode: PNode) -> float:
@@ -306,19 +302,9 @@ class DPContext:
         return self._own_err
 
     def node_densities(self) -> np.ndarray:
-        """Per-node densities in postorder (cached on the hierarchy —
-        they depend only on the window's counts, not the metric)."""
-        hierarchy = self.hierarchy
-        dens = getattr(hierarchy, "_dp_densities", None)
-        if dens is None:
-            nodes = hierarchy.nodes
-            dens = np.fromiter(
-                (p.density for p in nodes),
-                dtype=np.float64,
-                count=len(nodes),
-            )
-            hierarchy._dp_densities = dens
-        return dens
+        """Per-node densities in postorder (they depend only on the
+        window's counts, not the metric)."""
+        return self.hierarchy.densities
 
     def splice_own_errors(
         self, prev: np.ndarray, dirty_idx: np.ndarray
@@ -342,7 +328,7 @@ class DPContext:
     def _compute_own_errors(
         self, only: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        n = len(self.hierarchy.nodes)
+        n = len(self.hierarchy)
         dens = self.node_densities()
         out = np.zeros(n)
         lo, hi = self.leaf_lo, self.leaf_hi
@@ -376,16 +362,8 @@ class DPContext:
             # and ``max`` is exact under any reduction order — so every
             # entry matches the per-node seed expression bit for bit.
             vals = np.empty(multi.size)
-            ls = lengths[multi]
-            order = np.argsort(ls, kind="stable")
-            ls_sorted = ls[order]
-            cuts = np.nonzero(np.diff(ls_sorted))[0] + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [ls_sorted.size]))
-            for g0, g1 in zip(starts.tolist(), ends.tolist()):
-                rows = order[g0:g1]
+            for rows, span in _length_groups(lengths[multi]):
                 idx = multi[rows]
-                span = int(ls_sorted[g0])
                 gather = lo[idx][:, None] + np.arange(span)
                 pens = pa(actual[gather], dens[idx][:, None])
                 if is_sum:
@@ -397,14 +375,16 @@ class DPContext:
             out[multi] = vals
         return out
 
+    def _groups(self) -> float:
+        """Groups below the root: every group of the table."""
+        return float(self.hierarchy.arrays.n_groups[-1])
+
     def finalize(self, total_penalty: float) -> float:
         """Convert an aggregate penalty at the root into the metric's
         final error value over the full group universe."""
         if total_penalty == INF:
             return INF
-        return self.metric.finalize_total(
-            total_penalty, float(self.hierarchy.root.n_groups)
-        )
+        return self.metric.finalize_total(total_penalty, self._groups())
 
     def finalize_curve(self, penalties: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`finalize` over a whole budget curve."""
@@ -414,7 +394,7 @@ class DPContext:
             for i, p in enumerate(penalties):
                 out[i] = self.finalize(float(p))
             return out
-        count = float(self.hierarchy.root.n_groups)
+        count = self._groups()
         out = np.full(penalties.shape, INF)
         finite = penalties != INF
         if finite.any():

@@ -60,7 +60,7 @@ def build(
         options = {**options, "memo": memo}
     with span(
         "build", algorithm=algorithm, budget=budget,
-        nodes=len(hierarchy.nodes),
+        nodes=len(hierarchy),
     ) as sp:
         result = builder(hierarchy, metric, budget, **options)
         sp.annotate(**result.stats)
@@ -71,7 +71,7 @@ def build(
         )
         registry.counter("build.calls", algorithm=algorithm).inc()
         registry.counter("build.size.nodes", algorithm=algorithm).inc(
-            len(hierarchy.nodes)
+            len(hierarchy)
         )
         registry.counter("build.size.budget", algorithm=algorithm).inc(budget)
         for key, value in result.stats.items():

@@ -71,7 +71,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PrunedHierarchy, TreeArrays
 from .base import INF, DPContext
 from .kernels import kernel_mode
 from .nonoverlapping import _merge_internal
@@ -164,177 +164,8 @@ def _dirty_groups(
     return int(np.count_nonzero(old_counts != counts))
 
 
-@dataclass
-class _TreeArrays:
-    """Flat postorder structure of one pruned hierarchy.
-
-    ``left``/``right`` are child postorder indices (-1 at leaves),
-    ``size`` is the subtree node count — postorder puts node ``i``'s
-    subtree at the contiguous interval ``[i - size[i] + 1, i]`` — and
-    ``group`` maps group leaves to their count-array column (-1 for
-    branch and zero nodes).  ``parent``/``depth``/``phase`` (subtree
-    height) describe the vertical layout, ``order`` lists the internal
-    nodes sorted by phase (``order_phase`` alongside) — a valid
-    bottom-up batch schedule — and the ``leaf_*`` arrays mirror
-    :class:`~repro.algorithms.base.DPContext`'s postorder leaf-slot
-    layout (``leaf_group`` is the slot's count column, -1 for zero
-    summaries whose weight is their group count).  Pure structure: two
-    builds with the same structure signature share these arrays
-    verbatim, which is what lets a rebuild skip every O(|nodes|)
-    Python setup loop.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    size: np.ndarray
-    group: np.ndarray
-    parent: np.ndarray
-    depth: np.ndarray
-    phase: np.ndarray
-    n_groups: np.ndarray
-    n_nonzero: np.ndarray
-    order: np.ndarray
-    order_phase: np.ndarray
-    leaf_lo: np.ndarray
-    leaf_hi: np.ndarray
-    leaf_weight: np.ndarray
-    leaf_group: np.ndarray
-
-
-def _tree_arrays(hierarchy: PrunedHierarchy) -> _TreeArrays:
-    cached = getattr(hierarchy, "_inc_tree_arrays", None)
-    if cached is not None:
-        return cached
-    nodes = hierarchy.nodes
-    n = len(nodes)
-    left = np.full(n, -1, dtype=np.int64)
-    right = np.full(n, -1, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-    group = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    n_groups = np.zeros(n, dtype=np.int64)
-    n_nonzero = np.zeros(n, dtype=np.int64)
-    ph = [0] * n
-    leaf_lo = np.zeros(n, dtype=np.int64)
-    leaf_hi = np.zeros(n, dtype=np.int64)
-    weights: List[float] = []
-    slots: List[int] = []
-    for p in nodes:
-        i = p.index
-        n_groups[i] = p.n_groups
-        n_nonzero[i] = p.n_nonzero
-        if p.left is not None:
-            li, ri = p.left.index, p.right.index
-            left[i] = li
-            right[i] = ri
-            parent[li] = i
-            parent[ri] = i
-            size[i] = size[li] + size[ri] + 1
-            ph[i] = (ph[li] if ph[li] >= ph[ri] else ph[ri]) + 1
-            leaf_lo[i] = leaf_lo[li]
-            leaf_hi[i] = leaf_hi[ri]
-        else:
-            leaf_lo[i] = len(weights)
-            if p.group_index is not None:
-                group[i] = p.group_index
-                slots.append(p.group_index)
-                weights.append(1.0)
-            else:
-                slots.append(-1)
-                weights.append(float(p.n_groups))
-            leaf_hi[i] = len(weights)
-    for i in range(n - 1, -1, -1):  # root-first: parents before children
-        li = left[i]
-        if li >= 0:
-            depth[li] = depth[i] + 1
-            depth[right[i]] = depth[i] + 1
-    phase = np.asarray(ph, dtype=np.int64)
-    internal = np.nonzero(left >= 0)[0]
-    order = internal[np.argsort(phase[internal], kind="stable")]
-    cached = _TreeArrays(
-        left=left, right=right, size=size, group=group,
-        parent=parent, depth=depth, phase=phase, n_groups=n_groups,
-        n_nonzero=n_nonzero,
-        order=order, order_phase=phase[order],
-        leaf_lo=leaf_lo, leaf_hi=leaf_hi,
-        leaf_weight=np.asarray(weights, dtype=np.float64),
-        leaf_group=np.asarray(slots, dtype=np.int64),
-    )
-    hierarchy._inc_tree_arrays = cached
-    return cached
-
-
-def _phase_slices(order: np.ndarray, order_phase: np.ndarray):
-    """Yield the ``order`` slice of each phase, ascending — every
-    node's children belong to a strictly earlier slice."""
-    pos = 0
-    total = order.size
-    while pos < total:
-        h = order_phase[pos]
-        end = pos + int(
-            np.searchsorted(order_phase[pos:], h, side="right")
-        )
-        yield order[pos:end]
-        pos = end
-
-
-def _ranges(sizes: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s)`` for each ``s`` in ``sizes`` — the
-    row-offset pattern for gathering variable-height blocks out of a
-    contiguous row arena."""
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
-
-
-def _install_caches(
-    hierarchy: PrunedHierarchy, ar: _TreeArrays, counts: np.ndarray
-) -> None:
-    """Rebuild the per-hierarchy DP caches from the structural arrays
-    instead of per-node Python loops.
-
-    Every session installs them, as does every fast overlapping build:
-    a cold one from the arrays it just built, a same-structure one from
-    the memo's (a fresh :class:`PrunedHierarchy` whose postorder, hence
-    leaf-slot layout, matches the memo's).  The cached leaf arrays,
-    phase structure, and densities the DP setup would derive by walking
-    the nodes are recomputed here with a few vectorized passes and
-    pre-installed under the attribute names
-    :class:`~repro.algorithms.base.DPContext` and the phase-batched
-    sweeps look up.  Every value is bit-identical
-    to the walked version: leaf actuals are the same count gathers, and
-    subtree tuple totals are accumulated child-pair by child-pair (per
-    phase) exactly as ``PrunedHierarchy`` adds them, so the density
-    quotients match.
-    """
-    hierarchy._inc_tree_arrays = ar
-    if getattr(hierarchy, "_dp_leaf_arrays", None) is None:
-        lg = ar.leaf_group
-        actual = np.where(lg >= 0, counts[np.maximum(lg, 0)], 0.0)
-        hierarchy._dp_leaf_arrays = (
-            ar.leaf_lo, ar.leaf_hi, actual, ar.leaf_weight
-        )
-    if getattr(hierarchy, "_dp_structure", None) is None:
-        hierarchy._dp_structure = (ar.phase, ar.left, ar.right, ar.size)
-    if getattr(hierarchy, "_inc_tuples", None) is None:
-        n = ar.left.shape[0]
-        tup = np.zeros(n)
-        hg = ar.group >= 0
-        tup[hg] = counts[ar.group[hg]]
-        for idx in _phase_slices(ar.order, ar.order_phase):
-            tup[idx] = tup[ar.left[idx]] + tup[ar.right[idx]]
-        hierarchy._inc_tuples = tup
-        if getattr(hierarchy, "_dp_densities", None) is None:
-            dens = np.zeros(n)
-            np.divide(tup, ar.n_groups, out=dens, where=ar.n_groups > 0)
-            hierarchy._dp_densities = dens
-
-
 def _dirty_vector(
-    arrays: _TreeArrays, old_counts: np.ndarray, counts: np.ndarray
+    arrays: TreeArrays, old_counts: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Per-node dirty flags for a same-structure rebuild, vectorized.
 
@@ -362,9 +193,8 @@ class _Session:
     The previous memo survives only when its configuration and its
     window's nonzero mask both match this build's (and
     :meth:`_usable` accepts it); otherwise the session is cold and
-    ``self._old`` is ``None``.  Either way the structural arrays — the
-    surviving memo's, or this hierarchy's own — seed the hierarchy's DP
-    caches, so the tree is walked at most once.
+    ``self._old`` is ``None``.  A surviving memo's postorder is this
+    hierarchy's, so its state is addressed by this hierarchy's arrays.
     """
 
     def __init__(
@@ -386,10 +216,7 @@ class _Session:
         ):
             old = None  # the support changed: start cold
         self._old = old
-        self._arrays = (
-            old.arrays if old is not None else _tree_arrays(hierarchy)
-        )
-        _install_caches(hierarchy, self._arrays, counts)
+        self._arrays = hierarchy.arrays
         #: Internal nodes whose merge was re-run (the dirty set).
         self.solved = 0
         #: Internal nodes whose DP state came from the memo.
@@ -397,10 +224,6 @@ class _Session:
 
     def _usable(self, old) -> bool:
         return True
-
-    @property
-    def arrays(self) -> _TreeArrays:
-        return self._arrays
 
     def stats(self) -> Dict[str, float]:
         total = self.solved + self.reused
@@ -430,7 +253,6 @@ class NonoverlappingMemo:
     config: Tuple
     counts: np.ndarray
     structure_sig: bytes
-    arrays: _TreeArrays
     tables: List[Optional[np.ndarray]]
     splits: List[Optional[np.ndarray]]
     lengths: np.ndarray
@@ -452,8 +274,9 @@ class NonoverlappingSession(_Session):
 
     algorithm = "nonoverlapping"
 
-    def sweep(self, root: PNode, ctx: DPContext, budget: int):
-        """Memoized bottom-up sweep; tables and splits bit-identical to
+    def sweep(self, ctx: DPContext, budget: int):
+        """Memoized bottom-up sweep of the whole hierarchy; tables and
+        splits bit-identical to
         :func:`~repro.algorithms.nonoverlapping._sweep`."""
         ar = self._arrays
         old = self._old
@@ -477,17 +300,17 @@ class NonoverlappingSession(_Session):
             config=self._config,
             counts=self._counts.copy(),
             structure_sig=self._sig,
-            arrays=ar,
             tables=tables,
             splits=splits,
             lengths=lengths,
             own=own,
         )
-        if root.is_leaf:
+        root = ar.node.size - 1
+        if ar.left[root] < 0:
             table = np.full(2, INF)
-            table[1] = own[root.index]
+            table[1] = own[root]
             return table, splits
-        return tables[root.index], splits
+        return tables[root], splits
 
     def finish(self) -> NonoverlappingMemo:
         return self._memo
@@ -507,7 +330,6 @@ class OverlappingMemo:
     config: Tuple
     counts: np.ndarray
     structure_sig: bytes
-    arrays: _TreeArrays
     arena: Optional[object] = None
 
 
@@ -540,9 +362,9 @@ class OverlappingSession(_Session):
         old = self._old
         #: Per-node dirty flags (every node on a cold session).
         self.dirty = (
-            _dirty_vector(old.arrays, old.counts, self._counts)
+            _dirty_vector(self._arrays, old.counts, self._counts)
             if old is not None
-            else np.ones(len(hierarchy.nodes), dtype=bool)
+            else np.ones(len(hierarchy), dtype=bool)
         )
         #: The carried arena (``None`` on a cold session); the solve
         #: replaces it with the arena it built.
@@ -569,7 +391,6 @@ class OverlappingSession(_Session):
             config=self._config,
             counts=self._counts.copy(),
             structure_sig=self._sig,
-            arrays=self._arrays,
             arena=self.arena,
         )
 

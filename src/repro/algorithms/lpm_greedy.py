@@ -150,7 +150,7 @@ def build_lpm_greedy(
     if dp is None:
         with span("lpm_greedy.pool", budget=pool_budget):
             dp = OverlappingDP(hierarchy, metric, pool_budget, sparse=sparse)
-    root_node = hierarchy.root.node
+    root_node = hierarchy.root_node
     cache: Dict[int, LongestPrefixMatchPartitioning] = {}
     pool_sizes: Dict[int, int] = {}
 

@@ -111,7 +111,7 @@ def build_lpm_quantized(
     solver = _QuantizedSolver(hierarchy, metric, budget, theta, beam, sparse)
     with span(
         "lpm_quantized.solve", budget=budget, theta=theta, beam=beam,
-        nodes=len(hierarchy.nodes),
+        nodes=len(hierarchy),
     ) as sp:
         table = solver.solve_root()
         sp.annotate(density_cells=len(solver.d_cells))

@@ -80,15 +80,16 @@ def build_nonoverlapping(
         raise ValueError("incremental rebuilds require split tables; "
                          "low_memory drops them")
     ctx = DPContext(hierarchy, metric)
+    root = len(hierarchy) - 1
     with span(
         "dp.nonoverlapping.sweep", budget=budget,
-        nodes=len(hierarchy.nodes), low_memory=low_memory,
+        nodes=len(hierarchy), low_memory=low_memory,
     ) as sp:
         if memo is not None:
-            root_table, splits = memo.sweep(hierarchy.root, ctx, budget)
+            root_table, splits = memo.sweep(ctx, budget)
         else:
             root_table, splits = _sweep(
-                hierarchy.root, ctx, budget, keep_splits=not low_memory
+                root, ctx, budget, keep_splits=not low_memory
             )
         sp.annotate(root_entries=int(len(root_table)) - 1)
     curve = np.full(budget + 1, INF)
@@ -106,9 +107,9 @@ def build_nonoverlapping(
         bucket_nodes: List[int] = []
         with span("dp.nonoverlapping.collect", budget=b) as sp:
             if low_memory:
-                _collect_multipass(hierarchy.root, b, ctx, bucket_nodes)
+                _collect_multipass(root, b, ctx, bucket_nodes)
             else:
-                _collect(hierarchy.root, b, splits, bucket_nodes)
+                _collect(hierarchy, b, splits, bucket_nodes)
             sp.annotate(buckets=len(bucket_nodes))
         return NonoverlappingPartitioning(
             hierarchy.domain, [Bucket(v) for v in bucket_nodes]
@@ -118,12 +119,12 @@ def build_nonoverlapping(
         make_function=make_function,
         curve=curve,
         budget=budget,
-        stats={"nodes": float(len(hierarchy.nodes))},
+        stats={"nodes": float(len(hierarchy))},
     )
 
 
-def _sweep(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
-    """One bottom-up DP pass over ``root``'s subtree.
+def _sweep(i: int, ctx: DPContext, budget: int, keep_splits: bool):
+    """One bottom-up DP pass over the subtree of node ``i``.
 
     The naive mode walks the subtree node by node and frees child error
     tables as soon as their parent consumes them, so at most O(depth)
@@ -132,10 +133,10 @@ def _sweep(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
     the Section 4.4 mode.
     """
     if ctx.batched:
-        return _sweep_fast(root, ctx, budget, keep_splits)
+        return _sweep_fast(i, ctx, budget, keep_splits)
     tables = {}
     splits: dict = {}
-    stack = [(root, False)]
+    stack = [(ctx.hierarchy.nodes[i], False)]
     while stack:
         p, expanded = stack.pop()
         if not expanded and not p.is_leaf:
@@ -153,7 +154,7 @@ def _sweep(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
         tables[p.index] = table
         if keep_splits:
             splits[p.index] = split
-    return tables[root.index], splits
+    return tables[i], splits
 
 
 def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
@@ -167,19 +168,19 @@ def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
     return table, split
 
 
-def _sweep_fast(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
-    """Batched-mode sweep of ``root``'s subtree, bit-identical to the
+def _sweep_fast(i: int, ctx: DPContext, budget: int, keep_splits: bool):
+    """Batched-mode sweep of node ``i``'s subtree, bit-identical to the
     naive one: :func:`_merge_internal` over the internal nodes of the
     subtree's postorder interval ``[i - size + 1, i]`` — the whole tree
     for a full build, one subtree for a Section 4.4 re-sweep.  Child
     tables are dropped once consumed, so one frontier is live."""
-    i = root.index
-    if root.is_leaf:
+    ar = ctx.hierarchy.arrays
+    left = ar.left
+    if left[i] < 0:
         table = np.full(2, INF)
         table[1] = ctx.own_errors()[i]
         return table, {}
-    _phase, left, _right, size = _structure_arrays(ctx.hierarchy)
-    interval = np.arange(i - size[i] + 1, i + 1)
+    interval = np.arange(i - ar.size[i] + 1, i + 1)
     tables: Dict[int, np.ndarray] = {}
     splits: Optional[Dict[int, np.ndarray]] = {} if keep_splits else None
     _merge_internal(
@@ -187,45 +188,6 @@ def _sweep_fast(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
         np.where(left < 0, 2, 0), splits, release=True,
     )
     return tables[i], splits
-
-
-def _structure_arrays(hierarchy: PrunedHierarchy):
-    """Postorder structure arrays ``(phase, left, right, size)``,
-    cached on the hierarchy (an incremental session seeds the cache from
-    its own structural arrays, so the tree is walked once).
-
-    ``phase[i]`` is the subtree height of node ``i`` (0 for leaves), so
-    processing phases in ascending order is a valid bottom-up schedule
-    in which every node's children belong to strictly earlier phases;
-    ``left``/``right`` are child postorder indices (-1 at leaves) and
-    ``size`` the subtree node count — node ``i``'s subtree is the
-    contiguous postorder interval ``[i - size[i] + 1, i]``.  Pure
-    structure — shared by every metric/budget/mode.
-    """
-    cached = getattr(hierarchy, "_dp_structure", None)
-    if cached is None:
-        n = len(hierarchy.nodes)
-        left = np.full(n, -1, dtype=np.int64)
-        right = np.full(n, -1, dtype=np.int64)
-        ph = [0] * n
-        sz = [1] * n
-        for p in hierarchy.nodes:
-            node_left = p.left
-            if node_left is None:
-                continue
-            i = p.index
-            li, ri = node_left.index, p.right.index
-            left[i] = li
-            right[i] = ri
-            pl, pr = ph[li], ph[ri]
-            ph[i] = (pl if pl >= pr else pr) + 1
-            sz[i] = sz[li] + sz[ri] + 1
-        cached = (
-            np.asarray(ph, dtype=np.int64), left, right,
-            np.asarray(sz, dtype=np.int64),
-        )
-        hierarchy._dp_structure = cached
-    return cached
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +244,8 @@ def _merge_internal(
     """
     own = ctx.own_errors()
     maximum = ctx.metric.combine == "max"
-    phase, left_idx, right_idx, _size = _structure_arrays(ctx.hierarchy)
+    ar = ctx.hierarchy.arrays
+    phase, left_idx, right_idx = ar.phase, ar.left, ar.right
     keep_splits = splits is not None
 
     def head(gi: np.ndarray, size: int) -> np.ndarray:
@@ -389,7 +352,7 @@ def _merge_internal(
 
 
 def _collect_multipass(
-    p: PNode, b: int, ctx: DPContext, out: List[int]
+    i: int, b: int, ctx: DPContext, out: List[int]
 ) -> None:
     """Section 4.4 reconstruction: re-derive the split at each node by
     re-running the DP on its two subtrees, then recurse.
@@ -401,46 +364,47 @@ def _collect_multipass(
     splits are identical while the low-memory reconstruction stops
     filling table columns no caller can reference.
     """
-    stack = [(p, b)]
+    node, left, right, _depth = ctx.hierarchy.links()
+    stack = [(i, b)]
     while stack:
-        p, b = stack.pop()
-        if p.is_leaf or b == 1:
-            out.append(p.node)
+        i, b = stack.pop()
+        if left[i] < 0 or b == 1:
+            out.append(node[i])
             continue
-        left_table, _ = _sweep(p.left, ctx, b, keep_splits=False)
-        right_table, _ = _sweep(p.right, ctx, b, keep_splits=False)
+        left_table, _ = _sweep(left[i], ctx, b, keep_splits=False)
+        right_table, _ = _sweep(right[i], ctx, b, keep_splits=False)
         merged, split = knapsack_merge(
             left_table, right_table, b, ctx.metric.combine
         )
         b = min(b, len(merged) - 1)
         if b == 1:  # only the single-bucket option remains
-            out.append(p.node)
+            out.append(node[i])
             continue
         c = int(split[b])
-        stack.append((p.left, c))
-        stack.append((p.right, b - c))
+        stack.append((left[i], c))
+        stack.append((right[i], b - c))
 
 
 def _collect(
-    p: PNode,
+    hierarchy: PrunedHierarchy,
     b: int,
     splits: Dict[int, np.ndarray],
     out: List[int],
 ) -> None:
-    """Walk the recorded split choices to materialize the cut for
-    budget ``b``."""
-    stack = [(p, b)]
+    """Walk the recorded split choices from the root to materialize the
+    cut for budget ``b``."""
+    node, left, right, _depth = hierarchy.links()
+    stack = [(len(node) - 1, b)]
     while stack:
-        p, b = stack.pop()
-        if p.is_leaf or b == 1:
-            out.append(p.node)
+        i, b = stack.pop()
+        if left[i] < 0 or b == 1:
+            out.append(node[i])
             continue
-        split = splits[p.index]
+        split = splits[i]
         b = min(b, len(split) - 1)
         c = int(split[b])
         if c == -1:  # single-bucket choice recorded at B == 1 only
-            out.append(p.node)
+            out.append(node[i])
             continue
-        stack.append((p.left, c))
-        stack.append((p.right, b - c))
-    return None
+        stack.append((left[i], c))
+        stack.append((right[i], b - c))

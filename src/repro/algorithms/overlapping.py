@@ -37,15 +37,21 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, OverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .incremental import (
-    _install_caches,
-    _phase_slices,
-    _ranges,
-    _tree_arrays,
-)
 from .kernels import kernel_mode, knapsack_merge, knapsack_merge_batch
 
 __all__ = ["build_overlapping", "OverlappingDP"]
+
+
+def _ranges(sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s)`` for each ``s`` in ``sizes`` — the
+    row-offset pattern for gathering variable-height blocks out of a
+    contiguous row arena."""
+    total = int(sizes.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
+
 
 # Flags recorded for reconstruction.
 _NOT_BUCKET = 0
@@ -177,12 +183,8 @@ class OverlappingDP:
         self.metric = metric
         self.budget = budget
         self.sparse = sparse
-        ar = _tree_arrays(hierarchy)
+        ar = hierarchy.arrays
         fast = kernel_mode() != "naive"
-        if fast:
-            # Leaf arrays and densities from the structural arrays, so
-            # the tree is walked once.
-            _install_caches(hierarchy, ar, hierarchy.counts)
         self.ctx = DPContext(hierarchy, metric)
         self._depths = ar.depth
         self._base, self._under = self._base_under_masks(ar)
@@ -193,7 +195,7 @@ class OverlappingDP:
         self._arena: Optional[_OVArena] = None
         with span(
             "dp.overlapping.solve", budget=budget,
-            nodes=len(hierarchy.nodes), sparse=sparse,
+            nodes=len(hierarchy), sparse=sparse,
         ) as sp:
             if fast:
                 root_bucket_table = self._solve_fast(ar, memo)
@@ -248,7 +250,7 @@ class OverlappingDP:
         blk_w = np.where(under, 0, 2)
         size_b = blk_w.copy()
         left, right = ar.left, ar.right
-        for idx in _phase_slices(ar.order, ar.order_phase):
+        for idx in ar.phase_slices():
             sel = idx[~base[idx]]
             cap = np.minimum(
                 self.budget, caps[left[sel]] + caps[right[sel]] + 1
@@ -288,8 +290,7 @@ class OverlappingDP:
                 ar.n_nonzero[roots] == 1, last_nz[roots], last_leaf[roots]
             )
             hit = ar.group[at] >= 0
-            nodes = self.hierarchy.nodes
-            out[roots[hit]] = [nodes[i].node for i in at[hit].tolist()]
+            out[roots[hit]] = ar.node[at[hit]]
         return out
 
     def _cold_arena(self, ar) -> _OVArena:
@@ -516,7 +517,7 @@ class OverlappingDP:
     # ------------------------------------------------------------------
     def _solve_naive(self) -> np.ndarray:
         hierarchy = self.hierarchy
-        n_nodes = len(hierarchy.nodes)
+        n_nodes = len(hierarchy)
         self.records = [_NodeRecord() for _ in hierarchy.nodes]
         # Full tables E[p, ., j] per node, keyed by node index, one per
         # ancestor j in depth order; entries are freed as soon as the
@@ -625,16 +626,17 @@ class OverlappingDP:
     def buckets_for_budget(self, b: int) -> List[Bucket]:
         """Materialize the optimal bucket set for budget ``b``.
 
-        An explicit-stack preorder walk of the recorded choices: a task
-        ``(p, b, row)`` expands the full table entry ``E[p, b, j]``
-        (``row`` is the enclosing bucket ``j``'s depth, its row in the
-        blocks), or, with ``row`` ``None``, the bucket case at ``p``.
+        An explicit-stack preorder walk of the recorded choices over the
+        hierarchy's index lists: a task ``(i, b, row)`` expands the full
+        table entry ``E[i, b, j]`` (``row`` is the enclosing bucket
+        ``j``'s depth, its row in the blocks), or, with ``row`` ``None``,
+        the bucket case at node ``i``.
         Children are pushed right first, so buckets come out in the
         preorder the greedy heuristic's stable ranking relies on to
         break score ties.
 
-        The bucket case at ``p`` with ``b`` buckets depends on nothing
-        above ``p``, so its expansion is recorded once per DP and reused
+        The bucket case at ``i`` with ``b`` buckets depends on nothing
+        above ``i``, so its expansion is recorded once per DP and reused
         by every later budget (a 100-budget curve expands a few hundred
         distinct ones instead of thousands): a ``(None, start, key)``
         marker, pushed under the children, closes the expansion.
@@ -642,17 +644,17 @@ class OverlappingDP:
         out: List[Bucket] = []
         b = max(1, min(b, len(self.root_table) - 1))
         records = self.records
-        depths = self._depths
+        node, left, right, depths = self.hierarchy.links()
         expanded = self._expanded
         with span("dp.overlapping.collect", budget=b) as sp:
-            stack: List[tuple] = [(self.hierarchy.root, b, None)]
+            stack: List[tuple] = [(len(node) - 1, b, None)]
             pop, push = stack.pop, stack.append
             while stack:
-                p, b, row = pop()
-                if p is None:
+                i, b, row = pop()
+                if i is None:
                     expanded[row] = out[b:]
                     continue
-                rec = records[p.index]
+                rec = records[i]
                 if row is not None:
                     # Entries with no budget expand to nothing and are
                     # never pushed.
@@ -661,33 +663,35 @@ class OverlappingDP:
                     if block[row, b] == _NOT_BUCKET:
                         c = int(rec.splits_block[row, b])
                         if b > c:
-                            push((p.right, b - c, row))
+                            push((right[i], b - c, row))
                         if c > 0:
-                            push((p.left, c, row))
+                            push((left[i], c, row))
                         continue
-                # The bucket case at ``p`` with ``b`` buckets.
+                # The bucket case at node ``i`` with ``b`` buckets.
                 b = min(b, len(rec.bucket_flag) - 1)
                 if rec.bucket_flag[b] == _SPARSE or (
                     b == 1 and rec.sparse_at is not None
                 ):
-                    out.append(Bucket(p.node, sparse_group_node=rec.sparse_at))
+                    out.append(
+                        Bucket(node[i], sparse_group_node=rec.sparse_at)
+                    )
                     continue
-                if p.is_leaf or rec.split_b is None or b <= 1:
-                    out.append(Bucket(p.node))
+                if left[i] < 0 or rec.split_b is None or b <= 1:
+                    out.append(Bucket(node[i]))
                     continue
-                key = (p.index, b)
+                key = (i, b)
                 done = expanded.get(key)
                 if done is not None:
                     out.extend(done)
                     continue
                 push((None, len(out), key))
-                out.append(Bucket(p.node))
+                out.append(Bucket(node[i]))
                 c = int(rec.split_b[b - 1])
-                row = int(depths[p.index])
+                row = depths[i]
                 if b - 1 > c:
-                    push((p.right, b - 1 - c, row))
+                    push((right[i], b - 1 - c, row))
                 if c > 0:
-                    push((p.left, c, row))
+                    push((left[i], c, row))
             sp.annotate(buckets=len(out))
         return out
 
@@ -724,5 +728,5 @@ def build_overlapping(
         make_function=make_function,
         curve=curve,
         budget=budget,
-        stats={"nodes": float(len(hierarchy.nodes))},
+        stats={"nodes": float(len(hierarchy))},
     )

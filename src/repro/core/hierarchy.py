@@ -23,18 +23,30 @@ pruned tree optimizes over the full virtual hierarchy.  Because group
 subtrees never partially overlap hierarchy subtrees, every zero-count
 group falls in exactly one zero node, and empty regions contribute to
 any error metric in O(1) via ``PenaltyMetric.repeated_penalty``.
+
+The hierarchy is built as flat postorder arrays (:class:`TreeArrays`)
+in a fixed number of vectorized passes over the sorted group table;
+the dynamic programs read only those.  The :class:`PNode` object view
+(:attr:`PrunedHierarchy.nodes`, ``root``, ``leaves``) is built from the
+arrays on first access, for the naive reference kernels and the
+heuristics that walk the tree.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import ROOT, UIDDomain
+from .domain import ROOT
 from .groups import GroupTable
 
-__all__ = ["PNode", "PrunedHierarchy"]
+__all__ = ["PNode", "PrunedHierarchy", "TreeArrays", "GROUP", "ZERO", "BRANCH"]
+
+#: ``TreeArrays.kind`` codes, and the :attr:`PNode.kind` name of each.
+GROUP, ZERO, BRANCH = 0, 1, 2
+KIND_NAMES = ("group", "zero", "branch")
 
 
 class PNode:
@@ -119,6 +131,176 @@ class PNode:
         )
 
 
+@dataclass
+class TreeArrays:
+    """Flat postorder structure of one pruned hierarchy.
+
+    Entry ``i`` of every per-node array describes the ``i``-th node in
+    postorder (children before parents, left subtrees before right, the
+    root last).  ``node`` is the virtual node id the pruned node is
+    anchored at and ``kind`` its :data:`GROUP` / :data:`ZERO` /
+    :data:`BRANCH` code.  ``left``/``right`` are child postorder
+    indices (-1 at leaves), ``size`` is the subtree node count —
+    postorder puts node ``i``'s subtree at the contiguous interval
+    ``[i - size[i] + 1, i]`` — and ``group`` maps group leaves to their
+    count-array column (-1 for branch and zero nodes).
+    ``parent``/``depth``/``phase`` (subtree height) describe the
+    vertical layout, ``order`` lists the branch nodes sorted by phase
+    (``order_phase`` alongside) — a valid bottom-up batch schedule —
+    and ``leaf_lo``/``leaf_hi`` give each node's slice of the leaf
+    slots: the leaves in postorder, each standing for ``leaf_weight``
+    groups (1 for a group leaf, a zero summary's group count).  Pure
+    structure: a function of which groups are nonzero, not of their
+    counts.
+    """
+
+    node: np.ndarray
+    kind: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    size: np.ndarray
+    group: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+    phase: np.ndarray
+    n_groups: np.ndarray
+    n_nonzero: np.ndarray
+    order: np.ndarray
+    order_phase: np.ndarray
+    leaf_lo: np.ndarray
+    leaf_hi: np.ndarray
+    leaf_weight: np.ndarray
+
+    def phase_slices(self) -> List[np.ndarray]:
+        """The ``order`` slice of each phase, ascending — every branch's
+        children belong to a strictly earlier slice."""
+        cuts = np.flatnonzero(np.diff(self.order_phase)) + 1
+        return np.split(self.order, cuts)
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of nonnegative int64 values, exactly: a
+    binary search over shifts (a float ``log2`` rounds up just below
+    powers of two past 2**53)."""
+    out = np.zeros(x.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        shift = ((x >> s) > 0) * s
+        out += shift
+        x = x >> shift
+    return out + (x > 0)
+
+
+def _single_zero(groups: int) -> TreeArrays:
+    """The all-zero window: one zero node at the root summarizing every
+    group, so each algorithm returns a trivial (and exact) empty
+    histogram."""
+    def col(v):
+        return np.array([v], dtype=np.int64)
+
+    empty = np.zeros(0, dtype=np.int64)
+    return TreeArrays(
+        node=col(ROOT), kind=np.array([ZERO], dtype=np.int8),
+        left=col(-1), right=col(-1), size=col(1), group=col(-1),
+        parent=col(-1), depth=col(0), phase=col(0), n_groups=col(groups),
+        n_nonzero=col(0), order=empty, order_phase=empty,
+        leaf_lo=col(0), leaf_hi=col(1),
+        leaf_weight=np.array([float(groups)]),
+    )
+
+
+def _build_arrays(table: GroupTable, nonzero: np.ndarray) -> TreeArrays:
+    """The pruned structure for the window whose nonzero groups are
+    ``nonzero``, in a fixed number of vectorized passes.
+
+    Branch nodes are the virtual nodes with a nonzero group below and
+    groups below both children.  A virtual node has groups below both
+    children exactly when it is the lowest common ancestor of one
+    adjacent pair of (range-sorted) groups — the last group of its left
+    child and the first of its right — so the ``|G| - 1`` adjacent
+    pairs enumerate every candidate once, and the pair splits the
+    node's contiguous run of groups between the children.  A branch's
+    child with no nonzero group is a zero node anchored at that child.
+    Every pruned node thus covers a distinct run ``[first, end)`` of
+    group indices, from which everything else follows by prefix sums:
+    group totals, leaf slots (leaves ranked by their first group),
+    subtree sizes and the postorder position — the nodes ending before
+    the node's first leaf, then its subtree.
+    """
+    starts, ends = table.starts, table.ends
+    if not nonzero.any():
+        return _single_zero(len(table))
+    # The common ancestor of uids a < b sits bit_length(a ^ b) levels
+    # above the leaves; the pair's outer uids pin it.
+    a = starts[:-1]
+    levels = _bit_length(a ^ (ends[1:] - 1))
+    lo = (a >> levels) << levels
+    vid = np.left_shift(1, table.domain.height - levels) + (a >> levels)
+    first = np.searchsorted(starts, lo)
+    last = np.searchsorted(starts, lo + np.left_shift(1, levels))
+    split = np.arange(1, len(table))  # the right child's first group
+    nz = np.concatenate(([0], np.cumsum(nonzero)))
+    zl = nz[split] == nz[first]
+    zr = nz[last] == nz[split]
+    branch = ~(zl & zr)
+    zl &= branch
+    zr &= branch
+    groups = np.flatnonzero(nonzero)
+    node = np.concatenate(
+        (table.nodes[groups], 2 * vid[zl], 2 * vid[zr] + 1, vid[branch])
+    )
+    run_first = np.concatenate(
+        (groups, first[zl], split[zr], first[branch])
+    )
+    run_end = np.concatenate((groups + 1, split[zl], last[zr], last[branch]))
+    parts = (groups.size, int(zl.sum()), int(zr.sum()), int(branch.sum()))
+    kind = np.repeat(
+        np.array([GROUP, ZERO, ZERO, BRANCH], dtype=np.int8), parts
+    )
+    # Leaves (the first three parts) ranked by their first group.
+    n_leaves = node.size - parts[3]
+    rank = np.zeros(len(table) + 1, dtype=np.int64)
+    rank[run_first[:n_leaves] + 1] = 1
+    np.cumsum(rank, out=rank)
+    leaf_lo, leaf_hi = rank[run_first], rank[run_end]
+    size = 2 * (leaf_hi - leaf_lo) - 1
+    before = np.zeros(n_leaves + 1, dtype=np.int64)
+    np.cumsum(np.bincount(leaf_hi - 1, minlength=n_leaves), out=before[1:])
+    post = np.empty(node.size, dtype=np.int64)
+    post[before[leaf_lo] + size - 1] = np.arange(node.size)
+    node, kind, size = node[post], kind[post], size[post]
+    run_first, run_end = run_first[post], run_end[post]
+    leaf_lo, leaf_hi = leaf_lo[post], leaf_hi[post]
+
+    n = node.size
+    group = np.where(kind == GROUP, run_first, -1)
+    br = np.flatnonzero(kind == BRANCH)
+    left = np.full(n, -1, dtype=np.int64)
+    right = np.full(n, -1, dtype=np.int64)
+    right[br] = br - 1
+    left[br] = br - 1 - size[br - 1]
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[left[br]] = br
+    parent[right[br]] = br
+    # Depth: the branch intervals [b - size[b] + 1, b) covering a node.
+    cover = np.bincount(br - size[br] + 1, minlength=n + 1)
+    depth = np.cumsum(cover[:n] - np.bincount(br, minlength=n + 1)[:n])
+    # Subtree height, one level pass per depth from the deepest up.
+    phase = np.zeros(n, dtype=np.int64)
+    rows = br[np.argsort(depth[br].astype(np.uint8), kind="stable")[::-1]]
+    for level in np.split(rows, np.flatnonzero(np.diff(depth[rows])) + 1):
+        phase[level] = np.maximum(phase[left[level]], phase[right[level]]) + 1
+    order = br[np.argsort(phase[br].astype(np.uint8), kind="stable")]
+    n_groups = run_end - run_first
+    return TreeArrays(
+        node=node, kind=kind, left=left, right=right, size=size,
+        group=group, parent=parent, depth=depth, phase=phase,
+        n_groups=n_groups, n_nonzero=nz[run_end] - nz[run_first],
+        order=order, order_phase=phase[order],
+        leaf_lo=leaf_lo, leaf_hi=leaf_hi,
+        leaf_weight=n_groups[kind != BRANCH].astype(np.float64),
+    )
+
+
 class PrunedHierarchy:
     """The induced hierarchy over nonzero groups, with zero summaries.
 
@@ -129,6 +311,17 @@ class PrunedHierarchy:
     counts:
         Per-group counts for the window being summarized, indexed by
         group index (as produced by ``GroupTable.counts_from_uids``).
+
+    Attributes
+    ----------
+    arrays:
+        The :class:`TreeArrays` structure, in postorder.
+    tuples, densities:
+        Per-node tuple totals and tuples per group, in postorder.
+        Totals are summed child pair by child pair, so every value is
+        the one the :class:`PNode` recursion ``left + right`` gives.
+    leaf_actual:
+        Per leaf slot, the group's count (``0.0`` for zero summaries).
     """
 
     def __init__(self, table: GroupTable, counts: Sequence[float]) -> None:
@@ -144,123 +337,95 @@ class PrunedHierarchy:
         if np.any(counts < 0):
             raise ValueError("group counts must be nonnegative")
         self.counts = counts
-        self.root = self._build()
-        self.nodes: List[PNode] = list(self._postorder(self.root))
-        for i, pnode in enumerate(self.nodes):
-            pnode.index = i
-        self.leaves = [p for p in self.nodes if p.kind == "group"]
+        self.arrays = a = _build_arrays(table, counts > 0)
+        tuples = np.zeros(a.node.size)
+        has = a.group >= 0
+        tuples[has] = counts[a.group[has]]
+        for sl in a.phase_slices():
+            tuples[sl] = tuples[a.left[sl]] + tuples[a.right[sl]]
+        self.tuples = tuples
+        self.densities = tuples / a.n_groups
+        self.leaf_actual = tuples[a.kind != BRANCH]
+        self._nodes: Optional[List[PNode]] = None
+        self._links: Optional[Tuple[List[int], ...]] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Views
     # ------------------------------------------------------------------
-    def _build(self) -> PNode:
-        nonzero = np.nonzero(self.counts > 0)[0]
-        if nonzero.size == 0:
-            # Degenerate window: nothing observed.  A single zero node
-            # at the root lets every algorithm return a trivial (and
-            # exact) empty histogram.
-            zero = PNode(ROOT, "zero")
-            zero.n_groups = len(self.table)
-            return zero
-        leaf_nodes = [int(self.table.nodes[g]) for g in nonzero]
-        sub = self._build_range(leaf_nodes, list(map(int, nonzero)), 0, len(leaf_nodes))
-        return self._wrap(sub, ROOT)
+    @property
+    def nodes(self) -> List[PNode]:
+        """Every node as a :class:`PNode`, in postorder (built on first
+        access)."""
+        if self._nodes is None:
+            self._nodes = self._pnode_view()
+        return self._nodes
 
-    def _build_range(
-        self, leaf_nodes: List[int], group_idx: List[int], lo: int, hi: int
-    ) -> PNode:
-        """Build the subtree for the sorted slice ``[lo, hi)`` of nonzero
-        leaves, anchored at their least common ancestor."""
-        if hi - lo == 1:
-            leaf = PNode(leaf_nodes[lo], "group")
-            g = group_idx[lo]
-            leaf.group_index = g
-            leaf.n_groups = 1
-            leaf.n_nonzero = 1
-            leaf.tuples = float(self.counts[g])
-            return leaf
-        anchor = UIDDomain.lca(leaf_nodes[lo], leaf_nodes[hi - 1])
-        # Split the slice at the boundary between the anchor's left and
-        # right child ranges.  Groups are sorted by range start, so a
-        # binary search on the midpoint suffices.
-        lo_uid, hi_uid = self.domain.uid_range(anchor)
-        mid_uid = (lo_uid + hi_uid) // 2
-        split = lo
-        while split < hi and self.table.starts[group_idx[split]] < mid_uid:
-            split += 1
-        if split == lo or split == hi:  # pragma: no cover - defensive
-            raise AssertionError("LCA split produced an empty side")
-        left_sub = self._build_range(leaf_nodes, group_idx, lo, split)
-        right_sub = self._build_range(leaf_nodes, group_idx, split, hi)
-        left_sub = self._wrap(left_sub, UIDDomain.left_child(anchor))
-        right_sub = self._wrap(right_sub, UIDDomain.right_child(anchor))
-        branch = PNode(anchor, "branch")
-        self._attach(branch, left_sub, right_sub)
-        return branch
+    @property
+    def root(self) -> PNode:
+        return self.nodes[-1]
 
-    def _wrap(self, sub: PNode, top: int) -> PNode:
-        """Insert branch/zero nodes for every nonempty all-zero sibling
-        subtree on the virtual path from ``sub.node`` up to ``top``."""
-        cur = sub
-        child = sub.node
-        while child != top:
-            parent = UIDDomain.parent(child)
-            sib = UIDDomain.sibling(child)
-            z = self.table.groups_below(sib)
-            if z > 0:
-                zero = PNode(sib, "zero")
-                zero.n_groups = z
-                branch = PNode(parent, "branch")
-                if sib < child:  # sibling covers the lower range
-                    self._attach(branch, zero, cur)
-                else:
-                    self._attach(branch, cur, zero)
-                cur = branch
-            child = parent
-        return cur
+    @property
+    def leaves(self) -> List[PNode]:
+        """The group leaves, in identifier order."""
+        return [p for p in self.nodes if p.kind == "group"]
 
-    @staticmethod
-    def _attach(parent: PNode, left: PNode, right: PNode) -> None:
-        parent.left = left
-        parent.right = right
-        left.parent = parent
-        right.parent = parent
-        parent.n_groups = left.n_groups + right.n_groups
-        parent.n_nonzero = left.n_nonzero + right.n_nonzero
-        parent.tuples = left.tuples + right.tuples
+    def _pnode_view(self) -> List[PNode]:
+        a = self.arrays
+        nodes = [
+            PNode(v, KIND_NAMES[k])
+            for v, k in zip(a.node.tolist(), a.kind.tolist())
+        ]
+        for i, (p, groups, nonzero, tuples, g, li, ri) in enumerate(zip(
+            nodes, a.n_groups.tolist(), a.n_nonzero.tolist(),
+            self.tuples.tolist(), a.group.tolist(), a.left.tolist(),
+            a.right.tolist(),
+        )):
+            p.index = i
+            p.n_groups = groups
+            p.n_nonzero = nonzero
+            p.tuples = tuples
+            if g >= 0:
+                p.group_index = g
+            if li >= 0:
+                p.left, p.right = nodes[li], nodes[ri]
+                p.left.parent = p.right.parent = p
+        return nodes
 
-    @staticmethod
-    def _postorder(root: PNode) -> Iterator[PNode]:
-        stack: List[tuple] = [(root, False)]
-        while stack:
-            pnode, expanded = stack.pop()
-            if expanded or pnode.is_leaf:
-                yield pnode
-            else:
-                stack.append((pnode, True))
-                if pnode.right is not None:
-                    stack.append((pnode.right, False))
-                if pnode.left is not None:
-                    stack.append((pnode.left, False))
+    def links(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """``(node, left, right, depth)`` as Python lists (cached): the
+        reconstruction walks index these per visited node, where list
+        indexing is several times cheaper than numpy scalar access."""
+        if self._links is None:
+            a = self.arrays
+            self._links = (
+                a.node.tolist(), a.left.tolist(), a.right.tolist(),
+                a.depth.tolist(),
+            )
+        return self._links
 
     # ------------------------------------------------------------------
     # Facts
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.nodes)
+        return int(self.arrays.node.size)
+
+    @property
+    def root_node(self) -> int:
+        """Virtual node id of the pruned root."""
+        return int(self.arrays.node[-1])
 
     @property
     def num_nonzero_groups(self) -> int:
-        return self.root.n_nonzero
+        return int(self.arrays.n_nonzero[-1])
 
     @property
     def total_tuples(self) -> float:
-        return self.root.tuples
+        return float(self.tuples[-1])
 
     def max_useful_buckets(self) -> int:
         """An upper bound on the number of buckets that can still reduce
         error: one per nonzero group plus one per zero summary."""
-        return sum(1 for p in self.nodes if p.is_leaf)
+        return int(self.arrays.leaf_weight.size)
 
     def group_counts_below(self, pnode: PNode) -> np.ndarray:
         """Counts of every group (including zeros) below ``pnode``, in
@@ -271,7 +436,7 @@ class PrunedHierarchy:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PrunedHierarchy({len(self.nodes)} nodes, "
+            f"PrunedHierarchy({len(self)} nodes, "
             f"{self.num_nonzero_groups} nonzero groups, "
-            f"{self.root.n_groups} total groups)"
+            f"{int(self.arrays.n_groups[-1])} total groups)"
         )

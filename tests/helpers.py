@@ -7,6 +7,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import GroupTable, UIDDomain
+from repro.core.domain import ROOT
+from repro.core.hierarchy import PNode
 from repro.streams import TumblingWindows
 
 ALL_METRICS = ["rms", "average", "avg_relative", "max_relative"]
@@ -63,3 +65,73 @@ def naive_window_histograms(system, live, window_width, split_seed=0):
         for monitor, share in zip(system.monitors, shares)
         for win in windows.segment(share)
     }
+
+
+def recursive_hierarchy(table: GroupTable, counts: np.ndarray) -> List[PNode]:
+    """Reference pruned hierarchy, built node by node: the recursive
+    least-common-ancestor split over the nonzero groups, with a zero
+    summary inserted for every nonempty all-zero sibling on each
+    compressed path.  Returns the nodes in postorder, ``index`` set."""
+    domain = table.domain
+    counts = np.asarray(counts, dtype=np.float64)
+
+    def attach(parent: PNode, left: PNode, right: PNode) -> PNode:
+        parent.left, parent.right = left, right
+        left.parent = right.parent = parent
+        parent.n_groups = left.n_groups + right.n_groups
+        parent.n_nonzero = left.n_nonzero + right.n_nonzero
+        parent.tuples = left.tuples + right.tuples
+        return parent
+
+    def wrap(sub: PNode, top: int) -> PNode:
+        cur, child = sub, sub.node
+        while child != top:
+            parent, sib = UIDDomain.parent(child), UIDDomain.sibling(child)
+            z = table.groups_below(sib)
+            if z > 0:
+                zero = PNode(sib, "zero")
+                zero.n_groups = z
+                branch = PNode(parent, "branch")
+                cur = (
+                    attach(branch, zero, cur) if sib < child
+                    else attach(branch, cur, zero)
+                )
+            child = parent
+        return cur
+
+    def build(groups: List[int]) -> PNode:
+        if len(groups) == 1:
+            g = groups[0]
+            leaf = PNode(int(table.nodes[g]), "group")
+            leaf.group_index = g
+            leaf.n_groups = leaf.n_nonzero = 1
+            leaf.tuples = float(counts[g])
+            return leaf
+        anchor = UIDDomain.lca(
+            int(table.nodes[groups[0]]), int(table.nodes[groups[-1]])
+        )
+        lo, hi = domain.uid_range(anchor)
+        mid = (lo + hi) // 2
+        split = next(
+            k for k, g in enumerate(groups) if table.starts[g] >= mid
+        )
+        left = wrap(build(groups[:split]), UIDDomain.left_child(anchor))
+        right = wrap(build(groups[split:]), UIDDomain.right_child(anchor))
+        return attach(PNode(anchor, "branch"), left, right)
+
+    nonzero = np.flatnonzero(counts > 0).tolist()
+    if nonzero:
+        root = wrap(build(nonzero), ROOT)
+    else:
+        root = PNode(ROOT, "zero")
+        root.n_groups = len(table)
+    out: List[PNode] = []
+    stack = [(root, False)]
+    while stack:
+        p, expanded = stack.pop()
+        if expanded or p.is_leaf:
+            p.index = len(out)
+            out.append(p)
+        else:
+            stack += [(p, True), (p.right, False), (p.left, False)]
+    return out

@@ -270,9 +270,10 @@ class TestOneOverlappingSweep:
         """The arena stores each node's ``depth x width`` conditioned
         block, not ``sum(depth)`` rows padded to the widest cap."""
         budget = 30
-        _, memo = _overlapping_build(_base_counts(), budget)
+        counts = _base_counts()
+        _, memo = _overlapping_build(counts, budget)
         arena = memo.arena
-        depth = memo.arrays.depth
+        depth = PrunedHierarchy(TABLE, counts).arrays.depth
         n = depth.shape[0]
         cells = int((depth * arena.blk_w).sum())
         nbytes = sum(

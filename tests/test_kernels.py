@@ -199,6 +199,39 @@ def test_grperr_many_matches_grperr(seed, mname):
         assert np.array_equal(many, each), (mname, node.index)
 
 
+@pytest.mark.parametrize("integer", [True, False])
+@pytest.mark.parametrize("mname", ALL_METRICS)
+def test_grperr_rows_match_per_density_loop(mname, integer):
+    """The stacked multi-leaf rows of ``grperr_rows`` equal the
+    per-density ``grperr_many`` loop bit for bit (int64 views), for
+    every leaf-slice length from 2 to 8, mixed in one call with
+    single-leaf rows."""
+    metric = get_metric(mname)
+    rng = np.random.default_rng(17)
+    seen = set()
+    for seed in range(40):
+        _dom, table, counts = random_instance(
+            seed, height_range=(4, 8), max_count=400
+        )
+        if not integer:
+            counts = counts * rng.random(counts.size) * 3.7
+        h = PrunedHierarchy(table, counts)
+        with use_kernel_mode("fast"):
+            ctx = DPContext(h, metric)
+        lengths = ctx.leaf_hi - ctx.leaf_lo
+        idx = np.flatnonzero(lengths <= 8)
+        seen.update(lengths[idx].tolist())
+        dens = rng.random((idx.size, 6)) * counts.max() * 1.3
+        dens[:, 0] = 0.0
+        got = ctx.grperr_rows(idx, dens)
+        want = np.array([
+            ctx.grperr_many(h.nodes[i], dens[k])
+            for k, i in enumerate(idx.tolist())
+        ])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert set(range(1, 9)) <= seen
+
+
 @pytest.mark.parametrize("mname", ALL_METRICS)
 @pytest.mark.parametrize("seed", range(6))
 def test_own_errors_match_naive_grperr(seed, mname):
