@@ -11,6 +11,9 @@ recorded trajectory.  The exit status is
 non-zero when any point's fast curve is not identical, so the tiny
 grid doubles as an identity smoke test.
 
+Every (point, mode) is built ``REPS`` times and reports the minimum,
+so the recorded trajectory does not move with one noisy build.
+
 Usage::
 
     python benchmarks/bench_kernel.py               # full grid
@@ -62,6 +65,9 @@ TINY_SIZES: List[Tuple[int, int, float, float]] = [(10, 30_000, 0.05, 0.02)]
 TINY_BUDGETS = [20]
 
 MODES = ["naive", "fast"]
+
+#: Timed builds per (point, mode); each reports the minimum.
+REPS = 5
 
 ALGORITHMS = {
     "nonoverlapping": build_nonoverlapping,
@@ -124,10 +130,13 @@ def run_grid(grid: str) -> Dict[str, object]:
                 seconds: Dict[str, float] = {}
                 curves: Dict[str, np.ndarray] = {}
                 for mode in MODES:
+                    times = []
                     with use_kernel_mode(mode):
-                        t0 = time.perf_counter()
-                        result = builder(hierarchy, metric, budget)
-                        seconds[mode] = time.perf_counter() - t0
+                        for _ in range(REPS):
+                            t0 = time.perf_counter()
+                            result = builder(hierarchy, metric, budget)
+                            times.append(time.perf_counter() - t0)
+                    seconds[mode] = min(times)
                     curves[mode] = np.asarray(result.curve, dtype=np.float64)
                 point = {
                     "workload": workload,
@@ -165,6 +174,7 @@ def run_grid(grid: str) -> Dict[str, object]:
         "generated_by": "benchmarks/bench_kernel.py",
         "grid": grid,
         "modes": MODES,
+        "reps": REPS,
         "points": points,
         "largest_point": {
             "groups": largest["workload"]["groups"],

@@ -186,7 +186,6 @@ class OverlappingDP:
         ar = hierarchy.arrays
         fast = kernel_mode() != "naive"
         self.ctx = DPContext(hierarchy, metric)
-        self._depths = ar.depth
         self._base, self._under = self._base_under_masks(ar)
         self._caps, self._blk_w, self._size_b = self._shape(ar)
         # Bucket-case expansions ``(node index, b) -> buckets``, shared

@@ -25,18 +25,23 @@ arithmetic:
       per-depth ancestor-mask loop of
       :meth:`~.partition.PartitioningFunction._matches_by_depth`.
     * **overlapping semantics**: an identifier maps to *all* matching
-      ancestors.  Buckets are grouped by *nesting level* (number of
-      enclosing buckets); within a level intervals are disjoint, so
-      after one shared segment lookup each level is a gather plus a
-      bincount.  The number of levels
-      is bounded by — and usually far smaller than — the number of
-      populated depths the naive path loops over.
+      ancestors (Section 3.2.3), so a count(*) bucket is a range count
+      over the elementary segments its interval covers.  Per window
+      that is one shifted integer ``bincount`` over the segment
+      indices and one ``cumsum``: each bucket is a difference of two
+      prefix sums, and the unmatched tuples are the window total minus
+      the top-level buckets (which are disjoint and contain every
+      deeper one).  A ``sum(value)`` window keeps per-level
+      accumulation, because float sums must add in tuple order:
+      buckets are grouped by *nesting level* (number of enclosing
+      buckets), within a level intervals are disjoint, and after the
+      shared segment lookup each level is a gather plus a bincount.
 
     A count(*) window (no ``values``) needs no weights at all: its
-    buckets and its unmatched tuples come out of one unweighted integer
-    ``bincount``, which is exact.  Every output is built by the trusted
-    :meth:`~.partition.Histogram.from_slots` constructor, since the
-    slot layout is already sorted and distinct.
+    buckets and its unmatched tuples come out of unweighted integer
+    ``bincount`` arithmetic, which is exact.  Every output is built by
+    the trusted :meth:`~.partition.Histogram.from_slots` constructor,
+    since the slot layout is already sorted and distinct.
 
 :class:`CompiledEstimator`
     The Control Center's uniform-spread reconstruction compiles to a
@@ -223,18 +228,31 @@ class CompiledPartitioner:
             )
         )
         self._segments = _SegmentLookup(bounds, domain.num_uids)
+        # Slot ``s`` covers the elementary segments ``[seg_lo, seg_hi)``.
+        seg_lo = np.searchsorted(bounds, los)
+        seg_hi = np.searchsorted(bounds, his)
         owner = self._segments.table()
         for i in sorted(range(n), key=lambda k: depths[k]):
-            a = int(np.searchsorted(bounds, los[i]))
-            b = int(np.searchsorted(bounds, his[i]))
-            owner[a:b] = i
+            owner[seg_lo[i]:seg_hi[i]] = i
         self._seg_owner = owner
 
+        # Overlapping count(*) is a range count per slot: over the
+        # window's shifted segment bincount (column ``1 + seg``) its
+        # inclusive prefix sum ``C`` gives slot ``s`` the count
+        # ``C[seg_hi] - C[seg_lo]``.  Top-level slots are disjoint and
+        # contain every deeper one, so the tuples they leave out are
+        # exactly the unmatched ones.
+        self._seg_lo = seg_lo
+        self._seg_hi = seg_hi
+        #: Bin columns (``1 + slot``) of the top-level slots.
+        self._top_bins = np.flatnonzero(parent < 0) + 1
+
         # Per-nesting-level disjoint interval tables (overlapping
-        # matching): level k holds (interval count, slot ids, and a
-        # segment -> interval-position table).  A window then needs one
-        # searchsorted into ``bounds`` total; each level is a gather +
-        # bincount over the shared segment indices.
+        # ``sum(value)``): level k holds (interval count, slot ids, and
+        # a segment -> interval-position table).  A window then needs
+        # one segment lookup total; each level is a gather + float
+        # bincount over the shared segment indices, which keeps every
+        # bucket's accumulation in tuple order.
         self._levels = []
         if self.overlapping:
             for lv in range(int(level.max()) + 1 if n else 0):
@@ -243,9 +261,7 @@ class CompiledPartitioner:
                 sel = sel[order]
                 seg_pos = self._segments.table()
                 for j, i in enumerate(sel):
-                    a = int(np.searchsorted(bounds, los[i]))
-                    b = int(np.searchsorted(bounds, his[i]))
-                    seg_pos[a:b] = j
+                    seg_pos[seg_lo[i]:seg_hi[i]] = j
                 self._levels.append((int(sel.size), sel, seg_pos))
 
     # -- compile cache -----------------------------------------------------
@@ -279,9 +295,10 @@ class CompiledPartitioner:
         tuples no bucket matched, column ``1 + s`` slot ``s`` — plus the
         per-tuple matched mask (``None`` for count(*), which needs
         none).  ``win`` gives each tuple's window (``None``: one
-        window).  ``weights=None`` is count(*): one unweighted integer
-        ``bincount``, exact.  Otherwise the sums are float ``bincount``
-        accumulations in tuple order, bit-identical to the naive path.
+        window).  ``weights=None`` is count(*): unweighted integer
+        ``bincount`` arithmetic, exact.  Otherwise the sums are float
+        ``bincount`` accumulations in tuple order, bit-identical to the
+        naive path.
         """
         if not self.overlapping:
             slot = self.match_slots(uids)
@@ -290,13 +307,23 @@ class CompiledPartitioner:
             )
             return bins, (slot >= 0 if weights is not None else None)
         seg = self._segments(uids)
+        if weights is None:
+            # One segment bincount, then range counts from its prefix
+            # sums; the last prefix column is the window's tuple count.
+            cum = _shifted_bincount(
+                seg, None, win, n_win, self._segments.bounds.size
+            ).cumsum(axis=1)
+            bins = np.empty((n_win, self.slot_nodes.size + 1), np.int64)
+            bins[:, 1:] = cum[:, self._seg_hi] - cum[:, self._seg_lo]
+            bins[:, 0] = cum[:, -1] - bins[:, self._top_bins].sum(axis=1)
+            return bins, None
         for k, (width, slots, seg_pos) in enumerate(self._levels):
             pos = seg_pos[seg]
             local = _shifted_bincount(pos, weights, win, n_win, width)
             if k == 0:
                 # Top-level intervals contain every deeper one, so a
                 # tuple unmatched at level 0 matches nothing at all.
-                matched = pos >= 0 if weights is not None else None
+                matched = pos >= 0
                 bins = np.zeros(
                     (n_win, self.slot_nodes.size + 1), dtype=local.dtype
                 )

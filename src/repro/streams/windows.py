@@ -8,7 +8,6 @@ per period) and overlapping sliding windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -18,19 +17,38 @@ from .tuples import Trace
 __all__ = ["Window", "TumblingWindows", "SlidingWindows"]
 
 
-@dataclass(frozen=True)
 class Window:
     """One window of a stream: its time extent, the identifiers in it
-    and (for weighted streams) their parallel per-tuple values."""
+    and (for weighted streams) their parallel per-tuple values.
 
-    index: int
-    start: float
-    end: float
-    uids: np.ndarray
-    values: Optional[np.ndarray] = None
+    A plain slotted record: segmentation makes one per window, and
+    thousands of small windows make its constructor a visible cost."""
+
+    __slots__ = ("index", "start", "end", "uids", "values")
+
+    def __init__(
+        self,
+        index: int,
+        start: float,
+        end: float,
+        uids: np.ndarray,
+        values: Optional[np.ndarray] = None,
+    ) -> None:
+        self.index = index
+        self.start = start
+        self.end = end
+        self.uids = uids
+        self.values = values
 
     def __len__(self) -> int:
         return int(self.uids.size)
+
+    def __repr__(self) -> str:
+        return (
+            f"Window(index={self.index}, start={self.start!r}, "
+            f"end={self.end!r}, tuples={len(self)}, "
+            f"weighted={self.values is not None})"
+        )
 
 
 def _cut(

@@ -222,7 +222,7 @@ def _recursive_buckets(dp: OverlappingDP, b: int) -> List[Bucket]:
         if b <= 0:
             return
         rec = dp.records[p.index]
-        row = int(dp._depths[j_idx])
+        row = int(dp.hierarchy.arrays.depth[j_idx])
         flags = rec.flags_block[row]
         b = min(b, len(flags) - 1)
         if flags[b] != _NOT_BUCKET:

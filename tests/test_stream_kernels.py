@@ -14,6 +14,10 @@ Covered here, over randomized functions and windows:
   identifiers outside the domain (dense and binary-search lookups);
 * batched :meth:`~repro.core.compiled.CompiledPartitioner.build_histograms`
   vs one call per window;
+* the overlapping count(*) range-count kernel, single and batched, vs
+  the naive path: dense and binary-search domains, out-of-domain ids,
+  empty windows inside a batch, one and many nesting levels, and the
+  per-level ``sum(value)`` path beside it;
 * :class:`~repro.core.compiled.CompiledEstimator` vs
   :func:`~repro.core.estimate.reconstruct_estimates`;
 * vectorized :meth:`~repro.core.partition.Histogram.merge` vs bucketwise
@@ -226,6 +230,103 @@ class TestOutOfDomainIdentifiers:
             _assert_histograms_identical(fn.build_histogram(uids), got)
             assert got.unmatched == 1.0 and got.total == 1.0
             assert not np.any(got.values)
+
+
+def _bits(h):
+    """A histogram's outputs as exact bit patterns: nodes, the values
+    viewed as int64, and ``unmatched``/``total`` as float64 bits."""
+    scalars = np.asarray([h.unmatched, h.total], dtype=np.float64)
+    return (
+        h.nodes.tolist(),
+        h.values.view(np.int64).tolist(),
+        scalars.view(np.int64).tolist(),
+    )
+
+
+class TestOverlappingRangeCounts:
+    """Overlapping count(*) windows are range counts over the elementary
+    segments (one segment bincount plus prefix sums); ``sum(value)``
+    windows keep the per-level bincounts.  Both must stay bit-identical
+    to the naive ``OverlappingPartitioning.build_histogram``."""
+
+    @staticmethod
+    def _function(rng, domain, deep):
+        h = domain.height
+        if deep:
+            # A chain of nested ancestors of one identifier, plus a few
+            # random nodes: several nesting levels.
+            uid = int(rng.integers(0, domain.num_uids))
+            depths = rng.choice(h + 1, size=min(h + 1, 6), replace=False)
+            nodes = {int(domain.node(int(d), uid >> (h - int(d))))
+                     for d in depths}
+            for _ in range(int(rng.integers(0, 6))):
+                d = int(rng.integers(0, h + 1))
+                nodes.add(int(domain.node(d, int(rng.integers(0, 1 << d)))))
+        else:
+            # Disjoint buckets at one depth: a single nesting level.
+            d = int(rng.integers(1, min(h, 6) + 1))
+            prefixes = rng.choice(
+                1 << d, size=int(rng.integers(1, min(8, 1 << d) + 1)),
+                replace=False,
+            )
+            nodes = {int(domain.node(d, int(p))) for p in prefixes}
+        return OverlappingPartitioning(domain, [Bucket(n) for n in nodes])
+
+    @staticmethod
+    def _window(rng, domain, n):
+        """``n`` identifiers: mostly in the domain, some negative and
+        some at or above ``2**h``."""
+        n_uids = domain.num_uids
+        uids = rng.integers(0, n_uids, size=n)
+        kind = rng.integers(0, 8, size=n)
+        neg, high = kind == 0, kind == 1
+        uids[neg] = -rng.integers(1, 1 << 40, size=int(neg.sum()))
+        uids[high] = n_uids + rng.integers(0, 1 << 20, size=int(high.sum()))
+        return uids
+
+    # Heights up to 20 take the dense uid -> segment table (2**20 is the
+    # dense cap); 21 and 40 take the binary search.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        height=st.sampled_from([3, 9, 20, 21, 40]),
+        deep=st.booleans(),
+        weighted=st.booleans(),
+    )
+    def test_single_and_batched_equal_naive(
+        self, seed, height, deep, weighted
+    ):
+        rng = np.random.default_rng(seed)
+        domain = UIDDomain(height)
+        fn = self._function(rng, domain, deep)
+        compiled = CompiledPartitioner.for_function(fn)
+        sizes = [int(rng.integers(0, 60))
+                 for _ in range(int(rng.integers(1, 5)))]
+        sizes.insert(int(rng.integers(0, len(sizes) + 1)), 0)
+        windows = [self._window(rng, domain, n) for n in sizes]
+        values = (
+            [rng.normal(size=w.size) * 10.0 for w in windows]
+            if weighted else None
+        )
+        batched = compiled.build_histograms(windows, values)
+        for k, uids in enumerate(windows):
+            vals = None if values is None else values[k]
+            want = _bits(fn.build_histogram(uids, values=vals))
+            assert _bits(compiled.build_histogram(uids, values=vals)) == want
+            assert _bits(batched[k]) == want
+
+    def test_only_out_of_domain_and_empty(self):
+        domain = UIDDomain(21)
+        fn = OverlappingPartitioning(
+            domain, [Bucket(1), Bucket(domain.node(4, 3))]
+        )
+        compiled = CompiledPartitioner.for_function(fn)
+        outside = np.asarray([-1, -(2**50), domain.num_uids, 2**61])
+        empty = np.zeros(0, dtype=np.int64)
+        batched = compiled.build_histograms([empty, outside, empty])
+        for uids, got in zip([empty, outside, empty], batched):
+            assert _bits(got) == _bits(fn.build_histogram(uids))
+        assert batched[1].unmatched == 4.0 and not batched[1].values.size
 
 
 class TestCompiledEstimator:
