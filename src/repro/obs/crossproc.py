@@ -261,7 +261,7 @@ def _pool_distribution(
                 f"cannot pool {child.name!r}: bucket bounds differ "
                 f"({tuple(child.bounds)} vs {tuple(state.bounds)})"
             )
-        child.note_change()
+        increments = child.note_change()
         child.count += state.count
         child.sum += state.sum
         if state.count:
@@ -269,10 +269,11 @@ def _pool_distribution(
                 child.min = state.min
             if state.max > child.max:
                 child.max = state.max
-        child.bucket_counts = [
-            have + add
-            for have, add in zip(child.bucket_counts, state.bucket_counts)
-        ]
+        for i, add in enumerate(state.bucket_counts):
+            if add:
+                child.bucket_counts[i] += add
+                if increments is not None:
+                    increments[i] = increments.get(i, 0) + add
 
 
 def replay_worker_events(journal: object, doc: Dict[str, object]) -> None:

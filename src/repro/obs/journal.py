@@ -97,6 +97,11 @@ EVENT_TYPES = (
 )
 
 
+#: One shared encoder: ``json.dumps(record, sort_keys=True)`` builds a
+#: new ``JSONEncoder`` per call, with these very settings.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
 class _Journal:
     """What every live journal shares: the lock, the gapless sequence
     ids, the monotonic ``ts`` and the record shape.  Subclasses supply
@@ -161,7 +166,7 @@ class EventJournal(_Journal):
             self.path = getattr(sink, "name", None)
 
     def _write(self, record: Dict) -> None:
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+        self._file.write(_ENCODE(record) + "\n")
         self._file.flush()
 
     def close(self) -> None:

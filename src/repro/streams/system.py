@@ -416,7 +416,10 @@ class MonitoringSystem:
                     error = float(cc.error(decoded.estimates, actual))
                     raw = self.channel.raw_stream_bytes(int(uids.size))
                     quality = decoded.quality or _NO_QUALITY
-                    window_report = WindowReport(
+                    # The report's fields, in declaration order; every
+                    # one is a number, so this shallow dict is what
+                    # ``asdict`` would copy.
+                    row = dict(
                         window_index=w,
                         tuples=int(uids.size),
                         error=error,
@@ -433,12 +436,12 @@ class MonitoringSystem:
                         occupancy_skew=quality.occupancy_skew,
                         drift_score=quality.drift_score,
                     )
-                    report.windows.append(window_report)
+                    report.windows.append(WindowReport(**row))
                     report.raw_bytes += raw
                     if telemetry_on():
                         # The decode event carries the full WindowReport
                         # so replay can rebuild it field-for-field.
-                        emit("decode", **asdict(window_report))
+                        emit("decode", **row)
                     self._after_window(w, decoded, actual, report)
                     # One time-series point per decoded window:
                     # counters as deltas, gauges as levels, timers as
@@ -451,9 +454,7 @@ class MonitoringSystem:
                     if slo.enabled:
                         signals = {
                             name: float(value)
-                            for name, value in asdict(
-                                window_report
-                            ).items()
+                            for name, value in row.items()
                             if isinstance(value, (int, float))
                         }
                         if tracer.enabled:

@@ -26,6 +26,7 @@ from repro.obs import (
     use_registry,
     write_metrics,
 )
+from repro.obs.registry import _NULL_CONTEXT, _NULL_INSTRUMENT, _label_items
 from repro.obs.spans import _NULL_SPAN
 
 
@@ -92,6 +93,31 @@ class TestRegistry:
         registry.counter("yes", a="1").inc(2)
         assert registry.get("counter", "yes", a="1").value == 2
 
+    def test_timer_observes_a_raising_body(self, registry):
+        t = registry.timer("work")
+        with pytest.raises(RuntimeError):
+            with t.time():
+                raise RuntimeError("boom")
+        assert t.count == 1
+        with t.time() as value:
+            pass
+        assert value is None
+        assert t.count == 2
+
+    def test_observe_buckets(self, registry):
+        """``value <= bound`` picks the bucket; NaN and +inf overflow."""
+        h = registry.histogram("edges")
+        bounds = h.bounds
+        for value in (bounds[0], bounds[3], -1.0, float("-inf"), 0.0,
+                      bounds[-1], float("inf"), float("nan")):
+            h.observe(value)
+        expected = [0] * (len(bounds) + 1)
+        expected[0] = 4  # bounds[0], -1, -inf, 0
+        expected[3] = 1
+        expected[len(bounds) - 1] = 1
+        expected[-1] = 2  # +inf, NaN
+        assert h.bucket_counts == expected
+
     def test_thread_safety(self, registry):
         c = registry.counter("shared")
 
@@ -105,6 +131,96 @@ class TestRegistry:
         for t in threads:
             t.join()
         assert c.value == 4000
+
+
+class TestHandles:
+    """Repeat lookups answer from the handle dict, with the same child
+    the sorted, stringified label path resolves."""
+
+    @staticmethod
+    def _by_items(registry, kind, name, **labels):
+        return registry._metrics[(kind, name)][_label_items(labels)]
+
+    def test_permuted_kwargs_share_a_child(self, registry):
+        first = registry.counter("x", a="1", b="2")
+        for _ in range(2):
+            assert registry.counter("x", b="2", a="1") is first
+            assert registry.counter("x", a="1", b="2") is first
+        assert first is self._by_items(registry, "counter", "x", a="1", b="2")
+
+    def test_stringified_values_share_a_child(self, registry):
+        text = registry.counter("x", monitor="1")
+        for _ in range(2):
+            assert registry.counter("x", monitor=1) is text
+            assert registry.counter("x", monitor="1") is text
+        # 1 == True == 1.0, but they stringify apart: no handle may
+        # conflate them.
+        assert registry.counter("x", monitor=True).labels == (
+            ("monitor", "True"),
+        )
+        assert registry.counter("x", monitor=1.0).labels == (
+            ("monitor", "1.0"),
+        )
+        assert registry.counter("x", monitor=1) is text
+
+    def test_unhashable_label_value(self, registry):
+        child = registry.counter("x", tags=["a", "b"])
+        child.inc()
+        assert registry.counter("x", tags=["a", "b"]) is child
+        assert child.labels == (("tags", "['a', 'b']"),)
+        assert child.value == 1
+
+    def test_kinds_stay_distinct(self, registry):
+        counter = registry.counter("same")
+        histogram = registry.histogram("same")
+        assert counter is not histogram
+        for _ in range(2):
+            assert registry.counter("same") is counter
+            assert registry.histogram("same") is histogram
+        assert registry.timer("same") is not histogram
+
+    def test_null_registry_keeps_the_shared_instrument(self):
+        for _ in range(2):
+            assert NULL_REGISTRY.counter("x", a="1") is _NULL_INSTRUMENT
+            assert NULL_REGISTRY.timer("t", monitor=1) is _NULL_INSTRUMENT
+        assert NULL_REGISTRY._handles == {}
+        assert NULL_REGISTRY.timer("t").time() is _NULL_CONTEXT
+
+    def test_steady_state_window_skips_label_sorting(self, monkeypatch):
+        from repro.data import generate_subnet_table
+        from repro.data.traffic import generate_timestamped_trace
+        from repro.obs import EventJournal, LifecycleTracer, use_journal
+        from repro.obs import use_tracer
+        from repro.obs import registry as registry_module
+        from repro.streams import FaultModel, MonitoringSystem, Trace
+
+        table = generate_subnet_table(UIDDomain(10), seed=2)
+        ts, uids = generate_timestamped_trace(
+            table, 3000, duration=20.0, seed=4
+        )
+        trace = Trace(ts, uids)
+        history, live = trace.slice_time(0, 10), trace.slice_time(10, 20)
+        system = MonitoringSystem(
+            table, get_metric("rms"), num_monitors=3, budget=30,
+            faults=FaultModel.parse("drop=0.2,dup=0.1,delay=0.2,seed=3"),
+        )
+        reg = MetricsRegistry()
+        calls = []
+        real = registry_module._label_items
+
+        def counted(labels):
+            calls.append(dict(labels))
+            return real(labels)
+
+        with use_registry(reg), use_tracer(LifecycleTracer()), \
+                use_journal(EventJournal(io.StringIO())):
+            system.train(history)
+            system.run(live, window_width=2.0)
+            windows = len(reg.window_series)
+            monkeypatch.setattr(registry_module, "_label_items", counted)
+            system.run(live, window_width=2.0)
+        assert len(reg.window_series) == 2 * windows > 0
+        assert calls == []
 
 
 class TestNullRegistry:
