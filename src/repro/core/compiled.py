@@ -446,8 +446,9 @@ class CompiledEstimator:
     def __init__(
         self, table: GroupTable, function: PartitioningFunction
     ) -> None:
-        self.table = table
-        self.function = function
+        # No reference to ``function``: the estimator is the value of a
+        # cache keyed weakly by it, and a value that pins its key is
+        # never dropped.
         self.slot_nodes = np.asarray(function.match_nodes, dtype=np.int64)
         spread = _spread_data(table, function)
         assigned = spread.assigned

@@ -26,6 +26,9 @@ Covered here, over randomized functions and windows:
 * the mode machinery itself.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,6 +366,17 @@ class TestCompiledEstimator:
         assert CompiledEstimator.for_pair(
             table, fn
         ) is CompiledEstimator.for_pair(table, fn)
+
+    def test_estimator_cache_does_not_pin_its_function(self):
+        """A retired function is freed with its cached estimator, so an
+        adaptive run does not keep every function it ever installed."""
+        table = GroupTable(DOM, [DOM.node(5, p) for p in range(32)])
+        fn = NonoverlappingPartitioning(DOM, [Bucket(DOM.node(1, 0))])
+        CompiledEstimator.for_pair(table, fn)
+        gone = weakref.ref(fn)
+        del fn
+        gc.collect()
+        assert gone() is None
 
 
 class TestVectorizedMerge:
