@@ -1,9 +1,10 @@
 """Subtree-memoized incremental DP rebuilds.
 
 The paper leaves recalibration *policy* open; the drift detector
-answers "when", and this module answers "how much work" — a rebuild
-should cost time proportional to the drift, not to ``|G|``.  The lever
-is the tree structure of the dynamic programs themselves:
+answers "when" (from each window's quality drift score), and this
+module answers "how much work" — a rebuild should cost time
+proportional to the drift, not to ``|G|``.  The lever is the tree
+structure of the dynamic programs themselves:
 
 * **Nonoverlapping.**  The table ``E[i, .]`` (and its recorded split
   choices) depends only on the *content* of ``i``'s pruned subtree —
@@ -58,7 +59,9 @@ the naive oracle with zero tolerance.
 Each session also diffs the new counts against the counts the previous
 memo was built from (the warehouse history the standing function
 used), reporting ``dirty_groups`` alongside the subtree reuse counters
-so the drift signals (``quality.drift_score``, occupancy skew) can
+so the drift signals every decoded window carries (``drift_score`` and
+occupancy skew on each ``WindowReport``, computed whether or not
+telemetry is live; the ``quality.*`` gauges export them) can
 corroborate what the rebuild actually re-solved.
 """
 

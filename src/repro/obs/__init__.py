@@ -51,11 +51,6 @@ from .quality import (
     QUALITY_GAUGES,
     QualityTracker,
     WindowQuality,
-    drift_score,
-    normalized_distribution,
-    occupancy_entropy,
-    occupancy_skew,
-    total_variation,
 )
 from .journal import (
     NULL_JOURNAL,
@@ -150,11 +145,6 @@ __all__ = [
     "WindowQuality",
     "QualityTracker",
     "QUALITY_GAUGES",
-    "normalized_distribution",
-    "total_variation",
-    "drift_score",
-    "occupancy_entropy",
-    "occupancy_skew",
     # event journal
     "EventJournal",
     "BufferJournal",

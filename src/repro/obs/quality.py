@@ -20,42 +20,42 @@ stream alone, per window:
   family).
 * **duplicate / stale rates** — redundant and stale-version deliveries
   as a fraction of the window's messages.
-* **drift score** — the :class:`~repro.streams.recalibrate.
-  BucketDriftDetector` quantity: total-variation distance between the
-  window's normalized bucket distribution and a reference distribution
-  (re-anchored whenever the function version changes), plus the
-  unmatched fraction.  The detector itself delegates to the helpers
-  here, so the gauge and the recalibration trigger agree by
-  construction.
+* **drift score** — total-variation distance between the window's
+  normalized bucket distribution and a reference distribution, plus
+  the unmatched fraction.  The reference is the first window with
+  traffic in each run under each function version.
+  :class:`~repro.streams.recalibrate.BucketDriftDetector` reads this
+  number, so the recalibration trigger, the ``drift`` event and the
+  ``quality.drift_score`` gauge are one value.
 
-:class:`QualityTracker` bundles the per-window computation and the
-reference bookkeeping; ``ControlCenter.decode_window`` owns one and
-exports each signal as a ``quality.*`` gauge.  Pure stdlib — this
-module must stay importable from anywhere (it sits below the streams
-layer).
+:class:`QualityTracker` scores each decoded window in slot space: the
+window arrives as dense per-slot sums over the current function's
+sorted bucket nodes (:attr:`~repro.core.compiled.CompiledEstimator.
+slot_nodes`), the reference is one array of the same layout, and every
+signal is a few numpy reductions.  ``ControlCenter.decode_window``
+owns one tracker and runs it on every window, so a report does not
+depend on whether telemetry is live; the telemetry plane only exports
+the values as ``quality.*`` gauges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Optional
+from typing import Dict, NamedTuple, Optional
 
-__all__ = [
-    "WindowQuality",
-    "QualityTracker",
-    "normalized_distribution",
-    "total_variation",
-    "drift_score",
-    "occupancy_entropy",
-    "occupancy_skew",
-    "QUALITY_GAUGES",
-]
+import numpy as np
+
+__all__ = ["WindowQuality", "QualityTracker", "QUALITY_GAUGES"]
+
+_add = np.add.reduce
+_max = np.maximum.reduce
 
 
-@dataclass(frozen=True)
-class WindowQuality:
-    """One window's online quality signals (see module docstring)."""
+class WindowQuality(NamedTuple):
+    """One window's online quality signals (see module docstring).
+
+    A named tuple rather than a frozen dataclass: it is built once per
+    decoded window, and a tuple is several times cheaper to build."""
 
     spill_fraction: float = 0.0
     occupancy_entropy: float = 0.0
@@ -66,88 +66,36 @@ class WindowQuality:
     drift_score: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 #: Gauge family exported per signal: ``quality.<field>``.
-QUALITY_GAUGES = tuple(
-    f"quality.{f.name}" for f in fields(WindowQuality)
-)
-
-
-def normalized_distribution(
-    counts: Dict[int, float], unmatched: float = 0.0
-) -> Dict[int, float]:
-    """Per-bucket probability mass (unmatched traffic in the
-    denominator but carrying no bucket); ``{}`` for an empty window."""
-    total = sum(counts.values()) + unmatched
-    if total <= 0:
-        return {}
-    return {node: c / total for node, c in counts.items()}
-
-
-def total_variation(a: Dict[int, float], b: Dict[int, float]) -> float:
-    """Total-variation distance between two bucket distributions."""
-    nodes = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(n, 0.0) - b.get(n, 0.0)) for n in nodes)
-
-
-def drift_score(
-    reference: Dict[int, float],
-    counts: Dict[int, float],
-    unmatched: float = 0.0,
-) -> float:
-    """The drift-detector quantity for one window against a reference
-    distribution: TV distance plus the unmatched-traffic fraction."""
-    current = normalized_distribution(counts, unmatched)
-    total = sum(counts.values()) + unmatched
-    unmatched_fraction = unmatched / total if total > 0 else 0.0
-    return total_variation(reference, current) + unmatched_fraction
-
-
-def occupancy_entropy(
-    values: Iterable[float], num_buckets: int
-) -> float:
-    """Normalized Shannon entropy of the matched-bucket occupancy
-    (``0`` for an empty window or a single-bucket function)."""
-    values = [v for v in values if v > 0]
-    total = sum(values)
-    if total <= 0 or num_buckets <= 1:
-        return 0.0
-    entropy = 0.0
-    for v in values:
-        p = v / total
-        entropy -= p * math.log2(p)
-    return entropy / math.log2(num_buckets)
-
-
-def occupancy_skew(values: Iterable[float], num_buckets: int) -> float:
-    """Peak-to-uniform occupancy ratio: the largest bucket's share of
-    matched traffic times the bucket count (``0`` when empty)."""
-    values = [v for v in values if v > 0]
-    total = sum(values)
-    if total <= 0 or num_buckets <= 0:
-        return 0.0
-    return max(values) / total * num_buckets
+QUALITY_GAUGES = tuple(f"quality.{name}" for name in WindowQuality._fields)
 
 
 class QualityTracker:
     """Per-decoder quality bookkeeping.
 
-    Holds the drift reference distribution — anchored to the first
-    window decoded under each function version, exactly like
-    :class:`~repro.streams.recalibrate.BucketDriftDetector` — and
-    produces one :class:`WindowQuality` per decoded window.
+    Holds the drift reference — the per-slot shares of the first window
+    with traffic decoded under the current function version since the
+    last :meth:`reset` — and produces one :class:`WindowQuality` per
+    decoded window.  A window without traffic never becomes the
+    reference: it would make every later window look drifted.
     """
 
     def __init__(self) -> None:
-        self._reference: Optional[Dict[int, float]] = None
+        self._reference: Optional[np.ndarray] = None
         self._version: Optional[int] = None
-        self.last: Optional[WindowQuality] = None
+
+    def reset(self) -> None:
+        """Drop the reference; the next window with traffic anchors a
+        new one (called at the start of every run)."""
+        self._reference = None
+        self._version = None
 
     def observe(
         self,
-        counts: Dict[int, float],
+        sums: np.ndarray,
         unmatched: float,
         num_buckets: int,
         version: int,
@@ -156,27 +104,45 @@ class QualityTracker:
         duplicates: int,
         stale: int,
     ) -> WindowQuality:
-        """Score one decoded window's merged histogram."""
+        """Score one decoded window.
+
+        ``sums`` holds the merged per-slot bucket counts in the current
+        function's slot layout (it may be empty when no histogram was
+        usable); ``unmatched`` is the merged trash-bin count.  The
+        result depends only on these values, so every decode path that
+        produces the same sums yields the same bits."""
         if version != self._version:
             self._reference = None
             self._version = version
-        matched = sum(counts.values())
+        matched = float(_add(sums))
         total = matched + unmatched
-        if self._reference is None:
-            self._reference = normalized_distribution(counts, unmatched)
-            drift = 0.0
-        else:
-            drift = drift_score(self._reference, counts, unmatched)
-        quality = WindowQuality(
-            spill_fraction=unmatched / total if total > 0 else 0.0,
-            occupancy_entropy=occupancy_entropy(
-                counts.values(), num_buckets
-            ),
-            occupancy_skew=occupancy_skew(counts.values(), num_buckets),
-            coverage=coverage,
-            duplicate_rate=duplicates / messages if messages else 0.0,
-            stale_rate=stale / messages if messages else 0.0,
-            drift_score=drift,
+        spill = entropy = skew = drift = 0.0
+        if total > 0:
+            spill = unmatched / total
+            shares = sums / total
+            if self._reference is None:
+                self._reference = shares
+            else:
+                diff = self._reference - shares
+                drift = 0.5 * float(_add(np.abs(diff, out=diff))) + spill
+        elif self._reference is not None:
+            # No traffic at all: every reference share is lost mass.
+            drift = 0.5 * float(_add(self._reference))
+        if matched > 0 and num_buckets > 0:
+            # Occupancy is the distribution of matched traffic; without
+            # spill, ``shares`` already holds exactly those quotients.
+            occupancy = shares if total == matched else sums / matched
+            p = occupancy.compress(occupancy > 0.0)
+            skew = float(_max(p)) * num_buckets
+            if num_buckets > 1:
+                # ``0.0 - x``, not ``-x``: a single occupied bucket
+                # sums to 0.0, which must not turn into -0.0.
+                entropy = (0.0 - float(_add(p * np.log2(p)))) / math.log2(
+                    num_buckets
+                )
+        return WindowQuality(
+            spill, entropy, skew, coverage,
+            duplicates / messages if messages else 0.0,
+            stale / messages if messages else 0.0,
+            drift,
         )
-        self.last = quality
-        return quality

@@ -44,11 +44,11 @@ from ..core.wire import WireHistogram, merge_views
 # Not on the decode path; re-exported for tools that wrap it by this name.
 from ..core.wire import merge_wire  # noqa: F401
 from ..obs import (
+    QUALITY_GAUGES,
     QualityTracker,
     WindowQuality,
     emit,
     get_registry,
-    get_slo_engine,
     get_tracer,
     span,
     telemetry_on,
@@ -117,10 +117,9 @@ class DecodedWindow:
     #: Buckets carried by the used payloads (decode-time cost; the
     #: Monitors encode nonzero buckets only).
     nonzero_buckets: int
-    #: Online quality signals for this window (``None`` when neither
-    #: metrics nor the journal are enabled — the disabled path stays
-    #: strictly no-op).
-    quality: Optional[WindowQuality] = None
+    #: Online quality signals for this window (computed on every
+    #: window, whatever telemetry is live).
+    quality: WindowQuality
 
 
 class ControlCenter:
@@ -180,9 +179,9 @@ class ControlCenter:
         #: reuse each other's DP work; ``None`` keeps every tenant's
         #: work private.
         self.shared_cache = shared_cache
-        #: Online quality bookkeeping (drift reference per function
-        #: version); consulted by :meth:`decode_window` when metrics or
-        #: the event journal are live.
+        #: Online quality bookkeeping (drift reference per run and
+        #: function version); :meth:`decode_window` feeds it every
+        #: window.
         self.quality = QualityTracker()
 
     # -- function construction -------------------------------------------
@@ -357,7 +356,10 @@ class ControlCenter:
 
     def _merge_and_estimate(self, usable: Sequence[HistogramMessage]):
         """Parse, merge and estimate one window's usable messages.
-        Returns ``(merged, estimates, nonzero_buckets)``.
+        Returns ``(merged, sums, estimates, nonzero_buckets)``, where
+        ``sums`` are the merged bucket counts laid out over the current
+        function's slots (empty when nothing is usable) — the form the
+        quality tracker reads.
 
         ``fast`` merges in slot space: the payloads' nodes are looked
         up in the current function's slots and one ``bincount`` gives
@@ -367,23 +369,27 @@ class ControlCenter:
         ``merge_views``.  ``naive``, the reference: decode each payload,
         merge the objects, reconstruct group by group.  All are
         bit-identical (same accumulation order; integral wire counters
-        cast exactly)."""
+        cast exactly); the fallback and the reference scatter their
+        merged histogram into the slot layout, where a node outside the
+        function has no slot and is left out, as the estimate leaves
+        it out."""
         if not usable:
-            return Histogram({}), np.zeros(len(self.table)), 0
+            return Histogram({}), np.zeros(0), np.zeros(len(self.table)), 0
         views = [self._parse(m.payload) for m in usable]
         nonzero = sum(len(v) for v in views)
+        estimator = CompiledEstimator.for_pair(self.table, self.function)
         if stream_kernel_mode() != "fast":
             merged = Histogram.merge(v.to_histogram() for v in views)
             estimates = reconstruct_estimates(
                 self.table, self.function, merged
             )
-            return merged, estimates, nonzero
-        estimator = CompiledEstimator.for_pair(self.table, self.function)
+            return merged, estimator.slot_counts(merged), estimates, nonzero
         sums = estimator.slot_sums(views)
         if sums is None:
             nodes, sums, unmatched, total = merge_views(views)
             merged = Histogram.from_arrays(nodes, sums, unmatched, total)
-            return merged, estimator.estimate(merged), nonzero
+            sums = estimator.slot_counts(merged)
+            return merged, sums, estimator.estimate_slots(sums), nonzero
         unmatched = total = 0.0
         for v in views:
             unmatched += v.unmatched
@@ -391,7 +397,7 @@ class ControlCenter:
         merged = Histogram.from_slots(
             estimator.slot_nodes, sums, unmatched, total
         )
-        return merged, estimator.estimate_slots(sums), nonzero
+        return merged, sums, estimator.estimate_slots(sums), nonzero
 
     def decode_window(
         self,
@@ -439,7 +445,9 @@ class ControlCenter:
             )
         registry = get_registry()
         with registry.timer("control.decode.duration").time():
-            merged, estimates, nonzero = self._merge_and_estimate(usable)
+            merged, sums, estimates, nonzero = self._merge_and_estimate(
+                usable
+            )
         monitors_reporting = len({m.monitor for m in usable})
         if expected_monitors is None:
             expected_monitors = len({m.monitor for m in messages})
@@ -469,26 +477,22 @@ class ControlCenter:
                     m.monitor, m.window_index, m.function_version,
                     outcome, at_window=m.window_index,
                 )
-        quality: Optional[WindowQuality] = None
-        if telemetry_on() or get_slo_engine().enabled:
-            # Online quality signals need no ground truth — everything
-            # below derives from the merged histogram and the decode
-            # accounting.  Computed whenever anything consumes them —
-            # metrics, the journal's decode events or SLO rules — so
-            # every live combination yields the same report; skipped
-            # entirely when none is.
-            quality = self.quality.observe(
-                counts=merged.counts,
-                unmatched=merged.unmatched,
-                num_buckets=self.function.num_buckets,
-                version=self.function_version,
-                coverage=coverage,
-                messages=len(messages),
-                duplicates=duplicates,
-                stale=stale,
-            )
-            for name, value in quality.as_dict().items():
-                registry.gauge(f"quality.{name}").set(value)
+        # Online quality signals need no ground truth: they derive from
+        # the merged slot sums and the decode accounting, on every
+        # window, so a report never depends on what telemetry is live.
+        quality = self.quality.observe(
+            sums,
+            merged.unmatched,
+            num_buckets=self.function.num_buckets,
+            version=self.function_version,
+            coverage=coverage,
+            messages=len(messages),
+            duplicates=duplicates,
+            stale=stale,
+        )
+        if registry.enabled:
+            for name, value in zip(QUALITY_GAUGES, quality):
+                registry.gauge(name).set(value)
         registry.counter("control.decodes").inc()
         registry.counter("control.decode.messages").inc(len(messages))
         if duplicates:

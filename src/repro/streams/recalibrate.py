@@ -8,9 +8,11 @@ natural design:
 * :class:`BucketDriftDetector` — the Control Center cannot see raw
   identifiers, but it *can* watch the histograms themselves: the
   normalized per-bucket distribution of each window is compared (total
-  variation distance) against the distribution the function was trained
-  on, and identifiers that match no bucket are counted.  Sustained
-  drift beyond a threshold recommends a rebuild.
+  variation distance) against the first window with traffic under the
+  current function, and identifiers that match no bucket are counted
+  (the ``drift_score`` every decoded window carries, see
+  :mod:`repro.obs.quality`).  Sustained drift beyond a threshold
+  recommends a rebuild.
 * :class:`AdaptiveMonitoringSystem` — a monitoring system that retrains
   its partitioning function from the warehouse of past windows whenever
   the detector fires (the paper notes Monitors' logs reach a warehouse
@@ -40,13 +42,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 import numpy as np
 
-from ..core.partition import Histogram
 from ..obs import emit
-from ..obs.quality import drift_score, normalized_distribution
 from .control_center import DecodedWindow
 from .system import _UNSET, MonitoringSystem, SystemReport
 from .tuples import Trace
@@ -55,13 +55,14 @@ __all__ = ["BucketDriftDetector", "AdaptiveMonitoringSystem"]
 
 
 class BucketDriftDetector:
-    """Detects distribution drift from histogram streams alone.
+    """Decides rebuilds from the per-window drift scores of
+    :class:`~repro.obs.quality.QualityTracker` (see the module
+    docstring).
 
     Parameters
     ----------
     threshold:
-        Total-variation distance (plus unmatched fraction) above which
-        a window counts as drifted.
+        Drift score above which a window counts as drifted.
     patience:
         Number of consecutive drifted windows before recommending a
         rebuild (a single bursty window should not retrain the world).
@@ -74,49 +75,16 @@ class BucketDriftDetector:
             raise ValueError(f"patience must be at least 1, got {patience}")
         self.threshold = threshold
         self.patience = patience
-        self._reference: Optional[Dict[int, float]] = None
         self._streak = 0
-        self.last_score = 0.0
-
-    @staticmethod
-    def _normalize(hist: Histogram) -> Dict[int, float]:
-        return normalized_distribution(hist.counts, hist.unmatched)
-
-    def set_reference(self, histogram: Histogram) -> None:
-        """Anchor the detector to the traffic the function was built
-        for (typically the first live window after training).  The
-        anchor window scores 0: it *is* the reference."""
-        self._reference = self._normalize(histogram)
-        self._streak = 0
-        self.last_score = 0.0
 
     def reset(self) -> None:
-        """Drop the reference distribution (and any drift streak); the
-        next observed window re-anchors the detector.  Called after a
-        recalibration so drift is measured against the traffic the
-        *new* function serves, not the pre-rebuild baseline."""
-        self._reference = None
+        """Drop any drift streak."""
         self._streak = 0
 
-    def score(self, histogram: Histogram) -> float:
-        """Drift of one window: total-variation distance between bucket
-        distributions, plus the unmatched-traffic fraction (delegates
-        to :mod:`repro.obs.quality` so the ``quality.drift_score``
-        gauge and the recalibration trigger agree by construction)."""
-        if self._reference is None:
-            return 0.0
-        return drift_score(
-            self._reference, histogram.counts, histogram.unmatched
-        )
-
-    def observe(self, histogram: Histogram) -> bool:
-        """Feed one window's merged histogram; returns True when a
-        rebuild is recommended."""
-        if self._reference is None:
-            self.set_reference(histogram)
-            return False
-        self.last_score = self.score(histogram)
-        if self.last_score > self.threshold:
+    def observe(self, score: float) -> bool:
+        """Feed one window's drift score; returns True when a rebuild
+        is recommended (the streak then starts over)."""
+        if score > self.threshold:
             self._streak += 1
         else:
             self._streak = 0
@@ -194,16 +162,17 @@ class AdaptiveMonitoringSystem(MonitoringSystem):
         self._warehouse.append(actual)
         self._warehouse_sum += actual
         # Drift decision from the (deduplicated, current-version)
-        # histogram stream alone.
-        rebuild = self.detector.observe(decoded.merged)
-        report.drift_scores.append(self.detector.last_score)
-        emit("drift", window=window, score=self.detector.last_score)
-        if rebuild:
+        # histogram stream alone: the window's quality drift score.
+        score = decoded.quality.drift_score
+        report.drift_scores.append(score)
+        emit("drift", window=window, score=score)
+        if self.detector.observe(score):
             # Copy: the running sum mutates in place every window, and
             # the rebuild path fingerprints / retains what we hand it.
+            # The new version re-anchors the quality tracker's
+            # reference on the next window with traffic.
             history = self._warehouse_sum.copy()
             self._install(history)
-            self.detector.reset()  # re-anchor next window
             report.rebuilds.append(window)
             emit(
                 "recalibration",

@@ -51,7 +51,6 @@ from ..core.errors import PenaltyMetric
 from ..core.groups import GroupTable
 from ..obs import (
     Alert,
-    WindowQuality,
     emit,
     emit_window_record,
     get_journal,
@@ -76,9 +75,6 @@ __all__ = ["WindowReport", "SystemReport", "MonitoringSystem"]
 #: ``faults=None`` override of the system-level default.
 _UNSET = object()
 
-#: The all-zero quality signals of a window decoded with no consumer live.
-_NO_QUALITY = WindowQuality()
-
 
 @dataclass(frozen=True)
 class WindowReport:
@@ -99,9 +95,8 @@ class WindowReport:
     stale_messages: int = 0
     #: Deliveries that arrived after their window's decode watermark.
     late_messages: int = 0
-    #: Online quality signals (see :mod:`repro.obs.quality`), filled
-    #: when metrics, the event journal or an SLO engine were live
-    #: during the run; ``0.0`` otherwise.
+    #: Online quality signals (see :mod:`repro.obs.quality`), computed
+    #: on every window whether or not telemetry is live.
     coverage: float = 0.0
     spill_fraction: float = 0.0
     occupancy_entropy: float = 0.0
@@ -280,6 +275,9 @@ class MonitoringSystem:
         slo = get_slo_engine()
         if faults is not None:
             faults.reset()
+        # Drift is measured within a run: re-anchor on its first window
+        # with traffic, not on an earlier run's.
+        cc.quality.reset()
         previous_faults = self.channel.faults
         self.channel.faults = faults
         installer = InstallScheduler()
@@ -415,7 +413,7 @@ class MonitoringSystem:
                     )
                     error = float(cc.error(decoded.estimates, actual))
                     raw = self.channel.raw_stream_bytes(int(uids.size))
-                    quality = decoded.quality or _NO_QUALITY
+                    quality = decoded.quality
                     # The report's fields, in declaration order; every
                     # one is a number, so this shallow dict is what
                     # ``asdict`` would copy.

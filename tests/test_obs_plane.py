@@ -2,12 +2,12 @@
 quality signals, the event journal + replay, and the live surfaces
 (/metrics endpoint, periodic writer, repro top)."""
 
+import io
 import json
 import re
 import threading
 import time
 import urllib.request
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,13 +24,9 @@ from repro.obs import (
     PeriodicMetricsWriter,
     QualityTracker,
     bucket_quantile,
-    drift_score,
     emit_window_record,
     get_journal,
     load_jsonl,
-    normalized_distribution,
-    occupancy_entropy,
-    occupancy_skew,
     parse_serve_spec,
     read_journal,
     registry_records,
@@ -194,65 +190,79 @@ class TestBucketQuantile:
 # ---------------------------------------------------------------------------
 # Online quality signals
 # ---------------------------------------------------------------------------
+def _quality(tracker, slots, unmatched=0.0, num_buckets=4, version=0,
+             coverage=1.0, messages=2, duplicates=0, stale=0):
+    return tracker.observe(
+        np.asarray(slots, dtype=np.float64), unmatched,
+        num_buckets=num_buckets, version=version, coverage=coverage,
+        messages=messages, duplicates=duplicates, stale=stale,
+    )
+
+
 class TestQualitySignals:
     def test_spill_fraction(self):
-        tracker = QualityTracker()
-        q = tracker.observe(
-            counts={1: 30.0, 2: 30.0}, unmatched=40.0, num_buckets=4,
-            version=0, coverage=1.0, messages=4, duplicates=0, stale=0,
-        )
+        q = _quality(QualityTracker(), [30.0, 30.0, 0.0, 0.0], unmatched=40.0)
         assert q.spill_fraction == pytest.approx(0.4)
 
     def test_entropy_and_skew_extremes(self):
-        assert occupancy_entropy([10, 10, 10, 10], 4) == pytest.approx(1.0)
-        assert occupancy_entropy([40, 0, 0, 0], 4) == pytest.approx(0.0)
-        assert occupancy_skew([10, 10, 10, 10], 4) == pytest.approx(1.0)
-        assert occupancy_skew([40, 0, 0, 0], 4) == pytest.approx(4.0)
-        assert occupancy_entropy([], 4) == 0.0
-        assert occupancy_skew([], 4) == 0.0
+        def signals(slots):
+            q = _quality(QualityTracker(), slots)
+            return q.occupancy_entropy, q.occupancy_skew
+
+        assert signals([10.0, 10.0, 10.0, 10.0]) == pytest.approx((1.0, 1.0))
+        entropy, skew = signals([40.0, 0.0, 0.0, 0.0])
+        # exactly +0.0: one occupied bucket must not read -0.0
+        assert str(entropy) == "0.0"
+        assert skew == pytest.approx(4.0)
+        assert signals([0.0, 0.0, 0.0, 0.0]) == (0.0, 0.0)
+        assert signals([]) == (0.0, 0.0)
 
     def test_first_window_anchors_reference(self):
         tracker = QualityTracker()
-        base = dict(num_buckets=4, version=0, coverage=1.0,
-                    messages=2, duplicates=0, stale=0)
-        first = tracker.observe(counts={1: 10.0}, unmatched=0.0, **base)
+        first = _quality(tracker, [10.0, 0.0, 0.0, 0.0])
         assert first.drift_score == 0.0
-        shifted = tracker.observe(counts={2: 10.0}, unmatched=0.0, **base)
+        shifted = _quality(tracker, [0.0, 10.0, 0.0, 0.0])
         assert shifted.drift_score == pytest.approx(1.0)  # disjoint mass
 
     def test_version_change_reanchors(self):
         tracker = QualityTracker()
-        base = dict(num_buckets=4, coverage=1.0,
-                    messages=2, duplicates=0, stale=0)
-        tracker.observe(counts={1: 10.0}, unmatched=0.0, version=0, **base)
-        q = tracker.observe(
-            counts={2: 10.0}, unmatched=0.0, version=1, **base
-        )
+        _quality(tracker, [10.0, 0.0, 0.0, 0.0], version=0)
+        q = _quality(tracker, [0.0, 10.0, 0.0, 0.0], version=1)
         assert q.drift_score == 0.0  # new function, new reference
 
     def test_duplicate_and_stale_rates(self):
-        tracker = QualityTracker()
-        q = tracker.observe(
-            counts={1: 5.0}, unmatched=0.0, num_buckets=2, version=0,
-            coverage=0.5, messages=8, duplicates=2, stale=4,
+        q = _quality(
+            QualityTracker(), [5.0, 0.0], num_buckets=2, coverage=0.5,
+            messages=8, duplicates=2, stale=4,
         )
         assert q.duplicate_rate == pytest.approx(0.25)
         assert q.stale_rate == pytest.approx(0.5)
         assert q.coverage == pytest.approx(0.5)
 
-    def test_drift_detector_delegates_to_quality_helpers(self):
-        """The recalibration trigger and the quality.drift_score gauge
-        must compute the same quantity."""
-        detector = BucketDriftDetector()
-        ref_hist = SimpleNamespace(counts={1: 60.0, 2: 40.0}, unmatched=0.0)
-        cur_hist = SimpleNamespace(counts={1: 10.0, 2: 70.0}, unmatched=20.0)
-        detector.set_reference(ref_hist)
-        expected = drift_score(
-            normalized_distribution(ref_hist.counts, ref_hist.unmatched),
-            cur_hist.counts,
-            cur_hist.unmatched,
+    def test_drift_detector_reads_tracker_score(self, workload, registry):
+        """The recalibration trigger, the ``drift`` event, the report's
+        ``drift_scores`` and each window's ``drift_score`` are one
+        number: the quality tracker's."""
+        table, history, live = workload
+        sink = io.StringIO()
+        system = AdaptiveMonitoringSystem(
+            table, get_metric("rms"), num_monitors=2,
+            algorithm="lpm_greedy", budget=40,
+            detector=BucketDriftDetector(threshold=0.01, patience=1),
         )
-        assert detector.score(cur_hist) == pytest.approx(expected, abs=0)
+        with use_journal(EventJournal(sink)):
+            system.train(history)
+            report = system.run(live, window_width=4.0)
+        assert report.rebuilds
+        drift_events = [
+            e["score"] for e in map(json.loads, sink.getvalue().splitlines())
+            if e["event"] == "drift"
+        ]
+        per_window = [w.drift_score for w in report.windows]
+        assert report.drift_scores == per_window == drift_events
+        assert registry.get("gauge", "quality.drift_score").value == (
+            per_window[-1]
+        )
 
     def test_window_reports_carry_quality(self, workload, registry):
         table, history, live = workload

@@ -201,8 +201,12 @@ def _messages(cc, payloads, version=None):
 def _check(cc, payloads):
     merged_ref, est_ref, nonzero_ref = _reference(cc, payloads)
     with use_stream_kernel_mode("fast"):
-        merged, est, nonzero = cc._merge_and_estimate(_messages(cc, payloads))
+        merged, sums, est, nonzero = cc._merge_and_estimate(
+            _messages(cc, payloads)
+        )
     _assert_identical(merged, merged_ref)
+    estimator = CompiledEstimator.for_pair(cc.table, cc.function)
+    assert sums.tobytes() == estimator.slot_counts(merged_ref).tobytes()
     assert est.tobytes() == est_ref.tobytes()
     assert nonzero == nonzero_ref
     return merged

@@ -4,9 +4,10 @@ Section 6 future-work item)."""
 import numpy as np
 import pytest
 
-from repro import Histogram, UIDDomain, get_metric
+from repro import UIDDomain, get_metric
 from repro.data import TrafficModel, generate_subnet_table
 from repro.data.traffic import generate_timestamped_trace
+from repro.obs import QualityTracker
 from repro.streams import FaultModel, MonitoringSystem, Trace
 from repro.streams.recalibrate import (
     AdaptiveMonitoringSystem,
@@ -14,40 +15,60 @@ from repro.streams.recalibrate import (
 )
 
 
+def _score(tracker, slots, unmatched=0.0, version=0):
+    """The drift score ``tracker`` gives one window whose per-slot
+    bucket counts are ``slots``."""
+    return tracker.observe(
+        np.asarray(slots, dtype=np.float64), unmatched,
+        num_buckets=len(slots), version=version, coverage=1.0,
+        messages=1, duplicates=0, stale=0,
+    ).drift_score
+
+
 class TestDriftDetector:
+    """The detector reads the quality tracker's drift score; these
+    drive the pair the way ``AdaptiveMonitoringSystem`` does."""
+
     def test_identical_distribution_no_drift(self):
         d = BucketDriftDetector(threshold=0.1, patience=1)
-        h = Histogram({1: 50.0, 2: 50.0})
-        assert not d.observe(h)  # first window anchors the reference
-        assert not d.observe(h)
-        assert d.last_score == pytest.approx(0.0)
+        t = QualityTracker()
+        h = [50.0, 50.0]
+        assert not d.observe(_score(t, h))  # first window anchors
+        score = _score(t, h)
+        assert not d.observe(score)
+        assert score == 0.0
 
     def test_shifted_distribution_detected(self):
         d = BucketDriftDetector(threshold=0.3, patience=1)
-        d.observe(Histogram({1: 100.0}))
-        assert d.observe(Histogram({2: 100.0}))  # total shift -> TV = 1
-        assert d.last_score == pytest.approx(1.0)
+        t = QualityTracker()
+        d.observe(_score(t, [100.0, 0.0]))
+        score = _score(t, [0.0, 100.0])
+        assert d.observe(score)  # total shift -> TV = 1
+        assert score == pytest.approx(1.0)
 
     def test_unmatched_traffic_counts_as_drift(self):
         d = BucketDriftDetector(threshold=0.3, patience=1)
-        d.observe(Histogram({1: 100.0}))
-        assert d.observe(Histogram({1: 50.0}, unmatched=50.0))
+        t = QualityTracker()
+        d.observe(_score(t, [100.0, 0.0]))
+        assert d.observe(_score(t, [50.0, 0.0], unmatched=50.0))
 
     def test_patience_requires_sustained_drift(self):
         d = BucketDriftDetector(threshold=0.3, patience=2)
-        d.observe(Histogram({1: 100.0}))
-        assert not d.observe(Histogram({2: 100.0}))  # first strike
-        assert d.observe(Histogram({2: 100.0}))      # second fires
+        t = QualityTracker()
+        d.observe(_score(t, [100.0, 0.0]))
+        assert not d.observe(_score(t, [0.0, 100.0]))  # first strike
+        assert d.observe(_score(t, [0.0, 100.0]))      # second fires
 
     def test_streak_resets_on_calm_window(self):
         d = BucketDriftDetector(threshold=0.3, patience=2)
-        calm = Histogram({1: 100.0})
-        drifted = Histogram({2: 100.0})
-        d.observe(calm)
-        assert not d.observe(drifted)
-        assert not d.observe(calm)     # streak broken
-        assert not d.observe(drifted)  # needs two again
-        assert d.observe(drifted)
+        t = QualityTracker()
+        calm = [100.0, 0.0]
+        drifted = [0.0, 100.0]
+        d.observe(_score(t, calm))
+        assert not d.observe(_score(t, drifted))
+        assert not d.observe(_score(t, calm))     # streak broken
+        assert not d.observe(_score(t, drifted))  # needs two again
+        assert d.observe(_score(t, drifted))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -196,32 +217,30 @@ class TestPartialInstall:
 class TestDetectorReset:
     def test_reset_drops_reference_and_streak(self):
         d = BucketDriftDetector(threshold=0.3, patience=2)
-        d.observe(Histogram({1: 100.0}))
-        assert not d.observe(Histogram({2: 100.0}))  # streak = 1
+        t = QualityTracker()
+        d.observe(_score(t, [100.0, 0.0]))
+        assert not d.observe(_score(t, [0.0, 100.0]))  # streak = 1
         d.reset()
-        assert d._reference is None
+        t.reset()
         assert d._streak == 0
-        # next window re-anchors instead of firing
-        assert not d.observe(Histogram({2: 100.0}))
-        assert d._reference is not None
+        assert t._reference is None
+        # the next window re-anchors instead of firing
+        assert not d.observe(_score(t, [0.0, 100.0]))
+        assert t._reference is not None
 
     def test_reset_then_observe_measures_against_new_anchor(self):
-        d = BucketDriftDetector(threshold=0.3, patience=1)
-        d.observe(Histogram({1: 100.0}))
-        d.reset()
-        d.observe(Histogram({2: 100.0}))      # new reference
-        assert not d.observe(Histogram({2: 100.0}))
-        assert d.last_score == pytest.approx(0.0)
-
+        t = QualityTracker()
+        _score(t, [100.0, 0.0])
+        t.reset()
+        _score(t, [0.0, 100.0])  # new reference
+        assert _score(t, [0.0, 100.0]) == 0.0
 
     def test_anchor_window_scores_zero(self):
-        d = BucketDriftDetector(threshold=0.3, patience=2)
-        d.observe(Histogram({1: 100.0}))
-        d.observe(Histogram({2: 100.0}))
-        assert d.last_score > 0.3
-        d.reset()
-        d.observe(Histogram({2: 100.0}))  # re-anchors
-        assert d.last_score == 0.0
+        t = QualityTracker()
+        _score(t, [100.0, 0.0])
+        assert _score(t, [0.0, 100.0]) > 0.3
+        # a new function version re-anchors: its first window scores 0
+        assert _score(t, [0.0, 100.0], version=1) == 0.0
 
     def test_reported_drift_is_zero_after_each_rebuild(self):
         """The first window after a rebuild re-anchors the detector:

@@ -230,11 +230,14 @@ class TestFanIn:
         usable = [
             monitor.process_window(0, share.uids) for share in shares
         ]
-        merged_fast, est_fast, nz_fast = cc_fanin._merge_and_estimate(
-            usable
+        merged_fast, sums_fast, est_fast, nz_fast = (
+            cc_fanin._merge_and_estimate(usable)
         )
-        merged_ref, est_ref, nz_ref = cc_serial._merge_and_estimate(usable)
+        merged_ref, sums_ref, est_ref, nz_ref = (
+            cc_serial._merge_and_estimate(usable)
+        )
         assert nz_fast == nz_ref > 0
+        assert np.array_equal(sums_fast, sums_ref)
         assert np.array_equal(merged_fast.nodes, merged_ref.nodes)
         assert np.array_equal(merged_fast.values, merged_ref.values)
         assert merged_fast.unmatched == merged_ref.unmatched
@@ -244,9 +247,10 @@ class TestFanIn:
     def test_empty_usable_defers_to_base(self, workload):
         table, history, _live = workload
         _serial, sharded = _systems(table, history, 2)
-        merged, estimates, nonzero = (
+        merged, sums, estimates, nonzero = (
             sharded.control_center._merge_and_estimate([])
         )
+        assert sums.size == 0
         assert nonzero == 0
         assert len(merged) == 0
         assert estimates is None or np.all(estimates == 0)
