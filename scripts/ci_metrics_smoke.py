@@ -10,9 +10,12 @@ the event journal and the periodic metrics writer all enabled, then:
    once per family, before its first sample);
 2. fetches ``/series.json`` and checks the per-window records, and
    ``/alerts.json`` for the live SLO rule state;
-3. waits for the run to finish and replays the journal with
-   ``repro replay``, requiring the replayed summary to match the live
-   run's summary byte for byte;
+3. waits for the run to finish, requires ``lifecycle conservation ok``
+   on its stderr and one journal event per fact (no
+   ``trace.duplicated`` / ``trace.delayed`` event, no ``dropped``
+   close: the ``fault.*`` events carry those copies), then replays the
+   journal with ``repro replay``, requiring the replayed summary to
+   match the live run's summary byte for byte;
 4. exports the journal with ``repro trace`` and validates the Chrome
    Trace Event document (JSON parses, every delivery flow is paired).
 
@@ -198,6 +201,20 @@ def main() -> int:
         raise
     if proc.returncode != 0:
         fail(f"simulate failed (rc={proc.returncode})\n{err}")
+    if "lifecycle conservation ok" not in err:
+        fail(f"simulate --trace did not report balanced books\n{err}")
+    with open(JOURNAL) as f:
+        repeats = [
+            e for e in map(json.loads, f)
+            if e["event"] in ("trace.duplicated", "trace.delayed")
+            or (e["event"] == "trace.closed" and e["outcome"] == "dropped")
+        ]
+    if repeats:
+        fail(
+            f"journal repeats {len(repeats)} fault fact(s) as lifecycle "
+            f"events, e.g. {repeats[0]}"
+        )
+    print("lifecycle conservation ok, one journal event per fact")
     live_summary = out
 
     replay = subprocess.run(

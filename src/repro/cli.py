@@ -72,14 +72,15 @@ from .data import TrafficModel, generate_subnet_table, generate_trace
 from .data.traffic import generate_timestamped_trace
 from .obs import (
     EXPORT_FORMATS,
+    BufferJournal,
     EventJournal,
-    LifecycleTracer,
     MetricsRegistry,
     MetricsServer,
     PeriodicMetricsWriter,
     SLOEngine,
     TopSource,
     chrome_trace,
+    fold_lifecycle,
     get_registry,
     load_jsonl,
     load_slo_file,
@@ -90,9 +91,9 @@ from .obs import (
     render_top,
     unpaired_flows,
     use_journal,
+    use_lifecycle,
     use_registry,
     use_slo_engine,
-    use_tracer,
     write_metrics,
 )
 from .serving import ServingEngine, ShardedMonitoringSystem, TenantSpec
@@ -345,9 +346,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         if args.journal:
             stack.enter_context(use_journal(EventJournal(args.journal)))
-        tracer = None
         if args.trace:
-            tracer = stack.enter_context(use_tracer(LifecycleTracer()))
+            # The lifecycle books fold from the journal's events; without
+            # --journal they are kept in memory.
+            if not args.journal:
+                memory = stack.enter_context(use_journal(BufferJournal()))
+            stack.enter_context(use_lifecycle())
         engine = None
         if slo_rules:
             engine = stack.enter_context(
@@ -412,24 +416,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 _print_report(
                     report, args.metric, args.monitors, faults is not None
                 )
-        if tracer is not None:
+        if args.trace:
             # Diagnostics go to stderr: replay reconstructs stdout from
-            # the journal alone, and the journal does not carry these
-            # aggregate tracer totals.
-            c = tracer.conservation()
-            verdict = "ok" if tracer.conservation_ok() else "VIOLATED"
-            print(
-                f"lifecycle conservation {verdict}: "
-                f"sent={c['sent']} delivered={c['delivered']} "
-                f"dropped={c['dropped']} expired={c['expired']}",
-                file=sys.stderr,
+            # the journal alone.
+            events = (
+                read_journal(args.journal) if args.journal else memory.events
             )
+            print(_conservation_line(fold_lifecycle(events)),
+                  file=sys.stderr)
         if serve_addr is not None and args.serve_linger > 0:
             # Keep /metrics scrapeable after the run (CI smoke, manual
             # inspection of a short run).
             sys.stdout.flush()
             time.sleep(args.serve_linger)
     return 0
+
+
+def _conservation_line(books) -> str:
+    verdict = "ok" if books.conservation_ok else "VIOLATED"
+    return (
+        f"lifecycle conservation {verdict}: sent={books.sent} "
+        f"delivered={books.delivered} dropped={books.outcomes['dropped']} "
+        f"expired={books.outcomes['expired']}"
+    )
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -452,6 +461,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         events = read_journal(args.journal)
+        books = fold_lifecycle(events)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -471,6 +481,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{flows} delivery flows, from {len(events)} journal events "
             f"(load it at https://ui.perfetto.dev)"
         )
+    if books.sent and not books.conservation_ok:
+        print(f"warning: {_conservation_line(books)}", file=sys.stderr)
     bad = unpaired_flows(doc)
     if bad:
         shown = ", ".join(bad[:5]) + ("..." if len(bad) > 5 else "")
@@ -648,9 +660,10 @@ def _parser() -> argparse.ArgumentParser:
                    help="record every pipeline event (installs, faults, "
                    "decodes) as JSON lines; replay with 'repro replay'")
     s.add_argument("--trace", action="store_true",
-                   help="trace every histogram copy's lifecycle "
-                   "(sent/dropped/delayed/delivered + decode outcome); "
-                   "with --journal the trace.* events feed 'repro trace'")
+                   help="capture every histogram copy's lifecycle "
+                   "(trace.sent/delivered/closed events; fault.* events "
+                   "gain version/copy) and print the conservation "
+                   "verdict; with --journal they feed 'repro trace'")
     s.add_argument("--slo", metavar="SPEC", default=None,
                    help="per-window SLO rules, e.g. "
                    "'coverage>=0.9,delivery_p99_windows<=2,"

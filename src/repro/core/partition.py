@@ -227,6 +227,28 @@ class Histogram:
         )
 
 
+class LazySlotHistogram(Histogram):
+    """:meth:`Histogram.from_slots` deferred: the nonzero buckets are
+    gathered on the first read of ``nodes`` or ``values`` (``sums``
+    must stay unchanged until then)."""
+
+    __slots__ = ("_slots",)
+
+    def __init__(self, slot_nodes, sums, unmatched=0.0, total=0.0) -> None:
+        self._slots = (slot_nodes, sums)
+        self.unmatched = float(unmatched)
+        self.total = float(total)
+        self._dict = None
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not yet set.
+        if name not in ("nodes", "values"):
+            raise AttributeError(name)
+        full = Histogram.from_slots(*self._slots)
+        self.nodes, self.values = full.nodes, full.values
+        return getattr(self, name)
+
+
 def _node_id_bits(domain: UIDDomain) -> int:
     """Bits to encode one hierarchy node as (prefix, length)."""
     return domain.height + max(1, math.ceil(math.log2(domain.height + 1)))

@@ -62,7 +62,7 @@ from .journal import (
     set_journal,
     use_journal,
 )
-from .facts import REDUCERS, emit, telemetry_on
+from .facts import REDUCERS, emit, lifecycle_on, telemetry_on, use_lifecycle
 from .crossproc import (
     WIRE_SNAPSHOT_VERSION,
     capture_worker_snapshot,
@@ -84,13 +84,9 @@ from .resources import (
 )
 from .lifecycle import (
     DELIVERED_OUTCOMES,
-    NULL_TRACER,
     OUTCOMES,
-    LifecycleTracer,
-    NullTracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
+    LifecycleBooks,
+    fold_lifecycle,
 )
 from .slo import (
     NULL_SLO_ENGINE,
@@ -175,15 +171,13 @@ __all__ = [
     "sample_resources",
     "resource_delta",
     "export_resources",
-    # lifecycle tracing
-    "LifecycleTracer",
-    "NullTracer",
-    "NULL_TRACER",
+    # lifecycle capture
+    "lifecycle_on",
+    "use_lifecycle",
     "OUTCOMES",
     "DELIVERED_OUTCOMES",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
+    "LifecycleBooks",
+    "fold_lifecycle",
     # SLOs and alerting
     "Alert",
     "SLORule",

@@ -12,10 +12,12 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` can load:
   on the Control Center track, and prefetch/resource/summary events
   annotate their shard's track as instants;
 * each lifecycle copy (``trace.sent`` → ``trace.delivered`` →
-  ``trace.closed`` / ``trace.dropped``) becomes a **flow** — an ``s``
-  arrow tail on the monitor's send slice, an optional ``t`` step on
-  the arrival slice, and an ``f`` head on the closing slice — so a
-  message's journey across tracks is a clickable arrow chain;
+  ``trace.closed``) becomes a **flow** — an ``s`` arrow tail on the
+  monitor's send slice, an optional ``t`` step on the arrival slice,
+  and an ``f`` head on the closing slice — so a message's journey
+  across tracks is a clickable arrow chain.  A dropped copy's head is
+  its ``fault.drop`` event (which carries ``copy`` under lifecycle
+  capture), on the monitor's track;
 * faults (drops, duplicates, delays, reorders, crashes), installs,
   drift scores, recalibrations and SLO alerts are **instant events**
   annotating the track they happened on;
@@ -49,7 +51,7 @@ _CENTER_INSTANTS = {
 #: Events annotated on their monitor's track as instants.
 _MONITOR_INSTANTS = {
     "fault.drop", "fault.duplicate", "fault.delay", "fault.crash",
-    "install", "trace.duplicated", "trace.delayed", "trace.reordered",
+    "install", "trace.reordered",
 }
 
 #: Nominal slice width (µs) for point-in-time journal events rendered
@@ -149,6 +151,9 @@ def chrome_trace(events: Sequence[Dict]) -> Dict:
     for ev in events:
         kind = ev.get("event")
         mon_tid = tid_of.get(ev.get("monitor"), _CENTER_TID)
+        if kind == "fault.drop" and "copy" in ev:
+            # Also rendered as an instant below.
+            slice_with_flow(ev, mon_tid, f"dropped w{ev.get('window')}", "f")
         if kind == "trace.sent":
             slice_with_flow(ev, mon_tid, f"send w{ev.get('window')}", "s")
         elif kind == "trace.delivered":
@@ -156,11 +161,8 @@ def chrome_trace(events: Sequence[Dict]) -> Dict:
                 ev, _CENTER_TID, f"arrive w{ev.get('window')}", "t"
             )
         elif kind == "trace.closed":
-            outcome = ev.get("outcome")
-            tid = mon_tid if outcome == "dropped" else _CENTER_TID
-            slice_with_flow(ev, tid, f"{outcome} w{ev.get('window')}", "f")
-        elif kind == "trace.dropped":
-            slice_with_flow(ev, mon_tid, f"dropped w{ev.get('window')}", "f")
+            name = f"{ev.get('outcome')} w{ev.get('window')}"
+            slice_with_flow(ev, _CENTER_TID, name, "f")
         elif kind == "decode":
             out.append({
                 "ph": "X", "pid": _PID, "tid": _CENTER_TID, "ts": _us(ev),

@@ -12,20 +12,42 @@ only: the worker's registry snapshot already carries their counts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator
 
 from .journal import get_journal
+from .lifecycle import DELIVERED_OUTCOMES
 from .registry import MetricsRegistry, get_registry
 
-__all__ = ["REDUCERS", "emit", "telemetry_on"]
+__all__ = ["REDUCERS", "emit", "lifecycle_on", "telemetry_on", "use_lifecycle"]
 
 Fields = Dict[str, object]
+
+_lifecycle = False
 
 
 def telemetry_on() -> bool:
     """Whether a journal or a metrics registry is live — the one check
     a call site makes before computing costly event fields."""
     return get_journal().enabled or get_registry().enabled
+
+
+def lifecycle_on() -> bool:
+    """Whether per-copy lifecycle facts are captured (see
+    :mod:`repro.obs.lifecycle`); off unless :func:`use_lifecycle` is
+    scoped."""
+    return _lifecycle
+
+
+@contextmanager
+def use_lifecycle() -> Iterator[None]:
+    """Scope lifecycle capture on for a ``with`` block."""
+    global _lifecycle
+    previous, _lifecycle = _lifecycle, True
+    try:
+        yield
+    finally:
+        _lifecycle = previous
 
 
 def emit(event: str, **fields) -> None:
@@ -95,10 +117,14 @@ def _run_end(reg: MetricsRegistry, f: Fields) -> None:
         reg.counter("system.messages.expired").inc(f["expired_messages"])
 
 
-def _trace_closed(reg: MetricsRegistry, f: Fields) -> None:
-    # Imported here: the lifecycle tracer reports through emit().
-    from .lifecycle import DELIVERED_OUTCOMES
+def _fault_drop(reg: MetricsRegistry, f: Fields) -> None:
+    reg.counter("channel.faults.dropped").inc()
+    # Under lifecycle capture the drop also closes its copy.
+    if "copy" in f:
+        reg.counter("lifecycle.outcome.dropped").inc()
 
+
+def _trace_closed(reg: MetricsRegistry, f: Fields) -> None:
     reg.counter(f"lifecycle.outcome.{f['outcome']}").inc()
     if f["outcome"] in DELIVERED_OUTCOMES:
         reg.timer("delivery.age_windows").observe(float(f["age_windows"]))
@@ -139,7 +165,7 @@ REDUCERS: Dict[str, Callable[[MetricsRegistry, Fields], None]] = {
     "decode": _decode,
     "run_end": _run_end,
     "fault.crash": _count("system.monitor.crashes"),
-    "fault.drop": _count("channel.faults.dropped"),
+    "fault.drop": _fault_drop,
     "fault.duplicate": _count("channel.faults.duplicated"),
     "fault.delay": _count("channel.faults.delayed"),
     "drift": lambda reg, f: reg.histogram("system.drift.score").observe(

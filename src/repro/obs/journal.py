@@ -58,19 +58,18 @@ EVENT_TYPES = (
     "rebuild",        # Control Center (re)built the partitioning function
     "install",        # one install transmission (fields: retry, acked)
     "fault.crash",    # a Monitor crash-and-restarted
-    "fault.drop",     # an upstream wire copy was lost
+    # (the three copy faults also carry version/copy under capture)
+    "fault.drop",     # an upstream wire copy was lost (closes it)
     "fault.duplicate",  # the network created an extra wire copy
     "fault.delay",    # a delivered copy will arrive late
     "decode",         # one window decoded (full WindowReport fields)
     "drift",          # drift detector score for one window (adaptive)
     "recalibration",  # drift-triggered rebuild (adaptive)
     "run_end",        # run totals (SystemReport aggregate fields)
-    # lifecycle tracing (emitted when a LifecycleTracer is scoped; see
+    # lifecycle capture (emitted under use_lifecycle / --trace; see
     # repro.obs.lifecycle — fields carry the (monitor, window, version,
     # copy) trace id):
     "trace.sent",       # one wire transmission left a Monitor
-    "trace.duplicated",  # this copy exists only by network duplication
-    "trace.delayed",    # the copy will arrive `delay` windows late
     "trace.reordered",  # the copy was shuffled in its arrival window
     "trace.delivered",  # the copy reached the Control Center
     "trace.closed",     # final outcome + age_windows (closes the trace)

@@ -9,9 +9,11 @@ A rule is one comparison against a per-window signal::
 Signals come from the per-window accounting the run already produces —
 every numeric :class:`~repro.streams.system.WindowReport` field
 (``coverage``, ``drift_score``, ``spill_fraction``, ``error``,
-``late_messages``, ...) plus, when lifecycle tracing is on, exact
+``late_messages``, ...) plus, while lifecycle capture is on
+(:func:`~repro.obs.facts.use_lifecycle`, ``--trace``), exact
 ``delivery_p50_windows`` / ``delivery_p90_windows`` /
-``delivery_p99_windows`` quantiles over the window's closed deliveries.
+``delivery_p99_windows`` quantiles over the ages of the copies the
+window loop closed as delivered in that window.
 
 The engine is a per-rule alert state machine evaluated once per
 decoded window:
@@ -29,7 +31,7 @@ bit-identically from the journal by ``repro replay``), is served live
 at ``/alerts.json`` by the metrics server, and gets a pane in
 ``repro top``.
 
-Like the registry/journal/tracer, the module-level *current* engine
+Like the registry and the journal, the module-level *current* engine
 defaults to a no-op :class:`NullSLOEngine`::
 
     from repro.obs import SLOEngine, parse_slo_spec, use_slo_engine
@@ -235,7 +237,7 @@ class SLOEngine:
 
         A rule whose signal is absent from ``signals`` is skipped (it
         can neither fire nor resolve) — e.g. ``delivery_*`` quantiles
-        with lifecycle tracing off.
+        with lifecycle capture off.
         """
         registry = get_registry()
         fired: List[Alert] = []

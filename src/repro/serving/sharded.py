@@ -52,7 +52,6 @@ import numpy as np
 from ..core.wire import merge_views  # noqa: F401
 from ..obs import (
     NULL_JOURNAL,
-    NULL_TRACER,
     BufferJournal,
     MetricsRegistry,
     NullRegistry,
@@ -67,7 +66,6 @@ from ..obs import (
     telemetry_on,
     use_journal,
     use_registry,
-    use_tracer,
     worker_resource_events,
 )
 from ..streams.control_center import ControlCenter
@@ -193,7 +191,7 @@ def _shard_worker(task):
     try:
         before = sample_resources() if telemetry is not None else None
         with use_registry(registry), use_journal(buffer), \
-                use_tracer(NULL_TRACER), use_stream_kernel_mode(mode):
+                use_stream_kernel_mode(mode):
             results = build_all()
         snapshot = None
         if telemetry is not None:

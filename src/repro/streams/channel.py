@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from ..core.domain import UIDDomain
 from ..core.partition import PartitioningFunction
-from ..obs import emit, get_registry, get_tracer
+from ..obs import emit, get_registry, lifecycle_on
 from .faults import Delivery, FaultModel
 from .monitor import HistogramMessage
 
@@ -79,30 +79,27 @@ class Channel:
         self.delivered.extend(deliveries)
         monitor = message.monitor
         window = message.window_index
-        for _ in range(transmissions - 1):
-            emit("fault.duplicate", monitor=monitor, window=window)
-        for _ in range(transmissions - len(deliveries)):
-            emit("fault.drop", monitor=monitor, window=window)
+        version = message.function_version
+        lifecycle = lifecycle_on()
+
+        def copy_event(event: str, copy: int, **fields) -> None:
+            # Under lifecycle capture the event names its copy.
+            if lifecycle:
+                fields.update(version=version, copy=copy)
+            emit(event, monitor=monitor, window=window, **fields)
+
+        if lifecycle:
+            for copy in range(transmissions):
+                copy_event("trace.sent", copy)
+        # Surviving copies are numbered 0..len(deliveries)-1, the
+        # dropped transmissions take the remaining indices.
+        for copy in range(1, transmissions):
+            copy_event("fault.duplicate", copy)
+        for copy in range(len(deliveries), transmissions):
+            copy_event("fault.drop", copy)
         for d in deliveries:
             if d.delay:
-                emit(
-                    "fault.delay", delay=d.delay, monitor=monitor,
-                    window=window,
-                )
-        tracer = get_tracer()
-        if tracer.enabled:
-            version = message.function_version
-            # Surviving copies are numbered 0..len(deliveries)-1, the
-            # dropped transmissions take the remaining indices.
-            for copy in range(transmissions):
-                tracer.sent(monitor, window, version, copy)
-                if copy >= 1:
-                    tracer.duplicated(monitor, window, version, copy)
-            for d in deliveries:
-                if d.delay:
-                    tracer.delayed(monitor, window, version, d.copy, d.delay)
-            for copy in range(len(deliveries), transmissions):
-                tracer.dropped(monitor, window, version, copy)
+                copy_event("fault.delay", d.copy, delay=d.delay)
         return deliveries
 
     def send_function(

@@ -23,7 +23,7 @@ import hashlib
 import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..core.errors import DistributiveErrorMetric, PenaltyMetric
 from ..core.estimate import reconstruct_estimates
 from ..core.groups import GroupTable
 from ..core.hierarchy import PrunedHierarchy
-from ..core.partition import Histogram, PartitioningFunction
+from ..core.partition import Histogram, LazySlotHistogram, PartitioningFunction
 from ..core.wire import WireHistogram, merge_views
 # Not on the decode path; re-exported for tools that wrap it by this name.
 from ..core.wire import merge_wire  # noqa: F401
@@ -49,7 +49,6 @@ from ..obs import (
     WindowQuality,
     emit,
     get_registry,
-    get_tracer,
     span,
     telemetry_on,
 )
@@ -101,7 +100,8 @@ class DecodedWindow:
     #: Per-group estimates (coverage-rescaled under the ``rescale``
     #: policy).
     estimates: np.ndarray
-    #: Bucket-wise merge of the histograms that were actually used.
+    #: Bucket-wise merge of the histograms that were actually used (on
+    #: the fast path its buckets are gathered on first read).
     merged: Histogram
     #: Distinct monitors whose histograms contributed to the decode.
     monitors_reporting: int
@@ -120,6 +120,10 @@ class DecodedWindow:
     #: Online quality signals for this window (computed on every
     #: window, whatever telemetry is live).
     quality: WindowQuality
+    #: Each input message's decode outcome, in input order: ``decoded``
+    #: (``rescaled`` in a coverage-rescaled window), ``deduped`` or
+    #: ``quarantined`` (see :mod:`repro.obs.lifecycle`).
+    outcomes: Tuple[str, ...]
 
 
 class ControlCenter:
@@ -394,7 +398,9 @@ class ControlCenter:
         for v in views:
             unmatched += v.unmatched
             total += v.total
-        merged = Histogram.from_slots(
+        # Nothing on the window path reads ``merged``; build it on
+        # first access.
+        merged = LazySlotHistogram(
             estimator.slot_nodes, sums, unmatched, total
         )
         return merged, sums, estimator.estimate_slots(sums), nonzero
@@ -425,19 +431,24 @@ class ControlCenter:
                 f"stale_policy must be one of {STALE_POLICIES}, "
                 f"got {policy!r}"
             )
+        # The dedup/stale rule: the first copy of a (monitor, window,
+        # version) key counts, later ones are duplicates, and a key
+        # built with another function version is stale.
         seen = set()
-        unique: List[HistogramMessage] = []
+        usable: List[HistogramMessage] = []
+        outcomes: List[str] = []
         for m in messages:
             key = (m.monitor, m.window_index, m.function_version)
             if key in seen:
-                continue
+                outcomes.append("deduped")
+            elif m.function_version != self.function_version:
+                outcomes.append("quarantined")
+            else:
+                usable.append(m)
+                outcomes.append("decoded")
             seen.add(key)
-            unique.append(m)
-        duplicates = len(messages) - len(unique)
-        usable = [
-            m for m in unique if m.function_version == self.function_version
-        ]
-        stale = len(unique) - len(usable)
+        duplicates = len(messages) - len(seen)
+        stale = len(seen) - len(usable)
         if stale and policy == "strict":
             raise ValueError(
                 f"{stale} histogram(s) built with a stale partitioning "
@@ -456,27 +467,7 @@ class ControlCenter:
         )
         if policy == "rescale" and 0.0 < coverage < 1.0:
             estimates = estimates / coverage
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Close each copy's lifecycle trace with its decode fate.
-            # Copies decoded here arrived without delay, so the close
-            # tick is the message's own window (age 0 in window-time).
-            rescaled = policy == "rescale" and 0.0 < coverage < 1.0
-            closed = set()
-            for m in messages:
-                key = (m.monitor, m.window_index, m.function_version)
-                if key in closed:
-                    outcome = "deduped"
-                elif m.function_version != self.function_version:
-                    closed.add(key)
-                    outcome = "quarantined"
-                else:
-                    closed.add(key)
-                    outcome = "rescaled" if rescaled else "decoded"
-                tracer.close(
-                    m.monitor, m.window_index, m.function_version,
-                    outcome, at_window=m.window_index,
-                )
+            outcomes = ["rescaled" if o == "decoded" else o for o in outcomes]
         # Online quality signals need no ground truth: they derive from
         # the merged slot sums and the decode accounting, on every
         # window, so a report never depends on what telemetry is live.
@@ -509,6 +500,7 @@ class ControlCenter:
             coverage=coverage,
             nonzero_buckets=nonzero,
             quality=quality,
+            outcomes=tuple(outcomes),
         )
 
     def decode(self, messages: Sequence[HistogramMessage]) -> np.ndarray:

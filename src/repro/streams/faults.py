@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs import emit, get_tracer
+from ..obs import emit, lifecycle_on
 from .monitor import HistogramMessage
 
 __all__ = ["Delivery", "FaultModel", "InstallScheduler"]
@@ -220,15 +220,18 @@ class FaultModel:
         """Shuffle reorder-flagged deliveries to random positions within
         one arrival window (in place; returns the list)."""
         flagged = [d for d in arrivals if d.reorder]
-        tracer = get_tracer()
+        lifecycle = lifecycle_on()
         for delivery in flagged:
             arrivals.remove(delivery)  # identity equality: exact copy out
             pos = int(self._rng.integers(0, len(arrivals) + 1))
             arrivals.insert(pos, delivery)
-            m = delivery.message
-            tracer.reordered(
-                m.monitor, m.window_index, m.function_version, delivery.copy,
-            )
+            if lifecycle:
+                m = delivery.message
+                emit(
+                    "trace.reordered", monitor=m.monitor,
+                    window=m.window_index, version=m.function_version,
+                    copy=delivery.copy,
+                )
         return arrivals
 
 

@@ -56,7 +56,7 @@ from ..obs import (
     get_journal,
     get_registry,
     get_slo_engine,
-    get_tracer,
+    lifecycle_on,
     span,
     telemetry_on,
 )
@@ -64,7 +64,7 @@ from ..obs.slo import quantile
 from .channel import Channel
 from .control_center import ControlCenter, DecodedWindow
 from .faults import Delivery, FaultModel, InstallScheduler
-from .monitor import Monitor
+from .monitor import HistogramMessage, Monitor
 from .query import exact_group_counts
 from .tuples import Trace
 from .windows import TumblingWindows
@@ -136,6 +136,35 @@ class SystemReport:
         nothing, and ``0.0`` keeps downstream arithmetic finite."""
         sent = self.upstream_bytes + self.function_bytes
         return self.raw_bytes / sent if sent else 0.0
+
+
+def _close(m: HistogramMessage, copy: int, outcome: str, at: int) -> float:
+    """Emit one copy's ``trace.closed``; returns its age in windows."""
+    age = at - m.window_index
+    emit(
+        "trace.closed", monitor=m.monitor, window=m.window_index,
+        version=m.function_version, copy=copy, outcome=outcome,
+        at_window=at, age_windows=age,
+    )
+    return float(age)
+
+
+def _close_decoded(
+    arrivals: List[Delivery], decoded: DecodedWindow, w: int
+) -> List[float]:
+    """Close each on-time copy with its decode outcome; returns their
+    ages.  Copies of one message are bit-identical, so which copy gets
+    which outcome is a convention: a key's outcomes, in arrival order,
+    go to its copies in ascending copy index."""
+    on_time = [d for d in arrivals if d.message.window_index == w]
+    copies: Dict[Tuple[str, int], List[int]] = {}
+    for d in sorted(on_time, key=lambda d: d.copy, reverse=True):
+        m = d.message
+        copies.setdefault((m.monitor, m.function_version), []).append(d.copy)
+    return [
+        _close(m, copies[m.monitor, m.function_version].pop(), outcome, w)
+        for m, outcome in zip((d.message for d in on_time), decoded.outcomes)
+    ]
 
 
 class MonitoringSystem:
@@ -271,7 +300,7 @@ class MonitoringSystem:
             raise RuntimeError("call train() before run()")
         cc = self.control_center
         registry = get_registry()
-        tracer = get_tracer()
+        lifecycle = lifecycle_on()
         slo = get_slo_engine()
         if faults is not None:
             faults.reset()
@@ -379,22 +408,22 @@ class MonitoringSystem:
                         if d.message.window_index == w
                     ]
                     late = len(arrivals) - len(on_time)
-                    if tracer.enabled:
+                    # Ages of the copies closed as delivered this window.
+                    ages: List[float] = []
+                    if lifecycle:
                         # Every copy arriving this tick is delivered;
                         # copies past their window's watermark close
-                        # immediately as late (decode never sees them).
+                        # at once as late (decode never sees them).
                         for d in arrivals:
                             m = d.message
-                            tracer.delivered(
-                                m.monitor, m.window_index,
-                                m.function_version, d.copy, at_window=w,
+                            emit(
+                                "trace.delivered", monitor=m.monitor,
+                                window=m.window_index,
+                                version=m.function_version, copy=d.copy,
+                                at_window=w,
                             )
                             if m.window_index != w:
-                                tracer.close(
-                                    m.monitor, m.window_index,
-                                    m.function_version, "late",
-                                    at_window=w, copy=d.copy,
-                                )
+                                ages.append(_close(m, d.copy, "late", w))
                     if not window_uids:
                         # No Monitor had a window slot this tick; there
                         # is nothing to ground-truth against, so skip.
@@ -411,6 +440,8 @@ class MonitoringSystem:
                     decoded = cc.decode_window(
                         on_time, expected_monitors=expected
                     )
+                    if lifecycle:
+                        ages += _close_decoded(arrivals, decoded, w)
                     error = float(cc.error(decoded.estimates, actual))
                     raw = self.channel.raw_stream_bytes(int(uids.size))
                     quality = decoded.quality
@@ -445,17 +476,13 @@ class MonitoringSystem:
                     # counters as deltas, gauges as levels, timers as
                     # per-window quantiles (no-op when disabled).
                     emit_window_record(registry, w)
-                    # Delivered-close ages are per-window: drain them
-                    # even without an SLO engine so a late-attached one
-                    # never sees stale history.
-                    ages = tracer.drain_window_ages()
                     if slo.enabled:
                         signals = {
                             name: float(value)
                             for name, value in row.items()
                             if isinstance(value, (int, float))
                         }
-                        if tracer.enabled:
+                        if lifecycle:
                             for p in (50, 90, 99):
                                 signals[f"delivery_p{p}_windows"] = quantile(
                                     ages, p / 100
@@ -465,9 +492,12 @@ class MonitoringSystem:
             report.expired_messages = sum(
                 len(v) for v in in_flight.values()
             )
-            # Copies still in flight past the last window can never
-            # decode — close their traces as expired.
-            tracer.expire_open(n_windows)
+            if lifecycle:
+                # Copies still in flight past the last window can never
+                # decode.
+                for pending in in_flight.values():
+                    for d in pending:
+                        _close(d.message, d.copy, "expired", n_windows)
         finally:
             self.channel.faults = previous_faults
         report.upstream_bytes = self.channel.upstream_bytes

@@ -274,13 +274,27 @@ class TestTracingAndSLOs:
         ]) == 0
         captured = capsys.readouterr()
         # Alert history prints on stdout (replay-reconstructable);
-        # tracer conservation is a live-only diagnostic on stderr.
+        # lifecycle conservation is a live-only diagnostic on stderr.
         assert "slo alerts" in captured.out
         assert "lifecycle conservation ok" in captured.err
         assert main(["replay", journal]) == 0
         replayed = capsys.readouterr()
         assert replayed.out == captured.out
         assert "lifecycle conservation" not in replayed.err
+
+    def test_conservation_line_same_without_journal(self, tmp_path, capsys):
+        # The books are folded from the journal file, or from memory
+        # when no journal is written: same line either way.
+        journal = str(tmp_path / "run.journal")
+        assert main(SIMULATE_SMALL + self.FAULTY + [
+            "--journal", journal, "--trace",
+        ]) == 0
+        with_journal = capsys.readouterr()
+        assert main(SIMULATE_SMALL + self.FAULTY + ["--trace"]) == 0
+        without = capsys.readouterr()
+        assert "lifecycle conservation ok: sent=" in with_journal.err
+        assert without.err == with_journal.err
+        assert without.out == with_journal.out
 
     def test_trace_subcommand_writes_chrome_trace(self, tmp_path, capsys):
         import json as _json

@@ -189,8 +189,7 @@ class TestHandles:
     def test_steady_state_window_skips_label_sorting(self, monkeypatch):
         from repro.data import generate_subnet_table
         from repro.data.traffic import generate_timestamped_trace
-        from repro.obs import EventJournal, LifecycleTracer, use_journal
-        from repro.obs import use_tracer
+        from repro.obs import EventJournal, use_journal, use_lifecycle
         from repro.obs import registry as registry_module
         from repro.streams import FaultModel, MonitoringSystem, Trace
 
@@ -212,7 +211,7 @@ class TestHandles:
             calls.append(dict(labels))
             return real(labels)
 
-        with use_registry(reg), use_tracer(LifecycleTracer()), \
+        with use_registry(reg), use_lifecycle(), \
                 use_journal(EventJournal(io.StringIO())):
             system.train(history)
             system.run(live, window_width=2.0)

@@ -19,7 +19,6 @@ from repro.data.traffic import generate_timestamped_trace
 from repro.obs import (
     Alert,
     EventJournal,
-    LifecycleTracer,
     MetricsRegistry,
     MetricsServer,
     NULL_SLO_ENGINE,
@@ -33,9 +32,9 @@ from repro.obs import (
     read_journal,
     render_top,
     use_journal,
+    use_lifecycle,
     use_registry,
     use_slo_engine,
-    use_tracer,
 )
 from repro.obs.slo import quantile
 from repro.obs.top import state_from_journal
@@ -219,8 +218,7 @@ def slo_run(workload, tmp_path_factory):
     engine = SLOEngine(
         parse_slo_spec("coverage>=0.99,delivery_p99_windows<=0")
     )
-    tracer = LifecycleTracer()
-    with use_journal(EventJournal(path)), use_tracer(tracer), \
+    with use_journal(EventJournal(path)), use_lifecycle(), \
             use_slo_engine(engine):
         system.train(history)
         report = system.run(live, window_width=3.0)

@@ -4,8 +4,8 @@ pinned in ``tests/data/telemetry_golden_*.json``.
 
 The scenarios cover every instrumented layer:
 
-* ``serial`` — a faulty, incremental, adaptive run with a lifecycle
-  tracer and an SLO engine live (faults, installs, traces, drift,
+* ``serial`` — a faulty, incremental, adaptive run with lifecycle
+  capture and an SLO engine live (faults, installs, traces, drift,
   recalibrations, alerts);
 * ``sharded`` — a faulty 2-shard run (worker snapshot fan-in,
   ``shard.*`` events, prefetch counters);
@@ -36,15 +36,14 @@ from repro.data import TrafficModel, generate_subnet_table
 from repro.data.traffic import generate_timestamped_trace
 from repro.obs import (
     EventJournal,
-    LifecycleTracer,
     MetricsRegistry,
     SLOEngine,
     parse_slo_spec,
     to_prometheus,
     use_journal,
+    use_lifecycle,
     use_registry,
     use_slo_engine,
-    use_tracer,
 )
 from repro.serving import ServingEngine, ShardedMonitoringSystem
 from repro.streams import (
@@ -91,8 +90,7 @@ def _serial(table, history, live):
         incremental=True, faults=FaultModel.parse(FAULTS),
         detector=BucketDriftDetector(threshold=0.01, patience=1),
     )
-    with use_tracer(LifecycleTracer()), \
-            use_slo_engine(SLOEngine(parse_slo_spec(SLO))):
+    with use_lifecycle(), use_slo_engine(SLOEngine(parse_slo_spec(SLO))):
         system.train(history)
         system.run(live, window_width=1.0)
 

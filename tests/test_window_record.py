@@ -20,7 +20,6 @@ from repro.data import TrafficModel, generate_subnet_table
 from repro.data.traffic import generate_timestamped_trace
 from repro.obs import (
     EventJournal,
-    LifecycleTracer,
     MetricsRegistry,
     emit_window_record,
     merge_snapshot,
@@ -28,8 +27,8 @@ from repro.obs import (
     snapshot_from_wire,
     snapshot_to_wire,
     use_journal,
+    use_lifecycle,
     use_registry,
-    use_tracer,
 )
 from repro.obs import crossproc, snapshots
 from repro.obs.registry import DEFAULT_BUCKETS
@@ -85,7 +84,7 @@ def test_serial_run_without_snapshots(workload, no_snapshots, tmp_path):
         stale_policy="rescale",
         faults=FaultModel.parse("drop=0.2,dup=0.1,delay=0.2,seed=3"),
     )
-    with use_registry(registry), use_tracer(LifecycleTracer()), \
+    with use_registry(registry), use_lifecycle(), \
             use_journal(EventJournal(str(tmp_path / "run.journal"))):
         system.train(history)
         report = system.run(live, window_width=1.5)
