@@ -12,7 +12,9 @@ non-zero when any point's fast curve is not identical, so the tiny
 grid doubles as an identity smoke test.
 
 Every (point, mode) is built ``REPS`` times and reports the minimum,
-so the recorded trajectory does not move with one noisy build.
+so the recorded trajectory does not move with one noisy build.  Each
+height runs in its own process, so a point's timing does not depend on
+the points before it.
 
 Usage::
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import time
 from typing import Dict, List, Optional, Tuple
@@ -97,68 +100,85 @@ def _curves_identical(ref: np.ndarray, got: np.ndarray) -> bool:
     )
 
 
+def _row_points(
+    row: Tuple[int, int, float, float], budgets: List[int]
+) -> List[Dict[str, object]]:
+    """Time every (budget, algorithm) point of one grid row."""
+    height, packets, base_stop, depth_ramp = row
+    metric = get_metric("rms")
+    table, counts, hierarchy = _workload(
+        height, packets, base_stop, depth_ramp
+    )
+    # The fast builds read the hierarchy's arrays; the naive oracles
+    # walk its PNode view, built once here, untimed, so the first naive
+    # build does not pay for it.
+    hierarchy.nodes
+    workload = {
+        "height": height,
+        "packets": packets,
+        "groups": table.num_groups,
+        "pruned_nodes": len(hierarchy),
+        "nonzero_groups": int(np.count_nonzero(counts)),
+        "traffic": "zipf(active=0.95, s=1.1)",
+    }
+    points: List[Dict[str, object]] = []
+    for budget in budgets:
+        for name, builder in ALGORITHMS.items():
+            # Untimed warmup: one-time costs of a first build (first
+            # numpy calls, lazily built caches) so mode order doesn't
+            # bias the timings.
+            with use_kernel_mode("fast"):
+                builder(hierarchy, metric, budget)
+            seconds: Dict[str, float] = {}
+            curves: Dict[str, np.ndarray] = {}
+            for mode in MODES:
+                times = []
+                with use_kernel_mode(mode):
+                    for _ in range(REPS):
+                        t0 = time.perf_counter()
+                        result = builder(hierarchy, metric, budget)
+                        times.append(time.perf_counter() - t0)
+                seconds[mode] = min(times)
+                curves[mode] = np.asarray(result.curve, dtype=np.float64)
+                # Drop the build (and the naive oracle's per-node
+                # tables) before the next mode's reps.
+                del result
+            point = {
+                "workload": workload,
+                "budget": budget,
+                "algorithm": name,
+                "metric": metric.name,
+                "seconds": {m: round(s, 6) for m, s in seconds.items()},
+                "speedup_fast": round(seconds["naive"] / seconds["fast"], 3),
+                "fast_identical": _curves_identical(
+                    curves["naive"], curves["fast"]
+                ),
+            }
+            points.append(point)
+            print(
+                f"h={height} |G|={workload['groups']} B={budget} "
+                f"{name}: naive={seconds['naive']:.3f}s "
+                f"fast={seconds['fast']:.3f}s "
+                f"({point['speedup_fast']}x, "
+                f"identical={point['fast_identical']})",
+                flush=True,
+            )
+    return points
+
+
 def run_grid(grid: str) -> Dict[str, object]:
     sizes, budgets = (
         (TINY_SIZES, TINY_BUDGETS) if grid == "tiny"
         else (FULL_SIZES, FULL_BUDGETS)
     )
-    metric = get_metric("rms")
     points: List[Dict[str, object]] = []
-    for height, packets, base_stop, depth_ramp in sizes:
-        table, counts, hierarchy = _workload(
-            height, packets, base_stop, depth_ramp
-        )
-        # The fast builds read the hierarchy's arrays; the naive
-        # oracles walk its PNode view, built once here, untimed, so the
-        # first naive build does not pay for it.
-        hierarchy.nodes
-        workload = {
-            "height": height,
-            "packets": packets,
-            "groups": table.num_groups,
-            "pruned_nodes": len(hierarchy),
-            "nonzero_groups": int(np.count_nonzero(counts)),
-            "traffic": "zipf(active=0.95, s=1.1)",
-        }
-        for budget in budgets:
-            for name, builder in ALGORITHMS.items():
-                # Untimed warmup: one-time costs of a first build (the
-                # shared closed-form split arrays, first numpy calls)
-                # so mode order doesn't bias the timings.
-                with use_kernel_mode("fast"):
-                    builder(hierarchy, metric, budget)
-                seconds: Dict[str, float] = {}
-                curves: Dict[str, np.ndarray] = {}
-                for mode in MODES:
-                    times = []
-                    with use_kernel_mode(mode):
-                        for _ in range(REPS):
-                            t0 = time.perf_counter()
-                            result = builder(hierarchy, metric, budget)
-                            times.append(time.perf_counter() - t0)
-                    seconds[mode] = min(times)
-                    curves[mode] = np.asarray(result.curve, dtype=np.float64)
-                point = {
-                    "workload": workload,
-                    "budget": budget,
-                    "algorithm": name,
-                    "metric": metric.name,
-                    "seconds": {m: round(s, 6) for m, s in seconds.items()},
-                    "speedup_fast": round(
-                        seconds["naive"] / seconds["fast"], 3
-                    ),
-                    "fast_identical": _curves_identical(
-                        curves["naive"], curves["fast"]
-                    ),
-                }
-                points.append(point)
-                print(
-                    f"h={height} |G|={workload['groups']} B={budget} "
-                    f"{name}: naive={seconds['naive']:.3f}s "
-                    f"fast={seconds['fast']:.3f}s "
-                    f"({point['speedup_fast']}x, "
-                    f"identical={point['fast_identical']})"
-                )
+    spawn = multiprocessing.get_context("spawn")
+    for row in sizes:
+        # Each row runs in a fresh process: in one long process the
+        # later rows read slower than they do alone (allocator state
+        # the earlier rows' naive builds leave behind).
+        with spawn.Pool(1) as pool:
+            points.extend(pool.apply(_row_points, (row, budgets)))
     largest = max(
         points,
         key=lambda p: (p["workload"]["groups"], p["budget"]),
@@ -166,7 +186,7 @@ def run_grid(grid: str) -> Dict[str, object]:
     summary = {
         p["algorithm"]: p["speedup_fast"]
         for p in points
-        if p["workload"] is largest["workload"]
+        if p["workload"] == largest["workload"]
         and p["budget"] == largest["budget"]
     }
     return {

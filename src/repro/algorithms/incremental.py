@@ -69,15 +69,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import PenaltyMetric
 from ..core.hierarchy import PrunedHierarchy, TreeArrays
-from .base import INF, DPContext
+from .base import DPContext
 from .kernels import kernel_mode
-from .nonoverlapping import _merge_internal
+from .nonoverlapping import _layout, _merge_internal, _table
 
 __all__ = [
     "memo_config_key",
@@ -243,22 +243,25 @@ class _Session:
 # ---------------------------------------------------------------------------
 @dataclass
 class NonoverlappingMemo:
-    """All internal-node tables and splits of one build.
+    """One build's DP state: the ragged arena every internal node's
+    error table and split row live in.
 
-    ``tables``/``splits`` are indexed by the build's postorder (``None``
-    at leaves, whose tables stay virtual), ``lengths`` holds every
-    node's table length (2 at leaves; structural for a fixed
-    configuration) and ``own`` the per-node own-density errors.
-    ``counts`` is the count vector the build saw — the baseline for the
-    next rebuild's dirty diff.
+    Node ``i``'s table is ``values[offsets[i] : offsets[i + 1]]`` and
+    its split row the same slice of ``splits`` (zero wide at leaves,
+    whose tables stay virtual); ``offsets`` is structural for a fixed
+    configuration and nonzero mask.  ``own`` holds the per-node
+    own-density errors and ``counts`` the count vector the build saw —
+    the baseline for the next rebuild's dirty diff.  A memo is a value:
+    later rebuilds re-merge into a copy of its arrays, never the arrays
+    themselves.
     """
 
     config: Tuple
     counts: np.ndarray
     structure_sig: bytes
-    tables: List[Optional[np.ndarray]]
-    splits: List[Optional[np.ndarray]]
-    lengths: np.ndarray
+    values: np.ndarray
+    splits: np.ndarray
+    offsets: np.ndarray
     own: np.ndarray
 
 
@@ -270,9 +273,9 @@ class NonoverlappingSession(_Session):
     :func:`~repro.algorithms.nonoverlapping.build_nonoverlapping` in
     place of its full sweep, and :meth:`finish` hands back the memo for
     the *next* rebuild.  Both paths run the full build's phase-batched
-    merge: a cold session merges every internal node and keeps every
-    table; a same-structure one merges only the dirty internal nodes
-    and reads clean children's tables out of the memo.
+    merge: a cold session merges every internal node into a fresh
+    arena; a same-structure one re-merges only the dirty internal nodes
+    into a copy of the memo's arena, whose clean entries it reads.
     """
 
     algorithm = "nonoverlapping"
@@ -283,37 +286,31 @@ class NonoverlappingSession(_Session):
         :func:`~repro.algorithms.nonoverlapping._sweep`."""
         ar = self._arrays
         old = self._old
+        root = ar.node.size - 1
         if old is None:
-            n = ar.left.shape[0]
-            tables: List[Optional[np.ndarray]] = [None] * n
-            splits: List[Optional[np.ndarray]] = [None] * n
-            lengths = np.where(ar.left < 0, 2, 0)
+            off = _layout(ar, budget, 0, root)
+            values = np.empty(off[-1])
+            splits = np.empty(off[-1], dtype=np.int32)
             nodes = ar.order
         else:
             dirty = _dirty_vector(ar, old.counts, self._counts)
             ctx.splice_own_errors(old.own, np.nonzero(dirty)[0])
-            tables, splits = list(old.tables), list(old.splits)
-            lengths = old.lengths.copy()
+            off = old.offsets
+            values, splits = old.values.copy(), old.splits.copy()
             nodes = ar.order[dirty[ar.order]]
-        _merge_internal(ctx, budget, nodes, tables, lengths, splits)
+        _merge_internal(ctx, budget, nodes, off, values, splits)
         self.solved = int(nodes.size)
         self.reused = int(ar.order.size) - self.solved
-        own = ctx.own_errors()
         self._memo = NonoverlappingMemo(
             config=self._config,
             counts=self._counts.copy(),
             structure_sig=self._sig,
-            tables=tables,
+            values=values,
             splits=splits,
-            lengths=lengths,
-            own=own,
+            offsets=off,
+            own=ctx.own_errors(),
         )
-        root = ar.node.size - 1
-        if ar.left[root] < 0:
-            table = np.full(2, INF)
-            table[1] = own[root]
-            return table, splits
-        return tables[root], splits
+        return _table(ctx, root, off, values), off, splits
 
     def finish(self) -> NonoverlappingMemo:
         return self._memo

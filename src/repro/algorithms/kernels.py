@@ -87,6 +87,17 @@ def _strided(buf: np.ndarray, offset: int, shape, strides) -> np.ndarray:
     )
 
 
+def _ranges(sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s)`` for each ``s`` in ``sizes`` — the
+    row-offset pattern for gathering variable-height blocks out of a
+    contiguous arena."""
+    total = int(sizes.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
+
+
 def _check_mode(mode: str) -> str:
     if mode not in KERNEL_MODES:
         known = ", ".join(KERNEL_MODES)
@@ -319,15 +330,15 @@ def _positive_merge_batch(
     The nonoverlapping sweep's tables are ``inf`` at entry 0 and finite
     everywhere else, so its merges reduce to convolving the finite
     tails ``left[1:]`` / ``right[1:]``: ``l``/``r`` are ``(K, m)`` /
-    ``(K, n)`` stacks of those tails sharing one shape (the
-    phase-batched sweep groups same-shape merges across nodes), and
-    ``out[k, B']`` is the best combine over ``c' + j' = B'``.  Every
-    output is feasible (hence finite) and the returned choice is
-    *1-based* — the left-child bucket count ``c = c' + 1`` — matching
-    the reference kernel's smallest-``c`` tie-breaking via the same
-    per-column first-minimum argmin.  ``want_choice=False`` skips the
-    argmin pass for sweeps that discard split choices (the low-memory
-    reconstruction mode).
+    ``(K, n)`` stacks of those tails (``inf``-padded to one shape), and
+    ``out[k, B']`` is the best combine over ``c' + j' = B'``.  The
+    returned choice is *1-based* — the left-child bucket count ``c =
+    c' + 1`` — matching the reference kernel's smallest-``c``
+    tie-breaking via the same per-column first-minimum argmin.
+    ``want_choice=False`` skips the argmin pass for sweeps that discard
+    split choices (the low-memory reconstruction mode).  Either layout
+    reuses one candidate buffer of at most ``_MAX_BLOCK_ELEMENTS``
+    cells per block, so only one block is ever live.
     """
     K, m = l.shape
     n = r.shape[1]
@@ -336,20 +347,31 @@ def _positive_merge_batch(
     pad = np.full((K, rows - 1 + width), INF)
     pad[:, rows - 1 : rows - 1 + ncols] = r[:, :ncols]
     s0, s1 = pad.strides
+    combine = np.maximum if maximum else np.add
     out = np.empty(0)
     choice: Optional[np.ndarray] = None
-    if rows >= _TRANSPOSE_ROWS and K * rows * width <= _MAX_BLOCK_ELEMENTS:
-        shifted = _strided(
-            pad, (rows - 1) * s1, (K, width, rows), (s0, s1, -s1)
-        )
-        lv = l[:, None, :rows]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        out = cand.min(axis=2)
-        if want_choice:
-            choice = cand.argmin(axis=2).astype(np.int32)
-            choice += 1
+    if rows >= _TRANSPOSE_ROWS and rows * width <= _MAX_BLOCK_ELEMENTS:
+        # Tall problem: the allocation axis innermost, so min/argmin
+        # reduce contiguous memory, in blocks of whole batch rows.
+        out = np.empty((K, width))
+        choice = np.empty((K, width), np.int32) if want_choice else None
+        step = _MAX_BLOCK_ELEMENTS // (rows * width)
+        buf = np.empty((min(step, K), width, rows))
+        for k0 in range(0, K, step):
+            k1 = min(K, k0 + step)
+            shifted = _strided(
+                pad[k0:k1], (rows - 1) * s1, (k1 - k0, width, rows),
+                (s0, s1, -s1),
+            )
+            cand = combine(
+                l[k0:k1, None, :rows], shifted, out=buf[: k1 - k0]
+            )
+            out[k0:k1] = cand.min(axis=2)
+            if want_choice:
+                choice[k0:k1] = cand.argmin(axis=2) + 1
         return out, choice
     block = max(1, _MAX_BLOCK_ELEMENTS // max(1, width * K))
+    buf = np.empty((K, min(block, rows), width))
     for c0 in range(0, rows, block):
         c1 = min(rows, c0 + block)
         shifted = _strided(
@@ -358,8 +380,7 @@ def _positive_merge_batch(
             (K, c1 - c0, width),
             (s0, -s1, s1),
         )
-        lv = l[:, c0:c1, None]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
+        cand = combine(l[:, c0:c1, None], shifted, out=buf[:, : c1 - c0])
         vals = cand.min(axis=1)
         if c0 == 0:
             out = vals

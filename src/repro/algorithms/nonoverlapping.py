@@ -19,8 +19,7 @@ search space and the result is optimal over the full virtual hierarchy.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, NonoverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .kernels import _positive_merge_batch, knapsack_merge
+from .kernels import _positive_merge_batch, _ranges, knapsack_merge
 
 __all__ = ["build_nonoverlapping"]
 
@@ -56,10 +55,11 @@ def build_nonoverlapping(
         keep no per-node split arrays and reconstruct bucket sets by
         re-running the DP on the two subtrees of each chosen split.
         The naive sweep is a depth-first walk, so only O(b x depth)
-        error values are live; the batched sweep merges a whole level
-        at a time and keeps one frontier of error tables live.  Same
-        optimum; reconstruction costs an extra O(depth) factor, which
-        is why it is opt-in.
+        error values are live; the batched sweep keeps every internal
+        table of the swept subtree in one arena (``min(b, leaves
+        below) + 1`` entries a node) and drops only the split rows.
+        Same optimum; reconstruction costs an extra O(depth) factor,
+        which is why it is opt-in.
     memo:
         A :class:`~repro.algorithms.incremental.NonoverlappingSession`
         for memoized rebuilds; its sweep replaces the full one
@@ -86,9 +86,9 @@ def build_nonoverlapping(
         nodes=len(hierarchy), low_memory=low_memory,
     ) as sp:
         if memo is not None:
-            root_table, splits = memo.sweep(ctx, budget)
+            root_table, off, splits = memo.sweep(ctx, budget)
         else:
-            root_table, splits = _sweep(
+            root_table, off, splits = _sweep(
                 root, ctx, budget, keep_splits=not low_memory
             )
         sp.annotate(root_entries=int(len(root_table)) - 1)
@@ -109,7 +109,7 @@ def build_nonoverlapping(
             if low_memory:
                 _collect_multipass(root, b, ctx, bucket_nodes)
             else:
-                _collect(hierarchy, b, splits, bucket_nodes)
+                _collect(hierarchy, b, off, splits, bucket_nodes)
             sp.annotate(buckets=len(bucket_nodes))
         return NonoverlappingPartitioning(
             hierarchy.domain, [Bucket(v) for v in bucket_nodes]
@@ -126,16 +126,19 @@ def build_nonoverlapping(
 def _sweep(i: int, ctx: DPContext, budget: int, keep_splits: bool):
     """One bottom-up DP pass over the subtree of node ``i``.
 
-    The naive mode walks the subtree node by node and frees child error
-    tables as soon as their parent consumes them, so at most O(depth)
-    tables are live; batched modes run :func:`_merge_internal`.  Split
-    choices are retained only when ``keep_splits`` — dropping them is
-    the Section 4.4 mode.
+    Returns ``(table, off, splits)``: node ``i``'s error table and the
+    subtree's split arena (:func:`_layout`; ``splits`` is ``None`` when
+    ``keep_splits`` is off — the Section 4.4 mode).  The naive mode
+    walks the subtree node by node and frees child error tables as soon
+    as their parent consumes them, so at most O(depth) tables are live;
+    batched modes run :func:`_sweep_fast`.
     """
     if ctx.batched:
         return _sweep_fast(i, ctx, budget, keep_splits)
+    lo = i - int(ctx.hierarchy.arrays.size[i]) + 1
+    off = _layout(ctx.hierarchy.arrays, budget, lo, i)
+    splits = np.empty(off[-1], dtype=np.int32) if keep_splits else None
     tables = {}
-    splits: dict = {}
     stack = [(ctx.hierarchy.nodes[i], False)]
     while stack:
         p, expanded = stack.pop()
@@ -153,8 +156,8 @@ def _sweep(i: int, ctx: DPContext, budget: int, keep_splits: bool):
         table, split = _merge_node_naive(ctx, p, left, right, budget)
         tables[p.index] = table
         if keep_splits:
-            splits[p.index] = split
-    return tables[i], splits
+            splits[off[p.index - lo] : off[p.index - lo + 1]] = split
+    return tables[i], off, splits
 
 
 def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
@@ -168,187 +171,174 @@ def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
     return table, split
 
 
+def _layout(ar, budget: int, lo: int, hi: int) -> np.ndarray:
+    """Arena offsets of the postorder interval ``[lo, hi]``: node
+    ``i``'s table is entries ``off[i - lo] : off[i - lo + 1]``, of the
+    structural length ``min(budget, leaves below) + 1`` (capacities add
+    up the tree, capped at the budget).  Leaves are zero wide: their
+    tables stay virtual (``[inf, own]``)."""
+    sl = slice(lo, hi + 1)
+    width = np.minimum(budget, ar.leaf_hi[sl] - ar.leaf_lo[sl]) + 1
+    width[ar.left[sl] < 0] = 0
+    off = np.zeros(hi - lo + 2, dtype=np.int64)
+    np.cumsum(width, out=off[1:])
+    return off
+
+
+def _table(ctx: DPContext, i: int, off, values, lo: int = 0) -> np.ndarray:
+    """Node ``i``'s error table (``[inf, own]`` at a leaf)."""
+    if ctx.hierarchy.arrays.left[i] >= 0:
+        return values[off[i - lo] : off[i - lo + 1]]
+    table = np.full(2, INF)
+    table[1] = ctx.own_errors()[i]
+    return table
+
+
 def _sweep_fast(i: int, ctx: DPContext, budget: int, keep_splits: bool):
     """Batched-mode sweep of node ``i``'s subtree, bit-identical to the
     naive one: :func:`_merge_internal` over the internal nodes of the
     subtree's postorder interval ``[i - size + 1, i]`` — the whole tree
-    for a full build, one subtree for a Section 4.4 re-sweep.  Child
-    tables are dropped once consumed, so one frontier is live."""
+    for a full build, one subtree for a Section 4.4 re-sweep — into a
+    fresh arena holding every internal table of the subtree."""
     ar = ctx.hierarchy.arrays
-    left = ar.left
-    if left[i] < 0:
-        table = np.full(2, INF)
-        table[1] = ctx.own_errors()[i]
-        return table, {}
-    interval = np.arange(i - ar.size[i] + 1, i + 1)
-    tables: Dict[int, np.ndarray] = {}
-    splits: Optional[Dict[int, np.ndarray]] = {} if keep_splits else None
-    _merge_internal(
-        ctx, budget, interval[left[interval] >= 0], tables,
-        np.where(left < 0, 2, 0), splits, release=True,
-    )
-    return tables[i], splits
-
-
-@lru_cache(maxsize=None)
-def _const_split(case: str, size: int) -> np.ndarray:
-    """The split array of a closed-form merge (read-only and shared:
-    its contents depend only on the case and the table size)."""
-    sp = np.empty(size, dtype=np.int32)
-    sp[:2] = -1
-    if size > 2:
-        if case == "rl":  # right child is the leaf
-            sp[2:] = np.arange(1, size - 1, dtype=np.int32)
-        else:  # "lr": left child is the leaf, or leaf-leaf
-            sp[2:] = 1
-    sp.flags.writeable = False
-    return sp
+    lo = i - int(ar.size[i]) + 1
+    off = _layout(ar, budget, lo, i)
+    nodes = ar.order[(ar.order >= lo) & (ar.order <= i)]
+    values = np.empty(off[-1])
+    splits = np.empty(off[-1], dtype=np.int32) if keep_splits else None
+    _merge_internal(ctx, budget, nodes, off, values, splits, lo)
+    return _table(ctx, i, off, values, lo), off, splits
 
 
 def _merge_internal(
     ctx: DPContext,
     budget: int,
     nodes: np.ndarray,
-    tables,
-    tlen: np.ndarray,
-    splits=None,
-    release: bool = False,
+    off: np.ndarray,
+    values: np.ndarray,
+    splits: Optional[np.ndarray] = None,
+    lo: int = 0,
 ) -> None:
-    """Phase-batched merge of the internal ``nodes`` — the only fast
-    nonoverlapping merge (full builds, Section 4.4 re-sweeps and
-    incremental rebuilds all call it).
+    """Phase-batched merge of the internal ``nodes`` (in ascending
+    phase) into one ragged arena — the only fast nonoverlapping merge
+    (full builds, Section 4.4 re-sweeps and incremental rebuilds).
 
-    ``tables`` maps a postorder index to its error table and ``tlen``
-    holds every node's table length (2 at leaves).  Each child of a
-    merged node is a leaf, another merged node, or a node whose table
-    (and length) is already there.  Results land in ``tables``,
-    ``tlen`` and,
-    unless it is ``None``, ``splits``; ``release`` drops each child
-    table once its parent has consumed it.
+    Node ``i``'s table is ``values[off[i - lo] : off[i - lo + 1]]``
+    (:func:`_layout`) and its split row the same slice of ``splits``
+    (``None``: not kept).  A child of a merged node is a leaf, another
+    merged node, or a node already in the arena (a clean node of an
+    incremental rebuild).
 
-    Nonoverlapping tables have a fixed shape the fast path exploits:
-    entry 0 is ``inf`` (zero buckets are infeasible), entry 1 is the
-    node's own-bucket error, and every deeper in-range entry is finite.
-    Leaf tables therefore never materialize — parents read the
-    precomputed own-error array directly.  Nodes are processed level by
-    level (by subtree height) and, within a level, grouped by the
-    shapes of their children's tables; each group is one stacked
-    operation: leaf-leaf parents are a gather/combine over the
-    own-error array, one-leaf merges one broadcast combine over the
-    stacked inner tables, and internal-internal merges convolve the
-    finite table tails in
-    :func:`~repro.algorithms.kernels._positive_merge_batch`.  Entries
-    and recorded splits match the naive merge exactly: the dropped
-    candidates are all infinite and the surviving ones combine
-    identical scalars in the identical order.
+    Entry 0 of a table is ``inf``, entry 1 the node's own-bucket error
+    and every deeper entry finite, so leaf tables never materialize.
+    Heads, leaf-leaf parents (all of phase 1) and one-leaf split rows
+    are written at once; per phase, one op extends the one-leaf
+    parents' inner tails, and one
+    :func:`~repro.algorithms.kernels._positive_merge_batch` call per
+    width class convolves the internal-internal parents' tails,
+    ``inf``-padded to the class's widest.  Entries and splits match the
+    naive merge exactly: a padded candidate is ``inf``, so it never
+    beats a finite one under ``+`` or ``max`` (nor moves the
+    first-minimum argmin).
     """
     own = ctx.own_errors()
     maximum = ctx.metric.combine == "max"
     ar = ctx.hierarchy.arrays
-    phase, left_idx, right_idx = ar.phase, ar.left, ar.right
-    keep_splits = splits is not None
+    li = ar.left[nodes]
+    ri = ar.right[nodes]
+    head = off[nodes - lo]
+    values[head] = INF
+    values[head + 1] = own[nodes]
+    if splits is not None:
+        splits[head] = -1
+        splits[head + 1] = -1
+    if budget < 2 or nodes.size == 0:
+        return  # every table is its head
+    lleaf = ar.left[li] < 0
+    rleaf = ar.left[ri] < 0
+    phase = ar.phase[nodes]
+    w = off[nodes - lo + 1] - head - 2  # entries past the head
 
-    def head(gi: np.ndarray, size: int) -> np.ndarray:
-        block = np.empty((gi.size, size))
-        block[:, 0] = INF
-        block[:, 1] = own[gi]
-        return block
+    # Leaf-leaf parents (all of phase 1): closed form over the own
+    # errors.
+    both = lleaf & rleaf
+    lv, rv = own[li[both]], own[ri[both]]
+    values[head[both] + 2] = np.maximum(lv, rv) if maximum else lv + rv
+    if splits is not None:
+        splits[head[both] + 2] = 1
 
-    def tails(ids: np.ndarray, width: int) -> np.ndarray:
-        """Stack ``tables[c][1:]`` (the finite tails) for ``ids``."""
-        buf = np.empty((ids.size, width))
-        for k, c in enumerate(ids.tolist()):
-            buf[k] = tables[c][1:]
-            if release:
-                tables[c] = None
-        return buf
+    # One-leaf parents, flattened in phase order: entry ``2 + k`` is
+    # the inner child's entry ``1 + k`` combined with the leaf's own
+    # error.  The split rows are structural, so they are written now.
+    one = lleaf ^ rleaf
+    r_is_leaf = rleaf[one]
+    inner = np.where(r_is_leaf, li[one], ri[one])
+    k = w[one]
+    pos = _ranges(k)
+    dest1 = np.repeat(head[one] + 2, k) + pos
+    src1 = np.repeat(off[inner - lo] + 1, k) + pos
+    edge1 = np.repeat(own[np.where(r_is_leaf, ri[one], li[one])], k)
+    if splits is not None:
+        splits[dest1] = np.where(np.repeat(r_is_leaf, k), pos + 1, 1)
+    k_end = np.r_[0, np.cumsum(k)]
 
-    def publish(gi: np.ndarray, block: np.ndarray, split_rows) -> None:
-        ids = gi.tolist()
-        for i, row in zip(ids, block):
-            tables[i] = row
-        if keep_splits:
-            for i, row in zip(ids, split_rows):
-                splits[i] = row
+    # Internal-internal parents, grouped in one stable sort by phase
+    # and floor(log2(w)); outputs of 128+ entries also by floor(log2)
+    # of their left rows, where padding rows costs more than a call.
+    # The key packs (phase, width class, row class) in 6-bit fields.
+    two = np.flatnonzero(~(lleaf | rleaf))
+    w2 = w[two]
+    rows = np.minimum(off[li[two] - lo + 1] - off[li[two] - lo] - 1, w2)
+    row_class = np.where(w2 >= 128, np.frexp(rows)[1], 0)
+    key = (phase[two] * 64 + np.frexp(w2)[1]) * 64 + row_class
+    by_key = np.argsort(key, kind="stable")
+    two, key, w2 = two[by_key], key[by_key], w2[by_key]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    cw = np.r_[0, np.cumsum(w2)]
+    dest2 = np.repeat(head[two] + 2, w2) + _ranges(w2)
+    lt = off[li[two] - lo] + 1
+    rt = off[ri[two] - lo] + 1
+    lm = off[li[two] - lo + 1] - lt
+    rm = off[ri[two] - lo + 1] - rt
+    bounds = np.r_[first, two.size].tolist()
+    widths = np.maximum.reduceat(w2, first).tolist()
+    group_phase = (key[first] >> 12).tolist()
 
-    def const_rows(case: str, k: int, size: int):
-        return [_const_split(case, size)] * k if keep_splits else None
+    steps = np.unique(phase).tolist()
+    ends = np.searchsorted(phase[one], steps + [steps[-1] + 1])
+    cut1 = k_end[ends].tolist()
+    g = 0
+    for step, p in enumerate(steps):
+        a, b = cut1[step], cut1[step + 1]
+        if b > a:
+            seg = values[src1[a:b]]
+            e = edge1[a:b]
+            values[dest1[a:b]] = np.maximum(seg, e) if maximum else seg + e
+        while g < len(group_phase) and group_phase[g] == p:
+            a, b, width = bounds[g], bounds[g + 1], widths[g]
+            g += 1
+            vals, choice = _positive_merge_batch(
+                _padded_tails(values, lt[a:b], lm[a:b], width),
+                _padded_tails(values, rt[a:b], rm[a:b], width),
+                width, maximum, want_choice=splits is not None,
+            )
+            keep = np.arange(width) < w2[a:b, None]
+            dest = dest2[cw[a] : cw[b]]
+            values[dest] = vals[keep]
+            if splits is not None:
+                splits[dest] = choice[keep]
 
-    order = nodes[np.argsort(phase[nodes], kind="stable")]
-    ph = phase[order]
-    for idx_h in np.split(order, np.flatnonzero(ph[1:] != ph[:-1]) + 1):
-        li = left_idx[idx_h]
-        ri = right_idx[idx_h]
-        tlen[idx_h] = np.minimum(budget, tlen[li] + tlen[ri] - 2) + 1
-        lleaf = left_idx[li] < 0
-        rleaf = left_idx[ri] < 0
 
-        # Leaf-leaf parents: closed form over the own-error array.
-        both = lleaf & rleaf
-        if both.any():
-            g = idx_h[both]
-            size = min(budget, 2) + 1
-            block = head(g, size)
-            if size == 3:
-                lv = own[li[both]]
-                rv = own[ri[both]]
-                block[:, 2] = np.maximum(lv, rv) if maximum else lv + rv
-            publish(g, block, const_rows("lr", g.size, size))
-
-        # One-leaf merges, grouped by inner-table length and side: the
-        # inner tail shifted by one, combined with the leaf's own error.
-        one = lleaf ^ rleaf
-        if one.any():
-            g = idx_h[one]
-            r_is_leaf = rleaf[one]
-            inner_idx = np.where(r_is_leaf, li[one], ri[one])
-            edge_idx = np.where(r_is_leaf, ri[one], li[one])
-            key = tlen[inner_idx] * 2 + r_is_leaf
-            for u in np.unique(key).tolist():
-                sel = key == u
-                gi = g[sel]
-                inner_len = u // 2
-                size = min(budget, inner_len) + 1
-                tail = tails(inner_idx[sel], inner_len - 1)
-                block = head(gi, size)
-                if size > 2:
-                    seg = tail[:, : size - 2]
-                    e = own[edge_idx[sel]][:, None]
-                    block[:, 2:] = (
-                        np.maximum(seg, e) if maximum else seg + e
-                    )
-                publish(
-                    gi, block,
-                    const_rows("rl" if u & 1 else "lr", gi.size, size),
-                )
-
-        # Internal-internal merges, grouped by child-table shapes.
-        both_int = ~(lleaf | rleaf)
-        if both_int.any():
-            g = idx_h[both_int]
-            gl = li[both_int]
-            gr = ri[both_int]
-            key = tlen[gl] * (2 * budget + 4) + tlen[gr]
-            for u in np.unique(key).tolist():
-                sel = key == u
-                gi = g[sel]
-                m, nn = divmod(u, 2 * budget + 4)
-                size = min(budget, m + nn - 2) + 1
-                bl = tails(gl[sel], m - 1)
-                br = tails(gr[sel], nn - 1)
-                block = head(gi, size)
-                split_rows = None
-                if keep_splits:
-                    split_rows = np.empty((gi.size, size), dtype=np.int32)
-                    split_rows[:, :2] = -1
-                if size > 2:
-                    vals, choice = _positive_merge_batch(
-                        bl, br, size - 2, maximum, want_choice=keep_splits
-                    )
-                    block[:, 2:] = vals
-                    if keep_splits:
-                        split_rows[:, 2:] = choice
-                publish(gi, block, split_rows)
+def _padded_tails(
+    values: np.ndarray, first: np.ndarray, length: np.ndarray, width: int
+) -> np.ndarray:
+    """Stack the arena runs ``values[first[k] : first[k] + length[k]]``
+    (at most ``width`` entries each), ``inf``-padded to the longest."""
+    cols = np.arange(min(int(length.max()), width))
+    idx = first[:, None] + cols
+    return np.where(
+        cols < length[:, None], values.take(idx, mode="clip"), INF
+    )
 
 
 def _collect_multipass(
@@ -371,8 +361,8 @@ def _collect_multipass(
         if left[i] < 0 or b == 1:
             out.append(node[i])
             continue
-        left_table, _ = _sweep(left[i], ctx, b, keep_splits=False)
-        right_table, _ = _sweep(right[i], ctx, b, keep_splits=False)
+        left_table = _sweep(left[i], ctx, b, keep_splits=False)[0]
+        right_table = _sweep(right[i], ctx, b, keep_splits=False)[0]
         merged, split = knapsack_merge(
             left_table, right_table, b, ctx.metric.combine
         )
@@ -388,11 +378,13 @@ def _collect_multipass(
 def _collect(
     hierarchy: PrunedHierarchy,
     b: int,
-    splits: Dict[int, np.ndarray],
+    off: np.ndarray,
+    splits: np.ndarray,
     out: List[int],
 ) -> None:
     """Walk the recorded split choices from the root to materialize the
-    cut for budget ``b``."""
+    cut for budget ``b`` (node ``i``'s split row is
+    ``splits[off[i] : off[i + 1]]``)."""
     node, left, right, _depth = hierarchy.links()
     stack = [(len(node) - 1, b)]
     while stack:
@@ -400,9 +392,8 @@ def _collect(
         if left[i] < 0 or b == 1:
             out.append(node[i])
             continue
-        split = splits[i]
-        b = min(b, len(split) - 1)
-        c = int(split[b])
+        b = min(b, int(off[i + 1] - off[i]) - 1)
+        c = int(splits[off[i] + b])
         if c == -1:  # single-bucket choice recorded at B == 1 only
             out.append(node[i])
             continue

@@ -37,20 +37,11 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, OverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .kernels import kernel_mode, knapsack_merge, knapsack_merge_batch
+from .kernels import (
+    _ranges, kernel_mode, knapsack_merge, knapsack_merge_batch,
+)
 
 __all__ = ["build_overlapping", "OverlappingDP"]
-
-
-def _ranges(sizes: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s)`` for each ``s`` in ``sizes`` — the
-    row-offset pattern for gathering variable-height blocks out of a
-    contiguous row arena."""
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
 
 
 # Flags recorded for reconstruction.

@@ -331,6 +331,60 @@ class TestOneOverlappingSweep:
         assert _buckets(function) == _buckets(expected.function_at(budget))
 
 
+class TestNonoverlappingArena:
+    """Every fast nonoverlapping build fills one ragged arena; a
+    same-structure rebuild re-merges its dirty nodes into a copy of
+    the memo's."""
+
+    def test_cold_same_structure_restructuring_chain(self):
+        budget = BUDGETS["nonoverlapping"]
+        counts = _sparse_counts(seed=3)
+        memo, cold = _check_pair("nonoverlapping", counts, None)
+        assert cold["reused_subtrees"] == 0
+        drifted = counts.copy()
+        drifted[np.nonzero(drifted)[0][:4]] += 9.5
+        same, stats = _check_pair("nonoverlapping", drifted, memo)
+        assert stats["reused_subtrees"] > 0 and stats["dirty_subtrees"] > 0
+        # The layout is structural: the same offsets, new values.
+        assert same.offsets is memo.offsets
+        assert same.values is not memo.values
+        assert same.splits is not memo.splits
+        moved = _restructured(drifted)
+        last, stats = _check_pair("nonoverlapping", moved, same)
+        assert stats["reused_subtrees"] == 0
+        n = PrunedHierarchy(TABLE, moved).arrays.node.size
+        assert last.offsets.shape == (n + 1,)
+        assert last.values.size == last.splits.size == last.offsets[-1]
+        # The arena holds the tables and nothing else.
+        assert last.values.size <= (n // 2) * (budget + 1)
+
+    def test_shared_memo_survives_the_adopters_rebuild(self):
+        """The nonoverlapping twin of the overlapping test: tenant A
+        adopts tenant B's memo and rebuilds from it; B's next rebuild
+        diffs against its own memo's counts, so it must find that
+        memo's arena unchanged."""
+        budget = BUDGETS["nonoverlapping"]
+        counts = _base_counts(seed=2)
+        counts[counts == 0] = 1.0
+        later = counts.copy()
+        later[0] += 5.0
+        cache = SharedServingCache()
+        with use_kernel_mode("fast"):
+            b_center, a_center = (
+                ControlCenter(
+                    TABLE, METRIC, algorithm="nonoverlapping",
+                    budget=budget, incremental=True, shared_cache=cache,
+                )
+                for _ in range(2)
+            )
+            b_center.rebuild_function(counts)
+            a_center.rebuild_function(counts * 3.0)
+            function = b_center.rebuild_function(later)
+        assert cache.memo_hits == 1
+        expected = _scratch("nonoverlapping", later, budget)
+        assert _buckets(function) == _buckets(expected.function_at(budget))
+
+
 class TestMemoKeying:
     def test_config_change_invalidates_memo(self):
         counts = _base_counts()

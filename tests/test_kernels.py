@@ -183,6 +183,31 @@ def test_positive_merge_batch_matches_single(seed, maximum):
     assert choice_nc is None
 
 
+@pytest.mark.parametrize("maximum", [False, True])
+def test_positive_merge_tall_batch_in_blocks(maximum):
+    """A tall batch past one candidate block (the transposed layout,
+    cut into blocks of whole rows) with ``inf``-padded tails, as the
+    nonoverlapping sweep stacks them: every row's real columns equal
+    the reference merge of that row alone."""
+    rng = np.random.default_rng(11)
+    K, m, n, width = 40, 300, 260, 350  # 5 blocks of up to 9 rows
+    lm = rng.integers(100, m + 1, K)
+    rm = rng.integers(1, n + 1, K)
+    l = np.where(np.arange(m) < lm[:, None], rng.random((K, m)) * 5, INF)
+    r = np.where(np.arange(n) < rm[:, None], rng.random((K, n)) * 5, INF)
+    out, choice = _positive_merge_batch(l, r, width, maximum)
+    combine = "max" if maximum else "sum"
+    for k in range(K):
+        left = np.concatenate(([INF], l[k, : lm[k]]))
+        right = np.concatenate(([INF], r[k, : rm[k]]))
+        ref_out, ref_ch = knapsack_merge_reference(
+            left, right, width + 1, combine
+        )
+        w = ref_out.size - 2
+        assert np.array_equal(out[k, :w], ref_out[2:])
+        assert np.array_equal(choice[k, :w], ref_ch[2:])
+
+
 @pytest.mark.parametrize("mname", ALL_METRICS)
 @pytest.mark.parametrize("seed", range(6))
 def test_grperr_many_matches_grperr(seed, mname):

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from repro import (
+    GroupTable,
     PrunedHierarchy,
+    UIDDomain,
     build_nonoverlapping,
     evaluate_function,
     get_metric,
 )
-from repro.algorithms import exhaustive_nonoverlapping
+from repro.algorithms import exhaustive_nonoverlapping, use_kernel_mode
+from repro.data import generate_subnet_table
 
 from helpers import ALL_METRICS, random_instance
 
@@ -123,3 +126,143 @@ def test_low_memory_mode_equivalent(seed, mname):
     )
     assert err_lean == pytest.approx(err_fast, abs=1e-9)
     assert err_lean == pytest.approx(lean.error_at(budget), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The arena sweep against the naive oracle, one merge case at a time
+# ---------------------------------------------------------------------------
+def _chain_groups(height, lean):
+    """A one-leaf chain: at every level one child is a group and the
+    other continues (``lean="left"`` keeps the right child as the leaf,
+    so every parent's right child is a leaf; ``"right"`` the mirror)."""
+    groups, node = [], 1
+    for _ in range(height - 1):
+        left, right = UIDDomain.children(node)
+        leaf, node = (right, left) if lean == "left" else (left, right)
+        groups.append(leaf)
+    groups.extend(UIDDomain.children(node))
+    return groups
+
+
+def _complete_groups(height):
+    """Every node at depth ``height``: the bottom parents are all
+    leaf-leaf, every other parent internal-internal."""
+    return list(range(1 << height, 2 << height))
+
+
+#: Shape -> (height, groups, parents per case: leaf-leaf, only the left
+#: child a leaf, only the right child a leaf, internal-internal).
+SHAPES = {
+    "leaf_pairs": (4, _complete_groups(4), (8, 0, 0, 7)),
+    "left_chain": (7, _chain_groups(7, "left"), (1, 0, 6, 0)),
+    "right_chain": (7, _chain_groups(7, "right"), (1, 6, 0, 0)),
+    "pair": (1, _complete_groups(1), (1, 0, 0, 0)),
+}
+
+
+def _merge_cases(arrays):
+    """Internal nodes per merge case, in ``SHAPES``' order."""
+    inner = arrays.left >= 0
+    lleaf = arrays.left[arrays.left[inner]] < 0
+    rleaf = arrays.left[arrays.right[inner]] < 0
+    return tuple(
+        int(np.count_nonzero(m))
+        for m in (lleaf & rleaf, lleaf & ~rleaf, ~lleaf & rleaf,
+                  ~(lleaf | rleaf))
+    )
+
+
+def _shape_instance(shape, fractional):
+    height, groups, _cases = SHAPES[shape]
+    table = GroupTable(UIDDomain(height), groups)
+    rng = np.random.default_rng(len(groups))
+    if fractional:
+        counts = rng.random(len(table)) * 40.0 + 0.25
+    else:
+        counts = rng.integers(1, 40, len(table)).astype(float)
+    return table, counts
+
+
+def _nodes(result, b):
+    return [x.node for x in result.function_at(b).buckets]
+
+
+def _bucket_lists(result, budget):
+    return [_nodes(result, b) for b in range(1, budget + 1)]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("mname", ["rms", "max_relative"])
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("low_memory", [False, True])
+def test_fast_sweep_matches_naive_per_case(
+    shape, mname, fractional, low_memory
+):
+    """Leaf-leaf parents, left- and right-leaning one-leaf chains: the
+    fast arena sweep equals the naive DFS on curve bytes and on the
+    exact bucket list at every budget, for a sum and a ``max``
+    metric."""
+    table, counts = _shape_instance(shape, fractional)
+    metric = get_metric(mname)
+    h = PrunedHierarchy(table, counts)
+    assert _merge_cases(h.arrays) == SHAPES[shape][2]
+    large = h.max_useful_buckets() + 2
+    for budget in (1, 2, 3, large):
+        with use_kernel_mode("naive"):
+            ref = build_nonoverlapping(
+                PrunedHierarchy(table, counts), metric, budget,
+                low_memory=low_memory,
+            )
+        with use_kernel_mode("fast"):
+            got = build_nonoverlapping(
+                h, metric, budget, low_memory=low_memory
+            )
+        assert got.curve.tobytes() == ref.curve.tobytes()
+        assert _bucket_lists(got, budget) == _bucket_lists(ref, budget)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mname", ["rms", "max_relative"])
+def test_fast_sweep_matches_naive_on_mixed_trees(seed, mname):
+    """Random hierarchies mix all three cases (and zero summaries) in
+    one phase; integer and fractional counts."""
+    _dom, table, counts = random_instance(seed + 500, height_range=(4, 8))
+    if seed % 2:
+        counts = counts * 0.37
+    metric = get_metric(mname)
+    h = PrunedHierarchy(table, counts)
+    for budget in (1, 2, 3, h.max_useful_buckets() + 2):
+        with use_kernel_mode("naive"):
+            ref = build_nonoverlapping(h, metric, budget)
+        with use_kernel_mode("fast"):
+            got = build_nonoverlapping(h, metric, budget)
+            lean = build_nonoverlapping(h, metric, budget, low_memory=True)
+        assert got.curve.tobytes() == ref.curve.tobytes()
+        assert lean.curve.tobytes() == ref.curve.tobytes()
+        assert _bucket_lists(got, budget) == _bucket_lists(ref, budget)
+        assert _bucket_lists(lean, budget) == _bucket_lists(ref, budget)
+
+
+@pytest.mark.parametrize("mname", ["rms", "max_relative"])
+def test_fast_sweep_matches_naive_on_wide_tables(mname):
+    """Past 128 output entries the internal-internal merges are also
+    grouped by their row count; they must still match the naive DFS
+    exactly."""
+    table = generate_subnet_table(UIDDomain(12), seed=3)
+    rng = np.random.default_rng(0)
+    counts = rng.integers(0, 500, len(table)) * 1.5
+    counts[rng.random(len(table)) < 0.3] = 0.0
+    metric = get_metric(mname)
+    h = PrunedHierarchy(table, counts)
+    budget = 400
+    arrays = h.arrays
+    inner = arrays.left >= 0
+    wide = inner & (np.minimum(budget, arrays.leaf_hi - arrays.leaf_lo) > 128)
+    assert _merge_cases(arrays)[3] > 0 and wide.sum() >= 4
+    with use_kernel_mode("naive"):
+        ref = build_nonoverlapping(h, metric, budget)
+    with use_kernel_mode("fast"):
+        got = build_nonoverlapping(h, metric, budget)
+    assert got.curve.tobytes() == ref.curve.tobytes()
+    for b in (1, 2, 127, 128, 129, 200, budget):
+        assert _nodes(got, b) == _nodes(ref, b)
