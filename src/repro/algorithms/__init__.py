@@ -8,7 +8,6 @@ from .kernels import (
     KERNEL_MODES,
     kernel_mode,
     knapsack_merge_reference,
-    knapsack_merge_vectorized,
     set_kernel_mode,
     use_kernel_mode,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "DPContext",
     "knapsack_merge",
     "knapsack_merge_reference",
-    "knapsack_merge_vectorized",
     "KERNEL_MODES",
     "kernel_mode",
     "set_kernel_mode",

@@ -8,10 +8,12 @@ knapsack kernels plus the process-wide *kernel mode* that selects
 between them:
 
 ``"fast"`` (the default)
-    Broadcast/blocked merges and batched ``grperr`` evaluation.  Every
-    fast path performs the *same* floating-point operations as the
-    naive reference, element for element, so results are bit-for-bit
-    identical — only Python-loop overhead is eliminated.
+    One stacked merge core, :func:`_stacked_merge`, behind every fast
+    merge (:func:`knapsack_merge`, :func:`knapsack_merge_batch` and the
+    nonoverlapping arena sweep), and batched ``grperr`` evaluation.
+    Every fast path performs the *same* floating-point operations as
+    the naive reference, element for element, so results are
+    bit-for-bit identical — only Python-loop overhead is eliminated.
 
 ``"naive"``
     The seed implementation: a Python loop over the left child's budget
@@ -26,9 +28,10 @@ The mode can also be pinned from the environment with
 ``REPRO_KERNELS=naive|fast`` (read at import time; an unknown non-empty
 value raises :class:`ValueError`, unset or empty means ``"fast"``).
 
-Both merge kernels return ``(out, choice)`` with identical semantics,
-including argmin tie-breaking: ties go to the smallest left-child
-allocation ``c``, so reconstruction walks the same splits either way.
+The reference and the fast merges return ``(out, choice)`` with
+identical semantics, including argmin tie-breaking: ties go to the
+smallest left-child allocation ``c``, so reconstruction walks the same
+splits either way.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "knapsack_merge",
     "knapsack_merge_batch",
     "knapsack_merge_reference",
-    "knapsack_merge_vectorized",
 ]
 
 INF = float("inf")
@@ -60,9 +62,10 @@ KERNEL_MODES = ("naive", "fast")
 #: broadcast merge to a few megabytes regardless of table sizes.
 _MAX_BLOCK_ELEMENTS = 1 << 20
 
-#: Below this many candidate cells the scalar loop beats the broadcast
-#: setup cost (both kernels are bit-identical, so this is purely a
-#: constant-factor choice).
+#: Up to this many cells (left rows x output width) the reference
+#: loop beats the stacked merge's fixed setup cost in a single-pair
+#: merge (both are bit-identical, so this is purely a constant-factor
+#: choice).
 _SMALL_PROBLEM = 96
 
 #: From this many candidate rows on, the transposed candidate layout
@@ -177,281 +180,97 @@ def knapsack_merge_reference(
     return out, choice
 
 
-def knapsack_merge_vectorized(
-    left: np.ndarray,
-    right: np.ndarray,
-    cap: int,
-    combine: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Broadcast/blocked merge via a shifted-window candidate matrix.
-
-    The right table is embedded in an ``inf``-padded buffer so that row
-    ``c`` of a strided view holds ``right[B - c]`` for every output
-    budget ``B`` (out-of-range cells read the padding and stay ``inf``).
-    One combine and a column min/argmin then yield the merged table and
-    the choice array.  ``np.argmin`` returns the *first* minimum, i.e.
-    the smallest ``c``, matching the reference kernel's tie-breaking
-    exactly; blocks are processed in ascending ``c`` and only strict
-    improvements cross block boundaries, preserving that invariant.
-    """
-    m, n = len(left), len(right)
-    size = min(cap, m + n - 2) + 1
-    out = np.full(size, INF)
-    choice = np.full(size, -1, dtype=np.int32)
-    rows = min(m, size)
-    if rows <= 0:
-        return out, choice
-    maximum = combine == "max"
-    ncols = min(n, size)
-    pad = np.full(rows - 1 + size, INF)
-    pad[rows - 1 : rows - 1 + ncols] = right[:ncols]
-    stride = pad.strides[0]
-    if rows >= _TRANSPOSE_ROWS and rows * size <= _MAX_BLOCK_ELEMENTS:
-        # Tall problem: build the candidate matrix with the allocation
-        # axis innermost so min/argmin reduce over contiguous memory.
-        shifted = _strided(
-            pad, (rows - 1) * stride, (size, rows), (stride, -stride)
-        )
-        lv = left[None, :rows]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        vals = cand.min(axis=1)
-        rowmin = cand.argmin(axis=1).astype(np.int32)
-        return vals, np.where(vals < INF, rowmin, np.int32(-1))
-    block = max(1, _MAX_BLOCK_ELEMENTS // size)
-    for c0 in range(0, rows, block):
-        c1 = min(rows, c0 + block)
-        shifted = _strided(
-            pad,
-            (rows - 1 - c0) * stride,
-            (c1 - c0, size),
-            (-stride, stride),
-        )
-        lv = left[c0:c1, None]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        vals = cand.min(axis=0)
-        better = vals < out
-        if better.any():
-            rowmin = cand.argmin(axis=0)
-            out[better] = vals[better]
-            choice[better] = (c0 + rowmin[better]).astype(np.int32)
-    return out, choice
-
-
-def _merge_one_right(
-    left: np.ndarray, right: np.ndarray, size: int, maximum: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact shortcut for a single-entry right table (``n == 1``)."""
-    out = np.full(size, INF)
-    choice = np.full(size, -1, dtype=np.int32)
-    k = min(len(left), size)
-    v = np.maximum(left[:k], right[0]) if maximum else left[:k] + right[0]
-    out[:k] = v
-    choice[:k] = np.where(v < INF, np.arange(k, dtype=np.int32), -1)
-    return out, choice
-
-
-def _merge_one_left(
-    left: np.ndarray, right: np.ndarray, size: int, maximum: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact shortcut for a single-entry left table (``m == 1``)."""
-    out = np.full(size, INF)
-    choice = np.full(size, -1, dtype=np.int32)
-    k = min(len(right), size)
-    v = np.maximum(left[0], right[:k]) if maximum else left[0] + right[:k]
-    out[:k] = v
-    choice[:k] = np.where(v < INF, np.int32(0), np.int32(-1))
-    return out, choice
-
-
-def _merge_two_right(
-    left: np.ndarray, right: np.ndarray, size: int, maximum: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact shortcut for a two-entry right table (``n == 2``).
-
-    Column ``B`` sees candidate ``c = B - 1`` (combining ``right[1]``)
-    first and ``c = B`` (combining ``right[0]``) second, mirroring the
-    reference kernel's ascending-``c``, strict-improvement scan — so
-    values, tie-breaking, and the recorded choices are bit-identical.
-    The common case (a leaf child, ``right[0] == inf``) makes the
-    second candidate vacuous at no extra cost.
-    """
-    m = len(left)
-    out = np.full(size, INF)
-    choice = np.full(size, -1, dtype=np.int32)
-    k1 = min(m, size - 1)
-    if k1 > 0:
-        v1 = np.maximum(left[:k1], right[1]) if maximum else left[:k1] + right[1]
-        out[1 : k1 + 1] = v1
-        choice[1 : k1 + 1] = np.where(
-            v1 < INF, np.arange(k1, dtype=np.int32), -1
-        )
-    if right[0] < INF:
-        k0 = min(m, size)
-        v0 = np.maximum(left[:k0], right[0]) if maximum else left[:k0] + right[0]
-        better = v0 < out[:k0]
-        if better.any():
-            out[:k0][better] = v0[better]
-            choice[:k0][better] = np.arange(k0, dtype=np.int32)[better]
-    return out, choice
-
-
-def _merge_two_left(
-    left: np.ndarray, right: np.ndarray, size: int, maximum: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact shortcut for a two-entry left table (``m == 2``)."""
-    n = len(right)
-    out = np.full(size, INF)
-    choice = np.full(size, -1, dtype=np.int32)
-    if left[0] < INF:
-        k0 = min(n, size)
-        v0 = np.maximum(left[0], right[:k0]) if maximum else left[0] + right[:k0]
-        out[:k0] = v0
-        choice[:k0] = np.where(v0 < INF, np.int32(0), np.int32(-1))
-    k1 = min(n, size - 1)
-    if k1 > 0:
-        v1 = np.maximum(left[1], right[:k1]) if maximum else left[1] + right[:k1]
-        better = v1 < out[1 : k1 + 1]
-        if better.any():
-            out[1 : k1 + 1][better] = v1[better]
-            choice[1 : k1 + 1][better] = 1
-    return out, choice
-
-
-def _positive_merge_batch(
+def _stacked_merge(
     l: np.ndarray,
     r: np.ndarray,
     width: int,
     maximum: bool,
     want_choice: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Full convolution of stacked all-finite tables (no capacity-0
-    row): row ``k`` convolves ``l[k]`` with ``r[k]``.
+    """The one fast budget-splitting merge: row ``k`` of the ``(K, m)``
+    / ``(K, n)`` stacks ``l`` and ``r`` convolves into::
 
-    The nonoverlapping sweep's tables are ``inf`` at entry 0 and finite
-    everywhere else, so its merges reduce to convolving the finite
-    tails ``left[1:]`` / ``right[1:]``: ``l``/``r`` are ``(K, m)`` /
-    ``(K, n)`` stacks of those tails (``inf``-padded to one shape), and
-    ``out[k, B']`` is the best combine over ``c' + j' = B'``.  The
-    returned choice is *1-based* — the left-child bucket count ``c =
-    c' + 1`` — matching the reference kernel's smallest-``c``
-    tie-breaking via the same per-column first-minimum argmin.
-    ``want_choice=False`` skips the argmin pass for sweeps that discard
-    split choices (the low-memory reconstruction mode).  Either layout
-    reuses one candidate buffer of at most ``_MAX_BLOCK_ELEMENTS``
-    cells per block, so only one block is ever live.
+        out[k, B]    = min over c of  l[k, c] (+ or max) r[k, B - c]
+        choice[k, B] = the first minimizing c            (B < width)
+
+    Where ``out`` is ``inf`` the choice is arbitrary; callers mask or
+    skip those cells.  ``want_choice=False`` skips the choice pass (for
+    sweeps that discard split choices).
+
+    The candidate matrix is a zero-copy strided view of the longer
+    table, ``inf``-padded so that out-of-range cells never win, and is
+    reduced over the shorter table's allocations (its *rows*).  When
+    the right table is the shorter, its allocations ``j`` run in
+    descending order, so ascending rows are ascending ``c = B - j``
+    and the first minimum is the smallest left allocation either way:
+    the reference kernel's tie-break.  Each cell is the same single
+    (commutative) combine of the same two scalars the reference
+    computes, so values and choices are bit-identical.
+
+    Tall reductions (``_TRANSPOSE_ROWS`` rows up) put the rows
+    innermost, so min/argmin reduce contiguous memory, in blocks of
+    whole batch rows.  Shorter ones keep the rows in the middle axis,
+    in blocks of ascending rows where a later block replaces only a
+    strict improvement; their first minimum is the first flag of an
+    equality mask written transposed, since ``argmin`` over a middle
+    axis copies the whole block.  Either layout reuses one candidate
+    buffer of at most ``_MAX_BLOCK_ELEMENTS`` cells.
     """
     K, m = l.shape
     n = r.shape[1]
-    rows = min(m, width)
-    ncols = min(n, width)
+    swap = n < m
+    short, long = (r, l) if swap else (l, r)
+    rows = min(short.shape[1], width)
+    cols = min(long.shape[1], width)
     pad = np.full((K, rows - 1 + width), INF)
-    pad[:, rows - 1 : rows - 1 + ncols] = r[:, :ncols]
+    pad[:, rows - 1 : rows - 1 + cols] = long[:, :cols]
     s0, s1 = pad.strides
+    if swap:  # row t is j = rows - 1 - t, so c = B - (rows - 1) + t
+        short = short[:, rows - 1 :: -1]
+        first, step = 0, s1
+    else:  # row t is c = t
+        short = short[:, :rows]
+        first, step = (rows - 1) * s1, -s1
     combine = np.maximum if maximum else np.add
-    out = np.empty(0)
-    choice: Optional[np.ndarray] = None
     if rows >= _TRANSPOSE_ROWS and rows * width <= _MAX_BLOCK_ELEMENTS:
-        # Tall problem: the allocation axis innermost, so min/argmin
-        # reduce contiguous memory, in blocks of whole batch rows.
         out = np.empty((K, width))
-        choice = np.empty((K, width), np.int32) if want_choice else None
-        step = _MAX_BLOCK_ELEMENTS // (rows * width)
-        buf = np.empty((min(step, K), width, rows))
-        for k0 in range(0, K, step):
-            k1 = min(K, k0 + step)
-            shifted = _strided(
-                pad[k0:k1], (rows - 1) * s1, (k1 - k0, width, rows),
-                (s0, s1, -s1),
+        choice = np.empty((K, width), np.intp) if want_choice else None
+        kstep = _MAX_BLOCK_ELEMENTS // (rows * width)
+        buf = np.empty((min(kstep, K), width, rows))
+        for k0 in range(0, K, kstep):
+            k1 = min(K, k0 + kstep)
+            view = _strided(
+                pad[k0:k1], first, (k1 - k0, width, rows), (s0, s1, step)
             )
-            cand = combine(
-                l[k0:k1, None, :rows], shifted, out=buf[: k1 - k0]
-            )
+            cand = combine(short[k0:k1, None], view, out=buf[: k1 - k0])
             out[k0:k1] = cand.min(axis=2)
             if want_choice:
-                choice[k0:k1] = cand.argmin(axis=2) + 1
-        return out, choice
-    block = max(1, _MAX_BLOCK_ELEMENTS // max(1, width * K))
-    buf = np.empty((K, min(block, rows), width))
-    for c0 in range(0, rows, block):
-        c1 = min(rows, c0 + block)
-        shifted = _strided(
-            pad,
-            (rows - 1 - c0) * s1,
-            (K, c1 - c0, width),
-            (s0, -s1, s1),
-        )
-        cand = combine(l[:, c0:c1, None], shifted, out=buf[:, : c1 - c0])
-        vals = cand.min(axis=1)
-        if c0 == 0:
-            out = vals
+                choice[k0:k1] = cand.argmin(axis=2)
+    else:
+        block = max(1, _MAX_BLOCK_ELEMENTS // max(1, K * width))
+        buf = np.empty((K, min(block, rows), width))
+        flags = np.empty(buf.size, dtype=bool)
+        idx = None
+        for c0 in range(0, rows, block):
+            t = min(rows, c0 + block) - c0
+            view = _strided(
+                pad, first + c0 * step, (K, t, width), (s0, step, s1)
+            )
+            cand = combine(short[:, c0 : c0 + t, None], view, out=buf[:, :t])
+            vals = cand.min(axis=1)
             if want_choice:
-                choice = cand.argmin(axis=1).astype(np.int32)
-                choice += 1
-            continue
-        better = vals < out
-        if better.any():
+                hit = flags[: K * width * t].reshape(K, width, t)
+                np.equal(cand, vals[:, None], out=hit.transpose(0, 2, 1))
+                idx = hit.argmax(axis=2)
+            if c0 == 0:
+                out, choice = vals, idx
+                continue
+            better = vals < out
             out[better] = vals[better]
             if want_choice:
-                rowmin = cand.argmin(axis=1)
-                choice[better] = (c0 + rowmin[better] + 1).astype(np.int32)
-    return out, choice
-
-
-def _batch_two_right(
-    lefts: np.ndarray, rights: np.ndarray, size: int, maximum: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched exact shortcut for two-entry right tables (``n == 2``).
-
-    Stacked analogue of :func:`_merge_two_right`: column ``B`` sees the
-    ``c = B - 1`` candidate (combining ``right[1]``) first, then the
-    ``c = B`` candidate (``right[0]``) as a strict improvement.  Rows
-    whose ``right[0]`` is infinite produce all-``inf`` second-pass
-    candidates, which never strictly improve — the same outcome as the
-    reference skipping them.
-    """
-    J, m = lefts.shape
-    out = np.full((J, size), INF)
-    choice = np.full((J, size), -1, dtype=np.int32)
-    k1 = min(m, size - 1)
-    if k1 > 0:
-        r1 = rights[:, 1:2]
-        v1 = np.maximum(lefts[:, :k1], r1) if maximum else lefts[:, :k1] + r1
-        out[:, 1 : k1 + 1] = v1
-        choice[:, 1 : k1 + 1] = np.where(
-            v1 < INF, np.arange(k1, dtype=np.int32), np.int32(-1)
-        )
-    k0 = min(m, size)
-    r0 = rights[:, 0:1]
-    v0 = np.maximum(lefts[:, :k0], r0) if maximum else lefts[:, :k0] + r0
-    better = v0 < out[:, :k0]
-    if better.any():
-        out[:, :k0][better] = v0[better]
-        ar = np.broadcast_to(np.arange(k0, dtype=np.int32), (J, k0))
-        choice[:, :k0][better] = ar[better]
-    return out, choice
-
-
-def _batch_two_left(
-    lefts: np.ndarray, rights: np.ndarray, size: int, maximum: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched exact shortcut for two-entry left tables (``m == 2``)."""
-    J, n = rights.shape
-    out = np.full((J, size), INF)
-    choice = np.full((J, size), -1, dtype=np.int32)
-    k0 = min(n, size)
-    l0 = lefts[:, 0:1]
-    v0 = np.maximum(l0, rights[:, :k0]) if maximum else l0 + rights[:, :k0]
-    out[:, :k0] = v0
-    choice[:, :k0] = np.where(v0 < INF, np.int32(0), np.int32(-1))
-    k1 = min(n, size - 1)
-    if k1 > 0:
-        l1 = lefts[:, 1:2]
-        v1 = np.maximum(l1, rights[:, :k1]) if maximum else l1 + rights[:, :k1]
-        win = out[:, 1 : k1 + 1]
-        better = v1 < win
-        if better.any():
-            win[better] = v1[better]
-            choice[:, 1 : k1 + 1][better] = 1
+                choice[better] = idx[better] + c0
+    if swap and want_choice:
+        choice += np.arange(1 - rows, width + 1 - rows)
     return out, choice
 
 
@@ -465,75 +284,15 @@ def knapsack_merge_batch(
 
     ``lefts``/``rights`` are ``(J, m)`` / ``(J, n)`` matrices — row
     ``i`` is one merge problem.  Returns ``(out, choice)`` of shape
-    ``(J, size)``.  Row ``i`` is bit-for-bit identical to
+    ``(J, size)``, row ``i`` bit-for-bit identical to
     ``knapsack_merge_reference(lefts[i], rights[i], cap, combine)``:
-    the candidate cells combine the same scalars with the same single
-    floating-point operation, and the per-column first-minimum argmin
-    reproduces the smallest-``c`` tie-breaking.
-
-    The overlapping DP uses this to fold its per-enclosing-ancestor
-    loop (one merge per ancestor, per node) into a single stacked
-    kernel invocation.
+    :func:`_stacked_merge` plus the reference's ``-1`` choice wherever
+    no allocation is feasible.
     """
-    J, m = lefts.shape
-    n = rights.shape[1]
-    size = min(cap, m + n - 2) + 1
-    rows = min(m, size)
-    if rows <= 0 or J == 0:
-        out = np.full((J, size), INF)
-        choice = np.full((J, size), -1, dtype=np.int32)
-        return out, choice
-    maximum = combine == "max"
-    if n == 2:
-        return _batch_two_right(lefts, rights, size, maximum)
-    if m == 2:
-        return _batch_two_left(lefts, rights, size, maximum)
-    ncols = min(n, size)
-    pad = np.full((J, rows - 1 + size), INF)
-    pad[:, rows - 1 : rows - 1 + ncols] = rights[:, :ncols]
-    s0, s1 = pad.strides
-    if rows >= _TRANSPOSE_ROWS and J * rows * size <= _MAX_BLOCK_ELEMENTS:
-        shifted = _strided(
-            pad, (rows - 1) * s1, (J, size, rows), (s0, s1, -s1)
-        )
-        lv = lefts[:, None, :rows]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        vals = cand.min(axis=2)
-        rowmin = cand.argmin(axis=2).astype(np.int32)
-        choice = np.where(vals < INF, rowmin, np.int32(-1))
-        return vals, choice
-    block = max(1, _MAX_BLOCK_ELEMENTS // max(1, size * J))
-    if rows <= block:
-        # Single-block case: the column min/argmin over all candidate
-        # rows is the final answer — no running tables needed.
-        shifted = _strided(
-            pad, (rows - 1) * s1, (J, rows, size), (s0, -s1, s1)
-        )
-        lv = lefts[:, :rows, None]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        vals = cand.min(axis=1)
-        rowmin = cand.argmin(axis=1).astype(np.int32)
-        choice = np.where(vals < INF, rowmin, np.int32(-1))
-        return vals, choice
-    out = np.full((J, size), INF)
-    choice = np.full((J, size), -1, dtype=np.int32)
-    for c0 in range(0, rows, block):
-        c1 = min(rows, c0 + block)
-        shifted = _strided(
-            pad,
-            (rows - 1 - c0) * s1,
-            (J, c1 - c0, size),
-            (s0, -s1, s1),
-        )
-        lv = lefts[:, c0:c1, None]
-        cand = np.maximum(lv, shifted) if maximum else lv + shifted
-        vals = cand.min(axis=1)
-        better = vals < out
-        if better.any():
-            rowmin = cand.argmin(axis=1)
-            out[better] = vals[better]
-            choice[better] = (c0 + rowmin[better]).astype(np.int32)
-    return out, choice
+    size = min(cap, lefts.shape[1] + rights.shape[1] - 2) + 1
+    out, choice = _stacked_merge(lefts, rights, size, combine == "max")
+    choice[out == INF] = -1
+    return out, choice.astype(np.int32)
 
 
 def knapsack_merge(
@@ -553,25 +312,13 @@ def knapsack_merge(
         choice[B] = the minimizing c (buckets granted to the left child)
 
     ``combine`` is ``"sum"`` for additive penalty metrics and ``"max"``
-    for max-combine metrics.  Dispatches on the active kernel mode;
-    both kernels are bit-for-bit identical.
+    for max-combine metrics.  Dispatches on the active kernel mode: the
+    reference loop, or a batch of one through :func:`_stacked_merge`
+    (small problems stay on the reference loop, which is cheaper
+    there).  Both are bit-for-bit identical.
     """
-    if _mode == "naive":
+    size = min(cap, len(left) + len(right) - 2) + 1
+    if _mode == "naive" or min(len(left), size) * size <= _SMALL_PROBLEM:
         return knapsack_merge_reference(left, right, cap, combine)
-    m, n = len(left), len(right)
-    size = min(cap, m + n - 2) + 1
-    maximum = combine == "max"
-    # One- and two-entry tables (leaf children — half the merges in a
-    # binary hierarchy) have closed forms: one vector combine per
-    # candidate row, bit-identical to the reference scan.
-    if n == 1:
-        return _merge_one_right(left, right, size, maximum)
-    if m == 1:
-        return _merge_one_left(left, right, size, maximum)
-    if n == 2:
-        return _merge_two_right(left, right, size, maximum)
-    if m == 2:
-        return _merge_two_left(left, right, size, maximum)
-    if min(m, size) * size <= _SMALL_PROBLEM:
-        return knapsack_merge_reference(left, right, cap, combine)
-    return knapsack_merge_vectorized(left, right, cap, combine)
+    out, choice = knapsack_merge_batch(left[None], right[None], cap, combine)
+    return out[0], choice[0]

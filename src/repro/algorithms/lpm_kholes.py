@@ -208,7 +208,7 @@ class _KHolesSolver:
         B = min(feasible, key=lambda B: (table[B], B))
         choice = self._choices[p.index][B]
         if choice == ("sparse",):
-            leaf = _single_nonzero_leaf(p)
+            leaf = p.single_nonzero_leaf()
             if leaf is not None and leaf.node != p.node:
                 out.append(Bucket(p.node, sparse_group_node=leaf.node))
             else:
@@ -239,12 +239,6 @@ def _is_antichain(nodes: Sequence[PNode]) -> bool:
         ):
             return False
     return True
-
-
-def _single_nonzero_leaf(p: PNode) -> Optional[PNode]:
-    while not p.is_leaf:
-        p = p.left if p.left.n_nonzero >= 1 else p.right
-    return p if p.kind == "group" else None
 
 
 def split_to_k_holes(

@@ -322,7 +322,7 @@ class _QuantizedSolver:
             return
         if kind == "sparse":
             p = choice[1]
-            leaf = _single_nonzero_leaf(p)
+            leaf = p.single_nonzero_leaf()
             if leaf is not None and leaf.node != p.node:
                 out.append(Bucket(p.node, sparse_group_node=leaf.node))
             else:
@@ -342,9 +342,3 @@ class _QuantizedSolver:
             self.collect(choice[2], out)
             return
         raise AssertionError(f"unknown choice {kind!r}")
-
-
-def _single_nonzero_leaf(p: PNode) -> Optional[PNode]:
-    while not p.is_leaf:
-        p = p.left if p.left.n_nonzero >= 1 else p.right
-    return p if p.kind == "group" else None

@@ -28,7 +28,7 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from ..core.partition import Bucket, NonoverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .kernels import _positive_merge_batch, _ranges, knapsack_merge
+from .kernels import _ranges, _stacked_merge, knapsack_merge
 
 __all__ = ["build_nonoverlapping"]
 
@@ -234,9 +234,10 @@ def _merge_internal(
     Heads, leaf-leaf parents (all of phase 1) and one-leaf split rows
     are written at once; per phase, one op extends the one-leaf
     parents' inner tails, and one
-    :func:`~repro.algorithms.kernels._positive_merge_batch` call per
-    width class convolves the internal-internal parents' tails,
-    ``inf``-padded to the class's widest.  Entries and splits match the
+    :func:`~repro.algorithms.kernels._stacked_merge` call per width
+    class convolves the internal-internal parents' tails (entries
+    ``1:``, so a choice ``c'`` is split ``c' + 1``), ``inf``-padded to
+    the class's widest.  Entries and splits match the
     naive merge exactly: a padded candidate is ``inf``, so it never
     beats a finite one under ``+`` or ``max`` (nor moves the
     first-minimum argmin).
@@ -317,7 +318,7 @@ def _merge_internal(
         while g < len(group_phase) and group_phase[g] == p:
             a, b, width = bounds[g], bounds[g + 1], widths[g]
             g += 1
-            vals, choice = _positive_merge_batch(
+            vals, choice = _stacked_merge(
                 _padded_tails(values, lt[a:b], lm[a:b], width),
                 _padded_tails(values, rt[a:b], rm[a:b], width),
                 width, maximum, want_choice=splits is not None,
@@ -326,7 +327,7 @@ def _merge_internal(
             dest = dest2[cw[a] : cw[b]]
             values[dest] = vals[keep]
             if splits is not None:
-                splits[dest] = choice[keep]
+                splits[dest] = choice[keep] + 1  # tails are 1-based
 
 
 def _padded_tails(

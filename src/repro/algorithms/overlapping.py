@@ -251,16 +251,10 @@ class OverlappingDP:
             size_b[sel] = np.minimum(cap + 1, both)
         return caps, blk_w, size_b
 
-    def _single_nonzero_leaf(self, p: PNode) -> Optional[PNode]:
-        """The unique nonzero group leaf below ``p`` (requires
-        ``p.n_nonzero == 1``)."""
-        while not p.is_leaf:
-            p = p.left if p.left.n_nonzero == 1 else p.right
-        return p if p.kind == "group" else None
-
     def _sparse_leaves(self, ar) -> np.ndarray:
         """Per stored collapse root, the node id a sparse bucket there
-        stands for (-1 elsewhere): :meth:`_single_nonzero_leaf`,
+        stands for (-1 elsewhere):
+        :meth:`~repro.core.hierarchy.PNode.single_nonzero_leaf`,
         vectorized.  Its descent ends at the subtree's only nonzero
         leaf, or, with no nonzero group below, keeps right to the
         subtree's last leaf; a subtree being the postorder interval
@@ -542,7 +536,7 @@ class OverlappingDP:
             e_b[1] = 0.0
             rec.bucket_flag = np.full(cap + 1, _BUCKET, dtype=np.int8)
             if collapse:
-                leaf = self._single_nonzero_leaf(p)
+                leaf = p.single_nonzero_leaf()
                 if leaf is not None:
                     rec.sparse_at = leaf.node
                     rec.bucket_flag[1] = _SPARSE

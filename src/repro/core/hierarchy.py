@@ -118,6 +118,16 @@ class PNode:
             return 0.0
         return self.tuples / self.n_groups
 
+    def single_nonzero_leaf(self) -> Optional["PNode"]:
+        """The nonzero group leaf a sparse bucket here stands for:
+        descend towards the child holding a nonzero group (right when
+        neither does), ``None`` when the walk ends at a zero summary.
+        Requires ``n_nonzero <= 1``, where that leaf is unique."""
+        p = self
+        while not p.is_leaf:
+            p = p.left if p.left.n_nonzero else p.right
+        return p if p.kind == "group" else None
+
     def children(self) -> Iterator["PNode"]:
         if self.left is not None:
             yield self.left

@@ -12,19 +12,24 @@ kernels, the batched grperr paths, and whole constructions.
 import numpy as np
 import pytest
 
-from repro import PrunedHierarchy, get_metric
+from repro import PrunedHierarchy, UIDDomain, get_metric
 from repro.algorithms import (
+    GridGroups,
     build_lpm_greedy,
+    build_lpm_greedy_nd,
+    build_lpm_kholes,
     build_nonoverlapping,
+    build_nonoverlapping_nd,
     build_overlapping,
+    build_overlapping_nd,
     knapsack_merge_reference,
-    knapsack_merge_vectorized,
     use_kernel_mode,
 )
+from repro.algorithms import kernels
 from repro.algorithms.base import DPContext
 from repro.algorithms.kernels import (
     INF,
-    _positive_merge_batch,
+    _stacked_merge,
     knapsack_merge,
     knapsack_merge_batch,
 )
@@ -50,19 +55,91 @@ def _assert_same_merge(got, want):
     assert np.array_equal(ch_g, ch_w)
 
 
+def _assert_core_matches_reference(lefts, rights, cap, combine):
+    """Every row of the stacked core (through ``knapsack_merge_batch``)
+    equals the reference merge of that row alone: values and the
+    first-minimum choices, ``-1`` where nothing is feasible."""
+    out, choice = knapsack_merge_batch(lefts, rights, cap, combine)
+    assert choice.dtype == np.int32
+    for k in range(lefts.shape[0]):
+        _assert_same_merge(
+            (out[k], choice[k]),
+            knapsack_merge_reference(lefts[k], rights[k], cap, combine),
+        )
+
+
+#: Table lengths the property test draws from: the one- and two-entry
+#: tables of leaf children, short tables, and tables around the
+#: transposed layout's ``_TRANSPOSE_ROWS`` threshold.
+_LENGTHS = list(range(1, 41)) + list(range(90, 141))
+_SHAPES = ["left_shorter", "right_shorter", "equal"]
+_LAYOUTS = ["blocked", "transposed"]
+_BLOCKS = ["one", "many"]
+
+
+@pytest.mark.parametrize("blocks", _BLOCKS)
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("combine", COMBINES)
+def test_stacked_merge_matches_reference(
+    combine, shape, layout, blocks, monkeypatch
+):
+    """The one fast merge against the reference, row by row, on
+    integer-valued tables (so ties are frequent and the first-minimum
+    tie-break is exercised), with ``inf`` cells, entry 0 both ``inf``
+    and finite, and caps below, at and above ``m + n - 2``.  Both
+    candidate layouts run, in one block and in many (a small
+    ``_MAX_BLOCK_ELEMENTS``), with either table the shorter."""
+    rng = np.random.default_rng([
+        COMBINES.index(combine), _SHAPES.index(shape),
+        _LAYOUTS.index(layout), _BLOCKS.index(blocks),
+    ])
+    monkeypatch.setattr(
+        kernels, "_TRANSPOSE_ROWS", 1 if layout == "transposed" else 10**9
+    )
+    many_rows = (blocks, layout) == ("many", "transposed")
+    for _ in range(12):
+        K = int(rng.integers(2 if many_rows else 1, 5))
+        m, n = sorted(int(x) for x in rng.choice(_LENGTHS, 2))
+        if shape == "equal":
+            n = m
+        else:
+            n += m == n  # the left table strictly shorter
+            if shape == "right_shorter":
+                m, n = n, m
+        edge = m + n - 2
+        cap = int(rng.choice([rng.integers(0, edge + 1), edge, edge + 3]))
+        lefts = rng.integers(0, 4, (K, m)).astype(float)
+        rights = rng.integers(0, 4, (K, n)).astype(float)
+        lefts[rng.random((K, m)) < 0.2] = INF
+        rights[rng.random((K, n)) < 0.2] = INF
+        if rng.integers(2):
+            lefts[:, 0] = INF
+        if rng.integers(2):
+            rights[:, 0] = INF
+        limit = 1 << 20
+        if blocks == "many":
+            width = min(cap, edge) + 1
+            cells = min(m, n, width) * width
+            if many_rows:  # blocks of whole batch rows
+                limit = cells * int(rng.integers(1, K))
+            else:  # blocks of allocation rows
+                limit = int(rng.integers(1, max(2, K * cells // 2)))
+        monkeypatch.setattr(kernels, "_MAX_BLOCK_ELEMENTS", limit)
+        _assert_core_matches_reference(lefts, rights, cap, combine)
+
+
 @pytest.mark.parametrize("combine", COMBINES)
 @pytest.mark.parametrize("seed", range(20))
 def test_vectorized_merge_matches_reference(seed, combine):
+    """Single-pair problems through the stacked core (a batch of one)."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 30))
     n = int(rng.integers(1, 30))
     cap = int(rng.integers(1, m + n + 3))
     left = _random_table(rng, m, entry0_inf=bool(rng.integers(2)))
     right = _random_table(rng, n, entry0_inf=bool(rng.integers(2)))
-    _assert_same_merge(
-        knapsack_merge_vectorized(left, right, cap, combine),
-        knapsack_merge_reference(left, right, cap, combine),
-    )
+    _assert_core_matches_reference(left[None], right[None], cap, combine)
 
 
 @pytest.mark.parametrize("combine", COMBINES)
@@ -74,16 +151,18 @@ def test_vectorized_merge_transposed_layout(m, n, combine):
     left = _random_table(rng, m)
     right = _random_table(rng, n)
     cap = m + n  # wide output => single transposed shot
-    _assert_same_merge(
-        knapsack_merge_vectorized(left, right, cap, combine),
-        knapsack_merge_reference(left, right, cap, combine),
-    )
+    _assert_core_matches_reference(left[None], right[None], cap, combine)
+    with use_kernel_mode("fast"):
+        got = knapsack_merge(left, right, cap, combine)
+    _assert_same_merge(got, knapsack_merge_reference(left, right, cap, combine))
 
 
 @pytest.mark.parametrize("combine", COMBINES)
 @pytest.mark.parametrize("m,n", [(1, 7), (7, 1), (2, 9), (9, 2), (2, 2)])
 def test_dispatcher_shortcut_tables(m, n, combine):
-    """One- and two-entry child tables take closed-form shortcuts."""
+    """One- and two-entry child tables (leaf children): a one- or
+    two-row candidate matrix in the core, and the small-problem route
+    to the reference through the fast dispatcher."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         left = _random_table(rng, m, entry0_inf=bool(rng.integers(2)))
@@ -94,6 +173,7 @@ def test_dispatcher_shortcut_tables(m, n, combine):
         _assert_same_merge(
             got, knapsack_merge_reference(left, right, cap, combine)
         )
+        _assert_core_matches_reference(left[None], right[None], cap, combine)
 
 
 @pytest.mark.parametrize("combine", COMBINES)
@@ -106,13 +186,7 @@ def test_batch_merge_matches_reference_rows(seed, combine):
     cap = int(rng.integers(1, m + n + 2))
     lefts = np.stack([_random_table(rng, m) for _ in range(J)])
     rights = np.stack([_random_table(rng, n) for _ in range(J)])
-    out, choice = knapsack_merge_batch(lefts, rights, cap, combine)
-    for j in range(J):
-        ref_out, ref_ch = knapsack_merge_reference(
-            lefts[j], rights[j], cap, combine
-        )
-        assert np.array_equal(out[j], ref_out)
-        assert np.array_equal(choice[j], ref_ch)
+    _assert_core_matches_reference(lefts, rights, cap, combine)
 
 
 @pytest.mark.parametrize("combine", COMBINES)
@@ -121,40 +195,38 @@ def test_batch_merge_tall_transposed(combine):
     J, m, n = 3, 130, 110
     lefts = np.stack([_random_table(rng, m) for _ in range(J)])
     rights = np.stack([_random_table(rng, n) for _ in range(J)])
-    out, choice = knapsack_merge_batch(lefts, rights, m + n, combine)
-    for j in range(J):
-        ref_out, ref_ch = knapsack_merge_reference(
-            lefts[j], rights[j], m + n, combine
-        )
-        assert np.array_equal(out[j], ref_out)
-        assert np.array_equal(choice[j], ref_ch)
+    _assert_core_matches_reference(lefts, rights, m + n, combine)
+
+
+def _tail_reference(l, r, width, combine):
+    """The reference merge of the ``inf``-at-0 tables whose finite tails
+    are ``l`` / ``r``, cut to the tails' convolution (entries ``2:``)."""
+    left = np.concatenate(([INF], l))
+    right = np.concatenate(([INF], r))
+    out, choice = knapsack_merge_reference(left, right, width + 1, combine)
+    return out[2:], choice[2:]
 
 
 @pytest.mark.parametrize("maximum", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_positive_merge_matches_reference(seed, maximum):
-    """Each row of the stacked all-finite-tail convolution equals the
-    reference merge of the corresponding inf-at-0 tables (choices are
-    the 1-based left bucket counts the reference records); skipping
-    the argmin leaves the values unchanged."""
+    """The core on stacked all-finite tails, as the nonoverlapping sweep
+    calls it: row ``k`` equals the reference merge of the corresponding
+    inf-at-0 tables, its choices shifted by the tails' one-based
+    offset; skipping the choice pass leaves the values unchanged."""
     rng = np.random.default_rng(200 + seed)
     K = int(rng.integers(1, 9))
     m = int(rng.integers(1, 140))
     n = int(rng.integers(1, 140))
     l, r = rng.random((K, m)) * 5, rng.random((K, n)) * 5
     combine = "max" if maximum else "sum"
-    cap = int(rng.integers(2, m + n + 1))
-    size = min(cap, m + n) + 1
-    out, choice = _positive_merge_batch(l, r, size - 2, maximum)
+    width = min(int(rng.integers(2, m + n + 1)), m + n) - 1
+    out, choice = _stacked_merge(l, r, width, maximum)
     for k in range(K):
-        left = np.concatenate(([INF], l[k]))
-        right = np.concatenate(([INF], r[k]))
-        ref_out, ref_ch = knapsack_merge_reference(left, right, cap, combine)
-        assert np.array_equal(out[k], ref_out[2:])
-        assert np.array_equal(choice[k], ref_ch[2:])
-    out_nc, choice_nc = _positive_merge_batch(
-        l, r, size - 2, maximum, want_choice=False
-    )
+        ref_out, ref_ch = _tail_reference(l[k], r[k], width, combine)
+        assert np.array_equal(out[k], ref_out)
+        assert np.array_equal(choice[k] + 1, ref_ch)
+    out_nc, choice_nc = _stacked_merge(l, r, width, maximum, want_choice=False)
     assert np.array_equal(out_nc, out)
     assert choice_nc is None
 
@@ -171,14 +243,12 @@ def test_positive_merge_batch_matches_single(seed, maximum):
     width = int(rng.integers(1, m + n))
     l = rng.random((K, m)) * 5
     r = rng.random((K, n)) * 5
-    out, choice = _positive_merge_batch(l, r, width, maximum)
+    out, choice = _stacked_merge(l, r, width, maximum)
     for k in range(K):
-        o1, c1 = _positive_merge_batch(l[k : k + 1], r[k : k + 1], width, maximum)
+        o1, c1 = _stacked_merge(l[k : k + 1], r[k : k + 1], width, maximum)
         assert np.array_equal(out[k], o1[0])
         assert np.array_equal(choice[k], c1[0])
-    out_nc, choice_nc = _positive_merge_batch(
-        l, r, width, maximum, want_choice=False
-    )
+    out_nc, choice_nc = _stacked_merge(l, r, width, maximum, want_choice=False)
     assert np.array_equal(out_nc, out)
     assert choice_nc is None
 
@@ -195,17 +265,15 @@ def test_positive_merge_tall_batch_in_blocks(maximum):
     rm = rng.integers(1, n + 1, K)
     l = np.where(np.arange(m) < lm[:, None], rng.random((K, m)) * 5, INF)
     r = np.where(np.arange(n) < rm[:, None], rng.random((K, n)) * 5, INF)
-    out, choice = _positive_merge_batch(l, r, width, maximum)
+    out, choice = _stacked_merge(l, r, width, maximum)
     combine = "max" if maximum else "sum"
     for k in range(K):
-        left = np.concatenate(([INF], l[k, : lm[k]]))
-        right = np.concatenate(([INF], r[k, : rm[k]]))
-        ref_out, ref_ch = knapsack_merge_reference(
-            left, right, width + 1, combine
+        ref_out, ref_ch = _tail_reference(
+            l[k, : lm[k]], r[k, : rm[k]], width, combine
         )
-        w = ref_out.size - 2
-        assert np.array_equal(out[k, :w], ref_out[2:])
-        assert np.array_equal(choice[k, :w], ref_ch[2:])
+        w = ref_out.size
+        assert np.array_equal(out[k, :w], ref_out)
+        assert np.array_equal(choice[k, :w] + 1, ref_ch)
 
 
 @pytest.mark.parametrize("mname", ALL_METRICS)
@@ -309,15 +377,16 @@ def _bucket_list(function):
 def test_builders_identical_across_modes(seed, mname, builder):
     """Whole constructions: fast curves and bucket lists (node, sparse
     group node and order) equal the naive reference exactly, for every
-    metric, on integer and fractional counts, and for the overlapping
-    builders with sparse buckets on and off."""
+    metric, on integer and fractional counts, for the overlapping
+    builders with sparse buckets on and off, and for the nonoverlapping
+    builder's low-memory reconstruction (single-pair merges)."""
     _dom, table, counts = random_instance(seed, height_range=(4, 7))
     rng = np.random.default_rng(seed)
     fractional = counts * rng.uniform(0.1, 3.0, counts.shape)
     metric = get_metric(mname)
     budget = 2 + seed % 6
     variants = (
-        [{}] if builder is build_nonoverlapping
+        [{}, {"low_memory": True}] if builder is build_nonoverlapping
         else [{}, {"sparse": False}]
     )
     for cts in (counts, fractional):
@@ -333,6 +402,67 @@ def test_builders_identical_across_modes(seed, mname, builder):
                 assert _bucket_list(naive.function_at(b)) == _bucket_list(
                     fast.function_at(b)
                 ), (options, b)
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("mname", ALL_METRICS)
+@pytest.mark.parametrize("seed", range(6))
+def test_kholes_identical_across_modes(seed, mname, sparse):
+    """The k-holes DP, whose hole tables merge one pair at a time:
+    fast curves and ordered bucket lists equal the naive reference.
+    Budget 12 makes tables long enough for the stacked core; smaller
+    merges take the small-problem route to the reference."""
+    _dom, table, counts = random_instance(seed + 60, height_range=(3, 6))
+    metric = get_metric(mname)
+    budget = 12 if seed % 2 else 3
+    results = {}
+    for mode in ("naive", "fast"):
+        h = PrunedHierarchy(table, counts)
+        with use_kernel_mode(mode):
+            results[mode] = build_lpm_kholes(
+                h, metric, budget, k=1 + seed % 3, sparse=sparse
+            )
+    naive, fast = results["naive"], results["fast"]
+    assert naive.curve.tobytes() == fast.curve.tobytes()
+    for b in range(1, budget + 1):
+        assert _bucket_list(naive.function_at(b)) == _bucket_list(
+            fast.function_at(b)
+        ), b
+
+
+def _grid(seed, ndim):
+    """A random grid of leaf tiles: 8 x 8 in two dimensions, 4 x 4 x 4
+    in three, about half of them zero."""
+    rng = np.random.default_rng(seed)
+    height = 3 if ndim == 2 else 2
+    doms = [UIDDomain(height)] * ndim
+    cuts = [[d.node(height, p) for p in range(2 ** height)] for d in doms]
+    counts = rng.integers(0, 30, (2 ** height,) * ndim).astype(float)
+    counts[rng.random(counts.shape) < 0.5] = 0.0
+    return GridGroups(doms, cuts, counts)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [build_nonoverlapping_nd, build_overlapping_nd, build_lpm_greedy_nd],
+)
+@pytest.mark.parametrize("mname", ["rms", "max_relative"])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_multidim_builders_identical_across_modes(ndim, mname, builder):
+    """The Section 4.2 DPs, one merge per region split: fast curves and
+    ordered bucket regions equal the naive reference exactly (budget 12
+    runs the larger merges through the stacked core)."""
+    metric = get_metric(mname)
+    budget = 12
+    grid = _grid(ndim, ndim)
+    results = {}
+    for mode in ("naive", "fast"):
+        with use_kernel_mode(mode):
+            results[mode] = builder(grid, metric, budget)
+    naive, fast = results["naive"], results["fast"]
+    assert naive.curve.tobytes() == fast.curve.tobytes()
+    for b in range(1, budget + 1):
+        assert naive.buckets_at(b) == fast.buckets_at(b), b
 
 
 @pytest.mark.parametrize("seed", range(6))
