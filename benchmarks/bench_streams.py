@@ -2,14 +2,16 @@
 
 Times the steady-state window lifecycle in both stream kernel modes —
 Monitor-side ingest (histogram construction per window, plus the
-batched multi-window path), Control-Center decode (per-group estimate
+batched multi-window path), the histogram codec (scalar and batched
+encode, payload parse), Control-Center decode (per-group estimate
 reconstruction), the exact ground-truth join every window is scored
 against, and the end-to-end serial :class:`MonitoringSystem` run —
 across all three semantics classes, verifies the fast-path histograms,
 estimates and join results are **bit-identical** to the naive
 reference, and writes the measurements to ``BENCH_streams.json`` at
 the repo root so perf PRs have a recorded trajectory.  Exits nonzero
-when the join is not bit-identical.
+when the join is not bit-identical or the batched encoder's bytes
+differ from the scalar encoder's.
 
 Usage::
 
@@ -41,11 +43,16 @@ from repro.algorithms import (
     build_nonoverlapping,
     build_overlapping,
 )
+from repro.core.wire import (
+    WireHistogram,
+    encode_histogram_v2,
+    encode_histograms_v2,
+)
 from repro.data import TrafficModel, generate_subnet_table, generate_trace
 from repro.streams import MonitoringSystem, Trace, use_stream_kernel_mode
 from repro.streams.query import exact_group_counts
 
-SCHEMA = "repro.bench_streams.v3"
+SCHEMA = "repro.bench_streams.v4"
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -127,6 +134,51 @@ def _bench_ingest(fn, windows: List[np.ndarray]) -> Dict[str, object]:
         "speedup_fast_batched": round(naive_s / batched_s, 3),
         "bit_identical": identical,
         "histograms": naive,
+        "fast_histograms": fast,
+    }
+
+
+#: Passes per codec measurement; the fastest is recorded.
+CODEC_REPEATS = 5
+
+
+def _best_of(run) -> float:
+    best = float("inf")
+    for _ in range(CODEC_REPEATS):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _bench_codec(fn, histograms) -> Dict[str, object]:
+    """Per-payload cost of the histogram codec over one point's window
+    histograms: one scalar encode per histogram, one batched encode of
+    them all, and one ``WireHistogram`` parse per payload (fastest of
+    ``CODEC_REPEATS`` passes each).  The batched bytes must equal the
+    scalar bytes."""
+    domain, semantics = fn.domain, fn.semantics
+    scalar = [encode_histogram_v2(h, domain, semantics) for h in histograms]
+    batched = encode_histograms_v2(histograms, domain, semantics)
+    seconds = {
+        "scalar_encode": _best_of(lambda: [
+            encode_histogram_v2(h, domain, semantics) for h in histograms
+        ]),
+        "batched_encode": _best_of(
+            lambda: encode_histograms_v2(histograms, domain, semantics)
+        ),
+        "parse": _best_of(lambda: [WireHistogram(p) for p in scalar]),
+    }
+    n = len(histograms)
+    return {
+        "payloads": n,
+        "buckets_mean": round(sum(len(h) for h in histograms) / n, 1),
+        "bytes_mean": round(sum(len(p) for p in scalar) / n, 1),
+        "repeats": CODEC_REPEATS,
+        "us_per_payload": {
+            k: round(v / n * 1e6, 2) for k, v in seconds.items()
+        },
+        "bytes_identical": batched == scalar,
     }
 
 
@@ -238,6 +290,7 @@ def run_grid(grid: str) -> Dict[str, object]:
             fn = builder(hierarchy, metric, budget).function_at(budget)
             ingest = _bench_ingest(fn, windows)
             histograms = ingest.pop("histograms")
+            codec = _bench_codec(fn, ingest.pop("fast_histograms"))
             decode = _bench_decode(table, fn, histograms)
             point = {
                 "workload": workload,
@@ -245,6 +298,7 @@ def run_grid(grid: str) -> Dict[str, object]:
                 "semantics": fn.semantics,
                 "buckets": fn.num_buckets,
                 "ingest": ingest,
+                "codec": codec,
                 "decode": decode,
             }
             points.append(point)
@@ -254,7 +308,9 @@ def run_grid(grid: str) -> Dict[str, object]:
                 f"(batched {ingest['speedup_fast_batched']}x, "
                 f"identical={ingest['bit_identical']}) decode "
                 f"{decode['speedup_fast']}x "
-                f"(identical={decode['bit_identical']})"
+                f"(identical={decode['bit_identical']}) codec us/payload "
+                f"{codec['us_per_payload']} "
+                f"(identical={codec['bytes_identical']})"
             )
         truth = _bench_truth(table, windows)
         points.append(
@@ -300,6 +356,9 @@ def run_grid(grid: str) -> Dict[str, object]:
         "truth_bit_identical": all(
             p["truth"]["bit_identical"] for p in points if "truth" in p
         ),
+        "codec_bytes_identical": all(
+            p["codec"]["bytes_identical"] for p in points if "codec" in p
+        ),
     }
 
 
@@ -326,6 +385,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {os.path.abspath(path)}")
     if not doc["truth_bit_identical"]:
         print("FAIL: the compiled ground-truth join differs from naive")
+        return 1
+    if not doc["codec_bytes_identical"]:
+        print("FAIL: the batched encoder's bytes differ from the scalar's")
         return 1
     return 0
 

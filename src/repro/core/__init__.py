@@ -25,9 +25,7 @@ from .groups import GroupTable
 from .hierarchy import PNode, PrunedHierarchy
 from .serialize import (
     decode_function,
-    decode_histogram,
     encode_function,
-    encode_histogram,
     function_from_json,
     function_to_json,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "net_group_populations",
     "encode_function",
     "decode_function",
-    "encode_histogram",
-    "decode_histogram",
     "function_to_json",
     "function_from_json",
     "WireHistogram",

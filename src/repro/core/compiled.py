@@ -521,7 +521,7 @@ class CompiledEstimator:
         The nodes are concatenated and binary-searched into
         :attr:`slot_nodes`; one ``bincount`` then adds each slot's
         counters in view order into a zero bin — the accumulation
-        :func:`~.wire.merge_views` performs per node, so the sums are
+        :func:`~.partition.merge_views` performs per node, so the sums are
         bit-identical to it (and exact-zero where no view has the
         slot)."""
         nodes = np.concatenate([v.nodes for v in views])

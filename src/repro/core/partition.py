@@ -182,33 +182,13 @@ class Histogram:
     @classmethod
     def merge(cls, histograms: "Iterable[Histogram]") -> "Histogram":
         """Merge histograms of disjoint sub-streams (count aggregates
-        are distributive: bucket-wise sums).  Used both by the Control
-        Center to combine Monitors and by pane-based sliding windows.
-
-        Vectorized: one concatenation + bincount over the union of
-        nonzero buckets.  Per-node sums accumulate in histogram order —
-        exactly the order the historical dict merge used — so merged
-        floats are bit-identical to the reference behaviour.
-        """
+        are distributive: bucket-wise sums) with :func:`merge_views`.
+        Used by pane-based sliding windows and as the Control Center's
+        naive decode reference."""
         hs = list(histograms)
-        unmatched = 0.0
-        total = 0.0
-        for h in hs:
-            unmatched += h.unmatched
-            total += h.total
-        if not hs:
-            return cls({}, unmatched=unmatched, total=total)
+        nodes, sums, unmatched, total = merge_views(hs)
         if len(hs) == 1:
-            h = hs[0]
-            return cls.from_arrays(
-                h.nodes.copy(), h.values.copy(), unmatched, total
-            )
-        all_nodes = np.concatenate([h.nodes for h in hs])
-        all_values = np.concatenate([h.values for h in hs])
-        nodes, inverse = np.unique(all_nodes, return_inverse=True)
-        sums = np.bincount(
-            inverse, weights=all_values, minlength=nodes.size
-        )
+            nodes, sums = nodes.copy(), sums.copy()
         return cls.from_arrays(nodes, sums, unmatched, total)
 
     def size_bits(self, domain: UIDDomain, counter_bits: int = 32) -> int:
@@ -225,6 +205,44 @@ class Histogram:
             f"Histogram({len(self)} nonzero buckets, "
             f"total={self.total:g}, unmatched={self.unmatched:g})"
         )
+
+
+def merge_views(
+    views: Sequence,
+) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """The k-way merge every merge path runs: combine bucket views into
+    ``(nodes, sums, unmatched, total)``.
+
+    ``views`` may be :class:`Histogram` objects,
+    :class:`~.wire.WireHistogram` views, or anything else exposing
+    sorted ``nodes``, parallel ``values``, ``unmatched`` and ``total``.
+    One concatenation + ``np.unique`` + ``np.bincount`` over the union
+    of the buckets: per node the counters accumulate into a zero bin in
+    view order, and totals accumulate in view order, so any path that
+    merges through here is bit-identical to any other.  No views give
+    empty arrays.
+    """
+    unmatched = 0.0
+    total = 0.0
+    for v in views:
+        unmatched += v.unmatched
+        total += v.total
+    if not views:
+        return np.empty(0, dtype=np.int64), np.empty(0), unmatched, total
+    if len(views) == 1:
+        return (
+            views[0].nodes,
+            np.asarray(views[0].values, dtype=np.float64),
+            unmatched,
+            total,
+        )
+    all_nodes = np.concatenate([v.nodes for v in views])
+    all_values = np.concatenate(
+        [np.asarray(v.values, dtype=np.float64) for v in views]
+    )
+    nodes, inverse = np.unique(all_nodes, return_inverse=True)
+    sums = np.bincount(inverse, weights=all_values, minlength=nodes.size)
+    return nodes, sums, unmatched, total
 
 
 class LazySlotHistogram(Histogram):

@@ -1,26 +1,19 @@
-"""Wire formats for partitioning functions and histograms.
+"""Wire formats for partitioning functions.
 
-These codecs realize the size model the paper argues from:
+The binary codec realizes the size model the paper argues from: a
+partitioning function is a list of buckets, each **one identifier**
+encoded as (depth, prefix) — ``ceil(log2(h + 1)) + depth`` bits — with
+a single flag bit and, for sparse buckets (Section 4.3), a
+``O(log log |U|)``-bit offset locating the inner single-group
+sub-bucket *relative to* its enclosing bucket.  The format is
+self-delimiting given the domain height, and the decoder rejects a
+truncated payload or one with trailing bytes; the function sizes
+produced here are what the simulated channel charges for installs.  A
+JSON codec is provided for configuration files and debugging.
 
-* a partitioning function is a list of buckets, each **one identifier**
-  encoded as (depth, prefix) — ``ceil(log2(h + 1)) + depth`` bits — with
-  a single flag bit and, for sparse buckets (Section 4.3), a
-  ``O(log log |U|)``-bit offset locating the inner single-group
-  sub-bucket *relative to* its enclosing bucket;
-* a histogram is a list of (identifier, counter) pairs for the nonzero
-  buckets only (zero buckets are inferred, Section 4.3).
-
-Both binary formats are self-delimiting given the domain height; a JSON
-codec is provided for configuration files and debugging.  The
-function sizes produced here are what the simulated channel charges
-for installs.
-
-This module is the **v1** histogram wire format: the paper's Section
-4.3 size model (``Histogram.size_bytes``), kept for the bandwidth
-benchmark and offline tools.  Monitors transmit the v2 format in
-:mod:`repro.core.wire`: byte-aligned, self-describing counter widths,
-delta/varint node ids, CRC-protected, and queryable/mergeable without
-decoding.  See ``docs/wire-format.md`` for both layouts bit by bit.
+Histograms have one wire format, :mod:`repro.core.wire`; its flags byte
+carries the semantics codes defined here.  See ``docs/wire-format.md``
+for both layouts bit by bit.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from .bits import BitReader, BitWriter
 from .domain import UIDDomain
 from .partition import (
     Bucket,
-    Histogram,
     LongestPrefixMatchPartitioning,
     NonoverlappingPartitioning,
     OverlappingPartitioning,
@@ -43,12 +35,12 @@ from .partition import (
 __all__ = [
     "encode_function",
     "decode_function",
-    "encode_histogram",
-    "decode_histogram",
     "function_to_json",
     "function_from_json",
 ]
 
+#: Semantics codes: the function codec's 2-bit field and the low bits
+#: of a histogram payload's flags byte (:mod:`repro.core.wire`).
 _SEMANTICS_CODES: Dict[str, int] = {
     "nonoverlapping": 0,
     "overlapping": 1,
@@ -111,100 +103,40 @@ def encode_function(function: PartitioningFunction) -> bytes:
 
 
 def decode_function(data: bytes) -> PartitioningFunction:
-    """Inverse of :func:`encode_function`."""
+    """Inverse of :func:`encode_function`.  A truncated payload, or one
+    with 8 or more bits after the last bucket (the encoder pads by
+    fewer), raises :class:`ValueError`."""
     r = BitReader(data)
-    domain = UIDDomain(r.read(6))
     try:
-        semantics = _CODE_SEMANTICS[r.read(2)]
-    except KeyError:
-        raise ValueError("malformed function encoding: bad semantics code")
-    count = r.read_unary_varint()
-    buckets = []
-    for _ in range(count):
-        node = _read_node(r, domain)
-        if r.read(1):
-            offset = r.read(_depth_bits(domain))
-            rel = r.read(offset)
-            depth = UIDDomain.depth(node) + offset
-            sub = domain.node(
-                depth, (UIDDomain.prefix(node) << offset) | rel
-            )
-            buckets.append(Bucket(node, sparse_group_node=sub))
-        else:
-            buckets.append(Bucket(node))
-    return _SEMANTICS_CLASSES[semantics](domain, buckets)
-
-
-def encode_histogram(
-    histogram: Histogram, domain: UIDDomain, counter_bits: int = 32
-) -> bytes:
-    """Serialize a histogram: varint bucket count then (node, counter)
-    pairs; only nonzero buckets are transmitted.
-
-    .. warning:: ``counter_bits`` is an **out-of-band contract**: the
-       v1 payload does not record the counter width, so decoding with a
-       different ``counter_bits`` than was encoded silently reads
-       garbage.  Callers must pass the same value to both ends; the
-       v2 format in :mod:`repro.core.wire`, which Monitors transmit,
-       makes the width self-describing instead.
-
-    Counters are integers on the wire.  Non-integral values (the
-    weighted-``values`` pipeline) are rejected rather than silently
-    rounded — use the v2 float64 counter mode for weighted histograms.
-    """
-    w = BitWriter()
-    w.write(domain.height, 6)
-    w.write_unary_varint(len(histogram.counts))
-    limit = (1 << counter_bits) - 1
-    for node in sorted(histogram.counts):
-        value = histogram.counts[node]
-        if value != int(value):
-            raise ValueError(
-                f"count {value} at node {node} is not an integer; the v1 "
-                f"wire format carries integer counters only (use the v2 "
-                f"float64 counter mode for weighted histograms)"
-            )
-        c = int(value)
-        if c < 0 or c > limit:
-            raise ValueError(
-                f"count {value} does not fit in {counter_bits}-bit counter"
-            )
-        _write_node(w, domain, node)
-        w.write(c, counter_bits)
-    return w.getvalue()
-
-
-def decode_histogram(data: bytes, counter_bits: int = 32) -> Histogram:
-    """Inverse of :func:`encode_histogram` (count totals are not
-    transmitted; the decoded histogram reports the counter sum).
-
-    ``counter_bits`` must match the width used at encode time — see the
-    warning on :func:`encode_histogram`.  A mismatch usually desynchronizes
-    the bit stream and surfaces here as :class:`ValueError`, but short
-    payloads can alias, so the width contract cannot be fully validated
-    from the bytes alone.
-    """
-    r = BitReader(data)
-    domain = UIDDomain(r.read(6))
-    count = r.read_unary_varint()
-    counts: Dict[int, float] = {}
-    try:
+        domain = UIDDomain(r.read(6))
+        try:
+            semantics = _CODE_SEMANTICS[r.read(2)]
+        except KeyError:
+            raise ValueError("malformed function encoding: bad semantics code")
+        count = r.read_unary_varint()
+        buckets = []
         for _ in range(count):
             node = _read_node(r, domain)
-            counts[node] = float(r.read(counter_bits))
+            if r.read(1):
+                offset = r.read(_depth_bits(domain))
+                rel = r.read(offset)
+                depth = UIDDomain.depth(node) + offset
+                sub = domain.node(
+                    depth, (UIDDomain.prefix(node) << offset) | rel
+                )
+                buckets.append(Bucket(node, sparse_group_node=sub))
+            else:
+                buckets.append(Bucket(node))
     except EOFError:
         raise ValueError(
-            f"malformed histogram encoding: ran out of bits mid-bucket "
-            f"(truncated payload, or counter_bits={counter_bits} does not "
-            f"match the width used by the encoder)"
-        )
+            "malformed function encoding: truncated payload"
+        ) from None
     if r.bits_remaining >= 8:
         raise ValueError(
-            f"malformed histogram encoding: {r.bits_remaining} trailing "
-            f"bits after the last bucket (counter_bits={counter_bits} "
-            f"may not match the width used by the encoder)"
+            f"malformed function encoding: {r.bits_remaining} trailing "
+            f"bits after the last bucket"
         )
-    return Histogram(counts, total=float(sum(counts.values())))
+    return _SEMANTICS_CLASSES[semantics](domain, buckets)
 
 
 def function_to_json(function: PartitioningFunction) -> str:

@@ -1,14 +1,14 @@
-"""The v2 histogram wire format: queryable without deserialization.
+"""The histogram wire format: queryable without deserialization.
 
-The v1 codec in :mod:`repro.core.serialize` ships a histogram as a flat
-bit string of ``(node, fixed-width counter)`` pairs that the Control
-Center must fully decode into a :class:`~.partition.Histogram` before it
-can answer anything.  This module is the next step the ROADMAP calls
-"query-from-serialized": a byte-aligned, self-describing binary format
-whose payload can be *queried in place* — point counts, subtree (range)
-totals, per-group estimates, and merges across Monitors all operate on
-the raw buffer through :class:`WireHistogram`, a zero-copy view over a
-``memoryview``.
+Monitors ship every window histogram as one byte-aligned,
+self-describing binary payload (format version 2) whose bytes can be
+*queried in place* — point counts, subtree (range) totals, per-group
+estimates, and merges across Monitors all operate on the raw buffer
+through :class:`WireHistogram`, a zero-copy view over a
+``memoryview``.  It is the only histogram codec: the paper's Section
+4.3 size model (:meth:`.partition.Histogram.size_bytes`) prices the
+same content as fixed-width (identifier, counter) pairs, and
+:mod:`repro.core.serialize` holds the codec for partitioning functions.
 
 Layout (all multi-byte integers little-endian)::
 
@@ -35,41 +35,43 @@ Layout (all multi-byte integers little-endian)::
 
 Design notes:
 
-* **Self-describing counters.** v1's ``counter_bits`` is an
-  out-of-band contract between encoder and decoder (see the hazard
-  note in :mod:`repro.core.serialize`); here the stride byte travels
-  with the payload and the encoder picks the narrowest width that fits,
-  so small windows pay 1-byte counters instead of v1's fixed 32 bits.
+* **Self-describing counters.** The stride byte travels with the
+  payload, and the encoder has one rule: the narrowest unsigned width
+  that fits every counter when all are nonnegative integers below
+  ``2**64``, float64 otherwise.  Small windows pay 1-byte counters.
 * **Fixed-stride counter section.** The counter section sits at the
   *end* of the buffer, so its offset is computable from the header
   alone (``len(data) - n * w``) and counters are directly addressable:
   :attr:`WireHistogram.values` is one ``np.frombuffer`` over the
   payload — no copy, no parse.
 * **Delta-encoded node ids.** Bucket node ids are sorted, so LEB128
-  deltas cost ~``log2(gap)`` bits instead of v1's
-  ``ceil(log2(h+1)) + depth`` bits per identifier; dense functions
-  (the common case at realistic budgets) pay one byte per bucket.
+  deltas cost ~``log2(gap)`` bits instead of the size model's
+  ``ceil(log2(h+1)) + h`` bits per identifier; dense functions (the
+  common case at realistic budgets) pay one byte per bucket.
 * **Integrity.** The CRC32 makes every truncation or bit flip a
   :class:`ValueError` at parse time — a corrupted payload can never
   decode to silently-wrong counts (property-tested by the fuzz suite
   in ``tests/test_wire.py``).
 * **Exactness.** Integer counters round-trip float64 -> uint -> float64
-  losslessly (the encoder rejects non-integral or negative values
-  unless the float64 mode is chosen), so v2 decodes are bit-identical
-  to the histograms that were encoded, and query-from-wire estimates
-  are bit-identical to decode-then-estimate.
-* **Mergeability is a format property.** :func:`merge_views` merges
-  parsed views with the same concatenate/unique/bincount accumulation
-  as :meth:`.partition.Histogram.merge`, so merged counters are
-  bit-for-bit the values an object-level merge would produce; the
-  Control Center decodes every window through it.  :func:`merge_wire`
-  re-encodes that merge as a new payload, for merging away from the
+  losslessly, so decodes are bit-identical to the histograms that were
+  encoded, and query-from-wire estimates are bit-identical to
+  decode-then-estimate.
+* **One encoder core.** :func:`encode_histogram_v2` and the batched
+  :func:`encode_histograms_v2` make the same checks (``_check``) and
+  assemble the same header, totals section and CRC (``_payload``);
+  only their node and counter sections differ.  A window histogram
+  carries tens of buckets, so the scalar encoder, like the parser,
+  runs plain Python loops over its varints and counters: a numpy
+  call's fixed ~1 us would cost more than the bytes themselves.  The
+  batched encoder works on the buckets of many histograms at once and
+  is vectorized.
+* **Mergeability is a format property.** :func:`merge_views` is the
+  one k-way merge, shared with :meth:`.partition.Histogram.merge`, so
+  merged counters are bit-for-bit the values an object-level merge
+  would produce; the Control Center falls back to it when a payload
+  node is not a slot of the current function.  :func:`merge_wire`
+  re-encodes its result as a new payload, for merging away from the
   Control Center.
-* **Cost per byte.**  A window histogram carries tens of buckets, so
-  one payload is encoded, parsed and checked with plain Python loops
-  over its varints and counters: a numpy call's fixed ~1 us would cost
-  more than the bytes themselves.  Only the batched encoder, which
-  works on the buckets of many histograms at once, is vectorized.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domain import UIDDomain
-from .partition import Histogram
+from .partition import Histogram, merge_views
+from .serialize import _CODE_SEMANTICS, _SEMANTICS_CODES
 
 __all__ = [
     "MAGIC",
@@ -105,14 +108,6 @@ _FLAG_FLOAT64 = 0b0000_0100
 _FLAG_HAS_TOTALS = 0b0000_1000
 _FLAG_RESERVED_MASK = 0b1111_0000
 
-#: flags/semantics codes shared with the v1 function codec.
-_SEMANTICS_CODES = {
-    "nonoverlapping": 0,
-    "overlapping": 1,
-    "longest_prefix_match": 2,
-}
-_CODE_SEMANTICS = {v: k for k, v in _SEMANTICS_CODES.items()}
-
 _HEADER = struct.Struct("<2sBBBBI")  # magic, version, flags, height, stride, crc
 _HEADER_LEN = _HEADER.size  # 10
 _TOTALS = struct.Struct("<dd")
@@ -123,10 +118,6 @@ _UINT_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 _LEB_MAX_BYTES = 10
 _TWO_53 = float(1 << 53)
 _TWO_64 = float(1 << 64)
-
-#: Counter-mode names accepted by :func:`encode_histogram_v2`.
-_COUNTER_MODES = ("auto", "u8", "u16", "u32", "u64", "float64")
-_MODE_STRIDE = {"u8": 1, "u16": 2, "u32": 4, "u64": 8, "float64": 8}
 
 
 def _leb_encode(values, out: bytearray) -> None:
@@ -184,21 +175,27 @@ def _leb_decode(data, pos: int, end: int, n: int) -> Tuple[List[int], int]:
     return out, pos
 
 
-def _leb_encode_array(values: np.ndarray) -> bytes:
-    """Vectorized LEB128 of a nonnegative uint64 array — byte-identical
-    to :func:`_leb_encode` over the same elements.  Only the batched
-    encoder uses it, on the deltas of a whole batch of histograms."""
+def _leb_lengths(values: np.ndarray) -> np.ndarray:
+    """Bytes in the minimal LEB128 encoding of each element of a
+    uint64 array."""
+    lengths = np.ones(values.size, dtype=np.int64)
+    if values.size:
+        for k in range(1, (int(values.max()).bit_length() + 6) // 7):
+            lengths += values >= (np.uint64(1) << np.uint64(7 * k))
+    return lengths
+
+
+def _leb_encode_array(values: np.ndarray, lengths: np.ndarray) -> bytes:
+    """Vectorized LEB128 of a uint64 array, given its
+    :func:`_leb_lengths` — byte-identical to :func:`_leb_encode` over
+    the same elements."""
     if values.size == 0:
         return b""
-    values = values.astype(np.uint64, copy=False)
-    max_len = (int(values.max()).bit_length() + 6) // 7 or 1
+    max_len = int(lengths.max())
     if max_len == 1:
         # Every value fits one byte (dense histograms: deltas are
         # mostly 1) — the bytes ARE the values.
         return values.astype(np.uint8).tobytes()
-    lengths = np.ones(values.size, dtype=np.int64)
-    for k in range(1, max_len):
-        lengths += values >= (np.uint64(1) << np.uint64(7 * k))
     offsets = np.zeros(values.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=offsets[1:])
     out = np.zeros(int(offsets[-1] + lengths[-1]), dtype=np.uint8)
@@ -273,260 +270,190 @@ def _pick_stride(max_value: int) -> int:
     )
 
 
-def encode_histogram_v2(
-    histogram: Histogram,
-    domain: UIDDomain,
-    semantics: str = "nonoverlapping",
-    counters: str = "auto",
-) -> bytes:
-    """Serialize a histogram to the v2 wire form.
-
-    ``counters`` selects the counter mode: ``"auto"`` (the default)
-    uses the narrowest unsigned width that fits every count, switching
-    to float64 automatically when any value is non-integral or
-    negative; ``"float64"`` forces the weighted-values mode; ``"u8"``/
-    ``"u16"``/``"u32"``/``"u64"`` force a fixed unsigned width (a value
-    that does not fit raises, exactly like v1's overflow check).
-
-    The histogram's ``unmatched``/``total`` accounting is preserved:
-    when it is derivable (no unmatched traffic and ``total`` equals the
-    counter sum) it is omitted from the wire and recomputed at decode
-    time with the identical float operation, otherwise 16 explicit
-    bytes carry it — either way ``decode_histogram_v2`` is a lossless
-    inverse.
-    """
-    if semantics not in _SEMANTICS_CODES:
+def _check(semantics: str, domain: UIDDomain, bounds: List[int]) -> int:
+    """What both encoders reject before encoding: an unknown
+    semantics, a height the header cannot carry, and node ids outside
+    ``1 .. 2**(height + 1) - 1``.  ``bounds`` holds the smallest and
+    largest node id to be encoded (nothing when there are none).
+    Returns the semantics code."""
+    code = _SEMANTICS_CODES.get(semantics)
+    if code is None:
         known = ", ".join(sorted(_SEMANTICS_CODES))
         raise ValueError(f"unknown semantics {semantics!r}; known: {known}")
-    if counters not in _COUNTER_MODES:
-        known = ", ".join(_COUNTER_MODES)
-        raise ValueError(f"unknown counter mode {counters!r}; known: {known}")
     if not 0 <= domain.height <= 63:
         raise ValueError(f"domain height {domain.height} exceeds wire format")
-    nodes = histogram.nodes
-    values = np.asarray(histogram.values, dtype=np.float64)
-    n = int(nodes.size)
-    if n and int(nodes[-1]) >= (1 << (domain.height + 1)):
-        raise ValueError(
-            f"node {int(nodes[-1])} invalid for height {domain.height}"
-        )
-    if n and int(nodes[0]) < 1:
-        raise ValueError(f"invalid node id {int(nodes[0])}")
+    if bounds and (
+        bounds[0] < 1 or bounds[-1] >= 1 << (domain.height + 1)
+    ):
+        bad = bounds[0] if bounds[0] < 1 else bounds[-1]
+        raise ValueError(f"node {bad} invalid for height {domain.height}")
+    return code
 
-    float_mode = counters == "float64"
-    max_value: Optional[int] = 0
-    if counters == "auto" and n:
-        max_value = _integral_max(values)
-        float_mode = max_value is None
-    if float_mode:
-        if n and not _all_finite(values):
-            raise ValueError("float64 counters must be finite")
-        stride = 8
-    else:
-        if counters != "auto" and n:
-            bad = (values < 0) | (values != np.floor(values))
-            if bool(np.any(bad)):
-                v = values.tolist()[int(np.argmax(bad))]
-                raise ValueError(
-                    f"count {v} is not a nonnegative integer; use the "
-                    f"float64 counter mode for weighted histograms"
-                )
-            max_value = int(values.max())
-        if counters == "auto":
-            stride = _pick_stride(max_value)
-        else:
-            stride = _MODE_STRIDE[counters]
-            if max_value >= (1 << (8 * stride)):
-                raise ValueError(
-                    f"count {max_value} does not fit in "
-                    f"{8 * stride}-bit counter"
-                )
 
-    # Totals are omitted when decode can recompute them exactly: the
-    # decoder sums the (float64) counter view with the same
-    # _counter_sum the check below uses, so equality here guarantees
-    # equality there.
+def _payload(
+    code: int,
+    height: int,
+    histogram: Histogram,
+    float_mode: bool,
+    stride: int,
+    node_section,
+    counter_section,
+) -> bytes:
+    """Assemble one payload around its encoded node and counter
+    sections: header, bucket count, the totals section when decode
+    could not recompute it, and the CRC32.
+
+    Totals are omitted when decode can recompute them exactly: the
+    decoder sums the (float64) counter view with the same
+    :func:`_counter_sum` the check below uses, so equality here
+    guarantees equality there."""
+    n = len(histogram.nodes)
     has_totals = histogram.unmatched != 0.0 or histogram.total != (
-        _counter_sum(values, integral=not float_mode) if n else 0.0
+        _counter_sum(histogram.values, integral=not float_mode)
+        if n else 0.0
     )
-
-    flags = _SEMANTICS_CODES[semantics]
+    flags = code
     if float_mode:
         flags |= _FLAG_FLOAT64
     if has_totals:
         flags |= _FLAG_HAS_TOTALS
-
     body = bytearray()
     _leb_encode((n,), body)
     if has_totals:
         body += _TOTALS.pack(histogram.unmatched, histogram.total)
-    node_list = nodes.tolist()
-    _leb_encode(map(operator.sub, node_list, [0] + node_list), body)
-    if float_mode:
-        body += np.ascontiguousarray(values, dtype="<f8").tobytes()
-    else:
-        body += values.astype(_UINT_DTYPES[stride]).tobytes()
-
-    head = MAGIC + bytes([VERSION, flags, domain.height, stride])
+    body += node_section
+    body += counter_section
+    head = MAGIC + bytes((VERSION, flags, height, stride))
     crc = zlib.crc32(body, zlib.crc32(head))
-    return head + struct.pack("<I", crc) + bytes(body)
+    return head + struct.pack("<I", crc) + body
+
+
+def encode_histogram_v2(
+    histogram: Histogram,
+    domain: UIDDomain,
+    semantics: str = "nonoverlapping",
+) -> bytes:
+    """Serialize a histogram to its wire payload.
+
+    Counters take the narrowest unsigned width that fits every count,
+    or float64 when any count is non-integral or negative (a NaN or
+    infinite count raises).  The histogram's ``unmatched``/``total``
+    accounting is preserved: when it is derivable (no unmatched
+    traffic and ``total`` equals the counter sum) it is omitted from
+    the wire and recomputed at decode time with the identical float
+    operation, otherwise 16 explicit bytes carry it — either way
+    :func:`decode_histogram_v2` is a lossless inverse.
+    """
+    node_list = histogram.nodes.tolist()
+    code = _check(semantics, domain, node_list[:1] + node_list[-1:])
+    values = np.asarray(histogram.values, dtype=np.float64)
+    max_value = _integral_max(values) if values.size else 0
+    float_mode = max_value is None
+    if float_mode:
+        if not _all_finite(values):
+            raise ValueError("float64 counters must be finite")
+        stride = 8
+        counters = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    else:
+        stride = _pick_stride(max_value)
+        counters = values.astype(_UINT_DTYPES[stride]).tobytes()
+    nodes = bytearray()
+    _leb_encode(map(operator.sub, node_list, [0] + node_list), nodes)
+    return _payload(
+        code, domain.height, histogram, float_mode, stride, nodes, counters
+    )
 
 
 def encode_histograms_v2(
     histograms: Sequence[Histogram],
     domain: UIDDomain,
     semantics: str = "nonoverlapping",
-    counters: str = "auto",
 ) -> List[bytes]:
     """Batched :func:`encode_histogram_v2`: encode many histograms in
     one vectorized pass, byte-identical to encoding each separately.
 
-    The scalar encoder's cost at realistic bucket counts is fixed
-    numpy-call overhead (~15 small array ops per histogram), not
+    The scalar encoder's cost is fixed per-call overhead, not
     arithmetic — the profiled ingest hotspot of the serving layer's
     shard workers, which encode every window of a run in one go.  This
-    path hoists those ops over the concatenated bucket arrays: one
-    integrality/finiteness scan with per-histogram ``reduceat``
+    path hoists the section work over the concatenated bucket arrays:
+    one integrality/finiteness scan with per-histogram ``reduceat``
     reductions, one delta computation, one vectorized LEB128 pass
     (sliced back per histogram — element encodings are position
     independent), and one counter-section conversion per distinct
-    stride.  Per-histogram work is reduced to header assembly, the
-    totals check and a CRC32.
-
-    Only the ``"auto"`` counter mode is batched; explicit modes fall
-    back to the scalar encoder per histogram.
+    stride.  Per histogram only :func:`_payload` remains.
     """
     histograms = list(histograms)
-    if counters != "auto" or not histograms:
-        return [
-            encode_histogram_v2(h, domain, semantics, counters=counters)
-            for h in histograms
-        ]
-    if semantics not in _SEMANTICS_CODES:
-        known = ", ".join(sorted(_SEMANTICS_CODES))
-        raise ValueError(f"unknown semantics {semantics!r}; known: {known}")
-    if not 0 <= domain.height <= 63:
-        raise ValueError(f"domain height {domain.height} exceeds wire format")
-    sem_code = _SEMANTICS_CODES[semantics]
-    node_limit = 1 << (domain.height + 1)
-
-    sizes = [int(h.nodes.size) for h in histograms]
+    sizes = [len(h.nodes) for h in histograms]
     nonempty = [k for k, n in enumerate(sizes) if n]
-    total = sum(sizes)
-    if total:
+    bounds: List[int] = []
+    if nonempty:
         all_nodes = np.concatenate([histograms[k].nodes for k in nonempty])
+        bounds = [int(all_nodes.min()), int(all_nodes.max())]
+    code = _check(semantics, domain, bounds)
+    # Empty histograms keep these: 1-byte counters, no sections.
+    float_mode = [False] * len(histograms)
+    strides = [1] * len(histograms)
+    node_sections = [b""] * len(histograms)
+    counter_sections = [b""] * len(histograms)
+    if nonempty:
         all_values = np.concatenate([histograms[k].values for k in nonempty])
         starts = np.zeros(len(nonempty), dtype=np.int64)
         np.cumsum([sizes[k] for k in nonempty[:-1]], out=starts[1:])
         # Per-histogram reductions over one elementwise scan.  The
         # segment boundaries are exactly the scalar encoder's per-call
-        # array extents, so each reduction equals its np.all/np.max.
+        # array extents, so each reduction equals its all/max.
         ok = (
             (all_values >= 0.0)
             & (all_values == np.floor(all_values))
-            & (all_values < float(1 << 64))
+            & (all_values < _TWO_64)
         )
-        seg_integral = np.minimum.reduceat(ok, starts)
+        seg_integral = np.minimum.reduceat(ok, starts).tolist()
         seg_finite = np.minimum.reduceat(np.isfinite(all_values), starts)
-        seg_max = np.maximum.reduceat(all_values, starts)
+        seg_max = np.maximum.reduceat(all_values, starts).tolist()
         # One delta pass: cross-histogram positions get garbage from
         # the global diff, then every segment start is overwritten with
         # its absolute first node — the scalar encoder's layout.
-        deltas = np.empty(total, dtype=np.uint64)
-        if total > 1:
-            deltas[1:] = np.diff(all_nodes).astype(np.uint64)
+        deltas = np.empty(all_nodes.size, dtype=np.uint64)
+        deltas[1:] = np.diff(all_nodes).astype(np.uint64)
         deltas[starts] = all_nodes[starts].astype(np.uint64)
-        leb_blob = _leb_encode_array(deltas)
-        # Element encodings are position independent, so per-histogram
-        # slices of the global LEB blob equal per-histogram encodes.
-        lens = np.ones(total, dtype=np.int64)
-        for k in range(1, _LEB_MAX_BYTES):
-            lens += deltas >= (np.uint64(1) << np.uint64(7 * k))
-        byte_ends = np.cumsum(np.add.reduceat(lens, starts))
+        lengths = _leb_lengths(deltas)
+        leb_blob = _leb_encode_array(deltas, lengths)
+        byte_ends = np.cumsum(np.add.reduceat(lengths, starts)).tolist()
         f_blob = np.ascontiguousarray(all_values, dtype="<f8").tobytes()
-        value_ends = starts + np.asarray(
-            [sizes[k] for k in nonempty], dtype=np.int64
-        )
-    # Counter sections are converted per distinct stride over only the
-    # histograms using it (converting foreign segments could overflow).
-    stride_blobs: dict = {}
-
-    integral = {}
-    float_mode = {}
-    stride_of = {}
-    for j, k in enumerate(nonempty):
-        integral[k] = bool(seg_integral[j])
-        if integral[k]:
-            float_mode[k] = False
-            stride_of[k] = _pick_stride(int(seg_max[j]))
-        else:
-            if not bool(seg_finite[j]):
+        by_stride: dict = {}
+        lo = 0
+        for j, k in enumerate(nonempty):
+            node_sections[k] = leb_blob[lo:byte_ends[j]]
+            lo = byte_ends[j]
+            if seg_integral[j]:
+                strides[k] = _pick_stride(int(seg_max[j]))
+                by_stride.setdefault(strides[k], []).append(k)
+                continue
+            if not seg_finite[j]:
                 raise ValueError("float64 counters must be finite")
             float_mode[k] = True
-            stride_of[k] = 8
-    by_stride: dict = {}
-    for j, k in enumerate(nonempty):
-        if not float_mode[k]:
-            by_stride.setdefault(stride_of[k], []).append((j, k))
-    for stride, members in by_stride.items():
-        blob = np.concatenate(
-            [histograms[k].values for _j, k in members]
-        ).astype(_UINT_DTYPES[stride]).tobytes()
-        offset = 0
-        for _j, k in members:
-            end = offset + sizes[k] * stride
-            stride_blobs[k] = blob[offset:end]
-            offset = end
-
-    payloads: List[bytes] = []
-    j = 0  # nonempty cursor
-    for k, h in enumerate(histograms):
-        n = sizes[k]
-        if n:
-            if int(h.nodes[-1]) >= node_limit:
-                raise ValueError(
-                    f"node {int(h.nodes[-1])} invalid for height "
-                    f"{domain.height}"
-                )
-            if int(h.nodes[0]) < 1:
-                raise ValueError(f"invalid node id {int(h.nodes[0])}")
-            stride = stride_of[k]
-            fmode = float_mode[k]
-        else:
-            stride = _pick_stride(0)
-            fmode = False
-        if h.unmatched != 0.0:
-            # Totals can't be derivable; skip the sum the scalar
-            # encoder would compute and discard.
-            has_totals = True
-        else:
-            # Same sum as the scalar encoder (reduceat's sequential
-            # accumulation could differ in the last bits).
-            derivable_total = (
-                _counter_sum(h.values, integral=not fmode) if n else 0.0
-            )
-            has_totals = h.total != derivable_total
-        flags = sem_code
-        if fmode:
-            flags |= _FLAG_FLOAT64
-        if has_totals:
-            flags |= _FLAG_HAS_TOTALS
-        body = bytearray()
-        _leb_encode((n,), body)
-        if has_totals:
-            body += _TOTALS.pack(h.unmatched, h.total)
-        if n:
-            leb_lo = int(byte_ends[j - 1]) if j else 0
-            body += leb_blob[leb_lo:int(byte_ends[j])]
-            if fmode:
-                body += f_blob[int(starts[j]) * 8:int(value_ends[j]) * 8]
-            else:
-                body += stride_blobs[k]
-            j += 1
-        head = MAGIC + bytes([VERSION, flags, domain.height, stride])
-        crc = zlib.crc32(bytes(body), zlib.crc32(head))
-        payloads.append(head + struct.pack("<I", crc) + bytes(body))
-    return payloads
+            strides[k] = 8
+            start = 8 * int(starts[j])
+            counter_sections[k] = f_blob[start:start + 8 * sizes[k]]
+        # Unsigned counter sections are converted per distinct stride
+        # over only the histograms using it (converting foreign
+        # segments could overflow).
+        for stride, members in by_stride.items():
+            blob = np.concatenate(
+                [histograms[k].values for k in members]
+            ).astype(_UINT_DTYPES[stride]).tobytes()
+            offset = 0
+            for k in members:
+                end = offset + sizes[k] * stride
+                counter_sections[k] = blob[offset:end]
+                offset = end
+    return [
+        _payload(
+            code, domain.height, h, float_mode[k], strides[k],
+            node_sections[k], counter_sections[k],
+        )
+        for k, h in enumerate(histograms)
+    ]
 
 
 class WireHistogram:
@@ -713,11 +640,6 @@ class WireHistogram:
             total=self.total,
         )
 
-    def merge(self, other: "WireHistogram") -> bytes:
-        """Merge two payloads into a new v2 payload without building
-        :class:`~.partition.Histogram` objects."""
-        return merge_wire([self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "float64" if self.float_counters else f"u{8 * self.stride}"
         return (
@@ -733,76 +655,21 @@ def decode_histogram_v2(data) -> Histogram:
     return WireHistogram(data).to_histogram()
 
 
-def _as_wire(payload) -> WireHistogram:
-    return payload if isinstance(payload, WireHistogram) else WireHistogram(
-        payload
-    )
-
-
-def merge_views(views: Sequence) -> Tuple[np.ndarray, np.ndarray, float, float]:
-    """The k-way fan-in arithmetic shared by every merge path: combine
-    bucket views into ``(nodes, sums, unmatched, total)``.
-
-    ``views`` may be :class:`WireHistogram` views,
-    :class:`~.partition.Histogram` objects, or anything else exposing
-    sorted ``nodes``, parallel ``values``, ``unmatched`` and ``total``.
-    Counter accumulation is the same concatenate + ``np.unique`` +
-    ``np.bincount`` sequence as :meth:`.partition.Histogram.merge`, and
-    totals accumulate in argument order, so the result is bit-for-bit
-    what an object-level merge of the decoded histograms would produce.
-    This is the Control Center's per-window merge, serial and sharded
-    alike: one call over the window's views, then one merged histogram
-    — no intermediate merged payload is materialized.
-    """
-    if not views:
-        raise ValueError("merge_views needs at least one view")
-    unmatched = 0.0
-    total = 0.0
-    for v in views:
-        unmatched += v.unmatched
-        total += v.total
-    if len(views) == 1:
-        nodes = views[0].nodes
-        sums = np.asarray(views[0].values, dtype=np.float64)
-    elif all(
-        v.nodes.size == views[0].nodes.size
-        and np.array_equal(v.nodes, views[0].nodes)
-        for v in views[1:]
-    ):
-        # Aligned fast path — every shard runs the same partitioning
-        # function and ships the full slot-node array, so the k views
-        # share one node layout and the merge is a running elementwise
-        # sum.  ``np.bincount`` adds weights into zero-initialized bins
-        # in input order, i.e. per bucket ``0.0 + v_0 + v_1 + ...``
-        # left to right — exactly the accumulation below, so the
-        # counters stay bit-identical to the
-        # concatenate/unique/bincount path.
-        nodes = views[0].nodes
-        sums = np.zeros(nodes.size, dtype=np.float64)
-        for v in views:
-            sums += np.asarray(v.values, dtype=np.float64)
-    else:
-        all_nodes = np.concatenate([v.nodes for v in views])
-        all_values = np.concatenate(
-            [np.asarray(v.values, dtype=np.float64) for v in views]
-        )
-        nodes, inverse = np.unique(all_nodes, return_inverse=True)
-        sums = np.bincount(
-            inverse, weights=all_values, minlength=nodes.size
-        )
-    return nodes, sums, unmatched, total
-
-
 def merge_wire(payloads: Sequence) -> bytes:
-    """Merge v2 payloads (bytes or :class:`WireHistogram` views) into
-    one v2 payload.
+    """Merge payloads (bytes or :class:`WireHistogram` views) into one
+    payload.
 
     The accumulation is :func:`merge_views`, so the merged counters are
     bit-for-bit what an object-level merge of the decoded histograms
     would produce — mergeability is a property of the format, not a
-    decode step.
+    decode step.  The merged payload takes the encoder's one counter
+    rule, so float64 counters whose sums are all integral ship as
+    unsigned ones.
     """
-    views = [_as_wire(p) for p in payloads]
+    views = [
+        p if isinstance(p, WireHistogram) else WireHistogram(p)
+        for p in payloads
+    ]
     if not views:
         raise ValueError("merge_wire needs at least one payload")
     height = views[0].height
@@ -818,12 +685,5 @@ def merge_wire(payloads: Sequence) -> bytes:
                 f"cannot merge payloads with different semantics "
                 f"({semantics!r} and {v.semantics!r})"
             )
-    float_mode = any(v.float_counters for v in views)
-    nodes, sums, unmatched, total = merge_views(views)
-    merged = Histogram.from_arrays(nodes, sums, unmatched, total)
-    return encode_histogram_v2(
-        merged,
-        UIDDomain(height),
-        semantics=semantics,
-        counters="float64" if float_mode else "auto",
-    )
+    merged = Histogram.from_arrays(*merge_views(views))
+    return encode_histogram_v2(merged, UIDDomain(height), semantics)

@@ -371,7 +371,8 @@ class ControlCenter:
         (:meth:`~repro.core.compiled.CompiledEstimator.slot_sums`).  A
         node outside the current function falls back to the node-space
         ``merge_views``.  ``naive``, the reference: decode each payload,
-        merge the objects, reconstruct group by group.  All are
+        merge the objects (``Histogram.merge``, the same merge body as
+        the fallback), reconstruct group by group.  All are
         bit-identical (same accumulation order; integral wire counters
         cast exactly); the fallback and the reference scatter their
         merged histogram into the slot layout, where a node outside the

@@ -1,12 +1,10 @@
-"""Tests for the binary and JSON wire formats."""
+"""Tests for the bit streams and the function codecs (binary and JSON)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
     Bucket,
-    Histogram,
     LongestPrefixMatchPartitioning,
     NonoverlappingPartitioning,
     OverlappingPartitioning,
@@ -18,9 +16,7 @@ from repro.algorithms import build_overlapping
 from repro.core.bits import BitReader, BitWriter
 from repro.core.serialize import (
     decode_function,
-    decode_histogram,
     encode_function,
-    encode_histogram,
     function_from_json,
     function_to_json,
 )
@@ -93,6 +89,21 @@ def _fn(cls, *nodes, sparse=None):
     return cls(DOM, buckets)
 
 
+def _codec_samples():
+    return [
+        _fn(NonoverlappingPartitioning, DOM.node(1, 0), DOM.node(1, 1)),
+        _fn(OverlappingPartitioning, 1, DOM.node(2, 3), DOM.node(4, 9)),
+        _fn(
+            LongestPrefixMatchPartitioning, 1, DOM.node(2, 3),
+            sparse=(DOM.node(2, 1), DOM.node(5, 0b01001)),
+        ),
+    ]
+
+
+def _sample_id(fn):
+    return f"{fn.semantics}-{fn.num_buckets}"
+
+
 class TestFunctionCodec:
     @pytest.mark.parametrize("cls", [NonoverlappingPartitioning,
                                      OverlappingPartitioning,
@@ -125,8 +136,25 @@ class TestFunctionCodec:
         assert len(data) * 8 <= fn.size_bits() + 32
 
     def test_malformed_rejected(self):
-        with pytest.raises((ValueError, EOFError)):
+        with pytest.raises(ValueError):
             decode_function(b"\xff\xff")
+
+    @pytest.mark.parametrize("fn", _codec_samples(), ids=_sample_id)
+    def test_every_truncation_rejected(self, fn):
+        data = encode_function(fn)
+        for cut in range(len(data)):
+            with pytest.raises(ValueError, match="malformed function"):
+                decode_function(data[:cut])
+
+    @pytest.mark.parametrize("fn", _codec_samples(), ids=_sample_id)
+    def test_trailing_bytes_rejected(self, fn):
+        """The encoder pads by fewer than 8 bits, so any appended byte
+        is trailing garbage, not padding."""
+        data = encode_function(fn)
+        assert len(decode_function(data).buckets) == len(fn.buckets)
+        for tail in (b"\x00", b"\x00" * 3, b"\xff"):
+            with pytest.raises(ValueError, match="trailing"):
+                decode_function(data + tail)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_constructed_functions_roundtrip(self, seed):
@@ -153,31 +181,3 @@ class TestFunctionCodec:
         text = function_to_json(fn).replace("overlapping", "woozle")
         with pytest.raises(ValueError):
             function_from_json(text)
-
-
-class TestHistogramCodec:
-    def test_roundtrip(self):
-        hist = Histogram({1: 100.0, DOM.node(3, 2): 7.0}, total=107.0)
-        out = decode_histogram(encode_histogram(hist, DOM))
-        assert out.counts == hist.counts
-        assert out.total == 107.0
-
-    def test_empty(self):
-        out = decode_histogram(encode_histogram(Histogram({}), DOM))
-        assert len(out) == 0
-
-    def test_counter_overflow_rejected(self):
-        hist = Histogram({1: float(2**33)})
-        with pytest.raises(ValueError):
-            encode_histogram(hist, DOM, counter_bits=32)
-
-    def test_narrow_counters(self):
-        hist = Histogram({1: 200.0})
-        data = encode_histogram(hist, DOM, counter_bits=16)
-        out = decode_histogram(data, counter_bits=16)
-        assert out.get(1) == 200.0
-
-    def test_size_close_to_model(self):
-        hist = Histogram({1: 5.0, 2: 6.0, DOM.node(4, 7): 8.0})
-        data = encode_histogram(hist, DOM)
-        assert len(data) * 8 <= hist.size_bits(DOM) + 40

@@ -1,10 +1,13 @@
-"""The v2 wire format: property tests, query-from-wire equivalence,
-an adversarial truncation/bit-flip fuzz battery, and golden fixtures.
+"""The histogram wire format: property tests, query-from-wire
+equivalence, an adversarial truncation/bit-flip fuzz battery, and
+golden fixtures.
 
 The contract under test, in order of appearance:
 
-* encode -> decode is the identity for histograms (all counter modes)
-  and, via the v1 codec, for functions across all three semantics;
+* encode -> decode is the identity for histograms (unsigned and
+  float64 counters) and, via the function codec, for functions across
+  all three semantics;
+* the scalar and batched encoders reject the same malformed input;
 * querying the raw v2 bytes (point counts, subtree totals, compiled
   per-group estimates, wire-level merges) is **bit-identical** to
   decoding first and querying the objects — zero tolerance, both
@@ -36,11 +39,7 @@ from repro import (
 from repro.algorithms.construct import build
 from repro.core.compiled import CompiledEstimator
 from repro.core.estimate import reconstruct_estimates
-from repro.core.serialize import (
-    decode_function,
-    encode_function,
-    encode_histogram,
-)
+from repro.core.serialize import decode_function, encode_function
 from repro.core import wire as wire_module
 from repro.core.wire import (
     WireHistogram,
@@ -151,14 +150,6 @@ class TestRoundTrip:
         assert out.unmatched == hist.unmatched
         assert out.total == hist.total
 
-    @pytest.mark.parametrize("mode", ["u8", "u16", "u32", "u64", "float64"])
-    def test_explicit_counter_modes(self, mode):
-        dom = UIDDomain(4)
-        hist = Histogram({1: 9.0, dom.node(3, 2): 250.0}, total=259.0)
-        data = encode_histogram_v2(hist, dom, counters=mode)
-        out = decode_histogram_v2(data)
-        assert out.counts == hist.counts
-
     def test_zero_buckets(self):
         dom = UIDDomain(6)
         hist = Histogram({})
@@ -190,27 +181,43 @@ class TestRoundTrip:
         assert WireHistogram(wide).stride == 8
         assert len(small) < len(wide)
 
-    def test_overflow_and_nonintegral_rejected(self):
-        dom = UIDDomain(4)
+    @pytest.mark.parametrize("encoder", ["scalar", "batch_alone", "batch_mixed"])
+    @pytest.mark.parametrize(
+        "semantics, height, nodes, values",
+        [
+            ("x", 4, [1], [1.0]),
+            ("nonoverlapping", 64, [1], [1.0]),
+            ("nonoverlapping", 4, [0, 3], [1.0, 1.0]),
+            ("nonoverlapping", 4, [3, 32], [1.0, 1.0]),
+            ("nonoverlapping", 4, [3, 5], [1.0, float("nan")]),
+            ("nonoverlapping", 4, [3, 5], [2.5, float("inf")]),
+            ("nonoverlapping", 4, [3, 5], [float("-inf"), 1.0]),
+        ],
+        ids=[
+            "unknown_semantics", "height_64", "node_0", "node_past_height",
+            "nan", "inf", "minus_inf",
+        ],
+    )
+    def test_both_encoders_reject(self, semantics, height, nodes, values,
+                                  encoder):
+        """The scalar encoder and the batched one, on the bad
+        histogram alone or among valid ones, raise ``ValueError``."""
+        dom = UIDDomain(height)
+        bad = Histogram.from_arrays(
+            np.asarray(nodes, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+        )
+        good = Histogram({1: 3.0, 2: 1.5}, total=4.5)
         with pytest.raises(ValueError):
-            encode_histogram_v2(
-                Histogram({1: 300.0}), dom, counters="u8"
-            )
-        with pytest.raises(ValueError):
-            encode_histogram_v2(
-                Histogram({1: 2.5}), dom, counters="u32"
-            )
-        with pytest.raises(ValueError):
-            encode_histogram_v2(Histogram({1: 1.0}), dom, counters="u7")
-        with pytest.raises(ValueError):
-            encode_histogram_v2(Histogram({1: 1.0}), dom, semantics="x")
-
-    def test_v1_rejects_nonintegral_counts(self):
-        # Satellite fix: int(round(...)) used to silently corrupt the
-        # weighted-values pipeline; now it is a loud error.
-        dom = UIDDomain(4)
-        with pytest.raises(ValueError, match="not an integer"):
-            encode_histogram(Histogram({1: 2.5}), dom)
+            if encoder == "scalar":
+                encode_histogram_v2(bad, dom, semantics=semantics)
+            elif encoder == "batch_alone":
+                encode_histograms_v2([bad], dom, semantics=semantics)
+            else:
+                encode_histograms_v2(
+                    [good, Histogram({}), bad, good], dom,
+                    semantics=semantics,
+                )
 
     @pytest.mark.parametrize(
         "cls",
@@ -288,12 +295,13 @@ class TestQueryFromWire:
         assert merged_wire.total == merged_obj.total
 
     def test_pairwise_merge_api(self):
+        """``merge_wire`` takes parsed views as well as raw payloads."""
         dom = UIDDomain(5)
         a = Histogram({1: 2.0, 9: 5.0}, total=7.0)
         b = Histogram({9: 1.0, 40: 3.0}, total=4.0)
         va = WireHistogram(encode_histogram_v2(a, dom))
-        vb = WireHistogram(encode_histogram_v2(b, dom))
-        merged = WireHistogram(va.merge(vb))
+        vb = encode_histogram_v2(b, dom)
+        merged = WireHistogram(merge_wire([va, vb]))
         assert merged.count(9) == 6.0
         assert merged.count(40) == 3.0
         assert merged.total == 11.0
@@ -588,12 +596,14 @@ class TestShardMergeProperties:
 
 # -- batched monitor-side encode ------------------------------------------
 
-def histogram_batches(max_height=8, max_batch=8):
+def histogram_batches(max_height=62, max_batch=8):
     """(domain, [histograms...]) over one domain for the batched
     encoder: arbitrary finite positive counters (not just exact ones —
     batched vs scalar is the same arithmetic, so identity must hold
     for any encodable input), empty histograms, and non-derivable
-    explicit totals mixed in."""
+    explicit totals mixed in.  Heights up to 62 keep node ids below
+    ``2**63`` and reach every node-delta varint length from 1 to 9
+    bytes."""
 
     @st.composite
     def strat(draw):
@@ -721,9 +731,14 @@ class TestVarints:
 
     def test_batched_array_encoder_matches(self):
         values = _wide_varints(200, seed=3)
-        assert wire_module._leb_encode_array(
-            np.asarray(values, dtype=np.uint64)
-        ) == _encode_varints(values)
+        array = np.asarray(values, dtype=np.uint64)
+        lengths = wire_module._leb_lengths(array)
+        assert wire_module._leb_encode_array(array, lengths) == (
+            _encode_varints(values)
+        )
+        assert lengths.tolist() == [
+            len(_encode_varints([v])) for v in values
+        ]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
