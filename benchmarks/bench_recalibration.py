@@ -19,11 +19,16 @@ Timings are construction-only: every rep builds its ``PrunedHierarchy``
 outside the timed region, and that build — the flat structure arrays
 both legs read included — is reported once per workload as
 ``hierarchy_seconds``, the minimum of ``REPS`` builds of the base
-counts.  The full leg times ``build()`` alone; the incremental leg
-times session creation + build + memo finish.  The legs alternate rep
-by rep, every incremental rep rebuilds from the same baseline memo (a
-rebuild patches a copy of the memo's state, never the memo), and each
-leg reports the minimum.
+counts.  The install a rebuild hands the Monitors and the Control
+Center is reported the same way: ``install_seconds`` is the minimum of
+``REPS`` fresh compiles of a ``CompiledPartitioner`` plus a
+``CompiledEstimator`` for the base counts' function, and the script
+fails unless the estimator's group->slot map and populations equal
+the ones derived from the reference spread metadata.  The full leg
+times ``build()`` alone; the incremental leg times session creation +
+build + memo finish.  The legs alternate rep by rep, every incremental
+rep rebuilds from the same baseline memo (a rebuild patches a copy of
+the memo's state, never the memo), and each leg reports the minimum.
 
 Usage::
 
@@ -42,9 +47,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import PrunedHierarchy, UIDDomain, get_metric
+from repro import (
+    CompiledEstimator,
+    CompiledPartitioner,
+    PrunedHierarchy,
+    UIDDomain,
+    get_metric,
+)
 from repro.algorithms import incremental as incmod
 from repro.algorithms.construct import build
+from repro.core.estimate import _spread_data
 from repro.data import TrafficModel, generate_subnet_table, generate_trace
 
 SCHEMA = "repro.bench_recalibration.v1"
@@ -170,6 +182,38 @@ def _time_point(table, counts, drifted, algorithm, metric, budget):
     }
 
 
+def _time_install(table, function) -> float:
+    """Minimum over ``REPS`` of compiling ``function`` fresh for the
+    Monitors and the Control Center; raise unless the estimator's
+    tables equal the ones the reference spread metadata gives."""
+    times = []
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        CompiledPartitioner(function)
+        estimator = CompiledEstimator(table, function)
+        times.append(time.perf_counter() - t0)
+    spread = _spread_data(table, function)
+    nodes = function.match_nodes
+    slot = np.where(
+        spread.assigned >= 0,
+        np.searchsorted(estimator.slot_nodes, np.maximum(spread.assigned, 0)),
+        -1,
+    ).astype(np.int64)
+    pops = spread.gross if estimator.overlapping else spread.net
+    populations = np.maximum(
+        1.0, np.asarray([pops[n] for n in nodes], dtype=np.float64)
+    )
+    if (
+        slot.tobytes() != estimator.group_slot.tobytes()
+        or populations.tobytes() != estimator.populations.tobytes()
+    ):
+        raise AssertionError(
+            f"compiled estimator tables diverged from the reference "
+            f"({function.semantics}, {len(nodes)} slots)"
+        )
+    return min(times)
+
+
 def run_grid(grid: str) -> Dict[str, object]:
     rows = TINY_GRID if grid == "tiny" else FULL_GRID
     metric = get_metric("rms")
@@ -182,6 +226,10 @@ def run_grid(grid: str) -> Dict[str, object]:
             hierarchy = PrunedHierarchy(table, counts)
             builds.append(time.perf_counter() - t0)
         hierarchy_seconds = min(builds)
+        function = build(algorithm, hierarchy, metric, budget).function_at(
+            budget
+        )
+        install_seconds = _time_install(table, function)
         workload = {
             "algorithm": algorithm,
             "height": height,
@@ -192,11 +240,13 @@ def run_grid(grid: str) -> Dict[str, object]:
             "nonzero_groups": int(np.count_nonzero(counts)),
             "traffic": "zipf(active=0.95, s=1.1)",
             "hierarchy_seconds": round(hierarchy_seconds, 6),
+            "install_seconds": round(install_seconds, 6),
         }
         print(
             f"{algorithm} h={height} B={budget} "
             f"nodes={workload['pruned_nodes']} "
-            f"(hierarchy {hierarchy_seconds * 1e3:.1f} ms)"
+            f"(hierarchy {hierarchy_seconds * 1e3:.1f} ms, "
+            f"install {install_seconds * 1e3:.2f} ms)"
         )
         legs = [(f, _drift(counts, f), False) for f in DRIFT_FRACTIONS]
         legs.append((

@@ -5,7 +5,9 @@ partitioning (Section 2.1) and Control-Center uniform-spread estimation
 (Section 2.2.2) — is executed once per window for the lifetime of an
 installed partitioning function, so it pays to compile the function
 into flat arrays *once per install* and reduce per-tuple work to index
-arithmetic:
+arithmetic.  An adaptive system installs inside its rebuild window, so
+the compile itself runs in array passes too: no per-identifier search,
+and no per-slot ancestor walk or dict probe:
 
 :class:`CompiledPartitioner`
     Every bucket of every semantics class is a UID interval (a subtree
@@ -97,16 +99,16 @@ covers the join and ``tests/test_curve_eval.py`` the curve evaluator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import DistributiveErrorMetric
-from .estimate import _spread_data
 from .groups import GroupTable
 from .partition import (
     Histogram,
+    LongestPrefixMatchPartitioning,
     OverlappingPartitioning,
     PartitioningFunction,
 )
@@ -141,9 +143,52 @@ def _gather_in_domain(table: np.ndarray, uids: np.ndarray) -> np.ndarray:
     return out
 
 
+#: ``_POW2[k] == 2**k``, for vectorized node depths.
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+def _node_ranges(
+    nodes: Sequence[int], height: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(depths, los, his)`` of hierarchy ``nodes`` in a height-``height``
+    domain: :meth:`~.domain.UIDDomain.uid_range` by node arithmetic, in
+    one pass over the array.  A node's depth is its ``bit_length() - 1``
+    (the number of powers of two at most the node, less one), and node
+    ``2**d + p`` covers ``[p << s, (p + 1) << s)`` with ``s = height -
+    d``, so ``lo = (node << s) - 2**height``."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    depths = np.searchsorted(_POW2, nodes, side="right") - 1
+    shifts = height - depths
+    los = (nodes << shifts) - (1 << height)
+    return depths, los, los + (1 << shifts)
+
+
+def _paint(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    row: np.ndarray,
+    ids: np.ndarray,
+    rows: int,
+    width: int,
+) -> np.ndarray:
+    """Interval ``k`` = ``[lo[k], hi[k])`` of row ``row[k]`` painted
+    with ``ids[k]``: a ``(rows, width + 1)`` int64 array, ``0`` where no
+    interval of the row covers the column (always in column ``width``).
+
+    The intervals of one row must be nonempty and disjoint: each puts
+    its id at its start and takes it off at its end, and one ``cumsum``
+    along each row paints them all."""
+    marks = np.zeros((rows, width + 1), dtype=np.int64)
+    marks[row, lo] = ids
+    marks[row, hi] -= ids
+    return marks.cumsum(axis=1)
+
+
 class _SegmentLookup:
-    """uid -> elementary-segment index over sorted ``bounds`` that
-    start at 0 and end at the domain size.
+    """uid -> elementary-segment index over strictly increasing
+    ``bounds`` that start at 0 and end at the domain size: segment
+    ``k`` is ``[bounds[k], bounds[k + 1])``, the index
+    ``searchsorted(bounds, uid, side="right") - 1``.
 
     Identifiers outside the domain get index ``-1`` (negative ids on the
     binary-search path, every out-of-domain id on the dense path) or
@@ -157,14 +202,14 @@ class _SegmentLookup:
         self.bounds = bounds
         #: Dense uid -> segment table for small domains: one gather per
         #: window instead of a searchsorted.  8 MiB at the 2^20 cap;
-        #: larger domains fall back to binary search.
+        #: larger domains fall back to binary search.  Segment ``k``
+        #: repeated over its ``bounds[k + 1] - bounds[k]`` identifiers
+        #: is the binary search's answer for every in-domain uid, built
+        #: in one pass instead of ``num_uids`` searches.
         self.dense: Optional[np.ndarray] = None
         if num_uids <= _DENSE_SEGMENT_CAP:
-            self.dense = (
-                np.searchsorted(
-                    bounds, np.arange(num_uids, dtype=np.int64), side="right"
-                )
-                - 1
+            self.dense = np.repeat(
+                np.arange(bounds.size - 1, dtype=np.int64), np.diff(bounds)
             )
 
     def table(self) -> np.ndarray:
@@ -194,47 +239,39 @@ class CompiledPartitioner:
         #: by every compiled table below is the position in this array.
         self.slot_nodes = np.asarray(function.match_nodes, dtype=np.int64)
         n = int(self.slot_nodes.size)
-        node_list = self.slot_nodes.tolist()
-        ranges = [domain.uid_range(node) for node in node_list]
-        los = np.asarray([r[0] for r in ranges], dtype=np.int64)
-        his = np.asarray([r[1] for r in ranges], dtype=np.int64)
-        depths = [node.bit_length() - 1 for node in node_list]
+        depths, los, his = _node_ranges(self.slot_nodes, domain.height)
         self.overlapping = isinstance(function, OverlappingPartitioning)
 
-        # Nesting forest: for each slot, the slot of its closest
-        # enclosing match node (-1 for top level) and its nesting level.
-        slot_of = {node: i for i, node in enumerate(node_list)}
-        parent = np.full(n, -1, dtype=np.int64)
-        level = np.zeros(n, dtype=np.int64)
-        for i in sorted(range(n), key=lambda k: depths[k]):
-            anc = node_list[i] >> 1
-            while anc >= 1:
-                j = slot_of.get(anc)
-                if j is not None:
-                    parent[i] = j
-                    level[i] = level[j] + 1
-                    break
-                anc >>= 1
-        #: Per-slot nesting parent (the LPM "holes" structure, Fig. 7).
-        self.nesting_parent_slot = parent
-
-        # Elementary-segment owner table (closest-ancestor matching).
-        # Boundaries cover the whole UID axis; shallow slots paint their
-        # range first, deeper slots overwrite — leaving, per segment,
-        # the deepest covering bucket (the nesting-resolution table).
-        bounds = np.unique(
+        # Elementary segments: boundaries cover the whole UID axis, and
+        # slot ``s`` covers the segments ``[seg_lo, seg_hi)``.
+        bounds, at = np.unique(
             np.concatenate(
                 [np.asarray([0, domain.num_uids], dtype=np.int64), los, his]
-            )
+            ),
+            return_inverse=True,
         )
         self._segments = _SegmentLookup(bounds, domain.num_uids)
-        # Slot ``s`` covers the elementary segments ``[seg_lo, seg_hi)``.
-        seg_lo = np.searchsorted(bounds, los)
-        seg_hi = np.searchsorted(bounds, his)
-        owner = self._segments.table()
-        for i in sorted(range(n), key=lambda k: depths[k]):
-            owner[seg_lo[i]:seg_hi[i]] = i
-        self._seg_owner = owner
+        seg_lo, seg_hi = at[2:].reshape(2, n)
+
+        # One painted row per depth (slots of one depth are disjoint),
+        # slot ``s`` painted with ``s + 1``.  The slots covering a
+        # segment are a chain of nested buckets, and a node's id exceeds
+        # its ancestors', so the largest is the deepest covering bucket:
+        # the segment-owner table (the LPM nesting-resolution table:
+        # nested buckets "punch holes" in their parents).  At a slot's
+        # first segment, the smaller ones are exactly its enclosing
+        # slots: the largest is its nesting parent (-1 for top level),
+        # their number its nesting level.
+        ids = np.arange(1, n + 1)
+        by_depth = _paint(
+            seg_lo, seg_hi, depths, ids, domain.height + 1, bounds.size - 1
+        )
+        self._seg_owner = by_depth.max(axis=0) - 1
+        above = by_depth[:, seg_lo]
+        above[above >= ids] = 0
+        parent = above.max(axis=0) - 1
+        #: Per-slot nesting parent (the LPM "holes" structure, Fig. 7).
+        self.nesting_parent_slot = parent
 
         # Overlapping count(*) is a range count per slot: over the
         # window's shifted segment bincount (column ``1 + seg``) its
@@ -248,21 +285,29 @@ class CompiledPartitioner:
         self._top_bins = np.flatnonzero(parent < 0) + 1
 
         # Per-nesting-level disjoint interval tables (overlapping
-        # ``sum(value)``): level k holds (interval count, slot ids, and
-        # a segment -> interval-position table).  A window then needs
-        # one segment lookup total; each level is a gather + float
-        # bincount over the shared segment indices, which keeps every
-        # bucket's accumulation in tuple order.
+        # ``sum(value)``): level k holds (interval count, slot ids in
+        # uid order, and a segment -> interval-position table, one
+        # painted row per level).  A window then needs one segment
+        # lookup total; each level is a gather + float bincount over
+        # the shared segment indices, which keeps every bucket's
+        # accumulation in tuple order.
         self._levels = []
         if self.overlapping:
-            for lv in range(int(level.max()) + 1 if n else 0):
-                sel = np.nonzero(level == lv)[0]
-                order = np.argsort(los[sel], kind="stable")
-                sel = sel[order]
-                seg_pos = self._segments.table()
-                for j, i in enumerate(sel):
-                    seg_pos[seg_lo[i]:seg_hi[i]] = j
-                self._levels.append((int(sel.size), sel, seg_pos))
+            level = np.count_nonzero(above, axis=0)
+            order = np.lexsort((los, level))
+            sizes = np.bincount(level)
+            starts = np.cumsum(sizes) - sizes
+            pos = np.empty(n, dtype=np.int64)
+            pos[order] = np.arange(n) - np.repeat(starts, sizes)
+            seg_pos = _paint(
+                seg_lo, seg_hi, level, pos + 1, sizes.size, bounds.size - 1
+            ) - 1
+            self._levels = [
+                (size, order[start:start + size], seg_pos[lv])
+                for lv, (start, size) in enumerate(
+                    zip(starts.tolist(), sizes.tolist())
+                )
+            ]
 
     # -- compile cache -----------------------------------------------------
     @classmethod
@@ -441,6 +486,14 @@ class CompiledEstimator:
     special cases.  :meth:`estimate` is then a vectorized divide +
     gather, bit-identical to
     :func:`~.estimate.reconstruct_estimates`.
+
+    The compile is a fixed number of array passes, independent of the
+    reference's per-node spread metadata
+    (:func:`~.estimate.reconstruct_estimates` keeps that): the
+    assignment is :func:`closest_enclosing` of the match nodes, a slot's
+    gross population (the key density table) is the length of its
+    enclosed group run, and a longest-prefix-match slot's hole-netted
+    population is the number of groups assigned to it.
     """
 
     def __init__(
@@ -449,21 +502,23 @@ class CompiledEstimator:
         # No reference to ``function``: the estimator is the value of a
         # cache keyed weakly by it, and a value that pins its key is
         # never dropped.
-        self.slot_nodes = np.asarray(function.match_nodes, dtype=np.int64)
-        spread = _spread_data(table, function)
-        assigned = spread.assigned
-        # Node ids -> slot indices (assigned nodes are match nodes).
-        group_slot = np.searchsorted(self.slot_nodes, np.abs(assigned))
-        self.group_slot = np.where(assigned >= 0, group_slot, -1).astype(
-            np.int64
-        )
-        self._gather = np.maximum(self.group_slot, 0)
-        self._covered = self.group_slot >= 0
+        nodes = function.match_nodes
+        self.slot_nodes = np.asarray(nodes, dtype=np.int64)
+        first, last, slot = closest_enclosing(table, nodes)
+        empty = np.flatnonzero(first == last)
+        if empty.size:
+            _check_not_below_groups(table, nodes, empty)
+        self.group_slot = slot
+        self._gather = np.maximum(slot, 0)
+        self._covered = slot >= 0
         self.overlapping = isinstance(function, OverlappingPartitioning)
-        populations = spread.gross if self.overlapping else spread.net
-        pops = np.asarray(
-            [populations[int(x)] for x in self.slot_nodes], dtype=np.float64
-        )
+        if isinstance(function, LongestPrefixMatchPartitioning):
+            # Nested buckets are holes: a slot spreads only over the
+            # groups no deeper bucket takes.
+            pops = np.bincount(slot[self._covered], minlength=len(nodes))
+        else:
+            pops = last - first
+        pops = pops.astype(np.float64)
         #: Clamped uniform-spread denominators (``max(1, pop)``).
         self.populations = np.maximum(1.0, pops)
         # Sparse buckets (Section 4.3): the inner sub-bucket reports its
@@ -471,21 +526,16 @@ class CompiledEstimator:
         # "empty" groups.  Only the overlapping reference path treats
         # them specially — for nested (LPM) semantics the net
         # populations already make them fall out naturally.
-        inner_slots: List[int] = []
-        outer_slots: List[int] = []
-        if self.overlapping:
-            node_to_slot = {
-                int(node): i for i, node in enumerate(self.slot_nodes)
-            }
-            for b in function.buckets:
-                if b.is_sparse:
-                    outer_slots.append(node_to_slot[b.node])
-                    inner_slots.append(node_to_slot[b.sparse_group_node])
-        self._inner_slots = np.asarray(inner_slots, dtype=np.int64)
-        self._outer_slots = np.asarray(outer_slots, dtype=np.int64)
-        self._outer_empties = np.maximum(
-            1.0, pops[self._outer_slots] - 1.0
-        ) if outer_slots else np.empty(0, dtype=np.float64)
+        sparse = [
+            (b.node, b.sparse_group_node)
+            for b in (function.buckets if self.overlapping else ())
+            if b.is_sparse
+        ]
+        pairs = np.asarray(sparse, dtype=np.int64).reshape(-1, 2).T
+        self._outer_slots, self._inner_slots = np.searchsorted(
+            self.slot_nodes, np.ascontiguousarray(pairs)
+        )
+        self._outer_empties = np.maximum(1.0, pops[self._outer_slots] - 1.0)
 
     @classmethod
     def for_pair(
@@ -658,17 +708,9 @@ def closest_enclosing(
     ranges shallow to deep, deeper ranges overwrite — the assignment
     of :func:`~.estimate.assign_groups_to_buckets`.
     """
-    depths = np.asarray(
-        [int(n).bit_length() - 1 for n in nodes], dtype=np.int64
-    )
-    nodes = np.asarray(nodes, dtype=np.int64)
-    shifts = table.domain.height - depths
-    los = (nodes - (1 << depths)) << shifts
+    depths, los, his = _node_ranges(nodes, table.domain.height)
     first = np.searchsorted(table.starts, los, side="left")
-    last = np.maximum(
-        first,
-        np.searchsorted(table.ends, los + (1 << shifts), side="right"),
-    )
+    last = np.maximum(first, np.searchsorted(table.ends, his, side="right"))
     slot = np.full(len(table), -1, dtype=np.int64)
     lo_list, hi_list = first.tolist(), last.tolist()
     for k in np.argsort(depths, kind="stable").tolist():
@@ -680,18 +722,23 @@ def _check_not_below_groups(
     table: GroupTable, nodes: Sequence[int], empty: np.ndarray
 ) -> None:
     """Raise :class:`ValueError`, as the reference assignment does, if
-    a node enclosing no group lies strictly below a group node."""
-    for k in sorted(empty.tolist(), key=lambda k: nodes[k].bit_length()):
-        node = nodes[k]
-        lo, hi = table.domain.uid_range(node)
-        g = int(np.searchsorted(table.starts, lo, side="right")) - 1
-        if g >= 0 and hi <= int(table.ends[g]) and (hi - lo) < (
-            int(table.ends[g]) - int(table.starts[g])
-        ):
-            raise ValueError(
-                f"bucket node {node} lies strictly below group node "
-                f"{int(table.nodes[g])}; group-level estimation is undefined"
-            )
+    a node enclosing no group (``empty`` holds their positions in
+    ``nodes``, ascending) lies strictly below a group node.  Like the
+    reference, which visits nodes shallow to deep, the error names the
+    shallowest such node (the first in ``nodes`` among equals)."""
+    below = np.asarray(nodes, dtype=np.int64)[empty]
+    depths, los, his = _node_ranges(below, table.domain.height)
+    g = np.searchsorted(table.starts, los, side="right") - 1
+    starts = table.starts[np.maximum(g, 0)]
+    ends = table.ends[np.maximum(g, 0)]
+    inside = (g >= 0) & (his <= ends) & (his - los < ends - starts)
+    if inside.any():
+        hits = np.flatnonzero(inside)
+        k = int(hits[np.argmin(depths[hits])])
+        raise ValueError(
+            f"bucket node {int(below[k])} lies strictly below group node "
+            f"{int(table.nodes[g[k]])}; group-level estimation is undefined"
+        )
 
 
 def closest_estimates(

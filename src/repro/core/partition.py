@@ -342,12 +342,18 @@ class PartitioningFunction:
 
     def size_bits(self) -> int:
         """Representation size of the function itself: one identifier
-        per bucket, plus the sparse-offset surcharge."""
-        id_bits = _node_id_bits(self.domain)
-        off_bits = _sparse_offset_bits(self.domain)
-        return sum(
-            id_bits + (off_bits if b.is_sparse else 0) for b in self.buckets
-        )
+        per bucket, plus the sparse-offset surcharge.  Computed once
+        per function (functions are immutable once built): a rebuild
+        charges it on every install and journals it."""
+        bits = getattr(self, "_size_bits", None)
+        if bits is None:
+            id_bits = _node_id_bits(self.domain)
+            off_bits = _sparse_offset_bits(self.domain)
+            bits = self._size_bits = sum(
+                id_bits + (off_bits if b.is_sparse else 0)
+                for b in self.buckets
+            )
+        return bits
 
     # -- matching --------------------------------------------------------
     def _matches_by_depth(
