@@ -30,6 +30,20 @@ def random_cut(
     return out
 
 
+def random_partial_table(
+    rng: np.random.Generator, height: int, stop: float = 0.6
+) -> GroupTable:
+    """A random table whose groups sit at mixed depths and need not
+    cover the domain: a random cut with a random subset of its nodes
+    dropped."""
+    nodes = random_cut(rng, height, stop=stop)
+    keep = rng.random(len(nodes)) < rng.uniform(0.3, 1.0)
+    keep[int(rng.integers(0, len(nodes)))] = True
+    return GroupTable(
+        UIDDomain(height), [n for n, k in zip(nodes, keep) if k]
+    )
+
+
 def random_instance(
     seed: int,
     height_range: Tuple[int, int] = (2, 5),

@@ -28,22 +28,12 @@ from repro.streams.query import (
     exact_group_counts_batched,
 )
 
-from helpers import random_cut
+from helpers import random_partial_table
 
 #: Heights on the dense-table path and the one above the dense cap.
 DENSE_HEIGHTS = (3, 6, 10)
 SEARCH_HEIGHT = 21
 assert (1 << SEARCH_HEIGHT) > _DENSE_SEGMENT_CAP >= (1 << max(DENSE_HEIGHTS))
-
-
-def _random_table(rng, height):
-    """A random table whose groups need not cover the domain: a random
-    cut with a random subset of its nodes dropped."""
-    domain = UIDDomain(height)
-    nodes = random_cut(rng, height, stop=0.6)
-    keep = rng.random(len(nodes)) < rng.uniform(0.3, 1.0)
-    keep[int(rng.integers(0, len(nodes)))] = True
-    return GroupTable(domain, [n for n, k in zip(nodes, keep) if k])
 
 
 def _random_uids(rng, domain, max_len=400):
@@ -87,7 +77,7 @@ class TestCompiledGroupJoin:
     )
     def test_dense_path_bytes_equal(self, seed, height):
         rng = np.random.default_rng(seed)
-        table = _random_table(rng, height)
+        table = random_partial_table(rng, height)
         assert CompiledGroupJoin.for_table(table)._group_of_uid is not None
         uids = _random_uids(rng, table.domain)
         # Nonzero weights everywhere, uncovered tuples included.
@@ -98,7 +88,7 @@ class TestCompiledGroupJoin:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_binary_search_path_bytes_equal(self, seed):
         rng = np.random.default_rng(seed)
-        table = _random_table(rng, SEARCH_HEIGHT)
+        table = random_partial_table(rng, SEARCH_HEIGHT)
         assert CompiledGroupJoin.for_table(table)._group_of_uid is None
         uids = _random_uids(rng, table.domain)
         values = rng.normal(size=uids.size) * 10.0 + 0.5
@@ -140,7 +130,7 @@ class TestCompiledGroupJoin:
 
     def test_modes_agree_through_query(self):
         rng = np.random.default_rng(4)
-        table = _random_table(rng, 9)
+        table = random_partial_table(rng, 9)
         uids = _random_uids(rng, table.domain, 2000)
         values = rng.random(uids.size)
         for vals in (None, values):
@@ -159,7 +149,7 @@ class TestBatchedJoin:
     )
     def test_rows_equal_per_window_calls(self, seed, height):
         rng = np.random.default_rng(seed)
-        table = _random_table(rng, height)
+        table = random_partial_table(rng, height)
         n_windows = int(rng.integers(1, 6))
         uid_windows = [
             _random_uids(rng, table.domain, 150) for _ in range(n_windows)
