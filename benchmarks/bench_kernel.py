@@ -109,10 +109,6 @@ def _row_points(
     table, counts, hierarchy = _workload(
         height, packets, base_stop, depth_ramp
     )
-    # The fast builds read the hierarchy's arrays; the naive oracles
-    # walk its PNode view, built once here, untimed, so the first naive
-    # build does not pay for it.
-    hierarchy.nodes
     workload = {
         "height": height,
         "packets": packets,

@@ -40,7 +40,6 @@ from .core import (
     OverlappingPartitioning,
     PartitioningFunction,
     PenaltyMetric,
-    PNode,
     PrunedHierarchy,
     RMSError,
     UIDDomain,
@@ -77,7 +76,6 @@ __all__ = [
     "ROOT",
     "UIDDomain",
     "GroupTable",
-    "PNode",
     "PrunedHierarchy",
     # metrics
     "DistributiveErrorMetric",

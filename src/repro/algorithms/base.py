@@ -37,7 +37,7 @@ import numpy as np
 from ..core.compiled import evaluate_closest
 from ..core.errors import PenaltyMetric
 from ..core.estimate import evaluate_function
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import PartitioningFunction
 from .kernels import INF, kernel_mode, knapsack_merge
 
@@ -150,6 +150,9 @@ class DPContext:
     zero node summarizing ``z`` empty groups contributes
     ``penalty(0, density)`` with weight ``z``.
 
+    Nodes are addressed by their postorder index ``i`` in the
+    hierarchy's :class:`~repro.core.hierarchy.TreeArrays`.
+
     Parameters
     ----------
     hierarchy, metric:
@@ -181,10 +184,10 @@ class DPContext:
         # again per re-sweep, so the precompute amortizes further).
         self._own_err: Optional[np.ndarray] = None
 
-    def grperr(self, pnode: PNode, density: float) -> float:
-        """Aggregate penalty of estimating every group below ``pnode``
+    def grperr(self, i: int, density: float) -> float:
+        """Aggregate penalty of estimating every group below node ``i``
         (zeros included) at the given density."""
-        lo, hi = self.leaf_lo[pnode.index], self.leaf_hi[pnode.index]
+        lo, hi = self.leaf_lo[i], self.leaf_hi[i]
         if lo == hi:
             return 0.0
         pens = self.metric.penalty_array(self.leaf_actual[lo:hi], density)
@@ -193,9 +196,9 @@ class DPContext:
         return float(pens.max())
 
     def grperr_many(
-        self, pnode: PNode, densities: Sequence[float]
+        self, i: int, densities: Sequence[float]
     ) -> np.ndarray:
-        """Batched :meth:`grperr` of one node at many densities.
+        """Batched :meth:`grperr` of node ``i`` at many densities.
 
         The overlapping DP evaluates every leaf against each of its
         O(log|U|) ancestor densities and the quantized heuristic
@@ -207,7 +210,7 @@ class DPContext:
         slices fall back to one exact slice evaluation per density.
         """
         d = np.asarray(densities, dtype=np.float64)
-        lo, hi = self.leaf_lo[pnode.index], self.leaf_hi[pnode.index]
+        lo, hi = self.leaf_lo[i], self.leaf_hi[i]
         if lo == hi:
             return np.zeros(d.shape)
         is_sum = self.metric.combine == "sum"
@@ -219,9 +222,9 @@ class DPContext:
         actual = self.leaf_actual[lo:hi]
         weight = self.leaf_weight[lo:hi]
         out = np.empty(d.shape)
-        for i, di in enumerate(d):
-            pens = self.metric.penalty_array(actual, float(di))
-            out[i] = pens @ weight if is_sum else pens.max()
+        for k, dk in enumerate(d):
+            pens = self.metric.penalty_array(actual, float(dk))
+            out[k] = pens @ weight if is_sum else pens.max()
         return out
 
     def grperr_rows(
@@ -231,7 +234,7 @@ class DPContext:
 
         ``densities`` is either one shared density vector ``(D,)`` or a
         per-node matrix ``(K, D)`` aligned with ``idx``.  Row ``k``
-        equals ``grperr_many(nodes[idx[k]], densities[k])`` bit for
+        equals ``grperr_many(idx[k], densities[k])`` bit for
         bit, with no per-node or per-density Python loop.  Single-leaf
         rows broadcast the same elementwise penalty expressions over a
         ``(K, D)`` grid (IEEE elementwise operations are
@@ -276,9 +279,9 @@ class DPContext:
                 out[k] = pens.max(axis=2)
         return out
 
-    def grperr_own(self, pnode: PNode) -> float:
-        """``grperr`` at the node's own density — the error of making
-        ``pnode`` a bucket in a nonoverlapping cut.
+    def grperr_own(self, i: int) -> float:
+        """``grperr`` at node ``i``'s own density — the error of making
+        it a bucket in a nonoverlapping cut.
 
         Batched modes answer from a precomputed per-node array; the
         single-leaf entries (group leaves and zero summaries) are
@@ -287,15 +290,15 @@ class DPContext:
         longer slices run the seed expression verbatim per node.
         """
         if self.batched:
-            return float(self.own_errors()[pnode.index])
-        return self.grperr(pnode, pnode.density)
+            return float(self.own_errors()[i])
+        return self.grperr(i, self.hierarchy.densities[i])
 
     def own_errors(self) -> np.ndarray:
         """The per-node own-density error array (computed on first use).
 
-        Entry ``i`` equals ``grperr(nodes[i], nodes[i].density)``
-        bit for bit; the nonoverlapping fast sweep indexes this array
-        instead of calling :meth:`grperr_own` per node.
+        Entry ``i`` equals ``grperr(i, densities[i])`` bit for bit;
+        the nonoverlapping fast sweep indexes this array instead of
+        calling :meth:`grperr_own` per node.
         """
         if self._own_err is None:
             self._own_err = self._compute_own_errors()

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.domain import UIDDomain
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Bucket, LongestPrefixMatchPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
@@ -68,7 +68,7 @@ def build_lpm_kholes(
         )
     ctx = DPContext(hierarchy, metric)
     solver = _KHolesSolver(hierarchy, metric, ctx, budget, k, sparse)
-    root = hierarchy.root
+    root = len(hierarchy) - 1
     with span(
         "lpm_kholes.search", budget=budget, k=k,
         nodes=len(hierarchy),
@@ -95,7 +95,8 @@ def build_lpm_kholes(
 
 
 class _KHolesSolver:
-    """Memoized search over bucket nodes and their hole antichains."""
+    """Memoized search over bucket nodes and their hole antichains,
+    nodes addressed by postorder index."""
 
     def __init__(self, hierarchy, metric, ctx, budget, k, sparse) -> None:
         self.hierarchy = hierarchy
@@ -107,40 +108,38 @@ class _KHolesSolver:
         self.antichains_examined = 0
         self._tables: Dict[int, np.ndarray] = {}
         self._choices: Dict[int, List[Optional[Tuple]]] = {}
-        self._descendants: Dict[int, List[PNode]] = {}
+        self._node = hierarchy.arrays.node.tolist()
+        self._size = hierarchy.arrays.size.tolist()
+        self._n_groups = hierarchy.arrays.n_groups.tolist()
+        self._n_nonzero = hierarchy.arrays.n_nonzero.tolist()
+        self._tuples = hierarchy.tuples.tolist()
 
     # -- structure helpers ---------------------------------------------
-    def descendants(self, p: PNode) -> List[PNode]:
-        if p.index not in self._descendants:
-            out: List[PNode] = []
-            stack = list(p.children())
-            while stack:
-                q = stack.pop()
-                out.append(q)
-                stack.extend(q.children())
-            self._descendants[p.index] = out
-        return self._descendants[p.index]
+    def descendants(self, i: int) -> range:
+        """The strict descendants of node ``i`` in right-first preorder:
+        its postorder interval, reversed."""
+        return range(i - 1, i - self._size[i], -1)
 
-    def antichains(self, p: PNode) -> List[Tuple[PNode, ...]]:
+    def antichains(self, i: int) -> List[Tuple[int, ...]]:
         """All antichains of up to ``k`` strict pruned descendants."""
-        desc = self.descendants(p)
-        out: List[Tuple[PNode, ...]] = [()]
+        desc = self.descendants(i)
+        out: List[Tuple[int, ...]] = [()]
         for size in range(1, min(self.k, len(desc)) + 1):
             for combo in combinations(desc, size):
-                if _is_antichain(combo):
+                if _is_antichain([self._node[j] for j in combo]):
                     out.append(combo)
         return out
 
     # -- penalty of a holey region ---------------------------------------
     def region_penalty(
-        self, p: PNode, holes: Sequence[PNode], density: float
+        self, i: int, holes: Sequence[int], density: float
     ) -> float:
-        """Penalty of estimating the groups below ``p`` but outside the
-        hole subtrees at the given density."""
-        lo, hi = self.ctx.leaf_lo[p.index], self.ctx.leaf_hi[p.index]
+        """Penalty of estimating the groups below node ``i`` but outside
+        the hole subtrees at the given density."""
+        lo, hi = self.ctx.leaf_lo[i], self.ctx.leaf_hi[i]
         mask = np.ones(hi - lo, dtype=bool)
         for h in holes:
-            mask[self.ctx.leaf_lo[h.index] - lo : self.ctx.leaf_hi[h.index] - lo] = False
+            mask[self.ctx.leaf_lo[h] - lo : self.ctx.leaf_hi[h] - lo] = False
         if not mask.any():
             return 0.0
         pens = self.metric.penalty_array(self.ctx.leaf_actual[lo:hi][mask], density)
@@ -149,29 +148,33 @@ class _KHolesSolver:
         return float(pens.max())
 
     # -- the DP -----------------------------------------------------------
-    def bucket_table(self, p: PNode) -> np.ndarray:
-        """``table[B]`` = best penalty for subtree(p) with ``p`` a bucket
-        and ``B`` buckets at or below ``p``, each bucket ≤ k holes."""
-        if p.index in self._tables:
-            return self._tables[p.index]
-        cap = min(self.budget, 1 + len(self.descendants(p)))
+    def bucket_table(self, i: int) -> np.ndarray:
+        """``table[B]`` = best penalty for node ``i``'s subtree with
+        ``i`` a bucket and ``B`` buckets at or below it, each bucket
+        ≤ k holes."""
+        if i in self._tables:
+            return self._tables[i]
+        cap = min(self.budget, self._size[i])
         table = np.full(cap + 1, INF)
         choices: List[Optional[Tuple]] = [None] * (cap + 1)
-        if self.sparse and p.n_nonzero <= 1:
+        if self.sparse and self._n_nonzero[i] <= 1:
             table[1] = 0.0
             choices[1] = ("sparse",)
-        for holes in self.antichains(p):
+        n_groups, tuples = self._n_groups, self._tuples
+        for holes in self.antichains(i):
             self.antichains_examined += 1
             if not holes:
-                pen = self.region_penalty(p, (), p.density)
+                pen = self.region_penalty(
+                    i, (), self.hierarchy.densities[i]
+                )
                 if pen < table[1]:
                     table[1] = pen
                     choices[1] = ("holes", ())
                 continue
-            g_net = p.n_groups - sum(h.n_groups for h in holes)
-            t_net = p.tuples - sum(h.tuples for h in holes)
+            g_net = n_groups[i] - sum(n_groups[h] for h in holes)
+            t_net = tuples[i] - sum(tuples[h] for h in holes)
             density = (t_net / g_net) if g_net > 0 else 0.0
-            pen_self = self.region_penalty(p, holes, density)
+            pen_self = self.region_penalty(i, holes, density)
             # Combine hole budget tables with a knapsack.
             acc = np.asarray([0.0])
             allocs: List[np.ndarray] = []
@@ -190,31 +193,29 @@ class _KHolesSolver:
                     table[B] = total
                     table_alloc = _unwind_alloc(allocs, B_holes)
                     choices[B] = ("holes", tuple(zip(holes, table_alloc)))
-        self._tables[p.index] = table
-        self._choices[p.index] = choices
+        self._tables[i] = table
+        self._choices[i] = choices
         return table
 
-    def collect(self, p: PNode, b: int, out: List[Bucket]) -> None:
-        table = self._tables.get(p.index)
-        if table is None:
-            self.bucket_table(p)
-            table = self._tables[p.index]
+    def collect(self, i: int, b: int, out: List[Bucket]) -> None:
+        table = self.bucket_table(i)
+        node = self._node[i]
         b = min(b, len(table) - 1)
         # Use the best feasible entry at or below b.
         feasible = [B for B in range(1, b + 1) if table[B] < INF]
         if not feasible:
-            out.append(Bucket(p.node))
+            out.append(Bucket(node))
             return
         B = min(feasible, key=lambda B: (table[B], B))
-        choice = self._choices[p.index][B]
+        choice = self._choices[i][B]
         if choice == ("sparse",):
-            leaf = p.single_nonzero_leaf()
-            if leaf is not None and leaf.node != p.node:
-                out.append(Bucket(p.node, sparse_group_node=leaf.node))
+            leaf = self.hierarchy.single_nonzero_leaf(i)
+            if leaf is not None and leaf != node:
+                out.append(Bucket(node, sparse_group_node=leaf))
             else:
-                out.append(Bucket(p.node))
+                out.append(Bucket(node))
             return
-        out.append(Bucket(p.node))
+        out.append(Bucket(node))
         _kind, holes = choice
         for h, bh in holes:
             self.collect(h, bh, out)
@@ -232,11 +233,11 @@ def _unwind_alloc(allocs: List[np.ndarray], total: int) -> List[int]:
     return out
 
 
-def _is_antichain(nodes: Sequence[PNode]) -> bool:
+def _is_antichain(nodes: Sequence[int]) -> bool:
+    """Whether no virtual node id in ``nodes`` is an ancestor of
+    another."""
     for a, b in combinations(nodes, 2):
-        if UIDDomain.is_ancestor(a.node, b.node) or UIDDomain.is_ancestor(
-            b.node, a.node
-        ):
+        if UIDDomain.is_ancestor(a, b) or UIDDomain.is_ancestor(b, a):
             return False
     return True
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Bucket, LongestPrefixMatchPartitioning
 from ..obs import span
 from .base import ConstructionResult, DPContext, curve_points, measured_curve
@@ -123,7 +123,7 @@ def build_lpm_quantized(
             feasible = [B for B in range(1, b + 1) if table[B] is not None]
             if not feasible:
                 cache[b] = LongestPrefixMatchPartitioning(
-                    hierarchy.domain, [Bucket(hierarchy.root.node)]
+                    hierarchy.domain, [Bucket(hierarchy.root_node)]
                 )
             else:
                 B = min(feasible, key=lambda B: table[B][2])
@@ -154,8 +154,12 @@ class _QuantizedSolver:
         self.beam = beam
         self.sparse = sparse
         self.ctx = DPContext(hierarchy, metric)
-        total_g = max(1, hierarchy.root.n_groups)
-        max_d = max(hierarchy.root.tuples, 1.0)
+        self._node, self._left, self._right, _depth = hierarchy.links()
+        self._n_groups = hierarchy.arrays.n_groups.tolist()
+        self._n_nonzero = hierarchy.arrays.n_nonzero.tolist()
+        self._tuples = hierarchy.tuples.tolist()
+        total_g = max(1, self._n_groups[-1])
+        max_d = max(self._tuples[-1], 1.0)
         self.d_cells = self.q.density_cells(1.0 / total_g, max_d)
         self._caps = self._compute_caps()
         # Inner-loop caches: cell-of-sum and cell-of-ratio on cell pairs
@@ -180,24 +184,25 @@ class _QuantizedSolver:
             self._ratio_cache[key] = out
         return out
 
+    def _is_base(self, i: int) -> bool:
+        """Whether node ``i`` is solved as one bucket: a leaf, or a
+        sparse bucket over a subtree with at most one nonzero group."""
+        return self._left[i] < 0 or (self.sparse and self._n_nonzero[i] <= 1)
+
     def _compute_caps(self) -> np.ndarray:
-        caps = np.zeros(len(self.h.nodes), dtype=np.int64)
-        for p in self.h.nodes:
-            if p.is_leaf or (self.sparse and p.n_nonzero <= 1):
-                caps[p.index] = 1
+        left, right = self._left, self._right
+        caps = np.zeros(len(self.h), dtype=np.int64)
+        for i in range(len(self.h)):  # postorder: children first
+            if self._is_base(i):
+                caps[i] = 1
             else:
-                caps[p.index] = min(
-                    self.budget, caps[p.left.index] + caps[p.right.index] + 1
-                )
+                caps[i] = min(self.budget, caps[left[i]] + caps[right[i]] + 1)
         return caps
 
     # ------------------------------------------------------------------
     def solve_root(self) -> List[Optional[_Entry]]:
         """``table[B]`` = best root-bucket state with ``B`` buckets."""
-        self._bucket_entries: Dict[int, Dict[int, _Entry]] = {}
-        self._solve(self.h.root)
-        self._free(self.h.root)
-        recorded = self._bucket_entries.get(self.h.root.index, {})
+        _tables, recorded = self._solve(len(self.h) - 1)
         out: List[Optional[_Entry]] = [None] * (self.budget + 1)
         best: Optional[_Entry] = None
         for B in range(1, self.budget + 1):
@@ -208,39 +213,39 @@ class _QuantizedSolver:
         return out
 
     # ------------------------------------------------------------------
-    def _solve(self, p: PNode) -> Dict[int, List[List[_Entry]]]:
-        """Tables for node ``p``: density cell -> per-budget beam lists."""
-        cap = int(self._caps[p.index])
-        collapse = (not p.is_leaf) and self.sparse and p.n_nonzero <= 1
+    def _solve(
+        self, i: int
+    ) -> Tuple[Dict[int, List[List[_Entry]]], Dict[int, _Entry]]:
+        """Tables for node ``i`` (density cell -> per-budget beam lists)
+        and its bucket-case entries by budget."""
+        cap = int(self._caps[i])
         tables: Dict[int, List[List[_Entry]]] = {}
-        if p.is_leaf or collapse:
-            kind = "sparse" if collapse else "leaf_bucket"
+        if self._is_base(i):
+            kind = "leaf_bucket" if self._left[i] < 0 else "sparse"
             bucket_entry = (
-                Quantizer.ZERO_CELL, Quantizer.ZERO_CELL, 0.0, (kind, p)
+                Quantizer.ZERO_CELL, Quantizer.ZERO_CELL, 0.0, (kind, i)
             )
-            g_cell = self.q.cell(float(p.n_groups))
-            t_cell = self.q.cell(p.tuples)
+            g_cell = self.q.cell(float(self._n_groups[i]))
+            t_cell = self.q.cell(self._tuples[i])
             # One batched grperr across every density cell instead of a
             # slice evaluation per cell.
             pens = self.ctx.grperr_many(
-                p, [self.q.rep(dc) for dc in self.d_cells]
+                i, [self.q.rep(dc) for dc in self.d_cells]
             )
             for d_cell, pen in zip(self.d_cells, pens):
                 per_b: List[List[_Entry]] = [[] for _ in range(cap + 1)]
-                per_b[0].append((g_cell, t_cell, float(pen), ("pass", p)))
+                per_b[0].append((g_cell, t_cell, float(pen), ("pass", i)))
                 per_b[1].append(bucket_entry)
                 tables[d_cell] = per_b
-            self._bucket_entries.setdefault(p.index, {})[1] = bucket_entry
-            self._store(p, tables)
-            return tables
+            return tables, {1: bucket_entry}
 
-        lt = self._solve(p.left)
-        rt = self._solve(p.right)
+        lt, _ = self._solve(self._left[i])
+        rt, _ = self._solve(self._right[i])
         # One fused sweep per density cell handles both DP cases:
         # the non-bucket merge (children under the same enclosing
         # density) and — when the merged state's own quantized density
         # equals this cell, the paper's ``d = t / g`` side condition —
-        # making ``p`` a bucket over that state for one extra budget
+        # making ``i`` a bucket over that state for one extra budget
         # unit.  Entries are plain tuples (g_cell, t_cell, penalty,
         # choice) and dominated states are dropped as they are
         # generated: this loop is the heuristic's hot path.
@@ -278,67 +283,48 @@ class _QuantizedSolver:
                             cur = target.get(key)
                             if cur is None or pen < cur[2]:
                                 target[key] = (
-                                    g, t, pen, ("split", p, el_c, er[3]),
+                                    g, t, pen, ("split", i, el_c, er[3]),
                                 )
                             if bucket_B <= cap and ratio_cell(t, g) == d_cell:
                                 bb = bucket_best.get(bucket_B)
                                 if bb is None or pen < bb[2]:
                                     bucket_best[bucket_B] = (
                                         zc, zc, pen,
-                                        ("bucket_split", p, el_c, er[3]),
+                                        ("bucket_split", i, el_c, er[3]),
                                     )
             tables[d_cell] = [
                 sorted(d.values(), key=lambda e: e[2])[: self.beam]
                 for d in merged
             ]
-        # Offer the bucket case to every density cell and record it for
-        # the root answer.
+        # Offer the bucket case to every density cell.
         for B, e in bucket_best.items():
-            self._bucket_entries.setdefault(p.index, {})[B] = e
             for d_cell in self.d_cells:
                 tables[d_cell][B].append(e)
-        self._free(p.left)
-        self._free(p.right)
-        self._store(p, tables)
-        return tables
-
-    # -- table lifecycle -------------------------------------------------
-    def _store(self, p: PNode, tables) -> None:
-        if not hasattr(self, "_tabs"):
-            self._tabs: Dict[int, object] = {}
-        self._tabs[p.index] = tables
-
-    def _free(self, p: PNode) -> None:
-        if hasattr(self, "_tabs"):
-            self._tabs.pop(p.index, None)
+        return tables, bucket_best
 
     # -- reconstruction ---------------------------------------------------
     def collect(self, choice: Tuple, out: List[Bucket]) -> None:
         kind = choice[0]
         if kind == "pass":
             return
+        node = self._node[choice[1]]
         if kind == "leaf_bucket":
-            out.append(Bucket(choice[1].node))
+            out.append(Bucket(node))
             return
         if kind == "sparse":
-            p = choice[1]
-            leaf = p.single_nonzero_leaf()
-            if leaf is not None and leaf.node != p.node:
-                out.append(Bucket(p.node, sparse_group_node=leaf.node))
+            leaf = self.h.single_nonzero_leaf(choice[1])
+            if leaf is not None and leaf != node:
+                out.append(Bucket(node, sparse_group_node=leaf))
             else:
-                out.append(Bucket(p.node))
+                out.append(Bucket(node))
             return
         if kind == "split":
             self.collect(choice[2], out)
             self.collect(choice[3], out)
             return
         if kind == "bucket_split":
-            out.append(Bucket(choice[1].node))
+            out.append(Bucket(node))
             self.collect(choice[2], out)
             self.collect(choice[3], out)
-            return
-        if kind == "bucket":
-            out.append(Bucket(choice[1].node))
-            self.collect(choice[2], out)
             return
         raise AssertionError(f"unknown choice {kind!r}")

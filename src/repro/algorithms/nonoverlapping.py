@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Bucket, NonoverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
@@ -138,33 +138,35 @@ def _sweep(i: int, ctx: DPContext, budget: int, keep_splits: bool):
     lo = i - int(ctx.hierarchy.arrays.size[i]) + 1
     off = _layout(ctx.hierarchy.arrays, budget, lo, i)
     splits = np.empty(off[-1], dtype=np.int32) if keep_splits else None
+    _node, left, right, _depth = ctx.hierarchy.links()
     tables = {}
-    stack = [(ctx.hierarchy.nodes[i], False)]
+    stack = [(i, False)]
     while stack:
-        p, expanded = stack.pop()
-        if not expanded and not p.is_leaf:
-            stack.append((p, True))
-            stack.append((p.right, False))
-            stack.append((p.left, False))
+        j, expanded = stack.pop()
+        if not expanded and left[j] >= 0:
+            stack.append((j, True))
+            stack.append((right[j], False))
+            stack.append((left[j], False))
             continue
-        if p.is_leaf:
+        if left[j] < 0:
             table = np.full(2, INF)
-            table[1] = ctx.grperr_own(p)  # 0 for exact / empty leaves
-            tables[p.index] = table
+            table[1] = ctx.grperr_own(j)  # 0 for exact / empty leaves
+            tables[j] = table
             continue
-        left, right = tables.pop(p.left.index), tables.pop(p.right.index)
-        table, split = _merge_node_naive(ctx, p, left, right, budget)
-        tables[p.index] = table
+        table, split = _merge_node_naive(
+            ctx, j, tables.pop(left[j]), tables.pop(right[j]), budget
+        )
+        tables[j] = table
         if keep_splits:
-            splits[off[p.index - lo] : off[p.index - lo + 1]] = split
+            splits[off[j - lo] : off[j - lo + 1]] = split
     return tables[i], off, splits
 
 
-def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
-    """One naive-mode internal-node step: knapsack merge of the child
-    tables plus the own-bucket overlay at ``B == 1``."""
+def _merge_node_naive(ctx: DPContext, i: int, left, right, budget: int):
+    """One naive-mode step at internal node ``i``: knapsack merge of the
+    child tables plus the own-bucket overlay at ``B == 1``."""
     table, split = knapsack_merge(left, right, budget, ctx.metric.combine)
-    one_bucket = ctx.grperr_own(p)
+    one_bucket = ctx.grperr_own(i)
     if one_bucket < table[1]:
         table[1] = one_bucket
         split[1] = -1  # sentinel: this node is the bucket

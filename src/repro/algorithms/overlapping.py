@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PrunedHierarchy
 from ..core.partition import Bucket, OverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
@@ -254,7 +254,7 @@ class OverlappingDP:
     def _sparse_leaves(self, ar) -> np.ndarray:
         """Per stored collapse root, the node id a sparse bucket there
         stands for (-1 elsewhere):
-        :meth:`~repro.core.hierarchy.PNode.single_nonzero_leaf`,
+        :meth:`~repro.core.hierarchy.PrunedHierarchy.single_nonzero_leaf`,
         vectorized.  Its descent ends at the subtree's only nonzero
         leaf, or, with no nonzero group below, keeps right to the
         subtree's last leaf; a subtree being the postorder interval
@@ -502,7 +502,7 @@ class OverlappingDP:
     def _solve_naive(self) -> np.ndarray:
         hierarchy = self.hierarchy
         n_nodes = len(hierarchy)
-        self.records = [_NodeRecord() for _ in hierarchy.nodes]
+        self.records = [_NodeRecord() for _ in range(n_nodes)]
         # Full tables E[p, ., j] per node, keyed by node index, one per
         # ancestor j in depth order; entries are freed as soon as the
         # parent has consumed them (the paper's Section 4.4 space
@@ -513,10 +513,11 @@ class OverlappingDP:
         # the recursion, so the first ``depth`` entries are the current
         # node's strict ancestors root-first.
         self._anc_dens = np.empty(n_nodes + 1, dtype=np.float64)
-        return self._solve(hierarchy.root, 0)
+        return self._solve(n_nodes - 1, 0)
 
-    def _solve(self, p: PNode, depth: int) -> np.ndarray:
-        """Fill this subtree's tables, one merge per enclosing ancestor.
+    def _solve(self, i: int, depth: int) -> np.ndarray:
+        """Fill node ``i``'s subtree's tables, one merge per enclosing
+        ancestor.
 
         ``depth`` is the number of strict ancestors; their densities
         are the first ``depth`` entries of ``self._anc_dens``
@@ -524,11 +525,17 @@ class OverlappingDP:
         directly at the root); the per-ancestor full tables are handed
         to the caller via ``_tables``.
         """
-        rec = self.records[p.index]
-        cap = int(self._caps[p.index])
-        collapse = (not p.is_leaf) and self.sparse and p.n_nonzero <= 1
+        hierarchy = self.hierarchy
+        _node, left, right, _depth = hierarchy.links()
+        rec = self.records[i]
+        cap = int(self._caps[i])
+        is_leaf = left[i] < 0
+        collapse = (
+            not is_leaf and self.sparse
+            and hierarchy.arrays.n_nonzero[i] <= 1
+        )
 
-        if p.is_leaf or collapse:
+        if is_leaf or collapse:
             # Base: one bucket resolves this subtree exactly — a plain
             # bucket at a leaf, or a sparse bucket over a subtree with
             # at most one nonzero group.
@@ -536,12 +543,11 @@ class OverlappingDP:
             e_b[1] = 0.0
             rec.bucket_flag = np.full(cap + 1, _BUCKET, dtype=np.int8)
             if collapse:
-                leaf = p.single_nonzero_leaf()
-                if leaf is not None:
-                    rec.sparse_at = leaf.node
+                rec.sparse_at = hierarchy.single_nonzero_leaf(i)
+                if rec.sparse_at is not None:
                     rec.bucket_flag[1] = _SPARSE
             anc_pens = (
-                self.ctx.grperr_many(p, self._anc_dens[:depth])
+                self.ctx.grperr_many(i, self._anc_dens[:depth])
                 if depth
                 else ()
             )
@@ -555,19 +561,19 @@ class OverlappingDP:
                 (depth, cap + 1), _NOT_BUCKET, dtype=np.int8
             )
             rec.flags_block[:, 1] = rec.bucket_flag[1]
-            self._tables[p.index] = tables
+            self._tables[i] = tables
             return e_b
 
-        self._anc_dens[depth] = p.density
-        self._solve(p.left, depth + 1)
-        self._solve(p.right, depth + 1)
+        self._anc_dens[depth] = hierarchy.densities[i]
+        self._solve(left[i], depth + 1)
+        self._solve(right[i], depth + 1)
         # Child tables are consumed here; free the bulky arrays.
-        left_tabs = self._tables.pop(p.left.index)
-        right_tabs = self._tables.pop(p.right.index)
+        left_tabs = self._tables.pop(left[i])
+        right_tabs = self._tables.pop(right[i])
 
-        # Bucket case: one bucket on p, the rest split among children
-        # which now see p as their closest selected ancestor (their
-        # table row ``depth``).
+        # Bucket case: one bucket on ``i``, the rest split among
+        # children which now see ``i`` as their closest selected
+        # ancestor (their table row ``depth``).
         merged, split = knapsack_merge(
             left_tabs[depth], right_tabs[depth], cap - 1,
             self.metric.combine,
@@ -583,9 +589,9 @@ class OverlappingDP:
 
         # Non-bucket case per enclosing ancestor.
         tables, flag_rows, split_rows = [], [], []
-        for i in range(depth):
+        for j in range(depth):
             merged_nb, split_nb = knapsack_merge(
-                left_tabs[i], right_tabs[i], cap, self.metric.combine,
+                left_tabs[j], right_tabs[j], cap, self.metric.combine,
             )
             size = min(cap, len(merged_nb) - 1) + 1
             e = np.full(size, INF)
@@ -601,7 +607,7 @@ class OverlappingDP:
         if depth:  # the root's rows are never read
             rec.flags_block = np.stack(flag_rows)
             rec.splits_block = np.stack(split_rows)
-        self._tables[p.index] = tables
+        self._tables[i] = tables
         return e_b
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .estimate import (
 )
 from .compiled import CompiledEstimator, CompiledGroupJoin, CompiledPartitioner
 from .groups import GroupTable
-from .hierarchy import PNode, PrunedHierarchy
+from .hierarchy import PrunedHierarchy
 from .serialize import (
     decode_function,
     encode_function,
@@ -50,7 +50,6 @@ __all__ = [
     "ROOT",
     "UIDDomain",
     "GroupTable",
-    "PNode",
     "PrunedHierarchy",
     "DistributiveErrorMetric",
     "PenaltyMetric",

@@ -25,120 +25,26 @@ group falls in exactly one zero node, and empty regions contribute to
 any error metric in O(1) via ``PenaltyMetric.repeated_penalty``.
 
 The hierarchy is built as flat postorder arrays (:class:`TreeArrays`)
-in a fixed number of vectorized passes over the sorted group table;
-the dynamic programs read only those.  The :class:`PNode` object view
-(:attr:`PrunedHierarchy.nodes`, ``root``, ``leaves``) is built from the
-arrays on first access, for the naive reference kernels and the
-heuristics that walk the tree.
+in a fixed number of vectorized passes over the sorted group table,
+and that is its only representation: every algorithm, the naive
+reference sweeps and the node-by-node heuristics included, addresses a
+node by its postorder index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .domain import ROOT
 from .groups import GroupTable
 
-__all__ = ["PNode", "PrunedHierarchy", "TreeArrays", "GROUP", "ZERO", "BRANCH"]
+__all__ = ["PrunedHierarchy", "TreeArrays", "GROUP", "ZERO", "BRANCH"]
 
-#: ``TreeArrays.kind`` codes, and the :attr:`PNode.kind` name of each.
+#: ``TreeArrays.kind`` codes.
 GROUP, ZERO, BRANCH = 0, 1, 2
-KIND_NAMES = ("group", "zero", "branch")
-
-
-class PNode:
-    """A node of the pruned hierarchy.
-
-    Attributes
-    ----------
-    node:
-        Virtual-hierarchy node id this pruned node is anchored at.
-    kind:
-        ``"group"`` (nonzero group leaf), ``"zero"`` (summary of an
-        all-zero subtree) or ``"branch"``.
-    left, right:
-        Pruned children, ordered by identifier range (either may be
-        ``None`` only for leaves).
-    n_groups:
-        Total number of lookup-table groups in the subtree of ``node``.
-    n_nonzero:
-        Number of those groups with a nonzero count in this window.
-    tuples:
-        Total tuple count below ``node`` in this window.
-    group_index:
-        For group leaves, the group's index in the
-        :class:`~repro.core.groups.GroupTable`; ``None`` otherwise.
-    index:
-        Postorder position within the hierarchy (children precede
-        parents); assigned by :class:`PrunedHierarchy`.
-    """
-
-    __slots__ = (
-        "node",
-        "kind",
-        "left",
-        "right",
-        "parent",
-        "n_groups",
-        "n_nonzero",
-        "tuples",
-        "group_index",
-        "index",
-    )
-
-    def __init__(self, node: int, kind: str) -> None:
-        self.node = node
-        self.kind = kind
-        self.left: Optional[PNode] = None
-        self.right: Optional[PNode] = None
-        self.parent: Optional[PNode] = None
-        self.n_groups = 0
-        self.n_nonzero = 0
-        self.tuples = 0.0
-        self.group_index: Optional[int] = None
-        self.index = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
-
-    @property
-    def n_zero_groups(self) -> int:
-        """Groups below this node with zero count in this window."""
-        return self.n_groups - self.n_nonzero
-
-    @property
-    def density(self) -> float:
-        """Tuples per group below this node — the uniformity estimate a
-        bucket anchored here assigns to each of its groups."""
-        if self.n_groups == 0:
-            return 0.0
-        return self.tuples / self.n_groups
-
-    def single_nonzero_leaf(self) -> Optional["PNode"]:
-        """The nonzero group leaf a sparse bucket here stands for:
-        descend towards the child holding a nonzero group (right when
-        neither does), ``None`` when the walk ends at a zero summary.
-        Requires ``n_nonzero <= 1``, where that leaf is unique."""
-        p = self
-        while not p.is_leaf:
-            p = p.left if p.left.n_nonzero else p.right
-        return p if p.kind == "group" else None
-
-    def children(self) -> Iterator["PNode"]:
-        if self.left is not None:
-            yield self.left
-        if self.right is not None:
-            yield self.right
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PNode({self.kind} @ {self.node}, groups={self.n_groups}, "
-            f"nonzero={self.n_nonzero}, tuples={self.tuples:g})"
-        )
 
 
 @dataclass
@@ -329,7 +235,7 @@ class PrunedHierarchy:
     tuples, densities:
         Per-node tuple totals and tuples per group, in postorder.
         Totals are summed child pair by child pair, so every value is
-        the one the :class:`PNode` recursion ``left + right`` gives.
+        the one a recursion ``left + right`` over the tree gives.
     leaf_actual:
         Per leaf slot, the group's count (``0.0`` for zero summaries).
     """
@@ -356,51 +262,11 @@ class PrunedHierarchy:
         self.tuples = tuples
         self.densities = tuples / a.n_groups
         self.leaf_actual = tuples[a.kind != BRANCH]
-        self._nodes: Optional[List[PNode]] = None
         self._links: Optional[Tuple[List[int], ...]] = None
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> List[PNode]:
-        """Every node as a :class:`PNode`, in postorder (built on first
-        access)."""
-        if self._nodes is None:
-            self._nodes = self._pnode_view()
-        return self._nodes
-
-    @property
-    def root(self) -> PNode:
-        return self.nodes[-1]
-
-    @property
-    def leaves(self) -> List[PNode]:
-        """The group leaves, in identifier order."""
-        return [p for p in self.nodes if p.kind == "group"]
-
-    def _pnode_view(self) -> List[PNode]:
-        a = self.arrays
-        nodes = [
-            PNode(v, KIND_NAMES[k])
-            for v, k in zip(a.node.tolist(), a.kind.tolist())
-        ]
-        for i, (p, groups, nonzero, tuples, g, li, ri) in enumerate(zip(
-            nodes, a.n_groups.tolist(), a.n_nonzero.tolist(),
-            self.tuples.tolist(), a.group.tolist(), a.left.tolist(),
-            a.right.tolist(),
-        )):
-            p.index = i
-            p.n_groups = groups
-            p.n_nonzero = nonzero
-            p.tuples = tuples
-            if g >= 0:
-                p.group_index = g
-            if li >= 0:
-                p.left, p.right = nodes[li], nodes[ri]
-                p.left.parent = p.right.parent = p
-        return nodes
-
     def links(self) -> Tuple[List[int], List[int], List[int], List[int]]:
         """``(node, left, right, depth)`` as Python lists (cached): the
         reconstruction walks index these per visited node, where list
@@ -437,12 +303,17 @@ class PrunedHierarchy:
         error: one per nonzero group plus one per zero summary."""
         return int(self.arrays.leaf_weight.size)
 
-    def group_counts_below(self, pnode: PNode) -> np.ndarray:
-        """Counts of every group (including zeros) below ``pnode``, in
-        group-index order.  O(groups below); used by evaluators and
-        tests, not by the dynamic programs."""
-        idx = self.table.group_indices_below(pnode.node)
-        return self.counts[idx]
+    def single_nonzero_leaf(self, i: int) -> Optional[int]:
+        """The node id of the nonzero group leaf a sparse bucket at node
+        ``i`` stands for: descend towards the child holding a nonzero
+        group (right when neither does), ``None`` when the walk ends at
+        a zero summary.  Requires ``n_nonzero[i] <= 1``, where that leaf
+        is unique."""
+        a = self.arrays
+        left, right, nonzero = a.left, a.right, a.n_nonzero
+        while left[i] >= 0:
+            i = left[i] if nonzero[left[i]] else right[i]
+        return int(a.node[i]) if a.kind[i] == GROUP else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

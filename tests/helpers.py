@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import GroupTable, UIDDomain
 from repro.core.domain import ROOT
-from repro.core.hierarchy import PNode
 from repro.streams import TumblingWindows
 
 ALL_METRICS = ["rms", "average", "avg_relative", "max_relative"]
@@ -81,7 +80,38 @@ def naive_window_histograms(system, live, window_width, split_seed=0):
     }
 
 
-def recursive_hierarchy(table: GroupTable, counts: np.ndarray) -> List[PNode]:
+class OracleNode:
+    """One node of :func:`recursive_hierarchy`'s object tree."""
+
+    __slots__ = (
+        "node", "kind", "left", "right", "parent", "n_groups",
+        "n_nonzero", "tuples", "group_index", "index",
+    )
+
+    def __init__(self, node: int, kind: str) -> None:
+        self.node = node
+        self.kind = kind  # "group", "zero" or "branch"
+        self.left: Optional[OracleNode] = None
+        self.right: Optional[OracleNode] = None
+        self.parent: Optional[OracleNode] = None
+        self.n_groups = 0
+        self.n_nonzero = 0
+        self.tuples = 0.0
+        self.group_index: Optional[int] = None
+        self.index = -1
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    @property
+    def density(self) -> float:
+        return self.tuples / self.n_groups
+
+
+def recursive_hierarchy(
+    table: GroupTable, counts: np.ndarray
+) -> List[OracleNode]:
     """Reference pruned hierarchy, built node by node: the recursive
     least-common-ancestor split over the nonzero groups, with a zero
     summary inserted for every nonempty all-zero sibling on each
@@ -89,7 +119,9 @@ def recursive_hierarchy(table: GroupTable, counts: np.ndarray) -> List[PNode]:
     domain = table.domain
     counts = np.asarray(counts, dtype=np.float64)
 
-    def attach(parent: PNode, left: PNode, right: PNode) -> PNode:
+    def attach(
+        parent: OracleNode, left: OracleNode, right: OracleNode
+    ) -> OracleNode:
         parent.left, parent.right = left, right
         left.parent = right.parent = parent
         parent.n_groups = left.n_groups + right.n_groups
@@ -97,15 +129,15 @@ def recursive_hierarchy(table: GroupTable, counts: np.ndarray) -> List[PNode]:
         parent.tuples = left.tuples + right.tuples
         return parent
 
-    def wrap(sub: PNode, top: int) -> PNode:
+    def wrap(sub: OracleNode, top: int) -> OracleNode:
         cur, child = sub, sub.node
         while child != top:
             parent, sib = UIDDomain.parent(child), UIDDomain.sibling(child)
             z = table.groups_below(sib)
             if z > 0:
-                zero = PNode(sib, "zero")
+                zero = OracleNode(sib, "zero")
                 zero.n_groups = z
-                branch = PNode(parent, "branch")
+                branch = OracleNode(parent, "branch")
                 cur = (
                     attach(branch, zero, cur) if sib < child
                     else attach(branch, cur, zero)
@@ -113,10 +145,10 @@ def recursive_hierarchy(table: GroupTable, counts: np.ndarray) -> List[PNode]:
             child = parent
         return cur
 
-    def build(groups: List[int]) -> PNode:
+    def build(groups: List[int]) -> OracleNode:
         if len(groups) == 1:
             g = groups[0]
-            leaf = PNode(int(table.nodes[g]), "group")
+            leaf = OracleNode(int(table.nodes[g]), "group")
             leaf.group_index = g
             leaf.n_groups = leaf.n_nonzero = 1
             leaf.tuples = float(counts[g])
@@ -131,15 +163,15 @@ def recursive_hierarchy(table: GroupTable, counts: np.ndarray) -> List[PNode]:
         )
         left = wrap(build(groups[:split]), UIDDomain.left_child(anchor))
         right = wrap(build(groups[split:]), UIDDomain.right_child(anchor))
-        return attach(PNode(anchor, "branch"), left, right)
+        return attach(OracleNode(anchor, "branch"), left, right)
 
     nonzero = np.flatnonzero(counts > 0).tolist()
     if nonzero:
         root = wrap(build(nonzero), ROOT)
     else:
-        root = PNode(ROOT, "zero")
+        root = OracleNode(ROOT, "zero")
         root.n_groups = len(table)
-    out: List[PNode] = []
+    out: List[OracleNode] = []
     stack = [(root, False)]
     while stack:
         p, expanded = stack.pop()

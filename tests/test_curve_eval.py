@@ -203,36 +203,39 @@ def _recursive_buckets(dp: OverlappingDP, b: int) -> List[Bucket]:
     """Reference: the reconstruction walk in its recursive form."""
     out: List[Bucket] = []
 
-    def bucket_case(p, b):
-        rec = dp.records[p.index]
+    a = dp.hierarchy.arrays
+    node, left, right = a.node.tolist(), a.left.tolist(), a.right.tolist()
+
+    def bucket_case(i, b):
+        rec = dp.records[i]
         b = min(b, len(rec.bucket_flag) - 1)
         if rec.bucket_flag[b] == _SPARSE or (
             b == 1 and rec.sparse_at is not None
         ):
-            out.append(Bucket(p.node, sparse_group_node=rec.sparse_at))
+            out.append(Bucket(node[i], sparse_group_node=rec.sparse_at))
             return
-        out.append(Bucket(p.node))
-        if p.is_leaf or rec.split_b is None or b <= 1:
+        out.append(Bucket(node[i]))
+        if left[i] < 0 or rec.split_b is None or b <= 1:
             return
         c = int(rec.split_b[b - 1])
-        entry(p.left, c, p.index)
-        entry(p.right, b - 1 - c, p.index)
+        entry(left[i], c, i)
+        entry(right[i], b - 1 - c, i)
 
-    def entry(p, b, j_idx):
+    def entry(i, b, j_idx):
         if b <= 0:
             return
-        rec = dp.records[p.index]
-        row = int(dp.hierarchy.arrays.depth[j_idx])
+        rec = dp.records[i]
+        row = int(a.depth[j_idx])
         flags = rec.flags_block[row]
         b = min(b, len(flags) - 1)
         if flags[b] != _NOT_BUCKET:
-            bucket_case(p, b)
+            bucket_case(i, b)
             return
         c = int(rec.splits_block[row][b])
-        entry(p.left, c, j_idx)
-        entry(p.right, b - c, j_idx)
+        entry(left[i], c, j_idx)
+        entry(right[i], b - c, j_idx)
 
-    bucket_case(dp.hierarchy.root, max(1, min(b, len(dp.root_table) - 1)))
+    bucket_case(len(node) - 1, max(1, min(b, len(dp.root_table) - 1)))
     return out
 
 

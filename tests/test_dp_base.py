@@ -67,20 +67,22 @@ class TestDPContext:
         metric = get_metric(mname)
         h = PrunedHierarchy(table, counts)
         ctx = DPContext(h, metric)
-        for p in h.nodes:
-            d = p.density
-            idx = table.group_indices_below(p.node)
+        for i in range(len(h)):
+            d = h.densities[i]
+            idx = table.group_indices_below(int(h.arrays.node[i]))
             pens = metric.penalty_array(counts[idx], d)
             want = float(pens.sum()) if metric.combine == "sum" else (
                 float(pens.max()) if pens.size else 0.0
             )
-            assert ctx.grperr(p, d) == pytest.approx(want)
+            assert ctx.grperr(i, d) == pytest.approx(want)
 
     def test_finalize_full_universe(self, small_hierarchy):
         metric = get_metric("rms")
         ctx = DPContext(small_hierarchy, metric)
         total = 160.0
-        want = metric.finalize_total(total, small_hierarchy.root.n_groups)
+        want = metric.finalize_total(
+            total, small_hierarchy.arrays.n_groups[-1]
+        )
         assert ctx.finalize(total) == pytest.approx(want)
         assert ctx.finalize(INF) == INF
 

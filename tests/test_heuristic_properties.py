@@ -48,7 +48,7 @@ def test_greedy_invariants(data):
     # structural validity
     assert isinstance(fn, LongestPrefixMatchPartitioning)
     assert fn.num_buckets <= budget
-    assert hierarchy.root.node in [b.node for b in fn.buckets]
+    assert hierarchy.root_node in [b.node for b in fn.buckets]
     # honesty: reported error is the measured error of the function
     assert evaluate_function(table, counts, fn, metric) == pytest.approx(
         res.error_at(budget), abs=1e-9

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import GroupTable, PrunedHierarchy, UIDDomain, get_metric
-from repro.algorithms import incremental as incmod
-from repro.algorithms.construct import build
-from repro.algorithms.kernels import use_kernel_mode
-from repro.algorithms.lpm_greedy import build_lpm_greedy
-from repro.algorithms.overlapping import OverlappingDP
-from repro.core.hierarchy import PNode, _bit_length
-from repro.data import generate_subnet_table
+from repro import GroupTable, PrunedHierarchy, UIDDomain
+from repro.core.hierarchy import BRANCH, GROUP, ZERO, _bit_length
 
 from helpers import random_cut, random_instance, recursive_hierarchy
 
@@ -24,18 +18,19 @@ class TestStructure:
         counts[5] = 10.0
         h = PrunedHierarchy(table, counts)
         assert h.num_nonzero_groups == 1
-        assert h.root.n_groups == 16
-        assert h.root.tuples == 10.0
+        assert h.arrays.n_groups[-1] == 16
+        assert h.total_tuples == 10.0
         # the single group leaf is present
-        assert len(h.leaves) == 1
-        assert h.leaves[0].group_index == 5
+        leaves = np.flatnonzero(h.arrays.kind == GROUP)
+        assert leaves.size == 1
+        assert h.arrays.group[leaves[0]] == 5
 
     def test_all_zero_window(self):
         dom = UIDDomain(3)
         table = GroupTable(dom, [dom.node(1, 0), dom.node(1, 1)])
         h = PrunedHierarchy(table, np.zeros(2))
-        assert h.root.kind == "zero"
-        assert h.root.n_groups == 2
+        assert h.arrays.kind[-1] == ZERO
+        assert h.arrays.n_groups[-1] == 2
         assert h.num_nonzero_groups == 0
 
     def test_count_shape_rejected(self):
@@ -51,25 +46,26 @@ class TestStructure:
             PrunedHierarchy(table, np.array([1.0, -2.0]))
 
     def test_postorder_children_before_parents(self, small_hierarchy):
-        seen = set()
-        for p in small_hierarchy.nodes:
-            for c in p.children():
-                assert c.index in seen
-            seen.add(p.index)
+        a = small_hierarchy.arrays
+        for i in np.flatnonzero(a.left >= 0):
+            assert a.left[i] < a.right[i] < i
 
     def test_leaf_kinds(self, small_hierarchy):
-        for p in small_hierarchy.nodes:
-            if p.is_leaf:
-                assert p.kind in ("group", "zero")
+        a = small_hierarchy.arrays
+        for i in range(len(small_hierarchy)):
+            if a.left[i] < 0:
+                assert a.kind[i] in (GROUP, ZERO)
+                assert a.right[i] < 0
             else:
-                assert p.kind == "branch"
-                assert p.left is not None and p.right is not None
+                assert a.kind[i] == BRANCH
+                assert a.right[i] >= 0
 
     def test_group_leaves_are_nonzero(self, small_hierarchy):
-        for leaf in small_hierarchy.leaves:
-            assert leaf.tuples > 0
-            assert leaf.n_groups == 1
-            assert leaf.n_nonzero == 1
+        a = small_hierarchy.arrays
+        for i in np.flatnonzero(a.kind == GROUP):
+            assert small_hierarchy.tuples[i] > 0
+            assert a.n_groups[i] == 1
+            assert a.n_nonzero[i] == 1
 
 
 class TestAggregates:
@@ -79,20 +75,21 @@ class TestAggregates:
         the group table over its subtree."""
         _dom, table, counts = random_instance(seed)
         h = PrunedHierarchy(table, counts)
-        for p in h.nodes:
-            idx = table.group_indices_below(p.node)
-            assert p.n_groups == idx.size
-            assert p.n_nonzero == int((counts[idx] > 0).sum())
-            assert p.tuples == pytest.approx(float(counts[idx].sum()))
+        a = h.arrays
+        for i in range(len(h)):
+            idx = table.group_indices_below(int(a.node[i]))
+            assert a.n_groups[i] == idx.size
+            assert a.n_nonzero[i] == int((counts[idx] > 0).sum())
+            assert h.tuples[i] == pytest.approx(float(counts[idx].sum()))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_zero_nodes_partition_zero_groups(self, seed):
         """Zero summaries and group leaves together account for every
         group exactly once."""
         _dom, table, counts = random_instance(seed)
-        h = PrunedHierarchy(table, counts)
-        zero_total = sum(p.n_groups for p in h.nodes if p.kind == "zero")
-        group_total = sum(1 for p in h.nodes if p.kind == "group")
+        a = PrunedHierarchy(table, counts).arrays
+        zero_total = int(a.n_groups[a.kind == ZERO].sum())
+        group_total = int(np.count_nonzero(a.kind == GROUP))
         assert zero_total + group_total == len(table)
         assert group_total == int((counts > 0).sum())
 
@@ -100,22 +97,38 @@ class TestAggregates:
     def test_children_disjoint(self, seed):
         _dom, table, counts = random_instance(seed)
         h = PrunedHierarchy(table, counts)
-        for p in h.nodes:
-            if not p.is_leaf:
-                lr = table.domain.uid_range(p.left.node)
-                rr = table.domain.uid_range(p.right.node)
+        node, left, right, _depth = h.links()
+        for i in range(len(h)):
+            if left[i] >= 0:
+                lr = table.domain.uid_range(node[left[i]])
+                rr = table.domain.uid_range(node[right[i]])
                 assert lr[1] <= rr[0]  # ordered, disjoint
-                assert UIDDomain.is_ancestor(p.node, p.left.node)
-                assert UIDDomain.is_ancestor(p.node, p.right.node)
+                assert UIDDomain.is_ancestor(node[i], node[left[i]])
+                assert UIDDomain.is_ancestor(node[i], node[right[i]])
 
     def test_density(self, small_hierarchy):
-        root = small_hierarchy.root
-        assert root.density == pytest.approx(root.tuples / root.n_groups)
+        h = small_hierarchy
+        assert h.densities[-1] == pytest.approx(
+            h.total_tuples / h.arrays.n_groups[-1]
+        )
 
     def test_group_counts_below(self, small_hierarchy):
         h = small_hierarchy
-        got = h.group_counts_below(h.root)
+        got = h.counts[h.table.group_indices_below(h.root_node)]
         assert got.sum() == pytest.approx(h.total_tuples)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_single_nonzero_leaf(self, seed):
+        """The descent ends at the subtree's only group leaf, and at a
+        zero summary (``None``) when the subtree has no nonzero group."""
+        _dom, table, counts = random_instance(seed)
+        h = PrunedHierarchy(table, counts)
+        a = h.arrays
+        for i in np.flatnonzero(a.n_nonzero <= 1).tolist():
+            below = np.arange(i - a.size[i] + 1, i + 1)
+            groups = below[a.kind[below] == GROUP]
+            want = int(a.node[groups[0]]) if groups.size else None
+            assert h.single_nonzero_leaf(i) == want, i
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,9 +145,8 @@ def test_hierarchy_size_linear_in_nonzero(seed):
     h = PrunedHierarchy(table, counts)
     nonzero = int((counts > 0).sum())
     if nonzero:
-        assert len(h.nodes) <= 2 * nonzero * (height + 1)
-    for p in h.nodes:
-        assert p.is_leaf or (p.left is not None and p.right is not None)
+        assert len(h) <= 2 * nonzero * (height + 1)
+    assert np.array_equal(h.arrays.left < 0, h.arrays.right < 0)
 
 
 # -- the array build against the recursive oracle ------------------------
@@ -236,18 +248,6 @@ def _assert_matches_oracle(table, counts):
         _bits(h.leaf_actual),
         _bits([p.tuples for p in want if p.is_leaf]),
     )
-    for got, p in zip(h.nodes, want):
-        for field in ("node", "kind", "n_groups", "n_nonzero",
-                      "group_index", "index"):
-            assert getattr(got, field) == getattr(p, field), field
-        assert _bits(got.tuples) == _bits(p.tuples)
-        for link in ("left", "right", "parent"):
-            a, b = getattr(got, link), getattr(p, link)
-            assert (a is None and b is None) or a.index == b.index, link
-    assert h.root is h.nodes[-1]
-    assert [p.index for p in h.leaves] == [
-        p.index for p in want if p.kind == "group"
-    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,72 +318,3 @@ class TestOracleCases:
     def test_random_instances(self, seed):
         _dom, table, counts = random_instance(seed, height_range=(1, 9))
         _assert_matches_oracle(table, counts)
-
-
-# -- fast builds never materialize the PNode view ------------------------
-
-
-class TestFastBuildsStayOnArrays:
-    """Scratch builds, cold sessions and same-structure sessions of the
-    fast DPs — reconstruction included — read only the arrays."""
-
-    BUDGET = 12
-
-    @pytest.fixture
-    def no_pnodes(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a fast build created a PNode")
-
-        monkeypatch.setattr(PNode, "__init__", refuse)
-
-    @staticmethod
-    def _windows():
-        table = generate_subnet_table(UIDDomain(9), seed=5)
-        rng = np.random.default_rng(4)
-        counts = rng.integers(0, 30, len(table)).astype(float)
-        drifted = counts.copy()
-        drifted[np.flatnonzero(counts)[:3]] += 1.0  # same nonzero mask
-        return table, counts, drifted
-
-    def _check(self, make):
-        table, counts, drifted = self._windows()
-        metric = get_metric("rms")
-        with use_kernel_mode("fast"):
-            result, memo = make(PrunedHierarchy(table, counts), metric, None)
-            again, _ = make(PrunedHierarchy(table, drifted), metric, memo)
-        for res in (result, again):
-            for b in (1, 3, self.BUDGET):
-                assert res.function_at(b).buckets
-
-    @pytest.mark.parametrize("algorithm", ["overlapping", "nonoverlapping"])
-    def test_scratch_build(self, no_pnodes, algorithm):
-        self._check(
-            lambda h, m, _memo: (build(algorithm, h, m, self.BUDGET), None)
-        )
-
-    @pytest.mark.parametrize("algorithm", ["overlapping", "nonoverlapping"])
-    def test_sessions(self, no_pnodes, algorithm):
-        """A cold session, then a same-structure one seeded by it."""
-        def make(h, metric, memo):
-            session = incmod.new_session(
-                algorithm, h, metric, self.BUDGET, memo
-            )
-            result = build(algorithm, h, metric, self.BUDGET, memo=session)
-            assert (memo is None) == (session.stats()["reused_subtrees"] == 0)
-            return result, session.finish()
-
-        self._check(make)
-
-    def test_lpm_greedy(self, no_pnodes):
-        """Over a scratch pool, and over pools solved by a cold and a
-        same-structure overlapping session."""
-        def make(h, metric, memo):
-            session = incmod.new_session(
-                "overlapping", h, metric, self.BUDGET, memo
-            )
-            build_lpm_greedy(h, metric, self.BUDGET)  # its own pool
-            dp = OverlappingDP(h, metric, self.BUDGET, memo=session)
-            result = build_lpm_greedy(h, metric, self.BUDGET, dp=dp)
-            return result, session.finish()
-
-        self._check(make)

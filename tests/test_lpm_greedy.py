@@ -33,7 +33,7 @@ def test_produces_valid_lpm_function(seed, mname):
     fn = res.function_at(4)
     assert isinstance(fn, LongestPrefixMatchPartitioning)
     assert fn.num_buckets <= 4
-    assert h.root.node in [b.node for b in fn.buckets]
+    assert h.root_node in [b.node for b in fn.buckets]
 
 
 @pytest.mark.parametrize("seed", range(8))

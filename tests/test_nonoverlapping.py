@@ -77,7 +77,7 @@ def test_budget_one_is_single_root_bucket(small_hierarchy):
     res = build_nonoverlapping(small_hierarchy, metric, 1)
     fn = res.function_at(1)
     assert fn.num_buckets == 1
-    assert fn.buckets[0].node == small_hierarchy.root.node
+    assert fn.buckets[0].node == small_hierarchy.root_node
 
 
 def test_function_is_valid_cut(small_hierarchy):

@@ -94,7 +94,7 @@ def test_root_always_selected(small_hierarchy):
     metric = get_metric("rms")
     res = build_overlapping(small_hierarchy, metric, 5)
     fn = res.function_at(5)
-    assert small_hierarchy.root.node in [b.node for b in fn.buckets]
+    assert small_hierarchy.root_node in [b.node for b in fn.buckets]
 
 
 @pytest.mark.parametrize("seed", range(6))
