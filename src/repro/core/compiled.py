@@ -21,23 +21,25 @@ and no per-slot ancestor walk or dict probe:
       The compiler precomputes the sorted boundary array and a parallel
       segment-owner table (the LPM nesting-resolution table: nested
       buckets "punch holes" in their parents by overwriting the
-      segments they cover).  Per window, matching is then one segment
-      lookup (a dense-table gather for small domains, else one
-      ``np.searchsorted``) plus one ``np.bincount`` — replacing the
-      per-depth ancestor-mask loop of
+      segments they cover), and composes the two into one uid -> slot
+      lookup.  Per window, matching is then one lookup per tuple (a
+      dense-table gather for small domains, else one
+      ``np.searchsorted`` into the owner table) plus one
+      ``np.bincount`` — replacing the per-depth ancestor-mask loop of
       :meth:`~.partition.PartitioningFunction._matches_by_depth`.
     * **overlapping semantics**: an identifier maps to *all* matching
       ancestors (Section 3.2.3), so a count(*) bucket is a range count
       over the elementary segments its interval covers.  Per window
-      that is one shifted integer ``bincount`` over the segment
-      indices and one ``cumsum``: each bucket is a difference of two
-      prefix sums, and the unmatched tuples are the window total minus
-      the top-level buckets (which are disjoint and contain every
-      deeper one).  A ``sum(value)`` window keeps per-level
-      accumulation, because float sums must add in tuple order:
-      buckets are grouped by *nesting level* (number of enclosing
-      buckets), within a level intervals are disjoint, and after the
-      shared segment lookup each level is a gather plus a bincount.
+      that is the same lookup, stopping at the segment index, then one
+      shifted integer ``bincount`` over the segment indices and one
+      ``cumsum``: each bucket is a difference of two prefix sums, and
+      the unmatched tuples are the window total minus the top-level
+      buckets (which are disjoint and contain every deeper one).  A
+      ``sum(value)`` window keeps per-level accumulation, because
+      float sums must add in tuple order: buckets are grouped by
+      *nesting level* (number of enclosing buckets), within a level
+      intervals are disjoint, and after the shared segment lookup
+      each level is a gather plus a bincount.
 
     A count(*) window (no ``values``) needs no weights at all: its
     buckets and its unmatched tuples come out of unweighted integer
@@ -65,9 +67,9 @@ and no per-slot ancestor walk or dict probe:
     The ground-truth join of Section 2.2.2 (each identifier joined with
     ``GroupTable``, then grouped by node) compiled the same way: the
     disjoint group ranges cut the UID axis into elementary segments,
-    and for domains up to the dense cap the segment owners compose into
-    a dense uid -> group-index table, so the join is one gather per
-    tuple plus one shifted ``np.bincount``.
+    each owned by one group or by none, and the same lookup maps a uid
+    to its segment's group index.  The join is one lookup per tuple
+    plus one shifted ``np.bincount``.
 
 :func:`evaluate_closest`
     The construction heuristics' measured error curve
@@ -122,8 +124,8 @@ __all__ = [
     "evaluate_closest",
 ]
 
-#: Largest domain (in identifiers) for which the compiler also builds
-#: a dense uid -> elementary-segment lookup table.
+#: Largest domain (in identifiers) for which the compiler builds a
+#: dense uid -> owner lookup table; larger ones binary-search.
 _DENSE_SEGMENT_CAP = 1 << 20
 
 
@@ -185,42 +187,39 @@ def _paint(
 
 
 class _SegmentLookup:
-    """uid -> elementary-segment index over strictly increasing
-    ``bounds`` that start at 0 and end at the domain size: segment
-    ``k`` is ``[bounds[k], bounds[k + 1])``, the index
-    ``searchsorted(bounds, uid, side="right") - 1``.
+    """uid -> owner of its elementary segment, the one identifier
+    lookup of every compiled path.
 
-    Identifiers outside the domain get index ``-1`` (negative ids on the
-    binary-search path, every out-of-domain id on the dense path) or
-    ``bounds.size - 1`` (ids ``>=`` the domain size on the binary-search
-    path).  Per-segment tables built by :meth:`table` carry one trailing
-    sentinel entry that both indices reach, so out-of-domain ids look
-    up the sentinel without a mask.
+    ``bounds`` is strictly increasing, starts at 0 and ends at the
+    domain size: segment ``k`` is ``[bounds[k], bounds[k + 1])``.
+    ``owner`` holds one int64 entry per segment plus a trailing ``-1``
+    sentinel, and a uid's answer is
+    ``owner[searchsorted(bounds, uid, side="right") - 1]``.  Every
+    identifier outside the domain gets ``-1``: the binary search sends
+    negative ids to index ``-1`` and ids ``>=`` the domain size to
+    index ``bounds.size - 1``, and both are the sentinel.
     """
 
-    def __init__(self, bounds: np.ndarray, num_uids: int) -> None:
+    def __init__(
+        self, bounds: np.ndarray, owner: np.ndarray, num_uids: int
+    ) -> None:
         self.bounds = bounds
-        #: Dense uid -> segment table for small domains: one gather per
+        self.owner = owner
+        #: Dense uid -> owner table for small domains: one gather per
         #: window instead of a searchsorted.  8 MiB at the 2^20 cap;
-        #: larger domains fall back to binary search.  Segment ``k``
+        #: larger domains fall back to binary search.  Owner ``k``
         #: repeated over its ``bounds[k + 1] - bounds[k]`` identifiers
         #: is the binary search's answer for every in-domain uid, built
         #: in one pass instead of ``num_uids`` searches.
         self.dense: Optional[np.ndarray] = None
         if num_uids <= _DENSE_SEGMENT_CAP:
-            self.dense = np.repeat(
-                np.arange(bounds.size - 1, dtype=np.int64), np.diff(bounds)
-            )
-
-    def table(self) -> np.ndarray:
-        """A per-segment int64 table of ``-1``, one entry per segment
-        plus the trailing out-of-domain sentinel."""
-        return np.full(self.bounds.size, -1, dtype=np.int64)
+            self.dense = np.repeat(owner[:-1], np.diff(bounds))
 
     def __call__(self, uids: np.ndarray) -> np.ndarray:
         if self.dense is not None:
             return _gather_in_domain(self.dense, uids)
-        return np.searchsorted(self.bounds, uids, side="right") - 1
+        seg = np.searchsorted(self.bounds, uids, side="right") - 1
+        return self.owner[seg]
 
 
 class CompiledPartitioner:
@@ -250,7 +249,6 @@ class CompiledPartitioner:
             ),
             return_inverse=True,
         )
-        self._segments = _SegmentLookup(bounds, domain.num_uids)
         seg_lo, seg_hi = at[2:].reshape(2, n)
 
         # One painted row per depth (slots of one depth are disjoint),
@@ -266,7 +264,6 @@ class CompiledPartitioner:
         by_depth = _paint(
             seg_lo, seg_hi, depths, ids, domain.height + 1, bounds.size - 1
         )
-        self._seg_owner = by_depth.max(axis=0) - 1
         above = by_depth[:, seg_lo]
         above[above >= ids] = 0
         parent = above.max(axis=0) - 1
@@ -283,6 +280,18 @@ class CompiledPartitioner:
         self._seg_hi = seg_hi
         #: Bin columns (``1 + slot``) of the top-level slots.
         self._top_bins = np.flatnonzero(parent < 0) + 1
+
+        # The uid lookup.  A closest-ancestor tuple matches its
+        # segment's owner slot (the painted column past the last
+        # segment is the ``-1`` sentinel); an overlapping tuple counts
+        # in every bucket covering its segment, so its lookup stops at
+        # the segment index.
+        if self.overlapping:
+            owner = np.arange(bounds.size, dtype=np.int64)
+            owner[-1] = -1
+        else:
+            owner = by_depth.max(axis=0) - 1
+        self._lookup = _SegmentLookup(bounds, owner, domain.num_uids)
 
         # Per-nesting-level disjoint interval tables (overlapping
         # ``sum(value)``): level k holds (interval count, slot ids in
@@ -323,10 +332,6 @@ class CompiledPartitioner:
         return cached
 
     # -- matching ----------------------------------------------------------
-    def match_slots(self, uids: np.ndarray) -> np.ndarray:
-        """Closest-ancestor bucket slot per uid (-1 where unmatched)."""
-        return self._seg_owner[self._segments(uids)]
-
     def _bins(
         self,
         uids: np.ndarray,
@@ -346,17 +351,20 @@ class CompiledPartitioner:
         naive path.
         """
         if not self.overlapping:
-            slot = self.match_slots(uids)
+            slot = self._lookup(uids)
             bins = _shifted_bincount(
                 slot, weights, win, n_win, int(self.slot_nodes.size)
             )
             return bins, (slot >= 0 if weights is not None else None)
-        seg = self._segments(uids)
+        seg = self._lookup(uids)
         if weights is None:
             # One segment bincount, then range counts from its prefix
             # sums; the last prefix column is the window's tuple count.
+            # Out-of-domain tuples (segment -1) land in column 0, which
+            # every prefix sum includes: the range counts cancel them
+            # and the window total keeps them.
             cum = _shifted_bincount(
-                seg, None, win, n_win, self._segments.bounds.size
+                seg, None, win, n_win, self._lookup.bounds.size - 1
             ).cumsum(axis=1)
             bins = np.empty((n_win, self.slot_nodes.size + 1), np.int64)
             bins[:, 1:] = cum[:, self._seg_hi] - cum[:, self._seg_lo]
@@ -610,13 +618,13 @@ _JOIN_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
 class CompiledGroupJoin:
-    """The exact identifier -> group join compiled to a segment table.
+    """The exact identifier -> group join compiled to a segment lookup.
 
     The disjoint group ranges cut the UID axis into elementary
-    segments, each owned by one group or by none.  For domains up to
-    the dense cap the owners compose into a dense uid -> group-index
-    table (one gather per tuple); larger domains keep one binary search
-    over the segment boundaries.  :meth:`counts` is bit-identical to
+    segments, each owned by one group or by none, and the join's
+    :class:`_SegmentLookup` maps a uid straight to its segment's group
+    index (one gather per tuple up to the dense cap, one binary search
+    above it).  :meth:`counts` is bit-identical to
     :meth:`~.groups.GroupTable.counts_from_uids`: a shifted
     ``np.bincount`` drops uncovered tuples in bin 0 instead of
     compressing them out, which leaves every group's accumulation order
@@ -637,19 +645,12 @@ class CompiledGroupJoin:
                 ]
             )
         )
-        segments = _SegmentLookup(bounds, num_uids)
         # Groups are disjoint, so each is exactly one segment.
-        owner = segments.table()
+        owner = np.full(bounds.size, -1, dtype=np.int64)
         owner[np.searchsorted(bounds, table.starts)] = np.arange(
             self.num_groups, dtype=np.int64
         )
-        self._seg_owner = owner
-        self._group_of_uid: Optional[np.ndarray] = (
-            None if segments.dense is None else owner[segments.dense]
-        )
-        # Only the binary-search path needs the segment lookup; the
-        # dense path drops its uid -> segment table once composed.
-        self._segments = segments if segments.dense is None else None
+        self._lookup = _SegmentLookup(bounds, owner, num_uids)
 
     @classmethod
     def for_table(cls, table: GroupTable) -> "CompiledGroupJoin":
@@ -665,10 +666,7 @@ class CompiledGroupJoin:
         """Group index per uid, ``-1`` where no group covers it (or it
         lies outside the domain) — the values of
         :meth:`~.groups.GroupTable.lookup_many`."""
-        uids = np.asarray(uids, dtype=np.int64)
-        if self._group_of_uid is not None:
-            return _gather_in_domain(self._group_of_uid, uids)
-        return self._seg_owner[self._segments(uids)]
+        return self._lookup(np.asarray(uids, dtype=np.int64))
 
     def counts(
         self,

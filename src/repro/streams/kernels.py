@@ -7,17 +7,20 @@ Monitor and Control Center actually repeat forever:
 
 ``"fast"`` (the default)
     Monitors partition windows through a
-    :class:`~repro.core.compiled.CompiledPartitioner` (one
-    ``searchsorted`` over precompiled interval boundaries plus one
-    ``bincount`` per window) and the Control Center estimates through a
+    :class:`~repro.core.compiled.CompiledPartitioner` (one lookup per
+    tuple, to its bucket slot or, for overlapping functions, its
+    elementary segment, then ``bincount`` arithmetic per window) and
+    the Control Center estimates through a
     :class:`~repro.core.compiled.CompiledEstimator` (flat gather/divide
     arrays instead of per-node dict walks); the exact ground-truth join
     every window is scored against runs through a
-    :class:`~repro.core.compiled.CompiledGroupJoin` (one dense gather
-    per tuple instead of a binary search).  Every fast path performs
-    the *same* floating-point operations in the *same* order as the
-    naive reference, so histograms, estimates and ground truth are
-    bit-for-bit identical — only interpreter overhead is eliminated.
+    :class:`~repro.core.compiled.CompiledGroupJoin` (the same lookup,
+    uid -> group).  The lookup is a dense-table gather up to 2^20
+    identifiers and one ``searchsorted`` above.  Every fast path
+    performs the *same* floating-point operations in the *same* order
+    as the naive reference, so histograms, estimates and ground truth
+    are bit-for-bit identical — only interpreter overhead is
+    eliminated.
 
 ``"naive"``
     The seed per-depth ancestor-mask loops in

@@ -10,8 +10,8 @@ per (nonzero) bucket.
 Under the default ``fast`` stream kernel mode (see
 :mod:`repro.streams.kernels`) the function is compiled at install time
 into a :class:`~repro.core.compiled.CompiledPartitioner`, reducing a
-window to one ``searchsorted`` + ``bincount`` pass; histograms are
-bit-identical to the naive path either way.  The histogram is encoded
+window to one lookup per tuple and ``bincount`` arithmetic; histograms
+are bit-identical to the naive path either way.  The histogram is encoded
 to the v2 wire format as soon as it is built, and only those bytes
 leave the Monitor: a :class:`HistogramMessage` carries the payload and
 nothing else.

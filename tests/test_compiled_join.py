@@ -78,7 +78,7 @@ class TestCompiledGroupJoin:
     def test_dense_path_bytes_equal(self, seed, height):
         rng = np.random.default_rng(seed)
         table = random_partial_table(rng, height)
-        assert CompiledGroupJoin.for_table(table)._group_of_uid is not None
+        assert CompiledGroupJoin.for_table(table)._lookup.dense is not None
         uids = _random_uids(rng, table.domain)
         # Nonzero weights everywhere, uncovered tuples included.
         values = rng.normal(size=uids.size) * 10.0 + 0.5
@@ -89,7 +89,7 @@ class TestCompiledGroupJoin:
     def test_binary_search_path_bytes_equal(self, seed):
         rng = np.random.default_rng(seed)
         table = random_partial_table(rng, SEARCH_HEIGHT)
-        assert CompiledGroupJoin.for_table(table)._group_of_uid is None
+        assert CompiledGroupJoin.for_table(table)._lookup.dense is None
         uids = _random_uids(rng, table.domain)
         values = rng.normal(size=uids.size) * 10.0 + 0.5
         _check_join(table, uids, values)

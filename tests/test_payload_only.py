@@ -85,7 +85,7 @@ def _window(rng, domain, max_len=200):
 
 
 class TestCountBuild:
-    # h=7 takes the dense uid -> segment table; h=22 is above the 2^20
+    # h=7 takes the dense uid -> owner table; h=22 is above the 2^20
     # dense cap and takes the binary search.
     @pytest.mark.parametrize("height", [7, 22])
     @settings(max_examples=25, deadline=None)

@@ -24,8 +24,9 @@ Covered here, over randomized functions and windows:
   non-covering mixed-depth tables, all three semantics and sparse
   buckets: the estimator's group->slot map and populations against
   the reference spread metadata, its below-a-group ``ValueError``, the
-  partitioner's nesting forest, and the dense segment table (one-uid
-  segments, at the 2**20 dense cap and past it);
+  partitioner's nesting forest, and the uid -> owner lookup of all
+  three semantics (one-uid segments and out-of-domain ids, at the
+  2**20 dense cap and past it);
 * vectorized :meth:`~repro.core.partition.Histogram.merge` vs bucketwise
   dict accumulation;
 * the Monitor / Control Center / MonitoringSystem integration;
@@ -201,7 +202,7 @@ class TestOutOfDomainIdentifiers:
         yield OverlappingPartitioning(d, nested)
         yield LongestPrefixMatchPartitioning(d, nested)
 
-    # h=8 takes the dense uid -> segment table; h=21 is above the dense
+    # h=8 takes the dense uid -> owner table; h=21 is above the dense
     # cap and takes the binary search.
     @pytest.mark.parametrize("height", [8, 21])
     def test_histograms_equal_naive(self, height):
@@ -298,7 +299,7 @@ class TestOverlappingRangeCounts:
         uids[high] = n_uids + rng.integers(0, 1 << 20, size=int(high.sum()))
         return uids
 
-    # Heights up to 20 take the dense uid -> segment table (2**20 is the
+    # Heights up to 20 take the dense uid -> owner table (2**20 is the
     # dense cap); 21 and 40 take the binary search.
     @settings(max_examples=60, deadline=None)
     @given(
@@ -461,7 +462,7 @@ class TestCompiledInstallTables:
     """The install-time tables against independent references: the
     estimator's group->slot map and populations against the per-node
     spread metadata (``_spread_data``), the partitioner's nesting forest
-    against an ancestor walk, the dense segment table against its
+    against an ancestor walk, the uid -> owner lookup against its
     binary-search definition, and the below-a-group ``ValueError``."""
 
     @settings(max_examples=80, deadline=None)
@@ -529,30 +530,64 @@ class TestCompiledInstallTables:
 
     @pytest.mark.parametrize("height", [4, 20, 21])
     def test_segment_table_equals_binary_search(self, height):
-        """Heights up to 20 build the dense table (2**20 is the cap);
-        21 takes the binary search.  Leaf buckets make one-uid
-        segments, at both ends of the axis too."""
+        """The uid lookup of every semantics class equals its definition
+        ``owner[searchsorted(bounds, uid, "right") - 1]`` on every
+        in-domain uid and on out-of-domain ids, which get the ``-1``
+        sentinel.  The owner is the deepest covering bucket's slot under
+        closest-ancestor semantics (checked against the reference
+        matching of each segment's first uid) and the segment index
+        under overlapping semantics.  Heights up to 20 build the dense
+        table (2**20 is the cap); 21 takes the binary search.  Leaf
+        buckets make one-uid segments, at both ends of the axis too."""
         domain = UIDDomain(height)
         n = domain.num_uids
         rng = np.random.default_rng(height)
         leaves = {0, 1, n - 2, n - 1} | set(
             rng.integers(0, n, size=6).tolist()
         )
-        nodes = {domain.leaf(u) for u in leaves}
+        nodes = [domain.leaf(u) for u in sorted(leaves)]
         for _ in range(8):
             d = int(rng.integers(0, height + 1))
-            nodes.add(int(domain.node(d, int(rng.integers(0, 1 << d)))))
-        fn = OverlappingPartitioning(domain, [Bucket(x) for x in nodes])
-        segments = CompiledPartitioner(fn)._segments
-        bounds = segments.bounds
-        assert set(leaves) <= set(bounds.tolist())
-        assert (segments.dense is None) == (n > _DENSE_SEGMENT_CAP)
-        uids = np.arange(n, dtype=np.int64)
-        want = np.searchsorted(bounds, uids, side="right") - 1
-        if segments.dense is not None:
-            assert segments.dense.dtype == want.dtype
-            assert segments.dense.tobytes() == want.tobytes()
-        assert np.array_equal(segments(uids), want)
+            nodes.append(int(domain.node(d, int(rng.integers(0, 1 << d)))))
+        # A cut: every leaf, then each node whose range misses all the
+        # ranges kept before it.
+        cut, taken = [], []
+        for x in nodes:
+            lo, hi = domain.uid_range(x)
+            if all(hi <= a or b <= lo for a, b in taken):
+                cut.append(x)
+                taken.append((lo, hi))
+        nested = [Bucket(x) for x in set(nodes)]
+        uids = np.concatenate(
+            [np.arange(n, dtype=np.int64), _out_of_domain_uids(domain)]
+        )
+        outside = (uids < 0) | (uids >= n)
+        for fn in (
+            OverlappingPartitioning(domain, nested),
+            LongestPrefixMatchPartitioning(domain, nested),
+            NonoverlappingPartitioning(domain, [Bucket(x) for x in cut]),
+        ):
+            lookup = CompiledPartitioner(fn)._lookup
+            bounds, owner = lookup.bounds, lookup.owner
+            assert leaves <= set(bounds.tolist())
+            assert (lookup.dense is None) == (n > _DENSE_SEGMENT_CAP)
+            assert owner.size == bounds.size and owner[-1] == -1
+            if isinstance(fn, OverlappingPartitioning):
+                want_owner = list(range(bounds.size - 1))
+            else:
+                slot = {x: i for i, x in enumerate(fn.match_nodes)}
+                want_owner = [
+                    slot[match[0]] if match else -1
+                    for match in map(fn.buckets_for_uid, bounds[:-1].tolist())
+                ]
+            assert owner[:-1].tolist() == want_owner
+            want = owner[np.searchsorted(bounds, uids, side="right") - 1]
+            got = lookup(uids)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+            assert (got[outside] == -1).all()
+            if lookup.dense is not None:
+                assert lookup.dense.tobytes() == want[:n].tobytes()
 
 
 class TestVectorizedMerge:
